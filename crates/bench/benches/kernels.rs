@@ -5,9 +5,11 @@ use av_bench::microbench::Bench;
 use av_des::RngStreams;
 use av_geom::{Pose, Vec3};
 use av_perception::{
-    ClusterParams, EuclideanCluster, NdtMatcher, NdtParams, RayGroundFilter, RayGroundParams,
+    ClusterParams, DetectedObject, EuclideanCluster, NdtMatcher, NdtParams, RayGroundFilter,
+    RayGroundParams,
 };
 use av_pointcloud::{KdTree, NdtGrid, PointCloud, VoxelGrid};
+use av_tracking::{ImmUkfPdaTracker, TrackerParams};
 use av_vision::{nms, rank_candidates, ScoredBox};
 use av_world::{LidarConfig, LidarModel, ScenarioConfig, World};
 use std::hint::black_box;
@@ -17,6 +19,17 @@ fn realistic_sweep() -> PointCloud {
     let lidar = LidarModel::new(LidarConfig::default());
     let mut rng = RngStreams::new(7).stream("bench-lidar");
     lidar.scan(&world, &world.snapshot(30.0), &mut rng)
+}
+
+fn bench_lidar(c: &mut Bench) {
+    // The default 16×360 sensor over the paper's urban world, with traffic.
+    let world = World::generate(&ScenarioConfig::urban_drive());
+    let lidar = LidarModel::new(LidarConfig::default());
+    let scene = world.snapshot(30.0);
+    let mut rng = RngStreams::new(7).stream("bench-lidar");
+    c.bench_function("lidar/scan_urban", |b| {
+        b.iter(|| black_box(lidar.scan(&world, black_box(&scene), &mut rng)))
+    });
 }
 
 fn bench_voxel_filter(c: &mut Bench) {
@@ -96,6 +109,31 @@ fn bench_ndt(c: &mut Bench) {
     });
 }
 
+fn bench_tracker(c: &mut Bench) {
+    // 22 objects in straight-line motion: about the live track count per
+    // fused frame of a paper drive. Each sample steps one new frame.
+    let frame = |k: usize| -> Vec<DetectedObject> {
+        let t = k as f64 * 0.1;
+        (0..22)
+            .map(|i| {
+                let position =
+                    Vec3::new(8.0 * i as f64 + 3.0 * t, 4.0 * (i % 5) as f64 + 0.5 * t, 0.8);
+                DetectedObject::from_cluster(position, Vec3::new(2.0, 0.9, 0.8), 40)
+            })
+            .collect()
+    };
+    let mut tracker = ImmUkfPdaTracker::new(TrackerParams::default());
+    for k in 0..10 {
+        tracker.step(&frame(k), 0.1);
+    }
+    let mut k = 10;
+    c.bench_function("tracking/imm_ukf_pda_step", |b| {
+        let detections = frame(k);
+        k += 1;
+        b.iter(|| black_box(tracker.step(black_box(&detections), 0.1)))
+    });
+}
+
 fn bench_nms(c: &mut Bench) {
     // SSD512-scale candidate ranking: the hot CPU loop of §IV-C.
     let mut rng = RngStreams::new(9).stream("bench-nms");
@@ -125,10 +163,12 @@ fn bench_nms(c: &mut Bench) {
 
 fn main() {
     let mut c = Bench::new().sample_size(20);
+    bench_lidar(&mut c);
     bench_voxel_filter(&mut c);
     bench_kdtree(&mut c);
     bench_ground_filter(&mut c);
     bench_clustering(&mut c);
     bench_ndt(&mut c);
+    bench_tracker(&mut c);
     bench_nms(&mut c);
 }

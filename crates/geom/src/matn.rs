@@ -1,66 +1,105 @@
-//! Dynamically sized vectors and matrices.
+//! Small runtime-sized vectors and matrices.
 //!
 //! The IMM-UKF-PDA tracker works with state vectors of dimension 5 (CTRV)
 //! and measurement vectors of dimension 2, mixed through weighted sums and
 //! Cholesky factorizations. [`VecN`] and [`MatN`] provide exactly the
-//! operations the filter needs — nothing more.
+//! operations the filter needs — nothing more. Both keep their entries
+//! inline, at most 25 (a 5×5 matrix), so the tracker's per-track
+//! arithmetic never touches the allocator; exceeding the cap panics.
 
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-/// A heap-allocated vector of `f64` with runtime dimension.
+/// Most entries a [`VecN`] or [`MatN`] holds: a 5×5 matrix, the tracker's
+/// largest shape.
+const MAX_ENTRIES: usize = 25;
+
+/// Panics unless `n` entries fit the inline storage.
+#[inline]
+fn check_cap(n: usize, what: &str) {
+    assert!(n <= MAX_ENTRIES, "{what} holds at most {MAX_ENTRIES} entries, asked for {n}");
+}
+
+/// A vector of `f64` with runtime dimension (at most 25), stored inline.
 ///
 /// ```
 /// use av_geom::VecN;
 /// let v = VecN::from_slice(&[3.0, 4.0]);
 /// assert_eq!(v.norm(), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, Default)]
 pub struct VecN {
-    data: Vec<f64>,
+    len: usize,
+    data: [f64; MAX_ENTRIES],
 }
 
-/// A heap-allocated row-major matrix of `f64` with runtime dimensions.
+/// A row-major matrix of `f64` with runtime dimensions (at most 25
+/// entries), stored inline.
 ///
 /// ```
 /// use av_geom::MatN;
 /// let i = MatN::identity(3);
 /// assert_eq!(&i * &i, i);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct MatN {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: [f64; MAX_ENTRIES],
 }
 
 impl VecN {
     /// Creates a zero vector of dimension `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds 25.
     pub fn zeros(n: usize) -> VecN {
-        VecN { data: vec![0.0; n] }
+        check_cap(n, "VecN");
+        VecN { len: n, data: [0.0; MAX_ENTRIES] }
     }
 
     /// Creates a vector by copying `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than 25 values.
     pub fn from_slice(values: &[f64]) -> VecN {
-        VecN { data: values.to_vec() }
+        let mut v = VecN::zeros(values.len());
+        v.data[..values.len()].copy_from_slice(values);
+        v
+    }
+
+    /// A vector of dimension `n` with entries `f(i)`.
+    fn from_fn(n: usize, mut f: impl FnMut(usize) -> f64) -> VecN {
+        let mut v = VecN::zeros(n);
+        for (i, slot) in v.as_mut_slice().iter_mut().enumerate() {
+            *slot = f(i);
+        }
+        v
     }
 
     /// Vector dimension.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// `true` when the vector has dimension zero.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Read-only view of the components.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        &self.data[..self.len]
+    }
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data[..self.len]
     }
 
     /// Dot product with `other`.
@@ -70,7 +109,7 @@ impl VecN {
     /// Panics if the dimensions differ.
     pub fn dot(&self, other: &VecN) -> f64 {
         assert_eq!(self.len(), other.len(), "VecN::dot dimension mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
+        self.as_slice().iter().zip(other.as_slice()).map(|(a, b)| a * b).sum()
     }
 
     /// Euclidean norm.
@@ -80,7 +119,7 @@ impl VecN {
 
     /// Returns `self * s`.
     pub fn scaled(&self, s: f64) -> VecN {
-        VecN { data: self.data.iter().map(|v| v * s).collect() }
+        VecN::from_fn(self.len, |i| self.data[i] * s)
     }
 
     /// Outer product `self * otherᵀ`.
@@ -99,14 +138,26 @@ impl Index<usize> for VecN {
     type Output = f64;
     #[inline]
     fn index(&self, i: usize) -> &f64 {
-        &self.data[i]
+        &self.as_slice()[i]
     }
 }
 
 impl IndexMut<usize> for VecN {
     #[inline]
     fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.data[i]
+        &mut self.as_mut_slice()[i]
+    }
+}
+
+impl PartialEq for VecN {
+    fn eq(&self, other: &VecN) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for VecN {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VecN").field("data", &self.as_slice()).finish()
     }
 }
 
@@ -114,7 +165,7 @@ impl Add for &VecN {
     type Output = VecN;
     fn add(self, rhs: &VecN) -> VecN {
         assert_eq!(self.len(), rhs.len(), "VecN::add dimension mismatch");
-        VecN { data: self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect() }
+        VecN::from_fn(self.len, |i| self.data[i] + rhs.data[i])
     }
 }
 
@@ -122,14 +173,14 @@ impl Sub for &VecN {
     type Output = VecN;
     fn sub(self, rhs: &VecN) -> VecN {
         assert_eq!(self.len(), rhs.len(), "VecN::sub dimension mismatch");
-        VecN { data: self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect() }
+        VecN::from_fn(self.len, |i| self.data[i] - rhs.data[i])
     }
 }
 
 impl fmt::Display for VecN {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.data.iter().enumerate() {
+        for (i, v) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -141,8 +192,13 @@ impl fmt::Display for VecN {
 
 impl MatN {
     /// Creates a zero matrix of shape `rows × cols`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows × cols` exceeds 25.
     pub fn zeros(rows: usize, cols: usize) -> MatN {
-        MatN { rows, cols, data: vec![0.0; rows * cols] }
+        check_cap(rows * cols, "MatN");
+        MatN { rows, cols, data: [0.0; MAX_ENTRIES] }
     }
 
     /// Creates the identity matrix of size `n`.
@@ -158,10 +214,12 @@ impl MatN {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != rows * cols`.
+    /// Panics if `data.len() != rows * cols`, or if that exceeds 25.
     pub fn from_rows(rows: usize, cols: usize, data: &[f64]) -> MatN {
         assert_eq!(data.len(), rows * cols, "MatN::from_rows size mismatch");
-        MatN { rows, cols, data: data.to_vec() }
+        let mut m = MatN::zeros(rows, cols);
+        m.data[..data.len()].copy_from_slice(data);
+        m
     }
 
     /// Creates a diagonal matrix from `diag`.
@@ -187,7 +245,27 @@ impl MatN {
 
     /// Returns row `r` as a vector.
     pub fn row(&self, r: usize) -> VecN {
-        VecN::from_slice(&self.data[r * self.cols..(r + 1) * self.cols])
+        VecN::from_slice(&self.as_slice()[r * self.cols..(r + 1) * self.cols])
+    }
+
+    /// The entries, row-major.
+    #[inline]
+    fn as_slice(&self) -> &[f64] {
+        &self.data[..self.rows * self.cols]
+    }
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data[..self.rows * self.cols]
+    }
+
+    /// A `rows × cols` matrix with row-major entries `f(i)`.
+    fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize) -> f64) -> MatN {
+        let mut m = MatN::zeros(rows, cols);
+        for (i, slot) in m.as_mut_slice().iter_mut().enumerate() {
+            *slot = f(i);
+        }
+        m
     }
 
     /// Returns column `c` as a vector.
@@ -212,7 +290,7 @@ impl MatN {
 
     /// Scales every entry by `s`.
     pub fn scaled(&self, s: f64) -> MatN {
-        MatN { rows: self.rows, cols: self.cols, data: self.data.iter().map(|v| v * s).collect() }
+        MatN::from_fn(self.rows, self.cols, |i| self.data[i] * s)
     }
 
     /// Matrix-vector product.
@@ -373,14 +451,31 @@ impl Index<(usize, usize)> for MatN {
     type Output = f64;
     #[inline]
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
-        &self.data[r * self.cols + c]
+        &self.as_slice()[r * self.cols + c]
     }
 }
 
 impl IndexMut<(usize, usize)> for MatN {
     #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
-        &mut self.data[r * self.cols + c]
+        let cols = self.cols;
+        &mut self.as_mut_slice()[r * cols + c]
+    }
+}
+
+impl PartialEq for MatN {
+    fn eq(&self, other: &MatN) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for MatN {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MatN")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.as_slice())
+            .finish()
     }
 }
 
@@ -388,11 +483,7 @@ impl Add for &MatN {
     type Output = MatN;
     fn add(self, rhs: &MatN) -> MatN {
         assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "MatN::add shape mismatch");
-        MatN {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect(),
-        }
+        MatN::from_fn(self.rows, self.cols, |i| self.data[i] + rhs.data[i])
     }
 }
 
@@ -400,11 +491,7 @@ impl Sub for &MatN {
     type Output = MatN;
     fn sub(self, rhs: &MatN) -> MatN {
         assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "MatN::sub shape mismatch");
-        MatN {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect(),
-        }
+        MatN::from_fn(self.rows, self.cols, |i| self.data[i] - rhs.data[i])
     }
 }
 
@@ -539,5 +626,33 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn dot_mismatch_panics() {
         let _ = VecN::zeros(2).dot(&VecN::zeros(3));
+    }
+
+    #[test]
+    fn largest_shapes_fit_inline() {
+        let v = VecN::zeros(MAX_ENTRIES);
+        assert_eq!(v.outer(&VecN::zeros(1)).rows(), MAX_ENTRIES);
+        let m = MatN::identity(5);
+        assert_eq!(&m * &m, m);
+    }
+
+    #[test]
+    #[should_panic(expected = "MatN holds at most 25 entries, asked for 36")]
+    fn matn_over_cap_panics() {
+        let _ = MatN::zeros(6, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "VecN holds at most 25 entries, asked for 26")]
+    fn vecn_over_cap_panics() {
+        let _ = VecN::from_slice(&[0.0; 26]);
+    }
+
+    #[test]
+    fn equality_and_debug_see_only_live_entries() {
+        let a = MatN::from_rows(1, 2, &[1.0, 2.0]);
+        assert_ne!(a, MatN::from_rows(2, 1, &[1.0, 2.0]));
+        assert_eq!(format!("{a:?}"), "MatN { rows: 1, cols: 2, data: [1.0, 2.0] }");
+        assert_eq!(format!("{:?}", VecN::from_slice(&[3.0])), "VecN { data: [3.0] }");
     }
 }

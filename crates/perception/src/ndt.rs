@@ -9,8 +9,7 @@
 //! DESIGN.md.
 
 use av_geom::{Mat3, Pose, Vec3};
-use av_pointcloud::{NdtCell, NdtGrid, PointCloud};
-use std::collections::HashMap;
+use av_pointcloud::{CellMap, NdtCell, NdtGrid, PointCloud};
 
 /// NDT optimization parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +62,10 @@ pub struct NdtMatcher {
     params: NdtParams,
 }
 
+/// The full objective at one pose, as the reference oracle computes it in
+/// one pass. Outside tests only `f` and `matched` are read (by
+/// [`NdtMatcher::score_at`]); the tests check `g` and `h`.
+#[cfg_attr(not(test), allow(dead_code))]
 struct Objective {
     /// Negative sum of Gaussian scores (we minimize).
     f: f64,
@@ -71,14 +74,73 @@ struct Objective {
     matched: usize,
 }
 
+/// The objective value at one pose, without derivatives.
+struct Score {
+    /// Negative sum of Gaussian scores (we minimize).
+    f: f64,
+    matched: usize,
+}
+
+/// What one point-cell pair contributes, recorded by
+/// [`NdtMatcher::score`] so [`derivatives`] can build the gradient and
+/// Hessian later without another grid probe or `exp`. The Jacobian of the
+/// transformed point has no z component, so only the XY parts of `B·d`
+/// and the XY block of `B` (the cell's inverse covariance) ever enter.
+struct Term {
+    /// The Gaussian score `exp(−d·B·d / 2)`.
+    e: f64,
+    /// x and y of `B·d`, with `d` the point's offset from the cell mean.
+    bd: [f64; 2],
+    /// `B`'s XY block, row-major: `[b00, b01, b10, b11]`.
+    b: [f64; 4],
+    /// The rotated scan point `R·p`, x and y.
+    r: [f64; 2],
+}
+
 /// Memoized DIRECT7 lookups, keyed by the integer cell coordinate a
 /// transformed scan point lands in. Newton iterations move the pose by
 /// millimeters while the grid cells are meters wide, so consecutive
-/// [`NdtMatcher::evaluate`] calls hit the same few dozen keys — caching
+/// [`NdtMatcher::score`] calls hit the same few dozen keys — caching
 /// turns 7 hash probes per point per iteration into one. Entries store
 /// the populated cells in DIRECT7 offset order, so cached evaluation
 /// accumulates scores in exactly the uncached order (bit-identical).
-type Direct7Cache<'g> = HashMap<(i32, i32, i32), [Option<&'g NdtCell>; 7]>;
+type Direct7Cache<'g> = CellMap<[Option<&'g NdtCell>; 7]>;
+
+/// Gradient and Hessian of the objective from the terms [`NdtMatcher::score`]
+/// recorded at one pose. Terms are visited in recording order, which is the
+/// reference's accumulation order, and each entry is the reference's
+/// expression with the unit Jacobian columns `j_x = X` and `j_y = Y`
+/// substituted: `v·X = v.x` exactly for finite `v`, and dropping the `0·z`
+/// summands can at most flip the sign of an exact zero, which the
+/// accumulators (starting at `+0`, so never `−0`) absorb. The result
+/// therefore equals [`NdtMatcher::evaluate_reference`]'s bit for bit.
+fn derivatives(terms: &[Term]) -> (Vec3, Mat3) {
+    let mut g = Vec3::ZERO;
+    let mut h = Mat3::ZERO;
+    for &Term { e, bd: [bdx, bdy], b: [b00, b01, b10, b11], r: [rx, ry] } in terms {
+        // d·B·Jρ for ρ = x, y, yaw; the yaw column is j_t = (−ry, rx, 0).
+        let dbj = [bdx, bdy, bdx * -ry + bdy * rx];
+        g += Vec3::new(dbj[0], dbj[1], dbj[2]) * e;
+        // Jc·B·Jr: B·j_t's XY part, then the 3×3 table of dot products.
+        let bt = [b00 * -ry + b01 * rx, b10 * -ry + b11 * rx];
+        let jbj = [
+            [b00, b10, -ry * b00 + rx * b10],
+            [b01, b11, -ry * b01 + rx * b11],
+            [bt[0], bt[1], -ry * bt[0] + rx * bt[1]],
+        ];
+        for r in 0..3 {
+            for c in 0..3 {
+                let mut term = jbj[r][c] - dbj[r] * dbj[c];
+                if r == 2 && c == 2 {
+                    // d·B·∂²q with ∂²q/∂yaw² = −R·p.
+                    term += bdx * -rx + bdy * -ry;
+                }
+                h.m[r][c] += e * term;
+            }
+        }
+    }
+    (g, h)
+}
 
 impl NdtMatcher {
     /// Creates a matcher over a map grid.
@@ -96,23 +158,24 @@ impl NdtMatcher {
         &self.params
     }
 
-    fn evaluate<'g>(
+    /// The objective at `(x, y, yaw)`, replacing `terms` with every
+    /// point-cell contribution for a later [`derivatives`] call. Most
+    /// Newton trial steps are rejected on `f` alone, so they never pay
+    /// for derivatives.
+    fn score<'g>(
         &'g self,
         scan: &PointCloud,
         x: f64,
         y: f64,
         yaw: f64,
-        with_derivs: bool,
         cache: &mut Direct7Cache<'g>,
-    ) -> Objective {
+        terms: &mut Vec<Term>,
+    ) -> Score {
         let (sin_t, cos_t) = yaw.sin_cos();
         let mut f = 0.0;
-        let mut g = Vec3::ZERO;
-        let mut h = Mat3::ZERO;
         let mut matched = 0usize;
+        terms.clear();
         for p in scan.positions() {
-            // Rotated coordinates, shared by the transform, the yaw
-            // Jacobian column, and the yaw-yaw second derivative.
             let rx = cos_t * p.x - sin_t * p.y;
             let ry = sin_t * p.x + cos_t * p.y;
             let q = Vec3::new(rx + x, ry + y, p.z);
@@ -123,57 +186,36 @@ impl NdtMatcher {
                 }
                 set
             });
-            // Jacobian columns of q wrt (x, y, yaw) — hoisted out of the
-            // cell loop; they depend only on the point and the pose.
-            let j_t = Vec3::new(-ry, rx, 0.0);
-            // Second derivative of q is nonzero only for (yaw, yaw):
-            // ∂²q/∂yaw² = −R·p (in the XY block).
-            let d2 = Vec3::new(-rx, -ry, 0.0);
             let mut any_cell = false;
             for cell in cells.iter().flatten() {
                 any_cell = true;
                 let d = q - cell.mean;
                 let bd = cell.inv_cov * d;
-                let md = d.dot(bd);
-                let e = (-0.5 * md).exp();
+                let e = (-0.5 * d.dot(bd)).exp();
                 f -= e;
-                if !with_derivs {
-                    continue;
-                }
-                let j_x = Vec3::X;
-                let j_y = Vec3::Y;
-                let dbj = Vec3::new(bd.dot(j_x), bd.dot(j_y), bd.dot(j_t));
-                // Gradient of f = −Σ e: ∂f/∂ρ = e · (d·B·Jρ).
-                g += dbj * e;
-                // Hessian (Magnusson): e·[ Jk·B·Jl − (d·B·Jk)(d·B·Jl) + d·B·∂²q ].
-                let js = [j_x, j_y, j_t];
-                for r in 0..3 {
-                    let bjr = cell.inv_cov * js[r];
-                    for c in 0..3 {
-                        let mut term = js[c].dot(bjr) - dbj[r] * dbj[c];
-                        if r == 2 && c == 2 {
-                            term += bd.dot(d2);
-                        }
-                        h.m[r][c] += e * term;
-                    }
-                }
+                let b = &cell.inv_cov.m;
+                terms.push(Term {
+                    e,
+                    bd: [bd.x, bd.y],
+                    b: [b[0][0], b[0][1], b[1][0], b[1][1]],
+                    r: [rx, ry],
+                });
             }
             if any_cell {
                 matched += 1;
             }
         }
-        Objective { f, g, h, matched }
+        Score { f, matched }
     }
 
-    /// Uncached reference evaluation: the same objective as [`evaluate`],
-    /// computed with a fresh DIRECT7 grid probe per point. Retained as the
-    /// oracle the memoized path is checked against (the property test
-    /// compares the two bit-for-bit), and as the implementation the cache
-    /// must keep matching through future grid refactors. Accumulation
-    /// order is identical to the cached path — `cells_around` order — so
-    /// agreement is exact, not approximate.
-    ///
-    /// [`evaluate`]: NdtMatcher::evaluate
+    /// Uncached one-pass reference evaluation: the objective, gradient and
+    /// Hessian, computed with a fresh DIRECT7 grid probe per point and the
+    /// full Jacobian products. Retained as the oracle the split
+    /// [`score`](NdtMatcher::score) + [`derivatives`] path is checked
+    /// against (the property test compares them bit for bit), and as the
+    /// implementation that path must keep matching through future
+    /// refactors. Accumulation order is the same — `cells_around` order —
+    /// so agreement is exact, not approximate.
     fn evaluate_reference(
         &self,
         scan: &PointCloud,
@@ -254,8 +296,10 @@ impl NdtMatcher {
 
         // DIRECT7 lookups memoized across all Newton iterations of this
         // alignment (the pose moves far less than a cell per step).
-        let mut cache = Direct7Cache::new();
-        let mut current = self.evaluate(scan, x, y, yaw, true, &mut cache);
+        let mut cache = Direct7Cache::default();
+        let mut terms = Vec::new();
+        let mut trial_terms = Vec::new();
+        let mut current = self.score(scan, x, y, yaw, &mut cache, &mut terms);
         let mut iterations = 0u32;
         let mut converged = false;
 
@@ -264,13 +308,16 @@ impl NdtMatcher {
             if current.matched == 0 {
                 break;
             }
+            // Derivatives only at poses the loop goes on from: the start
+            // and accepted steps, never rejected trials.
+            let (g, h) = derivatives(&terms);
             // Solve (H + λI) Δ = −g, inflating λ until the step descends.
             // The gradient is exact, so a large enough λ always yields a
             // descent direction; 16 doublings-of-magnitude cover Hessians
             // dominated by razor-thin wall/ground Gaussians (σ ≈ 2 cm).
             let mut stepped = false;
             for _ in 0..16 {
-                let mut damped = current.h;
+                let mut damped = h;
                 for i in 0..3 {
                     damped.m[i][i] += damping;
                 }
@@ -278,14 +325,15 @@ impl NdtMatcher {
                     damping *= 10.0;
                     continue;
                 };
-                let step = inv * (-current.g);
+                let step = inv * (-g);
                 let (nx, ny, nyaw) = (x + step.x, y + step.y, yaw + step.z);
-                let next = self.evaluate(scan, nx, ny, nyaw, true, &mut cache);
+                let next = self.score(scan, nx, ny, nyaw, &mut cache, &mut trial_terms);
                 if next.f < current.f {
                     x = nx;
                     y = ny;
                     yaw = nyaw;
                     current = next;
+                    std::mem::swap(&mut terms, &mut trial_terms);
                     damping = (damping / 3.0).max(1e-9);
                     stepped = true;
                     if step.truncate().norm() < self.params.translation_eps
@@ -298,20 +346,19 @@ impl NdtMatcher {
                 damping *= 10.0;
             }
             if !stepped || converged {
-                converged = converged || !stepped && current.g.norm() < 1e-6;
+                converged = converged || !stepped && g.norm() < 1e-6;
                 break;
             }
         }
 
-        let final_eval = self.evaluate(scan, x, y, yaw, false, &mut cache);
-        let fitness =
-            if final_eval.matched == 0 { 0.0 } else { -final_eval.f / final_eval.matched as f64 };
+        // `current` was scored at the final pose already.
+        let fitness = if current.matched == 0 { 0.0 } else { -current.f / current.matched as f64 };
         MatchResult {
             pose: Pose::planar(x, y, yaw),
             fitness,
             iterations,
             converged,
-            matched_points: final_eval.matched,
+            matched_points: current.matched,
         }
     }
 }
@@ -422,36 +469,63 @@ mod tests {
         assert!(aligned.fitness > wrong.fitness);
     }
 
+    fn vec_bits(v: Vec3) -> [u64; 3] {
+        [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+    }
+
+    fn mat_bits(m: Mat3) -> [[u64; 3]; 3] {
+        m.m.map(|row| row.map(f64::to_bits))
+    }
+
     /// A cache reused across many evaluations at drifting poses returns
     /// bit-identical objectives to fresh lookups *and* to the retained
-    /// uncached reference implementation — cached entries never go stale
-    /// (they depend only on the integer cell key), and the memoized path
-    /// accumulates in exactly the reference order.
+    /// one-pass reference — cached entries never go stale (they depend
+    /// only on the integer cell key), and `score` + `derivatives`
+    /// accumulate in exactly the reference order, with the unit Jacobian
+    /// columns substituted exactly.
     #[test]
     fn cached_direct7_matches_fresh_lookups() {
         let m = matcher();
         let scan = to_body(&scene_points("cachepin", 150), &Pose::planar(0.3, -0.2, 0.04));
-        let mut persistent = Direct7Cache::new();
-        for step in 0..8 {
+        let mut persistent = Direct7Cache::default();
+        let (mut terms, mut fresh_terms) = (Vec::new(), Vec::new());
+        for step in 0..12 {
             let (x, y, yaw) = (0.05 * step as f64, -0.03 * step as f64, 0.004 * step as f64);
-            let a = m.evaluate(&scan, x, y, yaw, true, &mut persistent);
-            let b = m.evaluate(&scan, x, y, yaw, true, &mut Direct7Cache::new());
+            let a = m.score(&scan, x, y, yaw, &mut persistent, &mut terms);
+            let b = m.score(&scan, x, y, yaw, &mut Direct7Cache::default(), &mut fresh_terms);
             let r = m.evaluate_reference(&scan, x, y, yaw, true);
             assert_eq!(a.f.to_bits(), b.f.to_bits(), "step {step}");
-            assert_eq!(a.g, b.g);
-            assert_eq!(a.h.m, b.h.m);
             assert_eq!(a.matched, b.matched);
             assert_eq!(a.f.to_bits(), r.f.to_bits(), "reference f, step {step}");
-            assert_eq!(a.g, r.g, "reference gradient, step {step}");
-            assert_eq!(a.h.m, r.h.m, "reference Hessian, step {step}");
             assert_eq!(a.matched, r.matched, "reference match count, step {step}");
+            let (g, h) = derivatives(&terms);
+            let (g_fresh, h_fresh) = derivatives(&fresh_terms);
+            assert_eq!(vec_bits(g), vec_bits(g_fresh), "fresh gradient, step {step}");
+            assert_eq!(mat_bits(h), mat_bits(h_fresh), "fresh Hessian, step {step}");
+            assert_eq!(vec_bits(g), vec_bits(r.g), "reference gradient, step {step}");
+            assert_eq!(mat_bits(h), mat_bits(r.h), "reference Hessian, step {step}");
             // The score-only public wrapper agrees too.
             let (f_only, matched_only) = m.score_at(&scan, &Pose::planar(x, y, yaw));
             assert_eq!(f_only.to_bits(), a.f.to_bits(), "score_at f, step {step}");
             assert_eq!(matched_only, a.matched, "score_at matched, step {step}");
-            // And disabling derivatives must not change the objective value.
-            let no_derivs = m.evaluate(&scan, x, y, yaw, false, &mut Direct7Cache::new());
-            assert_eq!(no_derivs.f.to_bits(), a.f.to_bits(), "with_derivs=false f, step {step}");
+        }
+    }
+
+    /// `align` reports the fitness of the pose it returns without a final
+    /// re-evaluation: it must equal the reference score there.
+    #[test]
+    fn fitness_is_the_reference_score_at_the_final_pose() {
+        let m = matcher();
+        for (name, truth, guess) in [
+            ("fit1", Pose::planar(0.4, -0.3, 0.05), Pose::IDENTITY),
+            ("fit2", Pose::planar(1.0, 2.0, -0.1), Pose::planar(0.8, 1.7, -0.08)),
+            ("fit3", Pose::IDENTITY, Pose::planar(0.2, 0.1, 0.02)),
+        ] {
+            let scan = to_body(&scene_points(name, 150), &truth);
+            let result = m.align(&scan, &guess);
+            let (f, matched) = m.score_at(&scan, &result.pose);
+            assert_eq!(result.matched_points, matched, "{name}");
+            assert_eq!(result.fitness.to_bits(), (-f / matched as f64).to_bits(), "{name}");
         }
     }
 

@@ -26,5 +26,5 @@ mod voxel;
 
 pub use cloud::{Point, PointCloud};
 pub use kdtree::KdTree;
-pub use ndt_grid::{NdtCell, NdtGrid};
+pub use ndt_grid::{CellHasher, CellMap, NdtCell, NdtGrid};
 pub use voxel::VoxelGrid;

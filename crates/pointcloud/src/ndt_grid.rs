@@ -4,6 +4,45 @@
 use crate::PointCloud;
 use av_geom::{Mat3, Vec3};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by integer cell coordinate, hashed with [`CellHasher`]:
+/// fixed (no per-process random seed, so iteration order repeats from
+/// run to run) and far cheaper than SipHash on three-`i32` keys.
+pub type CellMap<V> = HashMap<(i32, i32, i32), V, BuildHasherDefault<CellHasher>>;
+
+/// Multiplicative (Fx-style) hasher for [`CellMap`] keys: each word is
+/// folded in as `(h.rotl(5) ^ word) · K`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CellHasher(u64);
+
+impl CellHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for CellHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_i32(&mut self, v: i32) {
+        self.add(u64::from(v as u32));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Gaussian statistics of one NDT cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +79,7 @@ pub struct NdtCell {
 #[derive(Debug, Clone, Default)]
 pub struct NdtGrid {
     cell_size: f64,
-    cells: HashMap<(i32, i32, i32), NdtCell>,
+    cells: CellMap<NdtCell>,
 }
 
 impl NdtGrid {
@@ -63,7 +102,7 @@ impl NdtGrid {
             sum: Vec3,
             points: Vec<Vec3>,
         }
-        let mut acc: HashMap<(i32, i32, i32), Acc> = HashMap::new();
+        let mut acc: CellMap<Acc> = CellMap::default();
         for p in map.positions() {
             let key = Self::key_for(p, cell_size);
             let entry =
@@ -72,7 +111,7 @@ impl NdtGrid {
             entry.points.push(p);
         }
 
-        let mut cells = HashMap::new();
+        let mut cells = CellMap::default();
         for (key, a) in acc {
             if a.points.len() < min_points {
                 continue;
@@ -245,6 +284,22 @@ mod tests {
         assert_eq!(grid.len(), 1);
         let cell = grid.cells().next().unwrap();
         assert!(cell.cov.det() > 0.0, "regularization must keep planar cells PD");
+    }
+
+    /// `cells()` order depends only on the map: the grid's hasher has no
+    /// per-process or per-map random seed, so two builds iterate alike.
+    #[test]
+    fn cells_iterate_in_a_fixed_order() {
+        let mut map = PointCloud::new();
+        for i in 0..12 {
+            let center = Vec3::new(4.0 * i as f64, -3.0 * i as f64, 1.0);
+            map.append(&gaussian_blob(center, 0.3, 60, &format!("order{i}")));
+        }
+        let order = |g: &NdtGrid| g.cells().map(|c| c.mean).collect::<Vec<_>>();
+        let a = NdtGrid::build(&map, 2.0, 5);
+        let b = NdtGrid::build(&map, 2.0, 5);
+        assert!(a.len() > 8, "{} cells", a.len());
+        assert_eq!(order(&a), order(&b));
     }
 
     #[test]

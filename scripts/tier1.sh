@@ -226,6 +226,13 @@ echo "== benchmark pins: every avbench workload's digest at check size =="
 # exits nonzero if a drive/sweep/serve/search digest leaves its pin.
 cargo run --release --quiet --offline --manifest-path avbench/Cargo.toml -- --check
 
+echo "== paper-world pin: one drive-paper cycle against its full-size digest =="
+# --check runs smoke sizes only; this is the one step that drives the
+# default 16x360 LiDAR, the paper map and the full NDT/tracker load. One
+# cycle (~10 s), exiting nonzero if the `full drive-paper` pin moves.
+cargo run --release --quiet --offline --manifest-path avbench/Cargo.toml -- \
+    --workload drive-paper --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

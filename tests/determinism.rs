@@ -2,9 +2,11 @@
 //! the experiment matrix must be byte-identical no matter how many
 //! worker threads executed the runs. Together with the kernel pinning
 //! property tests (voxel-hash clustering vs k-d tree reference,
-//! open-addressing voxel filter vs `HashMap` reference, cached DIRECT7
-//! vs fresh lookups), this guarantees the wall-clock optimizations
-//! change no virtual-time result.
+//! open-addressing voxel filter vs `HashMap` reference, NDT cached
+//! DIRECT7 score plus deferred derivatives vs the one-pass uncached
+//! reference, the default-sensor urban LiDAR scan digest, inline
+//! `MatN`/`VecN` storage under the tracker's pinned filter tests), this
+//! guarantees the wall-clock optimizations change no virtual-time result.
 
 use av_core::determinism::{isolation_hash, matrix_hash, run_hash};
 use av_core::experiments::{fig8, run_matrix};
