@@ -23,10 +23,7 @@
 
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
-use av_core::stack::{
-    checkpoint_drive, drive_fingerprint, resume_drive, resume_drive_checkpointed, run_drive,
-    Checkpoint, RunConfig, StackConfig,
-};
+use av_core::stack::{drive, drive_fingerprint, Checkpoint, DriveRequest, RunConfig, StackConfig};
 use av_sweep::{SweepPoint, WorldKind};
 use av_trace::export::{render_chrome_trace, render_metrics_csv};
 use av_trace::json;
@@ -184,10 +181,12 @@ fn main() {
                 } else {
                     RunConfig::seconds(barrier_s)
                 };
-                let cp = match &cursor {
-                    Some(from) => resume_drive_checkpointed(&config, &leg, from, barrier_s).1,
-                    None => checkpoint_drive(&config, &leg, barrier_s).1,
+                let request = DriveRequest {
+                    from: cursor.as_ref(),
+                    capture_at_s: Some(barrier_s),
+                    ..DriveRequest::default()
                 };
+                let cp = drive(&config, &leg, request).1.expect("captured at the barrier");
                 persist(st, &cp);
                 cursor = Some(cp);
             }
@@ -197,26 +196,18 @@ fn main() {
 
     // The final leg produces the run's actual report; with a store, it
     // also captures the horizon so a later process can reuse or extend
-    // this drive without re-simulating anything.
-    let report = match (&store, &cursor) {
-        // The store already holds the horizon: a pure end-of-run drain,
-        // with nothing new to capture.
-        (_, Some(from)) if from.barrier_s() >= options.duration_s - 1e-9 => {
-            resume_drive(&config, &run, from)
-        }
-        (Some(st), Some(from)) => {
-            let (report, cp) = resume_drive_checkpointed(&config, &run, from, options.duration_s);
-            persist(st, &cp);
-            report
-        }
-        (Some(st), None) => {
-            let (report, cp) = checkpoint_drive(&config, &run, options.duration_s);
-            persist(st, &cp);
-            report
-        }
-        (None, Some(from)) => resume_drive(&config, &run, from),
-        (None, None) => run_drive(&config, &run),
+    // this drive without re-simulating anything. A store that already
+    // holds the horizon leaves a pure end-of-run drain, with nothing new
+    // to capture.
+    let request = DriveRequest {
+        from: cursor.as_ref(),
+        capture_at_s: store.is_some().then_some(options.duration_s),
+        ..DriveRequest::default()
     };
+    let (report, captured) = drive(&config, &run, request);
+    if let (Some(st), Some(cp)) = (&store, &captured) {
+        persist(st, cp);
+    }
     let hash = run_hash(&report);
 
     if let Some(path) = &options.trace_out {

@@ -27,8 +27,7 @@ use av_core::ckptstore::CkptStore;
 use av_core::determinism::Fnv64;
 use av_core::parallel::effective_jobs;
 use av_core::stack::RunConfig;
-use av_sweep::runner::run_sweep_streamed_with_store;
-use av_sweep::{aggregate, run_sweep, PointResult, SweepArtifacts, SweepSpec};
+use av_sweep::{aggregate, run_sweep, run_sweep_streamed, PointResult, SweepArtifacts, SweepSpec};
 use av_trace::export::render_chrome_trace;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -186,13 +185,8 @@ fn main() {
     });
 
     let start = Instant::now();
-    let (results, stats) = run_sweep_streamed_with_store(
-        &options.spec,
-        &options.run,
-        options.jobs,
-        store.as_ref(),
-        |_| {},
-    );
+    let (results, stats) =
+        run_sweep_streamed(&options.spec, &options.run, options.jobs, store.as_ref(), |_| {});
     let batch_s = start.elapsed().as_secs_f64();
     let artifacts = aggregate(&options.spec, &results);
     let traces = render_traces(&results);

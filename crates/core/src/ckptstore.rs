@@ -56,6 +56,7 @@
 //! truncation, crash inside the rename window) so tests can prove every
 //! corruption mode is detected, quarantined and recovered from.
 
+use crate::determinism::fnv64;
 use crate::stack::{Checkpoint, CheckpointHeader};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -74,15 +75,6 @@ pub const STORE_VERSION: u32 = 1;
 const ENTRY_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 /// Trailing checksum.
 const ENTRY_FOOTER_BYTES: usize = 8;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Everything the store knows about one published entry without
 /// re-reading its payload.

@@ -80,6 +80,15 @@ impl Fnv64 {
     }
 }
 
+/// One-shot FNV-1a 64 of `bytes`: the fingerprint behind checkpoint
+/// configuration keys, checkpoint-store checksums and evaluation-cache
+/// keys.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_bytes(bytes);
+    h.finish()
+}
+
 /// Hashes every key output of one drive: per-node latency and queue-wait
 /// samples (in arrival order), per-path latency samples, subscription
 /// drop statistics, CPU/GPU device statistics, power, and the
@@ -352,6 +361,7 @@ mod tests {
         let mut h = Fnv64::new();
         h.write_bytes(b"foobar");
         assert_eq!(h.finish(), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

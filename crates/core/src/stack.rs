@@ -7,6 +7,7 @@
 //! are derived from.
 
 use crate::calib::Calibration;
+use crate::determinism::fnv64;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::msg::Msg;
 use crate::nodes::*;
@@ -482,68 +483,23 @@ fn wants(selection: &NodeSelection, node: &str) -> bool {
 ///
 /// Deterministic: identical configs produce identical reports.
 pub fn run_drive(config: &StackConfig, run: &RunConfig) -> RunReport {
-    drive(config, run, None, None).0
+    drive(config, run, DriveRequest::default()).0
 }
 
 /// Runs a drive like [`run_drive`] and additionally captures a
-/// [`Checkpoint`] of the complete simulation state at virtual time
-/// `barrier_s`, taken before the end-of-run drain.
-///
-/// The returned report is identical to the one [`run_drive`] produces
-/// for the same inputs — capturing a checkpoint is a pure read.
-///
-/// # Panics
-///
-/// Panics unless `0 < barrier_s <= duration`.
+/// [`Checkpoint`] at virtual time `barrier_s`: [`drive`] with only
+/// `capture_at_s` set, under the same contract.
 pub fn checkpoint_drive(
     config: &StackConfig,
     run: &RunConfig,
     barrier_s: f64,
 ) -> (RunReport, Checkpoint) {
-    let (report, checkpoint) = drive(config, run, None, Some(barrier_s));
-    (report, checkpoint.expect("drive captures when a barrier is supplied"))
+    let request = DriveRequest { capture_at_s: Some(barrier_s), ..DriveRequest::default() };
+    let (report, checkpoint) = drive(config, run, request);
+    (report, checkpoint.expect("drive captures when a capture time is supplied"))
 }
 
-/// Resumes a drive from `checkpoint` and runs it to `run`'s duration.
-///
-/// The resumed run is byte-identical to a straight-through
-/// [`run_drive`] of the same configuration: same report, same trace,
-/// same golden hash. Only the virtual seconds before the checkpoint's
-/// barrier are skipped — they were simulated once, when the checkpoint
-/// was captured.
-///
-/// The configuration must match the one the checkpoint was captured
-/// under, except for blackout windows, which may differ when every
-/// window of both configurations starts strictly after the barrier
-/// (the prefix-sharing contract: such runs are indistinguishable up to
-/// the barrier).
-///
-/// # Panics
-///
-/// Panics when the configuration does not match the checkpoint, or the
-/// run duration lies before the checkpoint's barrier.
-pub fn resume_drive(config: &StackConfig, run: &RunConfig, checkpoint: &Checkpoint) -> RunReport {
-    drive(config, run, Some(checkpoint), None).0
-}
-
-/// [`resume_drive`], additionally capturing a new [`Checkpoint`] at
-/// `barrier_s` — the chaining primitive successive halving uses to
-/// extend survivors rung by rung without re-simulating their past.
-///
-/// # Panics
-///
-/// Panics unless `checkpoint barrier < barrier_s <= duration`.
-pub fn resume_drive_checkpointed(
-    config: &StackConfig,
-    run: &RunConfig,
-    checkpoint: &Checkpoint,
-    barrier_s: f64,
-) -> (RunReport, Checkpoint) {
-    let (report, next) = drive(config, run, Some(checkpoint), Some(barrier_s));
-    (report, next.expect("drive captures when a barrier is supplied"))
-}
-
-/// One pause point of a [`run_drive_streamed`] drive.
+/// One pause point of a streamed [`drive`].
 #[derive(Debug)]
 pub struct DriveProgress<'a> {
     /// Virtual time of the pause, seconds. Multiples of the slice width
@@ -558,113 +514,117 @@ pub struct DriveProgress<'a> {
     pub events_total: usize,
 }
 
-/// Runs a drive like [`run_drive`], pausing every `slice_s` virtual
-/// seconds to hand the caller a [`DriveProgress`] — the streaming seam
-/// the scenario service uses to ship trace events while the run is
-/// still executing.
-///
-/// The report is byte-identical to [`run_drive`]'s for the same inputs:
-/// pausing is exactly the checkpoint barrier mechanism without a
-/// capture, and reading the tracer between slices is a pure read.
-/// Because trace events are recorded in nondecreasing
-/// [`TraceEvent::emission_time`] order, the pause at barrier `t`
-/// delivers precisely the events with emission time `<= t` — so a
-/// finished run's event stream can later be re-partitioned into the
-/// identical slice sequence from its `RunReport` alone (how cached
-/// responses replay their live event stream byte-for-byte).
-///
-/// # Panics
-///
-/// Panics unless `slice_s` is positive and finite.
-pub fn run_drive_streamed(
-    config: &StackConfig,
-    run: &RunConfig,
-    slice_s: f64,
-    on_progress: &mut dyn FnMut(DriveProgress<'_>),
-) -> RunReport {
-    drive_streamed(config, run, slice_s, None, false, on_progress).0
+/// The callback a streamed [`drive`] hands each [`DriveProgress`] to.
+pub type OnProgress<'a> = &'a mut dyn FnMut(DriveProgress<'_>);
+
+/// What one [`drive`] does beyond a plain cold batch run. The default
+/// request is exactly [`run_drive`].
+#[derive(Default)]
+pub struct DriveRequest<'a> {
+    /// Resume from this checkpoint instead of starting at virtual time
+    /// zero.
+    pub from: Option<&'a Checkpoint>,
+    /// Capture a [`Checkpoint`] at this virtual time, seconds.
+    pub capture_at_s: Option<f64>,
+    /// Pause every `slice_s` virtual seconds (the first element) and
+    /// hand the callback a [`DriveProgress`] at each pause, plus a final
+    /// `done` one after the end-of-run drain.
+    pub stream: Option<(f64, OnProgress<'a>)>,
 }
 
-/// [`run_drive_streamed`], additionally capturing a [`Checkpoint`] at
-/// the run horizon (before the end-of-run drain) — how the scenario
-/// service persists a resumable snapshot of every drive it answers, so
-/// later `extend` requests pick up where this run stopped.
+/// Runs one drive — cold or resumed, batch or streamed, with or without
+/// a capture — and returns its report plus the checkpoint
+/// `capture_at_s` asked for.
+///
+/// Every request reproduces [`run_drive`] of the same configuration
+/// byte for byte: same report, same trace, same golden hash.
+///
+/// * `from`: only the virtual seconds after the checkpoint's barrier
+///   are simulated; the ones before it were simulated once, when the
+///   checkpoint was captured. The configuration must match the one the
+///   checkpoint was captured under, except for blackout windows, which
+///   may differ when every window of both configurations starts
+///   strictly after the barrier (the prefix-sharing contract: such runs
+///   are indistinguishable up to the barrier).
+/// * `capture_at_s`: the capture is a pure read at a pause. At the
+///   horizon it is taken before the end-of-run drain, so a later
+///   request can extend the drive or replay it as a pure drain. At
+///   `from`'s own barrier there is nothing new to capture, and the
+///   returned checkpoint is `None`.
+/// * `stream`: pausing is the capture barrier without a capture, and
+///   reading the tracer between slices is a pure read. Trace events
+///   are recorded in nondecreasing [`TraceEvent::emission_time`] order,
+///   so the pause at barrier `t` delivers precisely the events with
+///   emission time `<= t`, and a finished run's event stream can later
+///   be re-partitioned into the identical slice sequence from its
+///   `RunReport` alone (how cached responses replay their live event
+///   stream). A resumed streamed run replays the pauses before the
+///   checkpoint barrier from the restored tracer, so its pulse sequence
+///   equals a cold streamed run's.
 ///
 /// # Panics
 ///
-/// Panics unless `slice_s` is positive and finite.
-pub fn run_drive_streamed_checkpointed(
+/// Panics when `from` does not match the configuration (see above) or
+/// its tracing mode, when the run duration lies before `from`'s
+/// barrier, unless `0 < capture_at_s <= duration` (cold) or
+/// `barrier <= capture_at_s <= duration` (resumed from `from`'s
+/// barrier), and unless the slice width of `stream` is positive and
+/// finite.
+pub fn drive(
     config: &StackConfig,
     run: &RunConfig,
-    slice_s: f64,
-    on_progress: &mut dyn FnMut(DriveProgress<'_>),
-) -> (RunReport, Checkpoint) {
-    let (report, checkpoint) = drive_streamed(config, run, slice_s, None, true, on_progress);
-    (report, checkpoint.expect("drive_streamed captures when asked"))
-}
-
-/// Resumes a drive from `checkpoint` and streams it to `run`'s duration
-/// like [`run_drive_streamed`] — including the pauses *before* the
-/// checkpoint barrier, which are replayed from the restored tracer so
-/// the full pulse sequence (times, event payloads, counts) is
-/// byte-identical to a cold streamed run of the same configuration.
-/// With `capture_final`, additionally captures a new checkpoint at the
-/// run horizon (the chaining primitive behind repeated `extend`s).
-///
-/// # Panics
-///
-/// Panics when the configuration does not match the checkpoint (see
-/// [`resume_drive`]), the run duration lies before the checkpoint's
-/// barrier, or `slice_s` is not positive and finite.
-pub fn resume_drive_streamed(
-    config: &StackConfig,
-    run: &RunConfig,
-    checkpoint: &Checkpoint,
-    slice_s: f64,
-    capture_final: bool,
-    on_progress: &mut dyn FnMut(DriveProgress<'_>),
+    request: DriveRequest<'_>,
 ) -> (RunReport, Option<Checkpoint>) {
-    drive_streamed(config, run, slice_s, Some(checkpoint), capture_final, on_progress)
-}
-
-/// The engine behind the streamed entry points: run (fresh or resumed)
-/// to the horizon, pausing every `slice_s` virtual seconds. Pauses at
-/// or before a resumed checkpoint's barrier never touch the simulator —
-/// their event slices are re-partitioned out of the restored tracer by
-/// emission time, which the streaming invariant guarantees equals what
-/// the live pause delivered.
-fn drive_streamed(
-    config: &StackConfig,
-    run: &RunConfig,
-    slice_s: f64,
-    from: Option<&Checkpoint>,
-    capture_final: bool,
-    on_progress: &mut dyn FnMut(DriveProgress<'_>),
-) -> (RunReport, Option<Checkpoint>) {
-    assert!(slice_s.is_finite() && slice_s > 0.0, "slice_s must be positive and finite");
+    let DriveRequest { from, capture_at_s, mut stream } = request;
+    if let Some((slice_s, _)) = &stream {
+        assert!(slice_s.is_finite() && *slice_s > 0.0, "slice_s must be positive and finite");
+    }
     let session = build_session(config, run);
     match from {
         None => session.start_fresh(),
         Some(checkpoint) => session.resume_from(checkpoint, config),
     }
-    // Everything the restored tracer already holds — exactly the events
-    // with emission time at or before the checkpoint barrier. Empty on a
-    // fresh start or an untraced run.
-    let restored: Vec<TraceEvent> = match &session.tracer {
-        Some(tracer) => tracer.events_since(0),
+    let start = session.sim.now();
+
+    // Pause points: the slice barriers short of the horizon (`true`:
+    // emit a pulse) merged with the capture barrier (`false`).
+    let mut pauses: Vec<(SimTime, bool)> = match &stream {
+        Some((slice_s, _)) => (1u64..)
+            .map(|slice| SimTime::from_secs_f64_round(slice_s * slice as f64))
+            .take_while(|&barrier| barrier < session.until)
+            .map(|barrier| (barrier, true))
+            .collect(),
         None => Vec::new(),
     };
-    let start = session.sim.now();
-    let events_at = |cursor: usize| match &session.tracer {
+    if let Some(secs) = capture_at_s {
+        let barrier = SimTime::from_secs_f64_round(secs);
+        assert!(barrier <= session.until, "checkpoint barrier must not exceed the run duration");
+        // `from` itself is the capture at its own barrier: nothing new.
+        if from.is_none() || barrier != start {
+            assert!(barrier > start, "checkpoint barrier must lie ahead of the run's start point");
+            pauses.push((barrier, false));
+        }
+    }
+    pauses.sort_by_key(|&(barrier, _)| barrier);
+
+    // Everything the restored tracer holds — exactly the events with
+    // emission time at or before the checkpoint barrier. Only a
+    // streamed resume replays from it.
+    let restored: Vec<TraceEvent> = match (&session.tracer, &stream, from) {
+        (Some(tracer), Some(_), Some(_)) => tracer.events_since(0),
+        _ => Vec::new(),
+    };
+    let events_since = |cursor: usize| match &session.tracer {
         Some(tracer) => tracer.events_since(cursor),
         None => Vec::new(),
     };
+    let mut checkpoint = None;
     let mut cursor = 0usize;
-    let mut slice = 1u64;
-    loop {
-        let barrier = SimTime::from_secs_f64_round(slice_s * slice as f64);
-        if barrier >= session.until {
-            break;
+    for (barrier, pulse) in pauses {
+        if !pulse {
+            session.sim.run_until(barrier);
+            checkpoint = Some(session.capture(config, barrier));
+            continue;
         }
         let new_events = if barrier < start {
             // Replayed pause: the emission-time prefix of the restored
@@ -674,60 +634,29 @@ fn drive_streamed(
             restored[cursor..cursor + n].to_vec()
         } else {
             session.sim.run_until(barrier);
-            events_at(cursor)
+            events_since(cursor)
         };
         cursor += new_events.len();
+        let (_, on_progress) = stream.as_mut().expect("only a streamed drive pulses");
         on_progress(DriveProgress {
             time_s: barrier.as_secs_f64(),
             done: false,
             new_events: &new_events,
             events_total: cursor,
         });
-        slice += 1;
     }
-    session.sim.run_until(session.until);
-    let checkpoint = capture_final.then(|| session.capture(config, session.until));
-    // Let in-flight work complete so the last frames are counted.
-    session.sim.run();
-    let new_events = events_at(cursor);
-    cursor += new_events.len();
-    on_progress(DriveProgress {
-        time_s: session.until.as_secs_f64(),
-        done: true,
-        new_events: &new_events,
-        events_total: cursor,
-    });
-    (session.report(config), checkpoint)
-}
-
-/// The one engine behind all four public drive entry points: build the
-/// session (pure construction, nothing on the event queue), start it
-/// fresh or from a checkpoint, optionally pause at a barrier to capture,
-/// then run to the end and drain.
-fn drive(
-    config: &StackConfig,
-    run: &RunConfig,
-    from: Option<&Checkpoint>,
-    capture_at_s: Option<f64>,
-) -> (RunReport, Option<Checkpoint>) {
-    let session = build_session(config, run);
-    match from {
-        None => session.start_fresh(),
-        Some(checkpoint) => session.resume_from(checkpoint, config),
-    }
-    let checkpoint = capture_at_s.map(|secs| {
-        let barrier = SimTime::from_secs_f64_round(secs);
-        assert!(
-            barrier > session.sim.now(),
-            "checkpoint barrier must lie ahead of the run's start point"
-        );
-        assert!(barrier <= session.until, "checkpoint barrier must not exceed the run duration");
-        session.sim.run_until(barrier);
-        session.capture(config, barrier)
-    });
     session.sim.run_until(session.until);
     // Let in-flight work complete so the last frames are counted.
     session.sim.run();
+    if let Some((_, on_progress)) = stream {
+        let new_events = events_since(cursor);
+        on_progress(DriveProgress {
+            time_s: session.until.as_secs_f64(),
+            done: true,
+            new_events: &new_events,
+            events_total: cursor + new_events.len(),
+        });
+    }
     (session.report(config), checkpoint)
 }
 
@@ -1574,10 +1503,9 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// in-flight executions, per-node internal state, supervision
 /// bookkeeping, recorder/tracer contents and sampler phases.
 ///
-/// Captured by [`checkpoint_drive`] / [`resume_drive_checkpointed`] and
-/// consumed by [`resume_drive`]. The encoding is byte-deterministic:
-/// identical runs checkpointed at the same barrier produce identical
-/// bytes. `Checkpoint` is plain owned data (`Send + Sync`), so sweep
+/// Captured by [`drive`]'s `capture_at_s` and consumed by its `from`.
+/// The encoding is byte-deterministic: identical runs checkpointed at
+/// the same barrier produce identical bytes. `Checkpoint` is plain owned data (`Send + Sync`), so sweep
 /// workers can share one prefix checkpoint across threads.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
@@ -1719,15 +1647,6 @@ impl CheckpointHeader {
             traced,
         })
     }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Fingerprint of the run configuration, over the canonical debug
@@ -1908,7 +1827,7 @@ impl DriveSession {
     /// # Panics
     ///
     /// Panics when the checkpoint does not match this session's
-    /// configuration (see [`resume_drive`]) or the bytes are corrupt.
+    /// configuration (see [`drive`]) or the bytes are corrupt.
     fn resume_from(&self, checkpoint: &Checkpoint, config: &StackConfig) {
         let mut r = SnapReader::new(&checkpoint.bytes);
         r.expect_tag("av-checkpoint");
@@ -2114,48 +2033,89 @@ mod tests {
         run_drive(&StackConfig::smoke_test(detector), &RunConfig::seconds(6.0))
     }
 
+    fn resume(config: &StackConfig, run: &RunConfig, from: &Checkpoint) -> RunReport {
+        drive(config, run, DriveRequest { from: Some(from), ..DriveRequest::default() }).0
+    }
+
+    /// One streamed pause: `(time_s, done, events_total, new_events)`.
+    type Pulse = (f64, bool, usize, Vec<TraceEvent>);
+
     #[test]
     fn streamed_drive_is_byte_identical_and_slices_partition_by_emission_time() {
-        let config = StackConfig::smoke_test(DetectorKind::YoloV3);
-        let run = RunConfig::seconds(4.0).with_trace();
+        // Every request shape on one traced drive with a supervised crash:
+        // from {cold, 2 s} x capture {none, 4 s, horizon} x stream {batch, 1 s}.
+        let mut config = StackConfig::smoke_test(DetectorKind::YoloV3);
+        config.faults = FaultPlan::parse("crash:ndt_matching@3").unwrap();
+        let run = RunConfig::seconds(6.0).with_trace();
         let straight = run_drive(&config, &run);
+        let (_, cp2) = checkpoint_drive(&config, &run, 2.0);
+        let h = crate::determinism::run_hash;
 
-        let mut pauses: Vec<(f64, bool, usize)> = Vec::new();
-        let mut streamed_events: Vec<TraceEvent> = Vec::new();
-        let streamed = run_drive_streamed(&config, &run, 1.0, &mut |p: DriveProgress<'_>| {
-            pauses.push((p.time_s, p.done, p.new_events.len()));
-            streamed_events.extend_from_slice(p.new_events);
-        });
+        let mut cold_pulses: Option<Vec<Pulse>> = None;
+        for from in [None, Some(&cp2)] {
+            for capture_at_s in [None, Some(4.0), Some(6.0)] {
+                let mut batch_capture = None;
+                for streamed in [false, true] {
+                    let case = format!(
+                        "from {:?}, capture {capture_at_s:?}, streamed {streamed}",
+                        from.map(Checkpoint::barrier_s)
+                    );
+                    let mut pulses: Vec<Pulse> = Vec::new();
+                    let mut on_progress = |p: DriveProgress<'_>| {
+                        pulses.push((p.time_s, p.done, p.events_total, p.new_events.to_vec()));
+                    };
+                    let stream = streamed.then_some((1.0, &mut on_progress as OnProgress<'_>));
+                    let (report, captured) =
+                        drive(&config, &run, DriveRequest { from, capture_at_s, stream });
+                    assert_eq!(h(&report), h(&straight), "run hash diverged: {case}");
+                    assert_eq!(captured.is_some(), capture_at_s.is_some(), "{case}");
+                    let bytes = captured.map(|cp| cp.as_bytes().to_vec());
+                    if !streamed {
+                        batch_capture = bytes;
+                        continue;
+                    }
+                    assert!(bytes == batch_capture, "streaming changed the capture: {case}");
+                    match &cold_pulses {
+                        None => cold_pulses = Some(pulses),
+                        Some(cold) => assert!(pulses == *cold, "pulses diverged: {case}"),
+                    }
+                }
+            }
+        }
 
-        // The report — and therefore the golden hash — is untouched by
-        // pausing.
-        assert_eq!(
-            crate::determinism::run_hash(&streamed),
-            crate::determinism::run_hash(&straight)
-        );
-
-        // Pauses at 1,2,3 s plus the final drain at 4 s; only the last
+        // Pauses at 1..5 s plus the final drain at 6 s; only the last
         // one is `done`.
+        let cold = cold_pulses.expect("a cold streamed run");
         assert_eq!(
-            pauses.iter().map(|&(t, d, _)| (t, d)).collect::<Vec<_>>(),
-            vec![(1.0, false), (2.0, false), (3.0, false), (4.0, true)]
+            cold.iter().map(|p| (p.0, p.1)).collect::<Vec<_>>(),
+            vec![(1.0, false), (2.0, false), (3.0, false), (4.0, false), (5.0, false), (6.0, true)]
         );
 
         // The concatenated deltas are exactly the final trace, and each
         // intermediate pause delivered precisely the events with
         // emission time at or before its barrier.
-        let all = straight.trace.as_ref().expect("traced").events.clone();
-        assert_eq!(streamed_events, all);
-        let mut offset = 0;
-        for &(t, done, n) in &pauses {
-            offset += n;
+        let all = &straight.trace.as_ref().expect("traced").events;
+        let streamed_events: Vec<TraceEvent> = cold.iter().flat_map(|p| p.3.clone()).collect();
+        assert_eq!(streamed_events, *all);
+        let mut offset = 0usize;
+        for (t, done, total, new_events) in &cold {
+            offset += new_events.len();
+            assert_eq!(*total, offset, "events_total at {t}s is not the sum of the slices");
             if !done {
-                let barrier = SimTime::from_secs_f64_round(t);
+                let barrier = SimTime::from_secs_f64_round(*t);
                 let by_time = all.iter().filter(|e| e.emission_time() <= barrier).count();
                 assert_eq!(offset, by_time, "slice at {t}s is not the emission-time prefix");
             }
         }
         assert_eq!(offset, all.len());
+
+        // Capturing at `from`'s own barrier is a pure drain with nothing
+        // new to capture.
+        let (_, cp6) = checkpoint_drive(&config, &run, 6.0);
+        let request = DriveRequest { from: Some(&cp6), capture_at_s: Some(6.0), stream: None };
+        let (drained, none) = drive(&config, &run, request);
+        assert_eq!(h(&drained), h(&straight));
+        assert!(none.is_none());
     }
 
     #[test]
@@ -2353,7 +2313,7 @@ mod tests {
         let run = RunConfig::seconds(6.0);
         let straight = run_drive(&config, &run);
         let (through, checkpoint) = checkpoint_drive(&config, &run, 2.5);
-        let resumed = resume_drive(&config, &run, &checkpoint);
+        let resumed = resume(&config, &run, &checkpoint);
         assert!(checkpoint.size_bytes() > 0);
         assert!((checkpoint.barrier_s() - 2.5).abs() < 1e-12);
         let h = crate::determinism::run_hash;
@@ -2367,7 +2327,7 @@ mod tests {
         let run = RunConfig::seconds(6.0).with_trace();
         let straight = run_drive(&config, &run);
         let (_, checkpoint) = checkpoint_drive(&config, &run, 3.0);
-        let resumed = resume_drive(&config, &run, &checkpoint);
+        let resumed = resume(&config, &run, &checkpoint);
         // run_hash folds the full structured trace, so this covers the
         // event timeline and metrics time series byte-for-byte.
         assert!(straight.trace.is_some());
@@ -2383,7 +2343,7 @@ mod tests {
         let run = RunConfig::seconds(10.0);
         let straight = run_drive(&config, &run);
         let (_, checkpoint) = checkpoint_drive(&config, &run, 4.0);
-        let resumed = resume_drive(&config, &run, &checkpoint);
+        let resumed = resume(&config, &run, &checkpoint);
         assert_eq!(crate::determinism::run_hash(&straight), crate::determinism::run_hash(&resumed));
         let fault = resumed.fault.as_ref().expect("fault stats survive the resume");
         assert_eq!(fault.crashes, 1);
@@ -2399,7 +2359,7 @@ mod tests {
         let run = RunConfig::seconds(10.0);
         let straight = run_drive(&config, &run);
         let (_, checkpoint) = checkpoint_drive(&config, &run, 2.0);
-        let resumed = resume_drive(&config, &run, &checkpoint);
+        let resumed = resume(&config, &run, &checkpoint);
         assert_eq!(crate::determinism::run_hash(&straight), crate::determinism::run_hash(&resumed));
         assert_eq!(resumed.fault.as_ref().unwrap().crashes, 1);
     }
@@ -2410,8 +2370,12 @@ mod tests {
         let run = RunConfig::seconds(6.0);
         let straight = run_drive(&config, &run);
         let (_, first) = checkpoint_drive(&config, &run, 2.0);
-        let (resumed, second) = resume_drive_checkpointed(&config, &run, &first, 4.0);
-        let rejoined = resume_drive(&config, &run, &second);
+        let (resumed, second) = drive(
+            &config,
+            &run,
+            DriveRequest { from: Some(&first), capture_at_s: Some(4.0), ..DriveRequest::default() },
+        );
+        let rejoined = resume(&config, &run, &second.expect("captured at 4 s"));
         let h = crate::determinism::run_hash;
         assert_eq!(h(&straight), h(&resumed));
         assert_eq!(h(&straight), h(&rejoined));
@@ -2428,7 +2392,7 @@ mod tests {
         let mut member = clean.clone();
         member.blackouts = vec![Blackout { source: Source::Gnss, from_s: 3.0, to_s: 5.0 }];
         let cold = run_drive(&member, &run);
-        let warm = resume_drive(&member, &run, &checkpoint);
+        let warm = resume(&member, &run, &checkpoint);
         assert_eq!(crate::determinism::run_hash(&cold), crate::determinism::run_hash(&warm));
     }
 
@@ -2440,7 +2404,7 @@ mod tests {
         let (_, checkpoint) = checkpoint_drive(&config, &run, 2.0);
         let mut other = config.clone();
         other.seed = 999;
-        let _ = resume_drive(&other, &run, &checkpoint);
+        let _ = resume(&other, &run, &checkpoint);
     }
 
     #[test]
@@ -2451,6 +2415,6 @@ mod tests {
         let (_, checkpoint) = checkpoint_drive(&clean, &run, 2.0);
         let mut member = clean.clone();
         member.blackouts = vec![Blackout { source: Source::Gnss, from_s: 1.0, to_s: 3.0 }];
-        let _ = resume_drive(&member, &run, &checkpoint);
+        let _ = resume(&member, &run, &checkpoint);
     }
 }

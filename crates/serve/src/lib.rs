@@ -17,9 +17,9 @@
 //!   [`bus::EventSink`]s (connection / channel / file / spool / null),
 //!   modeled on a runner-owned event bus: the session emits payloads,
 //!   the bus stamps monotonic sequence numbers and fans out.
-//! * [`session`] — deterministic request execution over
-//!   [`av_core::stack::run_drive_streamed`] /
-//!   [`av_sweep::run_sweep_streamed`] / [`av_sweep::run_search`], plus
+//! * [`session`] — deterministic request execution over streamed
+//!   [`av_core::stack::drive`]s / [`av_sweep::run_sweep_streamed`] /
+//!   [`av_sweep::run_search`], plus
 //!   the replay path that re-partitions a finished run's trace into
 //!   the *identical* event stream a live run produced.
 //! * [`store`] — the content-addressed result store (fingerprint →

@@ -15,10 +15,7 @@ use crate::store::ResultEntry;
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::metrics::{blame_scalars, run_metrics};
-use av_core::stack::{
-    drive_fingerprint, resume_drive_streamed, run_drive_streamed, run_drive_streamed_checkpointed,
-    RunConfig, RunReport,
-};
+use av_core::stack::{drive, drive_fingerprint, DriveProgress, DriveRequest, RunConfig, RunReport};
 use av_sweep::{aggregate, run_search, run_sweep_streamed, SweepPoint, WorldKind};
 use av_trace::export::{escape, render_event_jsonl};
 
@@ -85,7 +82,7 @@ pub fn execute(
                 escape(&spec.name)
             ));
             let run = RunConfig::default();
-            let (results, stats) = run_sweep_streamed(spec, &run, request.jobs, |r| {
+            let (results, stats) = run_sweep_streamed(spec, &run, request.jobs, None, |r| {
                 bus.emit(&format!(
                     "{{\"phase\":\"point\",\"ordinal\":{},\"id\":\"{}\",\"label\":\"{}\",\
                      \"run_hash\":\"{}\"}}",
@@ -178,7 +175,7 @@ fn streamed_drive(
         world.name(),
         escape(&point.label())
     ));
-    let mut on_progress = |p: av_core::stack::DriveProgress<'_>| {
+    let mut on_progress = |p: DriveProgress<'_>| {
         if stream_trace {
             for event in p.new_events {
                 bus.emit(&render_event_jsonl(event));
@@ -191,42 +188,27 @@ fn streamed_drive(
             p.done
         ));
     };
-    let Some(store) = ckpt else {
-        return run_drive_streamed(&config, run, DRIVE_SLICE_S, &mut on_progress);
-    };
 
     // Durable warm start: resume from the newest stored barrier of this
     // exact configuration (inclusive of the horizon itself — a finished
-    // drive replays as a pure drain) and persist a fresh snapshot at the
-    // horizon so the next, longer `extend` picks up here.
+    // drive replays as a pure drain, with nothing new to snap) and
+    // persist a fresh snapshot at the horizon so the next, longer
+    // `extend` picks up here.
     let horizon_s = run.duration_s.expect("served drives have a bounded horizon");
     let horizon_ns = (horizon_s * 1e9).round() as u64;
-    let fingerprint = drive_fingerprint(&config);
-    match store.best_resume(fingerprint, run.trace.is_some(), horizon_ns) {
-        Some(from) => {
-            // A checkpoint can only be captured strictly ahead of its
-            // own barrier; at the horizon there is nothing new to snap.
-            let capture = from.barrier_s() < horizon_s - 1e-9;
-            let (report, snapshot) = resume_drive_streamed(
-                &config,
-                run,
-                &from,
-                DRIVE_SLICE_S,
-                capture,
-                &mut on_progress,
-            );
-            if let Some(snapshot) = &snapshot {
-                persist(store, snapshot);
-            }
-            report
-        }
-        None => {
-            let (report, snapshot) =
-                run_drive_streamed_checkpointed(&config, run, DRIVE_SLICE_S, &mut on_progress);
-            persist(store, &snapshot);
-            report
-        }
+    let from = ckpt.and_then(|store| {
+        store.best_resume(drive_fingerprint(&config), run.trace.is_some(), horizon_ns)
+    });
+    let request = DriveRequest {
+        from: from.as_ref(),
+        capture_at_s: ckpt.is_some().then_some(horizon_s),
+        stream: Some((DRIVE_SLICE_S, &mut on_progress)),
+    };
+    let (report, snapshot) = drive(&config, run, request);
+    if let (Some(store), Some(snapshot)) = (ckpt, &snapshot) {
+        persist(store, snapshot);
     }
+    report
 }
 
 /// Persists a checkpoint, warning instead of failing the session: a

@@ -11,8 +11,8 @@
 //! own and cannot confuse two configurations that differ in any field.
 
 use av_core::ckptstore::CkptStore;
-use av_core::determinism::run_hash;
-use av_core::stack::{drive_fingerprint, resume_drive, RunConfig, RunReport, StackConfig};
+use av_core::determinism::{fnv64, run_hash};
+use av_core::stack::{drive, drive_fingerprint, DriveRequest, RunConfig, RunReport, StackConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -35,15 +35,6 @@ pub struct EvalCache {
     hits: AtomicUsize,
     misses: AtomicUsize,
     store_hits: AtomicUsize,
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl EvalCache {
@@ -114,7 +105,8 @@ impl EvalCache {
         if checkpoint.barrier_ns() != horizon_ns {
             return None;
         }
-        let report = resume_drive(config, run, &checkpoint);
+        let (report, _) =
+            drive(config, run, DriveRequest { from: Some(&checkpoint), ..DriveRequest::default() });
         let hash = run_hash(&report);
         self.insert(key, &report, hash);
         self.store_hits.fetch_add(1, Ordering::Relaxed);

@@ -23,11 +23,12 @@
 //!   worst-case successive halving, both batch-iterative over the same
 //!   runner and replayable from their own trajectory artifacts.
 //! * [`cache`] — a content-addressed (spec-hash → result) evaluation
-//!   cache; together with [`av_core::stack::checkpoint_drive`] it lets
-//!   the runner share one simulated prefix across blackout-only grid
-//!   variants and lets halving warm-start each rung's survivors from
-//!   the previous rung's checkpoints — byte-identical results, strictly
-//!   fewer simulated virtual seconds.
+//!   cache; together with the checkpoint seam of
+//!   [`av_core::stack::drive`] it lets the runner share one simulated
+//!   prefix across blackout-only grid variants and lets halving
+//!   warm-start each rung's survivors from the previous rung's
+//!   checkpoints — byte-identical results, strictly fewer simulated
+//!   virtual seconds.
 //!
 //! Everything downstream of the spec is a pure function of it, so a
 //! sweep — or a whole search trajectory — is as reproducible as a

@@ -22,9 +22,8 @@
 //!   blackout windows evolve identically until the earliest window
 //!   opens. Such a group runs once up to a shared barrier (a 0.5 s
 //!   multiple strictly before every member's first window), checkpoints
-//!   there ([`av_core::stack::checkpoint_drive`]), and forks the
-//!   remaining members from the snapshot
-//!   ([`av_core::stack::resume_drive`]). The checkpoint seam guarantees
+//!   there, and forks the remaining members from the snapshot (both
+//!   through [`av_core::stack::drive`]). The checkpoint seam guarantees
 //!   each fork is byte-identical to that member's own cold run, so
 //!   sharing is invisible in every artifact.
 
@@ -34,8 +33,8 @@ use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::parallel::parallel_map_streamed;
 use av_core::stack::{
-    checkpoint_drive, drive_fingerprint, drive_fingerprint_stripped, resume_drive, run_drive,
-    Checkpoint, RunConfig, RunReport, StackConfig,
+    drive, drive_fingerprint, drive_fingerprint_stripped, run_drive, Checkpoint, DriveRequest,
+    RunConfig, RunReport, StackConfig,
 };
 use std::collections::HashMap;
 
@@ -131,7 +130,7 @@ pub fn run_sweep_instrumented(
     run: &RunConfig,
     jobs: usize,
 ) -> (Vec<PointResult>, SweepStats) {
-    run_sweep_streamed(spec, run, jobs, |_| {})
+    run_sweep_streamed(spec, run, jobs, None, |_| {})
 }
 
 /// [`run_sweep_instrumented`], additionally invoking `on_point` for
@@ -144,23 +143,15 @@ pub fn run_sweep_instrumented(
 /// level even though representatives complete out of order (the same
 /// reorder discipline as [`parallel_map_streamed`], lifted through the
 /// dedup fan-out).
+///
+/// With a durable checkpoint `store`, each prefix-sharing group first
+/// looks for its shared barrier among the checkpoints an earlier
+/// process persisted — a hit means *no* member simulates the prefix —
+/// and on a miss the group leader's freshly captured barrier is written
+/// back through the store's crash-safe path for the next session.
+/// Byte-identical to the store-less sweep at every `jobs` level; only
+/// [`SweepStats`] can tell the difference.
 pub fn run_sweep_streamed(
-    spec: &SweepSpec,
-    run: &RunConfig,
-    jobs: usize,
-    on_point: impl FnMut(&PointResult),
-) -> (Vec<PointResult>, SweepStats) {
-    run_sweep_streamed_with_store(spec, run, jobs, None, on_point)
-}
-
-/// [`run_sweep_streamed`] backed by a durable checkpoint store. Each
-/// prefix-sharing group first looks for its shared barrier among the
-/// checkpoints an earlier process persisted — a hit means *no* member
-/// simulates the prefix — and on a miss the group leader's freshly
-/// captured barrier is written back through the store's crash-safe
-/// path for the next session. Byte-identical to the store-less sweep
-/// at every `jobs` level; only [`SweepStats`] can tell the difference.
-pub fn run_sweep_streamed_with_store(
     spec: &SweepSpec,
     run: &RunConfig,
     jobs: usize,
@@ -268,26 +259,26 @@ pub fn run_sweep_streamed_with_store(
             match task {
                 Task::Single(rep) => vec![finish(rep, run_drive(&reps[rep], run_ref))],
                 Task::Shared { barrier_s, members, prefix } => {
-                    let (mut out, checkpoint) = match prefix {
-                        // The barrier came out of the store: every
-                        // member forks from the restored snapshot.
-                        Some(cp) => (
-                            vec![finish(members[0], resume_drive(&reps[members[0]], run_ref, &cp))],
-                            cp,
-                        ),
-                        None => {
-                            let (first, cp) =
-                                checkpoint_drive(&reps[members[0]], run_ref, barrier_s);
-                            if let Some(st) = store {
-                                if let Err(e) = st.put(&cp) {
-                                    eprintln!("warning: could not persist checkpoint: {e}");
-                                }
-                            }
-                            (vec![finish(members[0], first)], cp)
-                        }
+                    // The leader captures the barrier unless it came out
+                    // of the store; every other member forks from it.
+                    let capture_at_s = prefix.is_none().then_some(barrier_s);
+                    let request = DriveRequest {
+                        from: prefix.as_ref(),
+                        capture_at_s,
+                        ..DriveRequest::default()
                     };
+                    let (first, captured) = drive(&reps[members[0]], run_ref, request);
+                    if let (Some(st), Some(cp)) = (store, &captured) {
+                        if let Err(e) = st.put(cp) {
+                            eprintln!("warning: could not persist checkpoint: {e}");
+                        }
+                    }
+                    let checkpoint = captured.or(prefix).expect("a shared barrier checkpoint");
+                    let mut out = vec![finish(members[0], first)];
                     for &rep in &members[1..] {
-                        out.push(finish(rep, resume_drive(&reps[rep], run_ref, &checkpoint)));
+                        let request =
+                            DriveRequest { from: Some(&checkpoint), ..DriveRequest::default() };
+                        out.push(finish(rep, drive(&reps[rep], run_ref, request).0));
                     }
                     out
                 }
@@ -346,7 +337,7 @@ mod tests {
         let mut streams: Vec<Vec<(usize, u64)>> = Vec::new();
         for jobs in [1, 4] {
             let mut seen = Vec::new();
-            let (results, _) = run_sweep_streamed(&spec, &RunConfig::default(), jobs, |r| {
+            let (results, _) = run_sweep_streamed(&spec, &RunConfig::default(), jobs, None, |r| {
                 seen.push((r.point.ordinal, r.run_hash));
             });
             let want: Vec<(usize, u64)> =

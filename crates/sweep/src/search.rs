@@ -36,10 +36,7 @@ use crate::spec::{SweepPoint, WorldKind};
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::{run_hash, Fnv64};
 use av_core::parallel::parallel_map;
-use av_core::stack::{
-    checkpoint_drive, drive_fingerprint, resume_drive_checkpointed, run_drive, Checkpoint,
-    RunConfig,
-};
+use av_core::stack::{drive, drive_fingerprint, run_drive, Checkpoint, DriveRequest, RunConfig};
 use av_des::RngStreams;
 use av_trace::json::{self, JsonValue};
 use std::collections::HashMap;
@@ -621,9 +618,9 @@ pub struct SearchStats {
 /// every drive is a pure function of its configuration.
 ///
 /// Successive-halving evaluations are warm-started: each rung's drives
-/// end in a checkpoint ([`checkpoint_drive`]), and the next rung
-/// resumes its survivors from those snapshots instead of re-simulating
-/// the shared prefix ([`resume_drive_checkpointed`]) — byte-identical
+/// end in a checkpoint ([`drive`] with `capture_at_s` at the horizon),
+/// and the next rung resumes its survivors from those snapshots
+/// (`from`) instead of re-simulating the shared prefix — byte-identical
 /// to cold runs, strictly fewer simulated virtual seconds. A
 /// (spec-hash → result) cache additionally memoizes whole evaluations
 /// within the search.
@@ -716,15 +713,12 @@ fn search_engine(
                     }
                 }
                 let resumed_from = from.as_ref().map(Checkpoint::barrier_s);
-                let (report, checkpoint) = if let Some(cp) = &from {
-                    let (r, c) = resume_drive_checkpointed(&config, &run, cp, pe.duration_s);
-                    (r, Some(c))
-                } else if capture {
-                    let (r, c) = checkpoint_drive(&config, &run, pe.duration_s);
-                    (r, Some(c))
-                } else {
-                    (run_drive(&config, &run), None)
+                let request = DriveRequest {
+                    from: from.as_ref(),
+                    capture_at_s: capture.then_some(pe.duration_s),
+                    ..DriveRequest::default()
                 };
+                let (report, checkpoint) = drive(&config, &run, request);
                 if let Some(c) = checkpoint {
                     if let Some(st) = store {
                         if let Err(e) = st.put(&c) {

@@ -7,12 +7,11 @@
 //! for every consumer of the seam: prefix-shared sweeps at any `--jobs`
 //! level, and warm-started halving searches, whose outputs must match
 //! their cold counterparts exactly while simulating strictly fewer
-//! virtual seconds. This is the integration-level contract behind the
-//! `resume_check` gate in `scripts/tier1.sh`.
+//! virtual seconds.
 
 use av_core::determinism::run_hash;
 use av_core::fault::FaultPlan;
-use av_core::stack::{checkpoint_drive, resume_drive, run_drive, RunConfig, StackConfig};
+use av_core::stack::{checkpoint_drive, drive, run_drive, DriveRequest, RunConfig, StackConfig};
 use av_sweep::{
     run_search_instrumented, run_sweep_instrumented, BlackoutSpec, FaultPlanSpec, HalvingSpec,
     Knob, KnobRange, Objective, SearchSpec, Strategy, SweepPoint, SweepSpec, WorldKind,
@@ -32,7 +31,8 @@ fn resume_is_byte_identical_including_trace_exports() {
     let straight_trace = straight.trace.as_ref().expect("trace recorded");
     for barrier_s in [2.0, 4.0] {
         let (_, checkpoint) = checkpoint_drive(&config, &run, barrier_s);
-        let resumed = resume_drive(&config, &run, &checkpoint);
+        let request = DriveRequest { from: Some(&checkpoint), ..DriveRequest::default() };
+        let (resumed, _) = drive(&config, &run, request);
         assert_eq!(
             run_hash(&straight),
             run_hash(&resumed),

@@ -11,11 +11,10 @@ use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::stack::{checkpoint_drive, run_drive, RunConfig};
 use av_sweep::cache::EvalCache;
-use av_sweep::runner::run_sweep_streamed_with_store;
 use av_sweep::{
-    run_search_instrumented, run_search_with_store, run_sweep, BlackoutSpec, FaultPlanSpec,
-    HalvingSpec, Knob, KnobRange, Objective, SearchSpec, Strategy, SweepPoint, SweepSpec,
-    WorldKind,
+    run_search_instrumented, run_search_with_store, run_sweep, run_sweep_streamed, BlackoutSpec,
+    FaultPlanSpec, HalvingSpec, Knob, KnobRange, Objective, SearchSpec, Strategy, SweepPoint,
+    SweepSpec, WorldKind,
 };
 use std::path::PathBuf;
 
@@ -97,7 +96,7 @@ fn sweep_prefix_sharing_reuses_a_prior_processes_barriers() {
 
     // Session one: a fresh store holds nothing, so both group leaders
     // simulate their prefix and persist the barrier.
-    let (first, first_stats) = run_sweep_streamed_with_store(&spec, &run, 2, Some(&store), |_| {});
+    let (first, first_stats) = run_sweep_streamed(&spec, &run, 2, Some(&store), |_| {});
     assert_eq!(first_stats.prefix_groups, 2);
     assert_eq!(first_stats.store_prefix_hits, 0, "an empty store cannot serve a prefix");
     assert_eq!(store.len(), 2, "each group persisted its shared barrier");
@@ -105,8 +104,7 @@ fn sweep_prefix_sharing_reuses_a_prior_processes_barriers() {
     // Session two (a later process): every group's barrier is restored
     // from disk, nobody simulates the shared prefix, and not one output
     // byte moves.
-    let (second, second_stats) =
-        run_sweep_streamed_with_store(&spec, &run, 2, Some(&store), |_| {});
+    let (second, second_stats) = run_sweep_streamed(&spec, &run, 2, Some(&store), |_| {});
     assert_eq!(second_stats.store_prefix_hits, 2, "both groups restore from the store");
     assert!(second_stats.store_saved_s > 0.0);
     assert_eq!(
@@ -125,7 +123,7 @@ fn sweep_prefix_sharing_reuses_a_prior_processes_barriers() {
     }
 
     // The reuse path is jobs-invariant, counters included.
-    let (par, par_stats) = run_sweep_streamed_with_store(&spec, &run, 8, Some(&store), |_| {});
+    let (par, par_stats) = run_sweep_streamed(&spec, &run, 8, Some(&store), |_| {});
     assert_eq!(second_stats, par_stats, "store counters must not depend on --jobs");
     for (s, p) in second.iter().zip(&par) {
         assert_eq!(s.run_hash, p.run_hash);

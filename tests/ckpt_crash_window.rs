@@ -8,7 +8,7 @@
 use av_core::ckptstore::{CkptStore, StoreFault, StoreFaultPlan};
 use av_core::determinism::run_hash;
 use av_core::stack::{
-    checkpoint_drive, drive_fingerprint, resume_drive, run_drive, Checkpoint, RunConfig,
+    checkpoint_drive, drive, drive_fingerprint, run_drive, Checkpoint, DriveRequest, RunConfig,
     StackConfig, CHECKPOINT_VERSION,
 };
 use av_vision::DetectorKind;
@@ -128,7 +128,8 @@ fn seeded_crash_sample_over_a_real_checkpoint_recovers_and_resumes_identical() {
             .unwrap_or_else(|| panic!("fault {i} ({fault:?}): nothing resumable"));
         // Whatever barrier survived, resuming from it reproduces the
         // straight-through run exactly.
-        let resumed = resume_drive(&config, &run, &restored);
+        let request = DriveRequest { from: Some(&restored), ..DriveRequest::default() };
+        let (resumed, _) = drive(&config, &run, request);
         assert_eq!(
             run_hash(&straight),
             run_hash(&resumed),

@@ -10,13 +10,25 @@ use av_core::ckptstore::{CkptStore, StoreFault};
 use av_core::determinism::run_hash;
 use av_core::fault::FaultPlan;
 use av_core::stack::{
-    checkpoint_drive, drive_fingerprint, resume_drive, resume_drive_checkpointed, run_drive,
-    Checkpoint, RunConfig, StackConfig, CHECKPOINT_VERSION,
+    checkpoint_drive, drive, drive_fingerprint, run_drive, Checkpoint, DriveRequest, RunConfig,
+    RunReport, StackConfig, CHECKPOINT_VERSION,
 };
 use av_trace::export::{render_chrome_trace, render_metrics_csv};
 use av_vision::DetectorKind;
 use std::fs;
 use std::path::PathBuf;
+
+/// Resumes `from` and runs the drive to `run`'s horizon.
+fn resume(config: &StackConfig, run: &RunConfig, from: &Checkpoint) -> RunReport {
+    drive(config, run, DriveRequest { from: Some(from), ..DriveRequest::default() }).0
+}
+
+/// Resumes `from` and captures the next checkpoint at `at_s`.
+fn chain(config: &StackConfig, run: &RunConfig, from: &Checkpoint, at_s: f64) -> Checkpoint {
+    let request =
+        DriveRequest { from: Some(from), capture_at_s: Some(at_s), ..DriveRequest::default() };
+    drive(config, run, request).1.expect("drive captures when a capture time is supplied")
+}
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("av_ckpt_store_{name}_{}", std::process::id()));
@@ -53,7 +65,7 @@ fn disk_round_trip_resumes_byte_identical_in_a_fresh_handle() {
         .expect("stored barrier found");
     assert_eq!(restored.barrier_ns(), checkpoint.barrier_ns());
     assert_eq!(restored.as_bytes(), checkpoint.as_bytes(), "payload survives the disk verbatim");
-    let resumed = resume_drive(&config, &run, &restored);
+    let resumed = resume(&config, &run, &restored);
     assert_eq!(run_hash(&straight), run_hash(&resumed));
     let (s, r) = (straight.trace.as_ref().unwrap(), resumed.trace.as_ref().unwrap());
     assert_eq!(render_chrome_trace("ckpt", s), render_chrome_trace("ckpt", r));
@@ -115,7 +127,7 @@ fn resume_falls_back_to_an_older_barrier_when_the_newest_is_corrupt() {
 
     let (store, _) = CkptStore::open(&dir).unwrap();
     let (_, cp2) = checkpoint_drive(&config, &run, 2.0);
-    let (_, cp4) = resume_drive_checkpointed(&config, &run, &cp2, 4.0);
+    let cp4 = chain(&config, &run, &cp2, 4.0);
     store.put(&cp2).unwrap();
     let newest = store.put(&cp4).unwrap();
     assert_eq!(store.len(), 2);
@@ -133,7 +145,7 @@ fn resume_falls_back_to_an_older_barrier_when_the_newest_is_corrupt() {
     assert_eq!(store.len(), 1, "corrupt entry dropped from the index");
     assert_eq!(store.quarantined().unwrap().len(), 1, "and quarantined, not deleted");
 
-    let resumed = resume_drive(&config, &run, &restored);
+    let resumed = resume(&config, &run, &restored);
     assert_eq!(run_hash(&straight), run_hash(&resumed), "fallback resume diverged");
     assert_eq!(
         render_chrome_trace("fb", straight.trace.as_ref().unwrap()),
@@ -151,8 +163,8 @@ fn gc_keeps_newest_barrier_per_fingerprint_and_is_deterministic() {
     for detector in [DetectorKind::YoloV3, DetectorKind::Ssd300] {
         let config = StackConfig::smoke_test(detector);
         let (_, cp1) = checkpoint_drive(&config, &run, 1.0);
-        let (_, cp2) = resume_drive_checkpointed(&config, &run, &cp1, 2.0);
-        let (_, cp3) = resume_drive_checkpointed(&config, &run, &cp2, 3.0);
+        let cp2 = chain(&config, &run, &cp1, 2.0);
+        let cp3 = chain(&config, &run, &cp2, 3.0);
         checkpoints.extend([cp1, cp2, cp3]);
     }
 

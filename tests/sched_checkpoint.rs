@@ -10,10 +10,16 @@
 use av_core::determinism::run_hash;
 use av_core::fault::FaultPlan;
 use av_core::stack::{
-    checkpoint_drive, resume_drive, run_drive, RunConfig, SchedPolicyKind, StackConfig,
+    checkpoint_drive, drive, run_drive, Checkpoint, DriveRequest, RunConfig, RunReport,
+    SchedPolicyKind, StackConfig,
 };
 use av_trace::export::{render_chrome_trace, render_metrics_csv};
 use av_vision::DetectorKind;
+
+/// Resumes `from` and runs the drive to `run`'s horizon.
+fn resume(config: &StackConfig, run: &RunConfig, from: &Checkpoint) -> RunReport {
+    drive(config, run, DriveRequest { from: Some(from), ..DriveRequest::default() }).0
+}
 
 fn sched_config(policy: SchedPolicyKind) -> StackConfig {
     let mut config = StackConfig::smoke_test(DetectorKind::Ssd512);
@@ -38,7 +44,7 @@ fn resume_is_byte_identical_under_every_non_fifo_policy() {
         // with the restart timer pending and sensor queues backed up.
         for barrier_s in [2.0, 4.0] {
             let (_, checkpoint) = checkpoint_drive(&config, &run, barrier_s);
-            let resumed = resume_drive(&config, &run, &checkpoint);
+            let resumed = resume(&config, &run, &checkpoint);
             assert_eq!(
                 run_hash(&straight),
                 run_hash(&resumed),
@@ -71,7 +77,7 @@ fn resumed_ready_order_differs_across_policies_but_not_across_resume() {
     for policy in [SchedPolicyKind::Fifo, SchedPolicyKind::Edf, SchedPolicyKind::ChainAware] {
         let config = sched_config(policy);
         let (_, checkpoint) = checkpoint_drive(&config, &run, 4.0);
-        let resumed = resume_drive(&config, &run, &checkpoint);
+        let resumed = resume(&config, &run, &checkpoint);
         let trace = resumed.trace.as_ref().expect("trace recorded");
         if policy == SchedPolicyKind::Fifo {
             assert_eq!(trace.sched_decision_count(), 0, "FIFO must stay decision-free");
