@@ -1,10 +1,10 @@
 //! `av_client` — command-line client for the scenario service.
 //!
 //! ```text
-//! av_client --addr HOST:PORT --ping
-//! av_client --addr HOST:PORT --shutdown [--no-drain]
-//! av_client --addr HOST:PORT (--line JSON | --request FILE)
-//!           [--out FILE] [--events FILE] [--quiet]
+//! usage: av_client --addr HOST:PORT --ping
+//!        av_client --addr HOST:PORT --shutdown [--no-drain]
+//!        av_client --addr HOST:PORT (--line JSON | --request FILE)
+//!                  [--out FILE] [--events FILE] [--quiet]
 //! ```
 //!
 //! Work requests stream: each `event` frame's payload is printed as it
@@ -15,10 +15,17 @@
 //! stats (queue wait, execution time, whether the content-addressed
 //! store answered) go to stderr. Exits nonzero on reject or error.
 
+use av_bench::cli::{self, Args};
 use av_serve::client::Outcome;
 use av_serve::Client;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
+
+const USAGE: &str = "\
+usage: av_client --addr HOST:PORT --ping
+       av_client --addr HOST:PORT --shutdown [--no-drain]
+       av_client --addr HOST:PORT (--line JSON | --request FILE)
+                 [--out FILE] [--events FILE] [--quiet]";
 
 struct Options {
     addr: SocketAddr,
@@ -41,68 +48,46 @@ fn parse_args() -> Options {
     let mut events = None;
     let mut quiet = false;
     let mut drain = true;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{arg} needs {what}"));
         match arg.as_str() {
             "--addr" => {
-                let spec = value("host:port");
-                addr = Some(
-                    spec.to_socket_addrs()
-                        .unwrap_or_else(|e| panic!("cannot resolve {spec}: {e}"))
+                addr = Some(args.parse_with(|spec| {
+                    spec.to_socket_addrs()?
                         .next()
-                        .expect("resolved address"),
-                );
+                        .ok_or_else(|| std::io::Error::other("resolved to no address"))
+                }));
             }
             "--ping" => action = Some(Action::Ping),
             "--shutdown" => action = Some(Action::Shutdown { drain: true }),
             "--no-drain" => drain = false,
-            "--line" => action = Some(Action::Run { line: value("a request JSON line") }),
+            "--line" => action = Some(Action::Run { line: args.value() }),
             "--request" => {
-                let path = value("a file");
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+                let text = cli::read(args.value());
                 let line = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("").to_string();
                 action = Some(Action::Run { line });
             }
-            "--out" => out = Some(PathBuf::from(value("a file"))),
-            "--events" => events = Some(PathBuf::from(value("a file"))),
+            "--out" => out = Some(PathBuf::from(args.value())),
+            "--events" => events = Some(PathBuf::from(args.value())),
             "--quiet" => quiet = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: av_client --addr HOST:PORT (--ping | --shutdown [--no-drain] | \
-                     --line JSON | --request FILE) [--out FILE] [--events FILE] [--quiet]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => args.unknown(other),
         }
     }
     let mut action = action.unwrap_or_else(|| {
-        eprintln!("one of --ping / --shutdown / --line / --request is required");
-        std::process::exit(2);
+        args.fail("one of --ping / --shutdown / --line / --request is required")
     });
     if let Action::Shutdown { drain: d } = &mut action {
         *d = drain;
     }
-    Options {
-        addr: addr.unwrap_or_else(|| {
-            eprintln!("--addr HOST:PORT is required");
-            std::process::exit(2);
-        }),
-        action,
-        out,
-        events,
-        quiet,
-    }
+    let addr = addr.unwrap_or_else(|| args.fail("--addr HOST:PORT is required"));
+    Options { addr, action, out, events, quiet }
 }
 
 fn main() {
     let options = parse_args();
-    let mut client = Client::connect(options.addr).expect("connect to service");
+    let mut client = Client::connect(options.addr).unwrap_or_else(|e| {
+        cli::die(format_args!("cannot connect to the service at {}: {e}", options.addr))
+    });
     match options.action {
         Action::Ping => {
             let pong = client.ping("cli-ping").expect("ping");
@@ -124,7 +109,7 @@ fn main() {
                 if !text.is_empty() {
                     text.push('\n');
                 }
-                std::fs::write(path, text).expect("write events file");
+                cli::write(path, text);
             }
             match (&response.cached, &response.queue_wait_ms, &response.exec_ms) {
                 (Some(cached), Some(wait), Some(exec)) => eprintln!(
@@ -138,7 +123,7 @@ fn main() {
                 Outcome::Completed { body } => {
                     println!("{body}");
                     if let Some(path) = &options.out {
-                        std::fs::write(path, body).expect("write body file");
+                        cli::write(path, body);
                     }
                 }
                 Outcome::Rejected { verdict, reason } => {

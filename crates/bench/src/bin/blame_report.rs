@@ -2,9 +2,9 @@
 //! trace file alone.
 //!
 //! ```text
-//! blame_report <trace.json> [--csv <out>] [--paths-csv <out>] [--label <l>]
-//!              [--track <out>]
-//! blame_report --verify [--duration <s>] [--detector <name>]
+//! usage: blame_report <trace.json> [--csv <out>] [--paths-csv <out>] [--label <l>]
+//!                     [--track <out>]
+//!        blame_report --verify [--duration <s>] [--detector <name>]
 //! ```
 //!
 //! File mode loads a Chrome trace written by `repro --trace` (or `sweep
@@ -25,31 +25,22 @@
 //! survives a Chrome-JSON round trip byte-identically. Any disagreement
 //! exits nonzero.
 
+use av_bench::cli::{self, blame_specs, Args};
 use av_bench::paper_config;
 use av_core::fault::FaultPlan;
-use av_core::stack::{computation_paths, run_drive, RunConfig, StackConfig};
+use av_core::stack::{run_drive, RunConfig, StackConfig};
 use av_trace::blame::{
     analyze_blame, render_blame_csv, render_blame_summary, render_blame_track, render_paths_csv,
-    trace_from_chrome, BlamePathSpec, BlameReport,
+    trace_from_chrome, BlameReport,
 };
 use av_trace::export::render_chrome_trace;
 use av_trace::json;
 use av_vision::DetectorKind;
 
-fn blame_specs() -> Vec<BlamePathSpec> {
-    computation_paths()
-        .into_iter()
-        .map(|p| BlamePathSpec::new(p.name, p.sink_node, p.source))
-        .collect()
-}
-
-fn write_out(path: &str, bytes: &str) {
-    std::fs::write(path, bytes).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("wrote {path}");
-}
+const USAGE: &str = "\
+usage: blame_report <trace.json> [--csv <out>] [--paths-csv <out>] [--label <l>]
+                    [--track <out>]
+       blame_report --verify [--duration <s>] [--detector <name>]";
 
 struct FileOpts {
     csv: Option<String>,
@@ -59,18 +50,10 @@ struct FileOpts {
 }
 
 fn analyze_file(path: &str, opts: &FileOpts) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    let data = trace_from_chrome(&doc).unwrap_or_else(|e| {
-        eprintln!("not a stack trace: {e}");
-        std::process::exit(2);
-    });
+    let doc = json::parse(&cli::read(path))
+        .unwrap_or_else(|e| cli::die(format_args!("cannot parse {path}: {e}")));
+    let data = trace_from_chrome(&doc)
+        .unwrap_or_else(|e| cli::die(format_args!("not a stack trace: {e}")));
     let report = analyze_blame(&data, &blame_specs()).unwrap_or_else(|e| {
         eprintln!("blame attribution failed: {e}");
         std::process::exit(1);
@@ -78,17 +61,20 @@ fn analyze_file(path: &str, opts: &FileOpts) {
     println!("# Blame report — {path}\n");
     print!("{}", render_blame_summary(&report));
     if let Some(out) = &opts.csv {
-        write_out(out, &render_blame_csv(&report));
+        cli::write(out, render_blame_csv(&report));
+        eprintln!("wrote {out}");
     }
     if let Some(out) = &opts.paths_csv {
-        write_out(out, &render_paths_csv(&report, &opts.label));
+        cli::write(out, render_paths_csv(&report, &opts.label));
+        eprintln!("wrote {out}");
     }
     if let Some(out) = &opts.track {
         // Label by file name, not path: the track bytes must not depend
         // on which directory the trace was read from.
         let run =
             std::path::Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        write_out(out, &render_blame_track(run, &report));
+        cli::write(out, render_blame_track(run, &report));
+        eprintln!("wrote {out}");
     }
 }
 
@@ -211,55 +197,24 @@ fn main() {
     let mut duration_s = 10.0;
     let mut detector = DetectorKind::Ssd512;
     let mut opts = FileOpts { csv: None, paths_csv: None, label: "trace".to_string(), track: None };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--verify" => do_verify = true,
-            "--duration" => {
-                let value = args.next().expect("--duration needs seconds");
-                duration_s = value.parse().expect("invalid duration");
-            }
-            "--detector" => {
-                let value = args.next().expect("--detector needs a name");
-                detector = DetectorKind::ALL
-                    .into_iter()
-                    .find(|d| d.name().eq_ignore_ascii_case(&value))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown detector: {value} (try ssd512, ssd300, yolov3)");
-                        std::process::exit(2);
-                    });
-            }
-            "--csv" => opts.csv = Some(args.next().expect("--csv needs a path")),
-            "--paths-csv" => {
-                opts.paths_csv = Some(args.next().expect("--paths-csv needs a path"));
-            }
-            "--label" => opts.label = args.next().expect("--label needs a value"),
-            "--track" => opts.track = Some(args.next().expect("--track needs a path")),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: blame_report <trace.json> [--csv <out>] [--paths-csv <out>] \
-                     [--label <l>] [--track <out>] | --verify [--duration <s>] \
-                     [--detector <name>]"
-                );
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--duration" => duration_s = args.parse(),
+            "--detector" => detector = args.parse_with(DetectorKind::parse),
+            "--csv" => opts.csv = Some(args.value()),
+            "--paths-csv" => opts.paths_csv = Some(args.value()),
+            "--label" => opts.label = args.value(),
+            "--track" => opts.track = Some(args.value()),
+            other if !other.starts_with('-') && file.is_none() => file = Some(arg),
+            other => args.unknown(other),
         }
     }
     match (file, do_verify) {
         (Some(path), false) => analyze_file(&path, &opts),
         (None, true) => verify(duration_s, detector),
-        (Some(_), true) => {
-            eprintln!("--verify runs its own drive; do not also pass a trace file");
-            std::process::exit(2);
-        }
-        (None, false) => {
-            eprintln!("usage: blame_report <trace.json> | --verify");
-            std::process::exit(2);
-        }
+        (Some(_), true) => args.fail("--verify runs its own drive; do not also pass a trace file"),
+        (None, false) => args.fail("a trace file or --verify is required"),
     }
 }

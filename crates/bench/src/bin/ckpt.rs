@@ -1,10 +1,10 @@
 //! `ckpt` — operator tooling for the durable checkpoint store.
 //!
 //! ```text
-//! ckpt ls     --dir <store>
-//! ckpt verify --dir <store>
-//! ckpt gc     --dir <store> --max-bytes <N>
-//! ckpt rm     --dir <store> --fingerprint <hex> [--barrier-ns <N>]
+//! usage: ckpt ls     --dir <store>
+//!        ckpt verify --dir <store>
+//!        ckpt gc     --dir <store> --max-bytes <N>
+//!        ckpt rm     --dir <store> --fingerprint <hex> [--barrier-ns <N>]
 //! ```
 //!
 //! Every subcommand opens the store, which runs the full recovery scan:
@@ -22,16 +22,14 @@
 //! * `rm` — deletes all entries of a fingerprint, or one exact
 //!   `(fingerprint, barrier)` entry.
 
-use av_core::ckptstore::CkptStore;
+use av_bench::cli::{self, Args};
 use std::path::PathBuf;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ckpt <ls|verify|gc|rm> --dir <store> [--max-bytes <N>] \
-         [--fingerprint <hex>] [--barrier-ns <N>]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "\
+usage: ckpt ls     --dir <store>
+       ckpt verify --dir <store>
+       ckpt gc     --dir <store> --max-bytes <N>
+       ckpt rm     --dir <store> --fingerprint <hex> [--barrier-ns <N>]";
 
 struct Options {
     command: String,
@@ -42,15 +40,11 @@ struct Options {
 }
 
 fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     let command = match args.next() {
         Some(c) if ["ls", "verify", "gc", "rm"].contains(&c.as_str()) => c,
-        Some(c) if c == "--help" || c == "-h" => usage(),
-        Some(c) => {
-            eprintln!("unknown command {c:?}");
-            usage();
-        }
-        None => usage(),
+        Some(c) => args.fail(format_args!("unknown command {c:?}")),
+        None => args.fail("a command is required"),
     };
     let mut dir = None;
     let mut max_bytes = None;
@@ -58,40 +52,28 @@ fn parse_args() -> Options {
     let mut barrier_ns = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--dir" => dir = Some(PathBuf::from(args.next().expect("--dir needs a directory"))),
-            "--max-bytes" => {
-                let value = args.next().expect("--max-bytes needs a byte count");
-                max_bytes = Some(value.parse().expect("invalid --max-bytes value"));
-            }
+            "--dir" => dir = Some(PathBuf::from(args.value())),
+            "--max-bytes" => max_bytes = Some(args.parse()),
             "--fingerprint" => {
-                let value = args.next().expect("--fingerprint needs a hex id");
-                let digits = value.strip_prefix("0x").unwrap_or(&value);
-                fingerprint =
-                    Some(u64::from_str_radix(digits, 16).expect("invalid --fingerprint value"));
+                fingerprint = Some(args.parse_with(|value| {
+                    u64::from_str_radix(value.strip_prefix("0x").unwrap_or(value), 16)
+                }));
             }
-            "--barrier-ns" => {
-                let value = args.next().expect("--barrier-ns needs nanoseconds");
-                barrier_ns = Some(value.parse().expect("invalid --barrier-ns value"));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
+            "--barrier-ns" => barrier_ns = Some(args.parse()),
+            other => args.unknown(other),
         }
     }
-    let dir = dir.unwrap_or_else(|| {
-        eprintln!("ckpt {command}: --dir is required");
-        usage();
-    });
-    Options { command, dir, max_bytes, fingerprint, barrier_ns }
+    let dir = dir.unwrap_or_else(|| args.fail(format_args!("ckpt {command}: --dir is required")));
+    match command.as_str() {
+        "gc" if max_bytes.is_none() => args.fail("ckpt gc: --max-bytes is required"),
+        "rm" if fingerprint.is_none() => args.fail("ckpt rm: --fingerprint is required"),
+        _ => Options { command, dir, max_bytes, fingerprint, barrier_ns },
+    }
 }
 
 fn main() {
     let options = parse_args();
-    let (store, recovery) = CkptStore::open(&options.dir)
-        .unwrap_or_else(|e| panic!("cannot open checkpoint store {}: {e}", options.dir.display()));
-    eprint!("{}", recovery.render());
+    let store = cli::open_store(&options.dir);
 
     match options.command.as_str() {
         "ls" | "verify" => {
@@ -120,7 +102,9 @@ fn main() {
                 println!("  quarantine/{name}: {}", reason.trim());
             }
             if options.command == "verify" {
-                if !recovery.is_clean() || !quarantined.is_empty() {
+                // Whatever this open's recovery scan set aside is in
+                // quarantine too, so the listing covers it.
+                if !quarantined.is_empty() {
                     eprintln!(
                         "verify FAILED: {} entr{} in quarantine (inspect and clear {})",
                         quarantined.len(),
@@ -133,10 +117,7 @@ fn main() {
             }
         }
         "gc" => {
-            let max_bytes = options.max_bytes.unwrap_or_else(|| {
-                eprintln!("ckpt gc: --max-bytes is required");
-                usage();
-            });
+            let max_bytes = options.max_bytes.expect("checked by parse_args");
             let report = store.gc(max_bytes).expect("gc");
             for e in &report.evicted {
                 println!(
@@ -156,10 +137,7 @@ fn main() {
             );
         }
         "rm" => {
-            let fingerprint = options.fingerprint.unwrap_or_else(|| {
-                eprintln!("ckpt rm: --fingerprint is required");
-                usage();
-            });
+            let fingerprint = options.fingerprint.expect("checked by parse_args");
             let removed = store.remove(fingerprint, options.barrier_ns).expect("rm");
             for e in &removed {
                 println!("removed {}", e.file_name());

@@ -1,9 +1,9 @@
 //! `drive` — runs one simulated drive, durably checkpointed.
 //!
 //! ```text
-//! drive [--world <smoke|paper>] [--point <json>] [--duration <s>]
-//!       [--trace] [--ckpt-dir <dir>] [--ckpt-every <s>]
-//!       [--trace-out <file>] [--metrics-out <file>] [--summary-out <file>]
+//! usage: drive [--world <smoke|paper>] [--point <json>] [--duration <s>]
+//!              [--trace] [--ckpt-dir <dir>] [--ckpt-every <s>]
+//!              [--trace-out <file>] [--metrics-out <file>] [--summary-out <file>]
 //! ```
 //!
 //! The single-drive consumer of the durable checkpoint store
@@ -21,6 +21,7 @@
 //! of the configuration (never of how much was resumed), so two
 //! processes arriving at the same horizon can be `cmp`-ed directly.
 
+use av_bench::cli::{self, Args};
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::stack::{drive, drive_fingerprint, Checkpoint, DriveRequest, RunConfig, StackConfig};
@@ -28,6 +29,11 @@ use av_sweep::{SweepPoint, WorldKind};
 use av_trace::export::{render_chrome_trace, render_metrics_csv};
 use av_trace::json;
 use std::path::PathBuf;
+
+const USAGE: &str = "\
+usage: drive [--world <smoke|paper>] [--point <json>] [--duration <s>]
+             [--trace] [--ckpt-dir <dir>] [--ckpt-every <s>]
+             [--trace-out <file>] [--metrics-out <file>] [--summary-out <file>]";
 
 struct Options {
     world: WorldKind,
@@ -39,15 +45,6 @@ struct Options {
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     summary_out: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: drive [--world <smoke|paper>] [--point <json>] [--duration <s>] [--trace] \
-         [--ckpt-dir <dir>] [--ckpt-every <s>] [--trace-out <file>] [--metrics-out <file>] \
-         [--summary-out <file>]"
-    );
-    std::process::exit(2);
 }
 
 fn parse_args() -> Options {
@@ -62,69 +59,38 @@ fn parse_args() -> Options {
         metrics_out: None,
         summary_out: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--world" => {
-                options.world = match args.next().expect("--world needs a name").as_str() {
-                    "smoke" => WorldKind::Smoke,
-                    "paper" => WorldKind::Paper,
-                    other => {
-                        eprintln!("unknown world {other:?} (try smoke, paper)");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--world" => options.world = args.parse_with(WorldKind::parse),
             "--point" => {
-                let text = args.next().expect("--point needs a JSON object");
-                let value = json::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("--point is not valid JSON: {e}");
-                    std::process::exit(2);
-                });
-                options.point = SweepPoint::from_json_value(&value).unwrap_or_else(|e| {
-                    eprintln!("invalid --point: {e}");
-                    std::process::exit(2);
+                options.point = args.parse_with(|text| {
+                    let value = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+                    SweepPoint::from_json_value(&value)
                 });
             }
-            "--duration" => {
-                let value = args.next().expect("--duration needs seconds");
-                options.duration_s = value.parse().expect("invalid duration");
-            }
+            "--duration" => options.duration_s = args.parse(),
             "--trace" => options.trace = true,
-            "--ckpt-dir" => {
-                options.ckpt_dir =
-                    Some(PathBuf::from(args.next().expect("--ckpt-dir needs a directory")));
-            }
-            "--ckpt-every" => {
-                let value = args.next().expect("--ckpt-every needs seconds");
-                options.ckpt_every_s = Some(value.parse().expect("invalid --ckpt-every value"));
-            }
-            "--trace-out" => {
-                options.trace_out =
-                    Some(PathBuf::from(args.next().expect("--trace-out needs a file")));
-            }
-            "--metrics-out" => {
-                options.metrics_out =
-                    Some(PathBuf::from(args.next().expect("--metrics-out needs a file")));
-            }
-            "--summary-out" => {
-                options.summary_out =
-                    Some(PathBuf::from(args.next().expect("--summary-out needs a file")));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
+            "--ckpt-dir" => options.ckpt_dir = Some(PathBuf::from(args.value())),
+            "--ckpt-every" => options.ckpt_every_s = Some(args.parse()),
+            "--trace-out" => options.trace_out = Some(PathBuf::from(args.value())),
+            "--metrics-out" => options.metrics_out = Some(PathBuf::from(args.value())),
+            "--summary-out" => options.summary_out = Some(PathBuf::from(args.value())),
+            other => args.unknown(other),
         }
     }
-    assert!(
-        options.duration_s.is_finite() && options.duration_s > 0.0,
-        "--duration must be positive"
-    );
-    if let Some(every) = options.ckpt_every_s {
-        assert!(every.is_finite() && every > 0.0, "--ckpt-every must be positive");
-        assert!(options.ckpt_dir.is_some(), "--ckpt-every needs --ckpt-dir");
+    let positive = |s: f64| s.is_finite() && s > 0.0;
+    if !positive(options.duration_s) {
+        args.fail("--duration must be positive");
+    }
+    if options.ckpt_every_s.is_some_and(|every| !positive(every)) {
+        args.fail("--ckpt-every must be positive");
+    }
+    if options.ckpt_every_s.is_some() && options.ckpt_dir.is_none() {
+        args.fail("--ckpt-every needs --ckpt-dir");
+    }
+    if (options.trace_out.is_some() || options.metrics_out.is_some()) && !options.trace {
+        args.fail("--trace-out and --metrics-out need --trace");
     }
     options
 }
@@ -148,12 +114,7 @@ fn main() {
     let fingerprint = drive_fingerprint(&config);
     let horizon_ns = (options.duration_s * 1e9).round() as u64;
 
-    let store = options.ckpt_dir.as_ref().map(|dir| {
-        let (store, recovery) = CkptStore::open(dir)
-            .unwrap_or_else(|e| panic!("cannot open checkpoint store {}: {e}", dir.display()));
-        eprint!("{}", recovery.render());
-        store
-    });
+    let store = options.ckpt_dir.as_deref().map(cli::open_store);
 
     // Warm start: the newest stored barrier of this exact configuration
     // (and tracing mode) at or before the horizon.
@@ -211,12 +172,12 @@ fn main() {
     let hash = run_hash(&report);
 
     if let Some(path) = &options.trace_out {
-        let trace = report.trace.as_ref().expect("--trace-out needs --trace");
-        std::fs::write(path, render_chrome_trace("drive", trace)).expect("write trace");
+        let trace = report.trace.as_ref().expect("--trace-out is checked to come with --trace");
+        cli::write(path, render_chrome_trace("drive", trace));
     }
     if let Some(path) = &options.metrics_out {
-        let trace = report.trace.as_ref().expect("--metrics-out needs --trace");
-        std::fs::write(path, render_metrics_csv(trace)).expect("write metrics");
+        let trace = report.trace.as_ref().expect("--metrics-out is checked to come with --trace");
+        cli::write(path, render_metrics_csv(trace));
     }
     if let Some(path) = &options.summary_out {
         // Deterministic bytes only: no resume provenance, no store
@@ -228,7 +189,7 @@ fn main() {
             options.point.label(),
             options.duration_s
         );
-        std::fs::write(path, summary).expect("write summary");
+        cli::write(path, summary);
     }
 
     match resumed_from_s {

@@ -1,8 +1,8 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--quick | --duration <seconds>] [--jobs <N>] [ARTIFACT...]
-//!       [--results <dir>] [--csv <dir>] [--trace] [--check-jobs <N,M,...>]
+//! usage: repro [--quick | --duration <seconds>] [--jobs <N>] [ARTIFACT...]
+//!              [--results <dir>] [--csv <dir>] [--trace] [--check-jobs <N,M,...>]
 //!
 //! ARTIFACT: --fig5 --fig6 --fig7 --fig8 --table3 --table5 --table6
 //!           --table7 --findings   (default: all)
@@ -27,11 +27,11 @@
 //! ordering and no timestamps, so reruns diff clean; wall-clock timings
 //! go to `BENCH_repro.json` in the same directory.
 
+use av_bench::cli::{self, bytes_hash, json_object, Args, Jobs};
 use av_bench::{paper_config, paper_run};
-use av_core::determinism::{self, Fnv64};
+use av_core::determinism;
 use av_core::experiments;
 use av_core::findings::FindingsReport;
-use av_core::parallel::effective_jobs;
 use av_core::stack::{RunConfig, RunReport};
 use av_profiling::Table;
 use av_trace::export::{render_chrome_trace, render_metrics_csv};
@@ -39,10 +39,16 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
+const USAGE: &str = "\
+usage: repro [--quick | --duration <seconds>] [--jobs <N>] [ARTIFACT...]
+             [--results <dir>] [--csv <dir>] [--trace] [--check-jobs <N,M,...>]
+
+ARTIFACT: --fig5 --fig6 --fig7 --fig8 --table3 --table5 --table6
+          --table7 --findings   (default: all)";
+
 struct Options {
     run: RunConfig,
-    jobs: usize,
-    check_jobs: Vec<usize>,
+    jobs: Jobs,
     artifacts: HashSet<String>,
     results_dir: PathBuf,
     csv_dir: Option<PathBuf>,
@@ -54,54 +60,25 @@ const ALL_ARTIFACTS: [&str; 9] =
 fn parse_args() -> Options {
     let mut run = paper_run();
     let mut trace = false;
-    let mut jobs = None;
-    let mut check_jobs: Vec<usize> = Vec::new();
+    let mut jobs = Jobs::default();
     let mut artifacts = HashSet::new();
     let mut results_dir = PathBuf::from("results");
     let mut csv_dir = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => run = av_bench::quick_run(),
-            "--duration" => {
-                let value = args.next().expect("--duration needs seconds");
-                run.duration_s = Some(value.parse().expect("invalid duration"));
-            }
+            "--duration" => run.duration_s = Some(args.parse()),
             "--trace" => trace = true,
-            "--jobs" | "-j" => {
-                let value = args.next().expect("--jobs needs a thread count");
-                jobs = Some(value.parse().expect("invalid --jobs value"));
-            }
-            "--check-jobs" => {
-                let value = args.next().expect("--check-jobs needs a comma-separated list");
-                check_jobs = value
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("invalid --check-jobs value"))
-                    .collect();
-                assert!(!check_jobs.is_empty(), "--check-jobs needs at least one level");
-            }
-            "--results" => {
-                results_dir = PathBuf::from(args.next().expect("--results needs a directory"));
-            }
-            "--csv" => {
-                csv_dir = Some(PathBuf::from(args.next().expect("--csv needs a directory")));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--quick | --duration <s>] [--jobs <N>] [--trace] \
-                     [--check-jobs <N,M,...>] [--results <dir>] [--csv <dir>] \
-                     [--fig5 ... --findings]"
-                );
-                std::process::exit(0);
-            }
+            "--results" => results_dir = PathBuf::from(args.value()),
+            "--csv" => csv_dir = Some(PathBuf::from(args.value())),
+            flag if jobs.accept(flag, &mut args) => {}
             other => {
                 let name = other.trim_start_matches("--");
-                if ALL_ARTIFACTS.contains(&name) {
-                    artifacts.insert(name.to_string());
-                } else {
-                    eprintln!("unknown argument: {other}");
-                    std::process::exit(2);
+                if !ALL_ARTIFACTS.contains(&name) {
+                    args.unknown(other);
                 }
+                artifacts.insert(name.to_string());
             }
         }
     }
@@ -111,49 +88,25 @@ fn parse_args() -> Options {
     if trace {
         run = run.with_trace();
     }
-    // With --check-jobs and no explicit --jobs, the primary run uses the
-    // first listed level so one of the checked levels comes for free.
-    if jobs.is_none() {
-        jobs = check_jobs.first().copied();
-    }
-    Options { run, jobs: effective_jobs(jobs), check_jobs, artifacts, results_dir, csv_dir }
-}
-
-/// FNV-1a 64 hash of rendered artifact bytes, formatted like the golden
-/// determinism hash.
-fn bytes_hash(text: &str) -> String {
-    let mut h = Fnv64::new();
-    h.write_bytes(text.as_bytes());
-    format!("{:#018x}", h.finish())
+    Options { run, jobs, artifacts, results_dir, csv_dir }
 }
 
 fn emit(options: &Options, name: &str, title: &str, table: &Table) {
     println!("## {title}\n");
     println!("{table}");
-    std::fs::create_dir_all(&options.results_dir).expect("create results dir");
-    let txt_path = options.results_dir.join(format!("{name}.txt"));
     // Content is fully determined by the run outputs — no timestamps, no
     // host names — so the golden files diff clean between reruns.
-    std::fs::write(&txt_path, format!("## {title}\n\n{table}\n")).expect("write table");
+    cli::write(options.results_dir.join(format!("{name}.txt")), format!("## {title}\n\n{table}\n"));
     if let Some(dir) = &options.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
         let path = dir.join(format!("{name}.csv"));
-        std::fs::write(&path, table.to_csv()).expect("write csv");
+        cli::write(&path, table.to_csv());
         println!("(csv: {})\n", path.display());
     }
 }
 
-/// Serializes `(key, value)` pairs as a JSON object, preserving the
-/// given key order (callers pass keys in a fixed order so the file is
-/// stable across reruns).
-fn json_object(fields: &[(&str, String)]) -> String {
-    let body =
-        fields.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect::<Vec<_>>().join(",\n");
-    format!("{{\n{body}\n}}\n")
-}
-
 fn main() {
     let options = parse_args();
+    let jobs = options.jobs.primary();
     let wants = |a: &str| options.artifacts.contains(a);
     let needs_full_runs = wants("fig5")
         || wants("fig6")
@@ -167,15 +120,11 @@ fn main() {
         .run
         .duration_s
         .unwrap_or_else(|| paper_config(av_vision::DetectorKind::Ssd512).scenario.duration_s);
-    println!(
-        "# AV characterization reproduction (drive: {duration:.0} s per run, jobs: {})\n",
-        options.jobs
-    );
+    println!("# AV characterization reproduction (drive: {duration:.0} s per run, jobs: {jobs})\n");
 
     let runs_full_matrix = needs_full_runs && needs_isolation;
-    if !options.check_jobs.is_empty() && !runs_full_matrix {
-        eprintln!("--check-jobs requires the full artifact set (it compares matrix hashes)");
-        std::process::exit(2);
+    if !options.jobs.check_levels().is_empty() && !runs_full_matrix {
+        cli::die("--check-jobs requires the full artifact set (it compares matrix hashes)");
     }
 
     let total_start = Instant::now();
@@ -189,7 +138,7 @@ fn main() {
         // one shared batch covers both: 5 unique drives instead of 7.
         eprintln!("running experiment matrix (3 full + 2 isolated drives)...");
         let start = Instant::now();
-        let matrix = experiments::run_matrix(paper_config, &options.run, options.jobs);
+        let matrix = experiments::run_matrix(paper_config, &options.run, jobs);
         timings.push(("matrix_runs".to_string(), start.elapsed().as_secs_f64()));
         golden_hash = Some(determinism::matrix_hash(&matrix));
         reports = matrix.reports;
@@ -197,12 +146,12 @@ fn main() {
     } else if needs_full_runs {
         eprintln!("running full-stack drives (3 detectors)...");
         let start = Instant::now();
-        reports = experiments::run_all_detectors(paper_config, &options.run, options.jobs);
+        reports = experiments::run_all_detectors(paper_config, &options.run, jobs);
         timings.push(("full_runs".to_string(), start.elapsed().as_secs_f64()));
     } else if needs_isolation {
         eprintln!("running isolation drives (SSD512, YOLO standalone + full)...");
         let start = Instant::now();
-        isolation = experiments::fig8(paper_config, &options.run, options.jobs);
+        isolation = experiments::fig8(paper_config, &options.run, jobs);
         timings.push(("isolation_runs".to_string(), start.elapsed().as_secs_f64()));
     }
     for r in &reports {
@@ -291,7 +240,6 @@ fn main() {
     let mut rendered: Vec<(String, String, String)> = Vec::new();
     let mut artifact_hashes: Vec<(String, String)> = Vec::new();
     if options.run.trace.is_some() {
-        std::fs::create_dir_all(&options.results_dir).expect("create results dir");
         for report in &reports {
             let trace = report.trace.as_ref().expect("traced run without trace data");
             let name = report.detector.name().to_lowercase();
@@ -299,8 +247,8 @@ fn main() {
             let csv = render_metrics_csv(trace);
             let json_path = options.results_dir.join(format!("trace_{name}.json"));
             let csv_path = options.results_dir.join(format!("metrics_{name}.csv"));
-            std::fs::write(&json_path, &json).expect("write trace json");
-            std::fs::write(&csv_path, &csv).expect("write metrics csv");
+            cli::write(&json_path, &json);
+            cli::write(&csv_path, &csv);
             println!(
                 "trace: {} ({} callbacks, {} drops); metrics: {} ({} samples)",
                 json_path.display(),
@@ -318,41 +266,31 @@ fn main() {
     // Cross-`--jobs` determinism check: rerun the matrix at every other
     // requested level and demand an identical golden hash and (when
     // tracing) byte-identical rendered artifacts.
-    let verify_levels: Vec<usize> =
-        options.check_jobs.iter().copied().filter(|&j| j != options.jobs).collect();
-    if !verify_levels.is_empty() {
-        let base_hash = golden_hash.expect("--check-jobs runs the full matrix");
-        for level in verify_levels {
-            eprintln!("determinism check: rerunning matrix with --jobs {level}...");
+    if let Some(base_hash) = golden_hash {
+        let passed = format!(
+            "determinism check passed: jobs {:?} all reproduce hash {base_hash:#018x}",
+            options.jobs.check_levels()
+        );
+        let rerun = |level| {
             let start = Instant::now();
             let matrix = experiments::run_matrix(paper_config, &options.run, level);
             timings.push((format!("check_jobs_{level}"), start.elapsed().as_secs_f64()));
             let hash = determinism::matrix_hash(&matrix);
+            let mut violations = Vec::new();
             if hash != base_hash {
-                eprintln!(
-                    "DETERMINISM VIOLATION: --jobs {} hash {:#018x} != --jobs {} hash {:#018x}",
-                    level, hash, options.jobs, base_hash
-                );
-                std::process::exit(1);
+                violations.push(format!("golden hash {hash:#018x} != {base_hash:#018x}"));
             }
             for (report, (name, base_json, base_csv)) in matrix.reports.iter().zip(&rendered) {
                 let trace = report.trace.as_ref().expect("traced run without trace data");
                 if &render_chrome_trace(name, trace) != base_json
                     || &render_metrics_csv(trace) != base_csv
                 {
-                    eprintln!(
-                        "DETERMINISM VIOLATION: trace artifacts for {name} differ between \
-                         --jobs {} and --jobs {level}",
-                        options.jobs
-                    );
-                    std::process::exit(1);
+                    violations.push(format!("trace artifacts for {name} differ"));
                 }
             }
-        }
-        println!(
-            "determinism check passed: jobs {:?} all reproduce hash {base_hash:#018x}",
-            options.check_jobs
-        );
+            violations
+        };
+        options.jobs.check("matrix", rerun, &passed);
     }
 
     // Wall-clock benchmark record: per-experiment timings so the perf
@@ -361,7 +299,7 @@ fn main() {
     // between reruns; keys and their order stay fixed.
     timings.push(("total".to_string(), total_start.elapsed().as_secs_f64()));
     let mut fields: Vec<(&str, String)> =
-        vec![("jobs", options.jobs.to_string()), ("drive_duration_s", format!("{duration:.1}"))];
+        vec![("jobs", jobs.to_string()), ("drive_duration_s", format!("{duration:.1}"))];
     if let Some(hash) = golden_hash {
         fields.push(("golden_hash", format!("\"{hash:#018x}\"")));
     }
@@ -376,8 +314,7 @@ fn main() {
     let timing_body =
         timings.iter().map(|(k, v)| format!("    \"{k}\": {v:.3}")).collect::<Vec<_>>().join(",\n");
     fields.push(("wall_clock_s", format!("{{\n{timing_body}\n  }}")));
-    std::fs::create_dir_all(&options.results_dir).expect("create results dir");
     let bench_path = options.results_dir.join("BENCH_repro.json");
-    std::fs::write(&bench_path, json_object(&fields)).expect("write BENCH_repro.json");
+    cli::write(&bench_path, json_object(&fields));
     eprintln!("wall-clock record: {}", bench_path.display());
 }

@@ -1,9 +1,10 @@
 //! `search` — runs a scenario-space search and writes its trajectory.
 //!
 //! ```text
-//! search [--spec <file.json> | --builtin <smoke>]
-//!        [--jobs <N>] [--check-jobs <N,M,...>]
-//!        [--resume <trajectory.json>] [--results <dir>] [--list]
+//! usage: search [--spec <file.json> | --builtin <smoke>]
+//!               [--jobs <N>] [--check-jobs <N,M,...>]
+//!               [--resume <trajectory.json>] [--results <dir>] [--list]
+//!               [--bench-resume <file.json>] [--ckpt-dir <dir>]
 //! ```
 //!
 //! The spec (see `specs/search_*.json`) names an objective and a
@@ -34,8 +35,7 @@
 //! clock, warm resumes, cache hits) to the given JSON file. This is
 //! the E-resume experiment of `EXPERIMENTS.md`.
 
-use av_core::ckptstore::CkptStore;
-use av_core::parallel::effective_jobs;
+use av_bench::cli::{self, json_object, Args, Jobs};
 use av_sweep::search::{run_search_with_store, trajectory_from_json};
 use av_sweep::{
     run_search, run_search_instrumented, search_artifacts, BatchRecord, SearchArtifacts, SearchSpec,
@@ -43,10 +43,15 @@ use av_sweep::{
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+const USAGE: &str = "\
+usage: search [--spec <file.json> | --builtin <smoke>]
+              [--jobs <N>] [--check-jobs <N,M,...>]
+              [--resume <trajectory.json>] [--results <dir>] [--list]
+              [--bench-resume <file.json>] [--ckpt-dir <dir>]";
+
 struct Options {
     spec: SearchSpec,
-    jobs: usize,
-    check_jobs: Vec<usize>,
+    jobs: Jobs,
     prior: Vec<BatchRecord>,
     results_dir: PathBuf,
     list: bool,
@@ -54,89 +59,46 @@ struct Options {
     ckpt_dir: Option<PathBuf>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: search [--spec <file.json> | --builtin <smoke>] [--jobs <N>] \
-         [--check-jobs <N,M,...>] [--resume <trajectory.json>] [--results <dir>] [--list] \
-         [--bench-resume <file.json>] [--ckpt-dir <dir>]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Options {
     let mut spec = None;
-    let mut jobs = None;
-    let mut check_jobs: Vec<usize> = Vec::new();
+    let mut jobs = Jobs::default();
     let mut prior = Vec::new();
     let mut results_dir = PathBuf::from("results/search");
     let mut list = false;
     let mut bench_resume = None;
     let mut ckpt_dir = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--spec" => {
-                let path = args.next().expect("--spec needs a file");
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-                spec = Some(SearchSpec::from_json(&text).unwrap_or_else(|e| {
-                    eprintln!("invalid search spec {path}: {e}");
-                    std::process::exit(2);
-                }));
+                let path = args.value();
+                spec =
+                    Some(SearchSpec::from_json(&cli::read(&path)).unwrap_or_else(|e| {
+                        cli::die(format_args!("invalid search spec {path}: {e}"))
+                    }));
             }
             "--builtin" => {
-                let name = args.next().expect("--builtin needs a name");
+                let name = args.value();
                 spec = Some(SearchSpec::builtin(&name).unwrap_or_else(|| {
-                    eprintln!("unknown builtin search {name:?} (try smoke)");
-                    std::process::exit(2);
+                    cli::die(format_args!("unknown builtin search {name:?} (try smoke)"))
                 }));
             }
             "--resume" => {
-                let path = args.next().expect("--resume needs a trajectory.json");
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-                prior = trajectory_from_json(&text).unwrap_or_else(|e| {
-                    eprintln!("invalid trajectory {path}: {e}");
-                    std::process::exit(2);
-                });
+                let path = args.value();
+                prior = trajectory_from_json(&cli::read(&path))
+                    .unwrap_or_else(|e| cli::die(format_args!("invalid trajectory {path}: {e}")));
             }
-            "--jobs" | "-j" => {
-                let value = args.next().expect("--jobs needs a thread count");
-                jobs = Some(value.parse().expect("invalid --jobs value"));
-            }
-            "--check-jobs" => {
-                let value = args.next().expect("--check-jobs needs a comma-separated list");
-                check_jobs = value
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("invalid --check-jobs value"))
-                    .collect();
-                assert!(!check_jobs.is_empty(), "--check-jobs needs at least one level");
-            }
-            "--results" => {
-                results_dir = PathBuf::from(args.next().expect("--results needs a directory"));
-            }
+            "--results" => results_dir = PathBuf::from(args.value()),
             "--list" => list = true,
-            "--bench-resume" => {
-                bench_resume =
-                    Some(PathBuf::from(args.next().expect("--bench-resume needs a file")));
-            }
-            "--ckpt-dir" => {
-                ckpt_dir = Some(PathBuf::from(args.next().expect("--ckpt-dir needs a directory")));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
+            "--bench-resume" => bench_resume = Some(PathBuf::from(args.value())),
+            "--ckpt-dir" => ckpt_dir = Some(PathBuf::from(args.value())),
+            flag if jobs.accept(flag, &mut args) => {}
+            other => args.unknown(other),
         }
-    }
-    if jobs.is_none() {
-        jobs = check_jobs.first().copied();
     }
     Options {
         spec: spec.unwrap_or_else(SearchSpec::builtin_smoke),
-        jobs: effective_jobs(jobs),
-        check_jobs,
+        jobs,
         prior,
         results_dir,
         list,
@@ -146,26 +108,23 @@ fn parse_args() -> Options {
 }
 
 fn write_artifacts(dir: &Path, artifacts: &SearchArtifacts) {
-    std::fs::create_dir_all(dir).expect("create results dir");
-    std::fs::write(dir.join("search_summary.txt"), &artifacts.summary_txt).expect("write summary");
-    std::fs::write(dir.join("search_trajectory.txt"), &artifacts.trajectory_txt)
-        .expect("write trajectory");
-    std::fs::write(dir.join("search_trajectory.json"), &artifacts.trajectory_json)
-        .expect("write trajectory json");
-    std::fs::write(dir.join("SEARCH_hashes.json"), &artifacts.hashes_json).expect("write hashes");
+    cli::write(dir.join("search_summary.txt"), &artifacts.summary_txt);
+    cli::write(dir.join("search_trajectory.txt"), &artifacts.trajectory_txt);
+    cli::write(dir.join("search_trajectory.json"), &artifacts.trajectory_json);
+    cli::write(dir.join("SEARCH_hashes.json"), &artifacts.hashes_json);
 }
 
 /// The E-resume experiment: one cold search, one warm search, identical
 /// outcome demanded, measured costs written to `path`.
-fn bench_resume(options: &Options, path: &Path) {
-    println!("# search bench-resume {:?}: jobs {}\n", options.spec.name, options.jobs);
+fn bench_resume(options: &Options, jobs: usize, path: &Path) {
+    println!("# search bench-resume {:?}: jobs {jobs}\n", options.spec.name);
     eprintln!("cold search (no checkpoints, no cache)...");
     let start = Instant::now();
-    let (cold, cold_stats) = run_search_instrumented(&options.spec, options.jobs, &[], false);
+    let (cold, cold_stats) = run_search_instrumented(&options.spec, jobs, &[], false);
     let cold_wall_s = start.elapsed().as_secs_f64();
     eprintln!("warm search (checkpointed rungs + evaluation cache)...");
     let start = Instant::now();
-    let (warm, warm_stats) = run_search_instrumented(&options.spec, options.jobs, &[], true);
+    let (warm, warm_stats) = run_search_instrumented(&options.spec, jobs, &[], true);
     let warm_wall_s = start.elapsed().as_secs_f64();
 
     if cold.search_hash != warm.search_hash {
@@ -183,7 +142,7 @@ fn bench_resume(options: &Options, path: &Path) {
     let saved_s = cold_stats.simulated_s - warm_stats.simulated_s;
     let fields = [
         ("spec", format!("\"{}\"", options.spec.name)),
-        ("jobs", options.jobs.to_string()),
+        ("jobs", jobs.to_string()),
         ("search_hash", format!("\"{:#018x}\"", warm.search_hash)),
         ("cold_evaluations", cold_stats.evaluations.to_string()),
         ("cold_simulated_s", format!("{:.3}", cold_stats.simulated_s)),
@@ -196,14 +155,7 @@ fn bench_resume(options: &Options, path: &Path) {
         ("cache_hits", warm_stats.cache_hits.to_string()),
         ("virtual_seconds_saved", format!("{saved_s:.3}")),
     ];
-    let body =
-        fields.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect::<Vec<_>>().join(",\n");
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create bench dir");
-        }
-    }
-    std::fs::write(path, format!("{{\n{body}\n}}\n")).expect("write bench-resume json");
+    cli::write(path, json_object(&fields));
 
     println!(
         "cold: {} evaluation(s), {:.1} virtual s simulated, {cold_wall_s:.1} s wall",
@@ -233,26 +185,22 @@ fn main() {
         print!("{}", options.spec.describe());
         return;
     }
-    if let Some(path) = options.bench_resume.clone() {
-        bench_resume(&options, &path);
+    let jobs = options.jobs.primary();
+    if let Some(path) = &options.bench_resume {
+        bench_resume(&options, jobs, path);
         return;
     }
-    println!("# search {:?}: jobs {}\n", options.spec.name, options.jobs);
+    println!("# search {:?}: jobs {jobs}\n", options.spec.name);
 
     // A durable checkpoint store survives this process: halving rungs
     // resume from whatever barriers an earlier search left behind, and
     // persist their own. The store never changes an output byte — the
     // cross-jobs check below would catch it if it did.
-    let store = options.ckpt_dir.as_ref().map(|dir| {
-        let (store, recovery) = CkptStore::open(dir)
-            .unwrap_or_else(|e| panic!("cannot open checkpoint store {}: {e}", dir.display()));
-        eprint!("{}", recovery.render());
-        store
-    });
+    let store = options.ckpt_dir.as_deref().map(cli::open_store);
 
     let start = Instant::now();
     let (outcome, stats) =
-        run_search_with_store(&options.spec, options.jobs, &options.prior, store.as_ref());
+        run_search_with_store(&options.spec, jobs, &options.prior, store.as_ref());
     let search_s = start.elapsed().as_secs_f64();
     let artifacts = search_artifacts(&options.spec, &outcome);
 
@@ -282,13 +230,15 @@ fn main() {
     // scratch (no prior) at every other requested level; every artifact
     // byte must match, which also proves any `--resume` prefix above was
     // byte-faithful to a fresh run.
-    let verify_levels: Vec<usize> =
-        options.check_jobs.iter().copied().filter(|&j| j != options.jobs).collect();
-    if !verify_levels.is_empty() {
-        for level in verify_levels {
-            eprintln!("determinism check: rerunning search with --jobs {level}...");
-            let rerun = run_search(&options.spec, level, &[]);
-            let other = search_artifacts(&options.spec, &rerun);
+    let passed = format!(
+        "search determinism check passed: jobs {:?} all reproduce hash {:#018x}",
+        options.jobs.check_levels(),
+        artifacts.search_hash
+    );
+    options.jobs.check(
+        "search",
+        |level| {
+            let other = search_artifacts(&options.spec, &run_search(&options.spec, level, &[]));
             let mut violations = Vec::new();
             if other.search_hash != artifacts.search_hash {
                 violations.push(format!(
@@ -299,19 +249,8 @@ fn main() {
             if other != artifacts {
                 violations.push("search artifact bytes differ".to_string());
             }
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!(
-                        "DETERMINISM VIOLATION between --jobs {} and --jobs {level}: {v}",
-                        options.jobs
-                    );
-                }
-                std::process::exit(1);
-            }
-        }
-        println!(
-            "search determinism check passed: jobs {:?} all reproduce hash {:#018x}",
-            options.check_jobs, artifacts.search_hash
-        );
-    }
+            violations
+        },
+        &passed,
+    );
 }

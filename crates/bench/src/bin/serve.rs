@@ -1,10 +1,10 @@
 //! `serve` — the long-lived scenario service.
 //!
 //! ```text
-//! serve [--port N] [--port-file FILE] [--workers N] [--queue N]
-//!       [--spool DIR] [--event-log FILE] [--ckpt-dir DIR]
-//! serve --check
-//! serve --bench [--out DIR] [--levels N,M,...] [--duration <s>]
+//! usage: serve [--port N] [--port-file FILE] [--workers N] [--queue N]
+//!              [--spool DIR] [--event-log FILE] [--ckpt-dir DIR]
+//!        serve --check
+//!        serve --bench [--out DIR] [--levels N,M,...] [--duration <s>]
 //! ```
 //!
 //! The default mode binds localhost (`--port 0` picks an ephemeral
@@ -27,10 +27,17 @@
 //! single-core host it *warns* rather than pretending worker scaling is
 //! measurable.
 
+use av_bench::cli::{self, Args};
 use av_serve::bench::{render_csv, render_json, run_load, BenchOptions};
 use av_serve::server::run_check;
 use av_serve::{ServeConfig, Server};
 use std::path::PathBuf;
+
+const USAGE: &str = "\
+usage: serve [--port N] [--port-file FILE] [--workers N] [--queue N]
+             [--spool DIR] [--event-log FILE] [--ckpt-dir DIR]
+       serve --check
+       serve --bench [--out DIR] [--levels N,M,...] [--duration <s>]";
 
 enum Mode {
     Serve,
@@ -54,48 +61,26 @@ fn parse_args() -> Options {
         out_dir: PathBuf::from("results/serve"),
         bench: BenchOptions::default(),
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{arg} needs {what}"));
         match arg.as_str() {
             "--check" => options.mode = Mode::Check,
             "--bench" => options.mode = Mode::Bench,
-            "--port" => options.config.port = value("a port").parse().expect("invalid --port"),
-            "--port-file" => options.port_file = Some(PathBuf::from(value("a path"))),
-            "--workers" => {
-                options.config.workers = value("a count").parse().expect("invalid --workers");
-            }
-            "--queue" => {
-                options.config.queue_capacity = value("a depth").parse().expect("invalid --queue");
-            }
-            "--spool" => options.config.spool = Some(PathBuf::from(value("a directory"))),
-            "--event-log" => options.config.event_log = Some(PathBuf::from(value("a path"))),
-            "--ckpt-dir" => options.config.ckpt_dir = Some(PathBuf::from(value("a directory"))),
-            "--out" => options.out_dir = PathBuf::from(value("a directory")),
-            "--levels" => {
-                options.bench.worker_levels = value("a comma-separated list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("invalid --levels entry"))
-                    .collect();
-                assert!(!options.bench.worker_levels.is_empty(), "--levels needs at least one");
-            }
-            "--duration" => {
-                options.bench.duration_s =
-                    value("seconds").parse().expect("invalid --duration value");
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: serve [--port N] [--port-file FILE] [--workers N] [--queue N] \
-                     [--spool DIR] [--event-log FILE] [--ckpt-dir DIR] | serve --check | \
-                     serve --bench [--out DIR] [--levels N,M,...] [--duration <s>]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--port" => options.config.port = args.parse(),
+            "--port-file" => options.port_file = Some(PathBuf::from(args.value())),
+            "--workers" => options.config.workers = args.parse(),
+            "--queue" => options.config.queue_capacity = args.parse(),
+            "--spool" => options.config.spool = Some(PathBuf::from(args.value())),
+            "--event-log" => options.config.event_log = Some(PathBuf::from(args.value())),
+            "--ckpt-dir" => options.config.ckpt_dir = Some(PathBuf::from(args.value())),
+            "--out" => options.out_dir = PathBuf::from(args.value()),
+            "--levels" => options.bench.worker_levels = args.list(),
+            "--duration" => options.bench.duration_s = args.parse(),
+            other => args.unknown(other),
         }
+    }
+    if options.config.workers == 0 {
+        args.fail("--workers must be at least 1");
     }
     options
 }
@@ -119,12 +104,10 @@ fn main() {
                      deltas as scaling."
                 );
             }
-            std::fs::create_dir_all(&options.out_dir).expect("create bench output dir");
             let json_path = options.out_dir.join("BENCH_serve.json");
             let csv_path = options.out_dir.join("BENCH_serve.csv");
-            std::fs::write(&json_path, render_json(&options.bench, &levels, cores))
-                .expect("write BENCH_serve.json");
-            std::fs::write(&csv_path, render_csv(&levels)).expect("write BENCH_serve.csv");
+            cli::write(&json_path, render_json(&options.bench, &levels, cores));
+            cli::write(&csv_path, render_csv(&levels));
             for level in &levels {
                 println!(
                     "workers {}: {} requests in {:.0} ms ({:.2} req/s), cache hit rate \
@@ -142,11 +125,12 @@ fn main() {
             println!("wrote {} and {}", json_path.display(), csv_path.display());
         }
         Mode::Serve => {
-            let server = Server::start(options.config).expect("bind service port");
+            let server = Server::start(options.config)
+                .unwrap_or_else(|e| cli::die(format_args!("cannot start the service: {e}")));
             let addr = server.addr();
             println!("{addr}");
             if let Some(path) = &options.port_file {
-                std::fs::write(path, format!("{addr}\n")).expect("write port file");
+                cli::write(path, format!("{addr}\n"));
             }
             eprintln!("av-serve listening on {addr} (send a shutdown request to stop)");
             server.wait().expect("service threads");

@@ -1,9 +1,9 @@
 //! `sweep` — runs a batched scenario sweep and writes its artifacts.
 //!
 //! ```text
-//! sweep [--spec <file.json> | --builtin <smoke|detector-camera>]
-//!       [--jobs <N>] [--check-jobs <N,M,...>] [--duration <seconds>]
-//!       [--trace] [--results <dir>] [--list]
+//! usage: sweep [--spec <file.json> | --builtin <smoke|detector-camera>]
+//!              [--jobs <N>] [--check-jobs <N,M,...>] [--duration <seconds>]
+//!              [--trace] [--results <dir>] [--list] [--ckpt-dir <dir>]
 //! ```
 //!
 //! The spec (see `specs/` for examples) expands into a deterministic
@@ -23,116 +23,73 @@
 //! the batch at each listed level and **exits nonzero** unless every
 //! artifact byte and golden hash is identical.
 
-use av_core::ckptstore::CkptStore;
-use av_core::determinism::Fnv64;
-use av_core::parallel::effective_jobs;
+use av_bench::cli::{self, bytes_hash, Args, Jobs};
 use av_core::stack::RunConfig;
 use av_sweep::{aggregate, run_sweep, run_sweep_streamed, PointResult, SweepArtifacts, SweepSpec};
 use av_trace::export::render_chrome_trace;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+const USAGE: &str = "\
+usage: sweep [--spec <file.json> | --builtin <smoke|detector-camera>]
+             [--jobs <N>] [--check-jobs <N,M,...>] [--duration <seconds>]
+             [--trace] [--results <dir>] [--list] [--ckpt-dir <dir>]";
+
 struct Options {
     spec: SweepSpec,
     run: RunConfig,
-    jobs: usize,
-    check_jobs: Vec<usize>,
+    jobs: Jobs,
     results_dir: PathBuf,
     list: bool,
     ckpt_dir: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: sweep [--spec <file.json> | --builtin <smoke|detector-camera>] \
-         [--jobs <N>] [--check-jobs <N,M,...>] [--duration <s>] [--trace] \
-         [--results <dir>] [--list] [--ckpt-dir <dir>]"
-    );
-    std::process::exit(2);
 }
 
 fn parse_args() -> Options {
     let mut spec = None;
     let mut run = RunConfig::default();
     let mut trace = false;
-    let mut jobs = None;
-    let mut check_jobs: Vec<usize> = Vec::new();
+    let mut jobs = Jobs::default();
     let mut results_dir = PathBuf::from("results/sweep");
     let mut list = false;
     let mut ckpt_dir = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--spec" => {
-                let path = args.next().expect("--spec needs a file");
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-                spec = Some(SweepSpec::from_json(&text).unwrap_or_else(|e| {
-                    eprintln!("invalid sweep spec {path}: {e}");
-                    std::process::exit(2);
-                }));
+                let path = args.value();
+                spec =
+                    Some(SweepSpec::from_json(&cli::read(&path)).unwrap_or_else(|e| {
+                        cli::die(format_args!("invalid sweep spec {path}: {e}"))
+                    }));
             }
             "--builtin" => {
-                let name = args.next().expect("--builtin needs a name");
+                let name = args.value();
                 spec = Some(SweepSpec::builtin(&name).unwrap_or_else(|| {
-                    eprintln!("unknown builtin sweep {name:?} (try smoke, detector-camera)");
-                    std::process::exit(2);
+                    cli::die(format_args!(
+                        "unknown builtin sweep {name:?} (try smoke, detector-camera)"
+                    ))
                 }));
             }
-            "--duration" => {
-                let value = args.next().expect("--duration needs seconds");
-                run.duration_s = Some(value.parse().expect("invalid duration"));
-            }
+            "--duration" => run.duration_s = Some(args.parse()),
             "--trace" => trace = true,
-            "--jobs" | "-j" => {
-                let value = args.next().expect("--jobs needs a thread count");
-                jobs = Some(value.parse().expect("invalid --jobs value"));
-            }
-            "--check-jobs" => {
-                let value = args.next().expect("--check-jobs needs a comma-separated list");
-                check_jobs = value
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("invalid --check-jobs value"))
-                    .collect();
-                assert!(!check_jobs.is_empty(), "--check-jobs needs at least one level");
-            }
-            "--results" => {
-                results_dir = PathBuf::from(args.next().expect("--results needs a directory"));
-            }
+            "--results" => results_dir = PathBuf::from(args.value()),
             "--list" => list = true,
-            "--ckpt-dir" => {
-                ckpt_dir = Some(PathBuf::from(args.next().expect("--ckpt-dir needs a directory")));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
+            "--ckpt-dir" => ckpt_dir = Some(PathBuf::from(args.value())),
+            flag if jobs.accept(flag, &mut args) => {}
+            other => args.unknown(other),
         }
     }
     if trace {
         run = run.with_trace();
     }
-    if jobs.is_none() {
-        jobs = check_jobs.first().copied();
-    }
     Options {
         spec: spec.unwrap_or_else(SweepSpec::builtin_smoke),
         run,
-        jobs: effective_jobs(jobs),
-        check_jobs,
+        jobs,
         results_dir,
         list,
         ckpt_dir,
     }
-}
-
-/// FNV-1a 64 hash of rendered artifact bytes, formatted like the golden
-/// determinism hash.
-fn bytes_hash(text: &str) -> String {
-    let mut h = Fnv64::new();
-    h.write_bytes(text.as_bytes());
-    format!("{:#018x}", h.finish())
 }
 
 /// Renders every point's Chrome trace, in ordinal order.
@@ -151,16 +108,15 @@ fn render_traces(results: &[PointResult]) -> Vec<(String, String)> {
 }
 
 fn write_artifacts(dir: &Path, artifacts: &SweepArtifacts, traces: &[(String, String)]) {
-    std::fs::create_dir_all(dir).expect("create results dir");
-    std::fs::write(dir.join("sweep_summary.txt"), &artifacts.summary_txt).expect("write summary");
-    std::fs::write(dir.join("sweep_summary.csv"), &artifacts.summary_csv).expect("write csv");
-    std::fs::write(dir.join("sweep_effects.txt"), &artifacts.effects_txt).expect("write effects");
-    std::fs::write(dir.join("SWEEP_hashes.json"), &artifacts.hashes_json).expect("write hashes");
+    cli::write(dir.join("sweep_summary.txt"), &artifacts.summary_txt);
+    cli::write(dir.join("sweep_summary.csv"), &artifacts.summary_csv);
+    cli::write(dir.join("sweep_effects.txt"), &artifacts.effects_txt);
+    cli::write(dir.join("SWEEP_hashes.json"), &artifacts.hashes_json);
     for (id, text) in &artifacts.per_point {
-        std::fs::write(dir.join(format!("point_{id}.txt")), text).expect("write point report");
+        cli::write(dir.join(format!("point_{id}.txt")), text);
     }
     for (id, json) in traces {
-        std::fs::write(dir.join(format!("trace_{id}.json")), json).expect("write trace");
+        cli::write(dir.join(format!("trace_{id}.json")), json);
     }
 }
 
@@ -170,23 +126,19 @@ fn main() {
         print!("{}", options.spec.describe());
         return;
     }
+    let jobs = options.jobs.primary();
     let point_count = options.spec.points().len();
-    println!("# sweep {:?}: {} point(s), jobs {}\n", options.spec.name, point_count, options.jobs);
+    println!("# sweep {:?}: {} point(s), jobs {jobs}\n", options.spec.name, point_count);
 
     // A durable checkpoint store survives this process: prefix-sharing
     // groups restore their barrier from whatever an earlier sweep left
     // behind and persist their own. It never changes an output byte —
     // the cross-jobs check below would catch it if it did.
-    let store = options.ckpt_dir.as_ref().map(|dir| {
-        let (store, recovery) = CkptStore::open(dir)
-            .unwrap_or_else(|e| panic!("cannot open checkpoint store {}: {e}", dir.display()));
-        eprint!("{}", recovery.render());
-        store
-    });
+    let store = options.ckpt_dir.as_deref().map(cli::open_store);
 
     let start = Instant::now();
     let (results, stats) =
-        run_sweep_streamed(&options.spec, &options.run, options.jobs, store.as_ref(), |_| {});
+        run_sweep_streamed(&options.spec, &options.run, jobs, store.as_ref(), |_| {});
     let batch_s = start.elapsed().as_secs_f64();
     let artifacts = aggregate(&options.spec, &results);
     let traces = render_traces(&results);
@@ -214,11 +166,14 @@ fn main() {
 
     // Cross-`--jobs` determinism check: rerun the whole batch at every
     // other requested level; every artifact byte must match.
-    let verify_levels: Vec<usize> =
-        options.check_jobs.iter().copied().filter(|&j| j != options.jobs).collect();
-    if !verify_levels.is_empty() {
-        for level in verify_levels {
-            eprintln!("determinism check: rerunning sweep with --jobs {level}...");
+    let passed = format!(
+        "sweep determinism check passed: jobs {:?} all reproduce hash {:#018x}",
+        options.jobs.check_levels(),
+        artifacts.sweep_hash
+    );
+    options.jobs.check(
+        "sweep",
+        |level| {
             let rerun = run_sweep(&options.spec, &options.run, level);
             let other = aggregate(&options.spec, &rerun);
             let mut violations = Vec::new();
@@ -239,19 +194,8 @@ fn main() {
             if render_traces(&rerun) != traces {
                 violations.push("trace artifact bytes differ".to_string());
             }
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!(
-                        "DETERMINISM VIOLATION between --jobs {} and --jobs {level}: {v}",
-                        options.jobs
-                    );
-                }
-                std::process::exit(1);
-            }
-        }
-        println!(
-            "sweep determinism check passed: jobs {:?} all reproduce hash {:#018x}",
-            options.check_jobs, artifacts.sweep_hash
-        );
-    }
+            violations
+        },
+        &passed,
+    );
 }

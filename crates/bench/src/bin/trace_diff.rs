@@ -1,7 +1,7 @@
 //! `trace_diff` — regression hunting between two exported traces.
 //!
 //! ```text
-//! trace_diff <a.json> <b.json>
+//! usage: trace_diff <a.json> <b.json>
 //! ```
 //!
 //! Loads two Chrome-format traces exported by this repo (`repro --trace`,
@@ -17,59 +17,37 @@
 //! were found, `2` on usage or parse errors — so the self-diff doubles
 //! as a determinism gate and a CI diff fails loudly.
 
-use av_core::stack::computation_paths;
-use av_trace::analysis::{analyze_trace, TracePathSpec, TraceReport};
-use av_trace::blame::{analyze_blame, trace_from_chrome, BlamePathSpec, BlameReport};
+use av_bench::cli::{self, blame_specs, trace_specs, Args};
+use av_trace::analysis::{analyze_trace, TraceReport};
+use av_trace::blame::{analyze_blame, trace_from_chrome, BlameReport};
 use av_trace::diff::{diff_blame, diff_reports, render_diff, BLAME_SHIFT_EPSILON};
 use av_trace::json;
 
-fn trace_specs() -> Vec<TracePathSpec> {
-    computation_paths()
-        .into_iter()
-        .map(|p| TracePathSpec::new(p.name, p.sink_node, p.source.name()))
-        .collect()
-}
-
-fn blame_specs() -> Vec<BlamePathSpec> {
-    computation_paths()
-        .into_iter()
-        .map(|p| BlamePathSpec::new(p.name, p.sink_node, p.source))
-        .collect()
-}
+const USAGE: &str = "usage: trace_diff <a.json> <b.json>";
 
 fn load(path: &str) -> (TraceReport, BlameReport) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
-    let report = analyze_trace(&doc, &trace_specs()).unwrap_or_else(|e| {
-        eprintln!("{path} is not a stack trace: {e}");
-        std::process::exit(2);
-    });
+    let doc = json::parse(&cli::read(path))
+        .unwrap_or_else(|e| cli::die(format_args!("{path} is not valid JSON: {e}")));
+    let report = analyze_trace(&doc, &trace_specs())
+        .unwrap_or_else(|e| cli::die(format_args!("{path} is not a stack trace: {e}")));
     let data = trace_from_chrome(&doc).unwrap_or_else(|e| {
-        eprintln!("{path} cannot be rehydrated for blame attribution: {e}");
-        std::process::exit(2);
+        cli::die(format_args!("{path} cannot be rehydrated for blame attribution: {e}"))
     });
-    let blame = analyze_blame(&data, &blame_specs()).unwrap_or_else(|e| {
-        eprintln!("{path} blame attribution failed: {e}");
-        std::process::exit(2);
-    });
+    let blame = analyze_blame(&data, &blame_specs())
+        .unwrap_or_else(|e| cli::die(format_args!("{path} blame attribution failed: {e}")));
     (report, blame)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (a, b) = match args.as_slice() {
-        [a, b] => (a, b),
-        _ => {
-            eprintln!("usage: trace_diff <a.json> <b.json>");
-            std::process::exit(2);
+    let mut args = Args::from_env(USAGE);
+    let mut files = Vec::new();
+    while let Some(arg) = args.next() {
+        if arg.starts_with('-') {
+            args.unknown(&arg);
         }
-    };
+        files.push(arg);
+    }
+    let [a, b] = files.as_slice() else { args.fail("trace_diff takes exactly two trace files") };
     let (report_a, blame_a) = load(a);
     let (report_b, blame_b) = load(b);
     let mut diff = diff_reports(&report_a, &report_b);

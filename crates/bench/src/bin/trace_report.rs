@@ -1,8 +1,8 @@
 //! `trace_report` — recomputes the paper's tables from a trace file alone.
 //!
 //! ```text
-//! trace_report <trace.json> [--paths-csv <out.csv>]  # analyze a trace
-//! trace_report --verify [--duration <s>] [--detector <name>]
+//! usage: trace_report <trace.json> [--paths-csv <out.csv>]  # analyze a trace
+//!        trace_report --verify [--duration <s>] [--detector <name>]
 //! ```
 //!
 //! File mode loads a Chrome trace written by `repro --trace` (or the
@@ -16,20 +16,18 @@
 //! with what the live `LatencyRecorder` and the bus drop counters
 //! measured. Any disagreement exits nonzero.
 
+use av_bench::cli::{self, trace_specs, Args};
 use av_bench::paper_config;
-use av_core::stack::{computation_paths, run_drive, RunConfig};
+use av_core::stack::{run_drive, RunConfig};
 use av_profiling::Table;
-use av_trace::analysis::{analyze_trace, TracePathSpec, TraceReport};
+use av_trace::analysis::{analyze_trace, TraceReport};
 use av_trace::export::render_chrome_trace;
 use av_trace::json;
 use av_vision::DetectorKind;
 
-fn trace_specs() -> Vec<TracePathSpec> {
-    computation_paths()
-        .into_iter()
-        .map(|p| TracePathSpec::new(p.name, p.sink_node, p.source.name()))
-        .collect()
-}
+const USAGE: &str = "\
+usage: trace_report <trace.json> [--paths-csv <out.csv>]  # analyze a trace
+       trace_report --verify [--duration <s>] [--detector <name>]";
 
 fn path_table(report: &TraceReport) -> Table {
     let mut table =
@@ -115,24 +113,13 @@ fn print_report(title: &str, report: &TraceReport) {
 }
 
 fn analyze_file(path: &str, paths_csv: Option<&str>) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    let report = analyze_trace(&doc, &trace_specs()).unwrap_or_else(|e| {
-        eprintln!("not a stack trace: {e}");
-        std::process::exit(2);
-    });
+    let doc = json::parse(&cli::read(path))
+        .unwrap_or_else(|e| cli::die(format_args!("cannot parse {path}: {e}")));
+    let report = analyze_trace(&doc, &trace_specs())
+        .unwrap_or_else(|e| cli::die(format_args!("not a stack trace: {e}")));
     print_report(path, &report);
     if let Some(out) = paths_csv {
-        std::fs::write(out, render_paths_csv(&report)).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(2);
-        });
+        cli::write(out, render_paths_csv(&report));
         println!("paths csv: {out}");
     }
     let broken: Vec<&av_trace::analysis::PathReport> =
@@ -263,51 +250,21 @@ fn main() {
     let mut duration_s = 10.0;
     let mut detector = DetectorKind::Ssd512;
     let mut paths_csv: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--verify" => do_verify = true,
-            "--paths-csv" => {
-                paths_csv = Some(args.next().expect("--paths-csv needs an output path"));
-            }
-            "--duration" => {
-                let value = args.next().expect("--duration needs seconds");
-                duration_s = value.parse().expect("invalid duration");
-            }
-            "--detector" => {
-                let value = args.next().expect("--detector needs a name");
-                detector = DetectorKind::ALL
-                    .into_iter()
-                    .find(|d| d.name().eq_ignore_ascii_case(&value))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown detector: {value} (try ssd512, ssd300, yolov3)");
-                        std::process::exit(2);
-                    });
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: trace_report <trace.json> [--paths-csv <out.csv>] | \
-                     --verify [--duration <s>] [--detector <name>]"
-                );
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--paths-csv" => paths_csv = Some(args.value()),
+            "--duration" => duration_s = args.parse(),
+            "--detector" => detector = args.parse_with(DetectorKind::parse),
+            other if !other.starts_with('-') && file.is_none() => file = Some(arg),
+            other => args.unknown(other),
         }
     }
     match (file, do_verify) {
         (Some(path), false) => analyze_file(&path, paths_csv.as_deref()),
         (None, true) => verify(duration_s, detector),
-        (Some(_), true) => {
-            eprintln!("--verify runs its own drive; do not also pass a trace file");
-            std::process::exit(2);
-        }
-        (None, false) => {
-            eprintln!("usage: trace_report <trace.json> | --verify");
-            std::process::exit(2);
-        }
+        (Some(_), true) => args.fail("--verify runs its own drive; do not also pass a trace file"),
+        (None, false) => args.fail("a trace file or --verify is required"),
     }
 }

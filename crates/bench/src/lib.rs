@@ -1,9 +1,11 @@
 //! Benchmark support: shared configuration helpers for the bench
-//! targets and the `repro` binary, plus the in-house micro-benchmark
+//! targets and the `repro` binary, the command-line plumbing every
+//! harness binary shares in [`cli`], plus the in-house micro-benchmark
 //! harness in [`microbench`].
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod microbench;
 
 use av_core::stack::{RunConfig, StackConfig};

@@ -30,9 +30,10 @@
 //!
 //! # Crash safety and recovery
 //!
-//! Writes use the outbox pattern (mirroring the av-serve result spool):
-//! the entry is written to `pending/`, fsynced, then atomically renamed
-//! into the store, followed by a best-effort directory fsync. A crash
+//! Writes use the outbox pattern of [`crate::durable`] (shared with the
+//! av-serve result spool): the entry is written to `pending/`, fsynced,
+//! then atomically renamed into the store, followed by a best-effort
+//! directory fsync. A crash
 //! can therefore leave only a `pending/` leftover (never a half-visible
 //! entry) — unless the medium itself mangles published bytes, which the
 //! checksum catches. [`CkptStore::open`] runs a recovery scan: every
@@ -57,12 +58,12 @@
 //! corruption mode is detected, quarantined and recovered from.
 
 use crate::determinism::fnv64;
+use crate::durable::{pending_path, publish, quarantine_file, RecoveryReport};
 use crate::stack::{Checkpoint, CheckpointHeader};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Magic bytes every store entry opens with.
@@ -103,50 +104,6 @@ impl EntryInfo {
     /// The entry's file name inside the store directory.
     pub fn file_name(&self) -> String {
         entry_file_name(self.fingerprint, self.barrier_ns)
-    }
-}
-
-/// One entry set aside during a recovery scan or a failed read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuarantinedEntry {
-    /// File name the entry now has inside `quarantine/`.
-    pub file: String,
-    /// Human-readable reason (also written to the `.reason` sidecar).
-    pub reason: String,
-}
-
-/// What [`CkptStore::open`] found: how many entries verified clean and
-/// which were quarantined, with reasons.
-#[derive(Debug, Default)]
-pub struct RecoveryReport {
-    /// Entries that verified end to end and are now indexed.
-    pub loaded: usize,
-    /// Entries renamed into `quarantine/`, with reasons.
-    pub quarantined: Vec<QuarantinedEntry>,
-}
-
-impl RecoveryReport {
-    /// `true` when nothing had to be quarantined.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-
-    /// The loud one-entry-per-line report the binaries print after a
-    /// recovery scan (empty when the scan was clean).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for q in &self.quarantined {
-            out.push_str(&format!("QUARANTINED {}: {}\n", q.file, q.reason));
-        }
-        if !self.quarantined.is_empty() {
-            out.push_str(&format!(
-                "recovery: {} entr{} loaded, {} quarantined (bytes kept under quarantine/)\n",
-                self.loaded,
-                if self.loaded == 1 { "y" } else { "ies" },
-                self.quarantined.len()
-            ));
-        }
-        out
     }
 }
 
@@ -344,25 +301,6 @@ fn verify_entry_bytes(name: &str, data: &[u8]) -> Result<(EntryInfo, Vec<u8>), S
     ))
 }
 
-/// Renames `path` into `quarantine_dir` (appending `.2`, `.3`, … on
-/// name collisions) and writes a `.reason` sidecar. Never deletes.
-fn quarantine_file(quarantine_dir: &Path, path: &Path, reason: &str) -> io::Result<String> {
-    let base = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "entry".to_string());
-    let mut name = base.clone();
-    let mut n = 1u32;
-    while quarantine_dir.join(&name).exists() {
-        n += 1;
-        name = format!("{base}.{n}");
-    }
-    let target = quarantine_dir.join(&name);
-    fs::rename(path, &target)?;
-    fs::write(quarantine_dir.join(format!("{name}.reason")), format!("{reason}\n"))?;
-    Ok(name)
-}
-
 /// The durable checkpoint store. See the module docs for layout,
 /// recovery and eviction semantics.
 ///
@@ -372,10 +310,8 @@ fn quarantine_file(quarantine_dir: &Path, path: &Path, reason: &str) -> io::Resu
 /// process's `gc` simply misses the evicted entry.
 pub struct CkptStore {
     root: PathBuf,
-    pending: PathBuf,
     quarantine: PathBuf,
     index: Mutex<BTreeMap<(u64, u64), IndexEntry>>,
-    put_seq: AtomicU64,
 }
 
 impl std::fmt::Debug for CkptStore {
@@ -394,23 +330,12 @@ impl CkptStore {
     /// renamed into `quarantine/` with a reason sidecar and reported.
     pub fn open(dir: &Path) -> io::Result<(CkptStore, RecoveryReport)> {
         let root = dir.to_path_buf();
-        let pending = root.join("pending");
         let quarantine = root.join("quarantine");
-        fs::create_dir_all(&pending)?;
+        fs::create_dir_all(root.join("pending"))?;
         fs::create_dir_all(&quarantine)?;
 
         let mut report = RecoveryReport::default();
-        let mut leftovers: Vec<PathBuf> = fs::read_dir(&pending)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_file())
-            .collect();
-        leftovers.sort();
-        for path in leftovers {
-            let reason = "interrupted write: found in pending/ (writer crashed before publish)";
-            let file = quarantine_file(&quarantine, &path, reason)?;
-            report.quarantined.push(QuarantinedEntry { file, reason: reason.to_string() });
-        }
+        report.quarantine_pending(&root)?;
 
         let mut index = BTreeMap::new();
         let mut entries: Vec<PathBuf> = fs::read_dir(&root)?
@@ -438,21 +363,11 @@ impl CkptStore {
                     );
                     report.loaded += 1;
                 }
-                Err(reason) => {
-                    let file = quarantine_file(&quarantine, &path, &reason)?;
-                    report.quarantined.push(QuarantinedEntry { file, reason });
-                }
+                Err(reason) => report.quarantine(&root, &path, reason)?,
             }
         }
 
-        let store = CkptStore {
-            root,
-            pending,
-            quarantine,
-            index: Mutex::new(index),
-            put_seq: AtomicU64::new(0),
-        };
-        Ok((store, report))
+        Ok((CkptStore { root, quarantine, index: Mutex::new(index) }, report))
     }
 
     /// The store's root directory.
@@ -498,28 +413,15 @@ impl CkptStore {
         Ok(names)
     }
 
-    /// Persists a checkpoint through the outbox: pending file → fsync →
-    /// atomic rename → best-effort directory fsync. The key is read
+    /// Persists a checkpoint through the outbox
+    /// ([`crate::durable::publish`]). The key is read
     /// from the checkpoint's own header. Re-putting an existing key
     /// atomically replaces the entry with identical bytes (checkpoints
     /// are content-addressed: same key ⇒ same bytes).
     pub fn put(&self, checkpoint: &Checkpoint) -> io::Result<EntryInfo> {
         let header = checkpoint.header();
         let buf = encode_entry(header.fingerprint, header.barrier_ns, checkpoint.as_bytes());
-        let name = entry_file_name(header.fingerprint, header.barrier_ns);
-        let tmp =
-            self.pending.join(format!("{name}.{}", self.put_seq.fetch_add(1, Ordering::Relaxed)));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.root.join(&name))?;
-        // Make the rename itself durable; best-effort (not all
-        // platforms allow fsyncing a directory handle).
-        if let Ok(d) = File::open(&self.root) {
-            let _ = d.sync_all();
-        }
+        publish(&self.root, &entry_file_name(header.fingerprint, header.barrier_ns), &buf)?;
         let entry = IndexEntry {
             fingerprint_stripped: header.fingerprint_stripped,
             earliest_blackout_s: header.earliest_blackout_s,
@@ -539,8 +441,7 @@ impl CkptStore {
         let header = checkpoint.header();
         let mut buf = encode_entry(header.fingerprint, header.barrier_ns, checkpoint.as_bytes());
         let name = entry_file_name(header.fingerprint, header.barrier_ns);
-        let tmp =
-            self.pending.join(format!("{name}.{}", self.put_seq.fetch_add(1, Ordering::Relaxed)));
+        let tmp = pending_path(&self.root, &name);
         let written: &[u8] = match fault {
             StoreFault::TornWrite { keep_bytes } => &buf[..keep_bytes.min(buf.len())],
             StoreFault::BitFlip { at_byte } => {

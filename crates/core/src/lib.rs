@@ -21,6 +21,8 @@
 //!   drop rate) shared by the sweep aggregator and the search objective.
 //! * [`ckptstore`] — the crash-safe on-disk checkpoint store: persist,
 //!   verify, quarantine and resume drives across processes.
+//! * [`durable`] — the outbox write and quarantine steps the durable
+//!   stores share.
 //! * [`fault`] — the deterministic fault plan: seeded crashes, stalls,
 //!   slowdowns, edge drops/duplicates and timer skews, parsed from a
 //!   compact DSL.
@@ -45,6 +47,7 @@
 pub mod calib;
 pub mod ckptstore;
 pub mod determinism;
+pub mod durable;
 pub mod experiments;
 pub mod fault;
 pub mod findings;

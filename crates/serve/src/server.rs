@@ -113,15 +113,19 @@ impl Server {
         assert!(config.workers > 0, "need at least one worker");
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
+        // Recovery is loud but non-fatal: quarantined entries cost
+        // store hits and warm starts, never correctness.
         let store = match &config.spool {
-            Some(dir) => ResultStore::with_spool(dir)?,
+            Some(dir) => {
+                let (store, recovery) = ResultStore::with_spool(dir)?;
+                eprint!("{}", recovery.render());
+                store
+            }
             None => ResultStore::in_memory(),
         };
         let ckpt = match &config.ckpt_dir {
             Some(dir) => {
                 let (ckpt, recovery) = CkptStore::open(dir)?;
-                // Recovery is loud but non-fatal: quarantined entries
-                // cost warm starts, never correctness.
                 eprint!("{}", recovery.render());
                 Some(ckpt)
             }

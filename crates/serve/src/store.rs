@@ -6,19 +6,23 @@
 //! byte-for-byte — no re-simulation — which is safe precisely because
 //! bodies and event payloads are pure functions of the request.
 //!
-//! Persistence uses the outbox pattern. An entry is first written to
-//! `<spool>/pending/<fingerprint>.entry`, fsynced, then atomically
-//! renamed into `<spool>/`: a crash can leave at most a `pending/`
-//! leftover, which the next start sweeps away, so the visible spool
-//! only ever contains complete entries (exactly-once delivery into the
-//! store). Entries are reloaded verbatim on start, so the
-//! byte-identity guarantee holds across restarts.
+//! Persistence uses the outbox pattern of [`av_core::durable`]. An
+//! entry is first written to a unique file under `<spool>/pending/`,
+//! fsynced, then atomically renamed into `<spool>/<fingerprint>.entry`:
+//! a crash can leave at most a `pending/` leftover, so the visible
+//! spool only ever contains complete entries (exactly-once delivery
+//! into the store). Entries are reloaded verbatim on start, so the
+//! byte-identity guarantee holds across restarts. A `pending/`
+//! leftover or an entry that does not parse is quarantined on start —
+//! moved to `<spool>/quarantine/` with a `.reason` sidecar and reported
+//! — never deleted or silently skipped.
 
 use crate::protocol::hex64;
+use av_core::durable::{publish, RecoveryReport};
 use av_trace::json;
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -46,17 +50,15 @@ impl ResultStore {
         ResultStore { entries: Mutex::new(HashMap::new()), spool: None }
     }
 
-    /// Opens (or creates) a spooled store at `dir`, sweeping incomplete
-    /// `pending/` leftovers and reloading every completed entry
-    /// verbatim.
-    pub fn with_spool(dir: &Path) -> io::Result<ResultStore> {
+    /// Opens (or creates) a spooled store at `dir`, reloading every
+    /// completed entry verbatim. `pending/` leftovers and entries that
+    /// do not parse are quarantined and listed in the returned report
+    /// (the requests they answered just run cold again).
+    pub fn with_spool(dir: &Path) -> io::Result<(ResultStore, RecoveryReport)> {
         fs::create_dir_all(dir.join("pending"))?;
-        for leftover in fs::read_dir(dir.join("pending"))? {
-            let path = leftover?.path();
-            if path.is_file() {
-                fs::remove_file(&path)?;
-            }
-        }
+        fs::create_dir_all(dir.join("quarantine"))?;
+        let mut report = RecoveryReport::default();
+        report.quarantine_pending(dir)?;
         let mut entries = HashMap::new();
         let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
             .filter_map(|e| e.ok())
@@ -65,13 +67,15 @@ impl ResultStore {
             .collect();
         paths.sort();
         for path in paths {
-            // A file that does not parse is treated as absent rather
-            // than fatal — the request it answered just runs cold again.
-            if let Some(entry) = load_entry(&path) {
-                entries.insert(entry.fingerprint, Arc::new(entry));
+            match load_entry(&path) {
+                Ok(entry) => {
+                    entries.insert(entry.fingerprint, Arc::new(entry));
+                    report.loaded += 1;
+                }
+                Err(reason) => report.quarantine(dir, &path, reason)?,
             }
         }
-        Ok(ResultStore { entries: Mutex::new(entries), spool: Some(dir.to_path_buf()) })
+        Ok((ResultStore { entries: Mutex::new(entries), spool: Some(dir.to_path_buf()) }, report))
     }
 
     /// Entries currently held.
@@ -102,7 +106,7 @@ impl ResultStore {
             }
         }
         if let Some(dir) = &self.spool {
-            persist(dir, &entry)?;
+            publish(dir, &entry_name(entry.fingerprint), encode_entry(&entry).as_bytes())?;
         }
         let arc = Arc::new(entry);
         let mut map = self.entries.lock().unwrap();
@@ -114,41 +118,37 @@ fn entry_name(fingerprint: u64) -> String {
     format!("{}.entry", hex64(fingerprint))
 }
 
-/// Outbox write: pending file, fsync, atomic rename into the spool.
-fn persist(dir: &Path, entry: &ResultEntry) -> io::Result<()> {
-    let pending = dir.join("pending").join(entry_name(entry.fingerprint));
-    {
-        let mut f = File::create(&pending)?;
-        writeln!(
-            f,
-            "{{\"fingerprint\":\"{}\",\"events\":{}}}",
-            hex64(entry.fingerprint),
-            entry.events.len()
-        )?;
-        for payload in &entry.events {
-            writeln!(f, "{payload}")?;
-        }
-        writeln!(f, "{}", entry.body)?;
-        f.sync_all()?;
+/// One spooled entry's bytes: a header line, one line per event
+/// payload, then the body line.
+fn encode_entry(entry: &ResultEntry) -> String {
+    let mut out = format!(
+        "{{\"fingerprint\":\"{}\",\"events\":{}}}\n",
+        hex64(entry.fingerprint),
+        entry.events.len()
+    );
+    for line in entry.events.iter().chain([&entry.body]) {
+        out.push_str(line);
+        out.push('\n');
     }
-    fs::rename(&pending, dir.join(entry_name(entry.fingerprint)))?;
-    // Make the rename itself durable; best-effort (not all platforms
-    // allow fsyncing a directory handle).
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    out
 }
 
-/// Reads one spooled entry: a header line, `events` payload lines, then
-/// the body line — all payload/body bytes taken verbatim.
-fn load_entry(path: &Path) -> Option<ResultEntry> {
-    let text = fs::read_to_string(path).ok()?;
+/// Reads one spooled entry; `Err` names why the file is not one.
+fn load_entry(path: &Path) -> Result<ResultEntry, String> {
+    let text = fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
+    parse_entry(&text).ok_or_else(|| "malformed: not a header, event lines and a body".into())
+}
+
+/// Parses [`encode_entry`]'s bytes, taking every payload and the body
+/// verbatim.
+fn parse_entry(text: &str) -> Option<ResultEntry> {
     let mut lines = text.lines();
     let header = json::parse(lines.next()?).ok()?;
     let fingerprint = parse_hex64(header.get("fingerprint")?.as_str()?)?;
     let count = header.get("events")?.as_u64()? as usize;
-    let mut events = Vec::with_capacity(count);
+    // Every event line takes at least one byte, which bounds the
+    // allocation a corrupt header can ask for.
+    let mut events = Vec::with_capacity(count.min(text.len()));
     for _ in 0..count {
         events.push(lines.next()?.to_string());
     }
@@ -195,11 +195,12 @@ mod tests {
     #[test]
     fn spooled_entries_survive_restart_byte_for_byte() {
         let dir = tmpdir("restart");
-        let store = ResultStore::with_spool(&dir).unwrap();
+        let (store, _) = ResultStore::with_spool(&dir).unwrap();
         store.put(entry()).unwrap();
         drop(store);
 
-        let reopened = ResultStore::with_spool(&dir).unwrap();
+        let (reopened, report) = ResultStore::with_spool(&dir).unwrap();
+        assert!(report.is_clean());
         assert_eq!(reopened.len(), 1);
         let got = reopened.get(entry().fingerprint).expect("reloaded");
         assert_eq!(got.body, entry().body);
@@ -208,15 +209,51 @@ mod tests {
     }
 
     #[test]
-    fn pending_leftovers_are_swept_and_corrupt_entries_skipped() {
-        let dir = tmpdir("sweep");
+    fn pending_leftovers_and_corrupt_entries_are_quarantined() {
+        let dir = tmpdir("quarantine");
         fs::create_dir_all(dir.join("pending")).unwrap();
         fs::write(dir.join("pending").join("0xdead.entry"), "half-written").unwrap();
         fs::write(dir.join("0x0bad.entry"), "not a header\n").unwrap();
-        let store = ResultStore::with_spool(&dir).unwrap();
+        let (store, report) = ResultStore::with_spool(&dir).unwrap();
         assert_eq!(store.len(), 0, "neither leftover nor corrupt entry loads");
-        assert!(!dir.join("pending").join("0xdead.entry").exists(), "leftover swept");
+        let files: Vec<&str> = report.quarantined.iter().map(|q| q.file.as_str()).collect();
+        assert_eq!(files, ["0xdead.entry", "0x0bad.entry"]);
+        assert!(report.render().contains("QUARANTINED 0x0bad.entry: malformed"));
+        assert!(!dir.join("pending").join("0xdead.entry").exists(), "leftover moved");
+        assert!(!dir.join("0x0bad.entry").exists(), "corrupt entry moved");
+        let quarantine = dir.join("quarantine");
+        assert_eq!(fs::read_to_string(quarantine.join("0xdead.entry")).unwrap(), "half-written");
+        assert_eq!(fs::read_to_string(quarantine.join("0x0bad.entry")).unwrap(), "not a header\n");
+        assert!(quarantine.join("0xdead.entry.reason").exists());
+        assert!(quarantine.join("0x0bad.entry.reason").exists());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_fingerprint_all_succeed() {
+        const THREADS: usize = 8;
+        for round in 0..20 {
+            let dir = tmpdir(&format!("concurrent{round}"));
+            let (store, _) = ResultStore::with_spool(&dir).unwrap();
+            // Released together, the threads pass the "absent" check
+            // and write the same entry through the outbox concurrently.
+            let barrier = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        barrier.wait();
+                        store.put(entry()).expect("concurrent put");
+                    });
+                }
+            });
+            let (reopened, report) = ResultStore::with_spool(&dir).unwrap();
+            assert!(report.is_clean(), "round {round}: {}", report.render());
+            assert_eq!(reopened.len(), 1);
+            assert_eq!(*reopened.get(entry().fingerprint).unwrap(), entry());
+            let published = fs::read_to_string(dir.join(entry_name(entry().fingerprint))).unwrap();
+            assert_eq!(published, encode_entry(&entry()));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

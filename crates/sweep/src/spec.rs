@@ -121,13 +121,6 @@ fn parse_source(s: &str) -> Result<Source, String> {
         .ok_or_else(|| format!("unknown sensor source {s:?}"))
 }
 
-fn parse_detector(s: &str) -> Result<DetectorKind, String> {
-    DetectorKind::ALL
-        .into_iter()
-        .find(|d| d.name().eq_ignore_ascii_case(s))
-        .ok_or_else(|| format!("unknown detector {s:?} (expected SSD512, SSD300 or YOLOv3)"))
-}
-
 /// One point of the expanded sweep: the base config plus the axis
 /// overrides that are in effect there. `None` means "leave the base
 /// value alone".
@@ -220,7 +213,7 @@ impl SweepPoint {
             let text =
                 || value.as_str().ok_or_else(|| format!("point key {key:?} must be a string"));
             match key.as_str() {
-                "detector" => point.detector = Some(parse_detector(text()?)?),
+                "detector" => point.detector = Some(DetectorKind::parse(text()?)?),
                 "traffic_density" => point.traffic_density = Some(num()?),
                 "camera_rate_hz" => point.camera_rate_hz = Some(num()?),
                 "lidar_rate_hz" => point.lidar_rate_hz = Some(num()?),
@@ -562,7 +555,7 @@ mod from_json {
                 "detector" => {
                     spec.detectors = str_list(&value, "grid.detector")?
                         .into_iter()
-                        .map(parse_detector)
+                        .map(DetectorKind::parse)
                         .collect::<Result<_, _>>()?;
                 }
                 "traffic_density" => {

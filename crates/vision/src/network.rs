@@ -28,6 +28,16 @@ impl DetectorKind {
         }
     }
 
+    /// Parses a detector name, case-insensitively (`ssd512`, `SSD300`,
+    /// `yolov3`, ...), as it appears in sweep specs and on the command
+    /// line.
+    pub fn parse(s: &str) -> Result<DetectorKind, String> {
+        DetectorKind::ALL
+            .into_iter()
+            .find(|d| d.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown detector {s:?} (expected SSD512, SSD300 or YOLOv3)"))
+    }
+
     /// The cheapest detector (Fig 5: SSD300 has the lowest per-frame
     /// latency of the three) — the graceful-degradation fallback while
     /// a crashed primary detector restarts.
@@ -380,7 +390,9 @@ mod tests {
             assert!(!n.layers.is_empty());
             assert!(n.total_bytes() > 0);
             assert!(n.input_bytes() > 0);
+            assert_eq!(DetectorKind::parse(&kind.name().to_lowercase()), Ok(kind));
         }
+        assert!(DetectorKind::parse("yolov2").is_err());
     }
 
     #[test]
