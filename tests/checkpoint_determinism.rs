@@ -9,9 +9,13 @@
 //! their cold counterparts exactly while simulating strictly fewer
 //! virtual seconds.
 
-use av_core::determinism::run_hash;
+use av_core::determinism::{fnv64, run_hash};
 use av_core::fault::FaultPlan;
-use av_core::stack::{checkpoint_drive, drive, run_drive, DriveRequest, RunConfig, StackConfig};
+use av_core::stack::{
+    checkpoint_drive, drive, run_drive, Blackout, DriveRequest, RunConfig, SchedPolicyKind,
+    StackConfig,
+};
+use av_ros::Source;
 use av_sweep::{
     run_search_instrumented, run_sweep_instrumented, BlackoutSpec, FaultPlanSpec, HalvingSpec,
     Knob, KnobRange, Objective, SearchSpec, Strategy, SweepPoint, SweepSpec, WorldKind,
@@ -155,4 +159,50 @@ fn warm_halving_matches_cold_search_with_fewer_simulated_seconds() {
     let (warm8, _) = run_search_instrumented(&spec, 8, &[], true);
     assert_eq!(warm.search_hash, warm1.search_hash);
     assert_eq!(warm.search_hash, warm8.search_hash);
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    // `(case, fnv64 of the checkpoint bytes, checkpoint size)`. These pin
+    // the encoding itself, not just resume equivalence: a change to any
+    // component's field order or width changes the bytes. The constants
+    // were taken once and are never edited; a deliberate format change
+    // bumps `CHECKPOINT_VERSION` and adds a new table instead.
+    let smoke = StackConfig::smoke_test(DetectorKind::YoloV3);
+    let run = RunConfig::seconds(5.0);
+    let traced = RunConfig::seconds(5.0).with_trace();
+    let mut crash = smoke.clone();
+    crash.faults = FaultPlan::parse("crash:ndt_matching@3").unwrap();
+    let mut blackout = smoke.clone();
+    blackout.blackouts = vec![Blackout { source: Source::Gnss, from_s: 2.0, to_s: 6.0 }];
+    let mut edf = smoke.clone();
+    edf.sched_policy = SchedPolicyKind::Edf;
+    let chained = {
+        let (_, first) = checkpoint_drive(&smoke, &run, 2.0);
+        let request =
+            DriveRequest { from: Some(&first), capture_at_s: Some(4.0), ..Default::default() };
+        drive(&smoke, &run, request).1.expect("chained capture")
+    };
+    let cases = [
+        ("smoke untraced @2", checkpoint_drive(&smoke, &run, 2.0).1, 0x4d18e10e2edf8c90, 48758),
+        ("smoke traced @3", checkpoint_drive(&smoke, &traced, 3.0).1, 0x9ff868aed782e9b9, 149850),
+        (
+            "crash mid-recovery @4",
+            checkpoint_drive(&crash, &traced, 4.0).1,
+            0x917daaaf0bb8c63a,
+            242566,
+        ),
+        (
+            "gnss blackout mid-outage @4",
+            checkpoint_drive(&blackout, &run, 4.0).1,
+            0x2b554305b77463e9,
+            60928,
+        ),
+        ("edf @3", checkpoint_drive(&edf, &traced, 3.0).1, 0x8536e826c55284fb, 149912),
+        ("chained 2 -> 4", chained, 0xb94c53660f39cfab, 61004),
+    ];
+    for (case, cp, hash, size) in cases {
+        assert_eq!(fnv64(cp.as_bytes()), hash, "{case}: checkpoint bytes changed");
+        assert_eq!(cp.size_bytes(), size, "{case}: checkpoint size changed");
+    }
 }
