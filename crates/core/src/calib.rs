@@ -16,7 +16,7 @@
 //! * `ndt_matching`, `ray_ground_filter` means > 20 ms (Fig 5).
 //! * CPU ≈ 43–45 W across detectors; GPU 122 / 67 / 117 W (Table VI).
 
-use av_des::{SimDuration, StreamRng};
+use av_des::{SimDuration, Snap, StreamRng};
 use av_platform::{CpuConfig, GpuConfig, PowerModel};
 use av_vision::{DetectorKind, NetworkDescriptor};
 
@@ -43,6 +43,14 @@ impl NodeCost {
         let ms = (self.base_ms + self.per_unit_ms * units) * rng.log_normal(0.0, self.jitter_sigma);
         SimDuration::from_millis_f64(ms)
     }
+
+    /// Saves or restores the model for a checkpoint.
+    pub fn snap(&mut self, s: &mut Snap<'_>) {
+        s.f64(&mut self.base_ms);
+        s.f64(&mut self.per_unit_ms);
+        s.f64(&mut self.mem_intensity);
+        s.f64(&mut self.jitter_sigma);
+    }
 }
 
 /// A vision detector's three-phase cost: CPU pre-processing, GPU
@@ -59,6 +67,18 @@ pub struct VisionCost {
     pub copy_bytes: u64,
     /// GPU dynamic energy per inference, joules.
     pub energy_j: f64,
+}
+
+impl VisionCost {
+    /// Saves or restores the model for a checkpoint (the detector
+    /// fallback hot-swaps it, so it is dynamic state).
+    pub fn snap(&mut self, s: &mut Snap<'_>) {
+        self.preprocess.snap(s);
+        self.postprocess.snap(s);
+        s.dur(&mut self.gpu_kernel);
+        s.u64(&mut self.copy_bytes);
+        s.f64(&mut self.energy_j);
+    }
 }
 
 /// The full calibration: per-node cost models + platform parameters.

@@ -4,7 +4,7 @@
 use crate::calib::{Calibration, NodeCost};
 use crate::msg::{unexpected, Msg, PoseEstimate};
 use crate::topics;
-use av_des::{SimTime, StreamRng};
+use av_des::{SimTime, Snap, StreamRng};
 use av_geom::Pose;
 use av_perception::{
     ClusterParams, EuclideanCluster, NdtMatcher, NdtParams, RayGroundFilter, RayGroundParams,
@@ -31,12 +31,8 @@ impl VoxelGridFilterNode {
 }
 
 impl Node<Msg> for VoxelGridFilterNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -151,32 +147,18 @@ impl Node<Msg> for NdtMatchingNode {
         self.awaiting_seed = true;
     }
 
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-        crate::snapshot::put_pose(w, &self.pose);
-        w.put_bool(self.localized);
-        w.put_u32(self.consecutive_rejects);
-        crate::snapshot::put_opt_time(w, self.last_match_stamp);
-        w.put_f64(self.speed);
-        w.put_f64(self.yaw_rate);
-        crate::snapshot::put_opt_vec3(w, self.last_gnss);
-        crate::snapshot::put_opt_time(w, self.last_accept_stamp);
-        w.put_bool(self.awaiting_seed);
-        crate::snapshot::put_lineage(w, &self.seed_lineage);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
-        self.pose = crate::snapshot::get_pose(r);
-        self.localized = r.get_bool();
-        self.consecutive_rejects = r.get_u32();
-        self.last_match_stamp = crate::snapshot::get_opt_time(r);
-        self.speed = r.get_f64();
-        self.yaw_rate = r.get_f64();
-        self.last_gnss = crate::snapshot::get_opt_vec3(r);
-        self.last_accept_stamp = crate::snapshot::get_opt_time(r);
-        self.awaiting_seed = r.get_bool();
-        self.seed_lineage = crate::snapshot::get_lineage(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
+        s.leaf(&mut self.pose);
+        s.bool(&mut self.localized);
+        s.u32(&mut self.consecutive_rejects);
+        s.opt(&mut self.last_match_stamp, Snap::time);
+        s.f64(&mut self.speed);
+        s.f64(&mut self.yaw_rate);
+        s.opt(&mut self.last_gnss, Snap::leaf);
+        s.opt(&mut self.last_accept_stamp, Snap::time);
+        s.bool(&mut self.awaiting_seed);
+        s.leaf(&mut self.seed_lineage);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -305,12 +287,8 @@ impl RayGroundFilterNode {
 }
 
 impl Node<Msg> for RayGroundFilterNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -351,12 +329,8 @@ impl EuclideanClusterNode {
 }
 
 impl Node<Msg> for EuclideanClusterNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {

@@ -4,7 +4,7 @@
 use crate::calib::{Calibration, NodeCost};
 use crate::msg::{unexpected, Msg};
 use crate::topics;
-use av_des::StreamRng;
+use av_des::{Snap, StreamRng};
 use av_geom::{Pose, Vec3};
 use av_perception::OccupancyGrid;
 use av_planning::{
@@ -82,24 +82,11 @@ impl OpLocalPlannerNode {
 }
 
 impl Node<Msg> for OpLocalPlannerNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-        match self.cached_pose {
-            Some(pose) => {
-                w.put_bool(true);
-                crate::snapshot::put_pose(w, &pose);
-            }
-            None => w.put_bool(false),
-        }
-        crate::snapshot::put_opt_time(w, self.last_pose_stamp);
-        w.put_u64(self.holds);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
-        self.cached_pose = if r.get_bool() { Some(crate::snapshot::get_pose(r)) } else { None };
-        self.last_pose_stamp = crate::snapshot::get_opt_time(r);
-        self.holds = r.get_u64();
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
+        s.opt(&mut self.cached_pose, Snap::leaf);
+        s.opt(&mut self.last_pose_stamp, Snap::time);
+        s.u64(&mut self.holds);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -148,20 +135,9 @@ impl PurePursuitNode {
 }
 
 impl Node<Msg> for PurePursuitNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-        match self.cached_pose {
-            Some(pose) => {
-                w.put_bool(true);
-                crate::snapshot::put_pose(w, &pose);
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
-        self.cached_pose = if r.get_bool() { Some(crate::snapshot::get_pose(r)) } else { None };
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
+        s.opt(&mut self.cached_pose, Snap::leaf);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -205,16 +181,10 @@ impl TwistFilterNode {
 }
 
 impl Node<Msg> for TwistFilterNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.filter.save_state(w);
-        crate::snapshot::put_opt_time(w, self.last_stamp);
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.filter.load_state(r);
-        self.last_stamp = crate::snapshot::get_opt_time(r);
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.filter.snap(s);
+        s.opt(&mut self.last_stamp, Snap::time);
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {

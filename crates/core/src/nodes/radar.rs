@@ -10,7 +10,7 @@
 use crate::calib::{Calibration, NodeCost};
 use crate::msg::{unexpected, Msg};
 use crate::topics;
-use av_des::StreamRng;
+use av_des::{Snap, StreamRng};
 use av_geom::{Pose, Vec3};
 use av_perception::DetectedObject;
 use av_ros::{Execution, Message, Node, Outbox};
@@ -36,20 +36,9 @@ impl RadarDetectionNode {
 }
 
 impl Node<Msg> for RadarDetectionNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-        match self.cached_pose {
-            Some(pose) => {
-                w.put_bool(true);
-                crate::snapshot::put_pose(w, &pose);
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
-        self.cached_pose = if r.get_bool() { Some(crate::snapshot::get_pose(r)) } else { None };
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
+        s.opt(&mut self.cached_pose, Snap::leaf);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {

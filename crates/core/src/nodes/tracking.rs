@@ -3,7 +3,7 @@
 use crate::calib::{Calibration, NodeCost};
 use crate::msg::{unexpected, Msg};
 use crate::topics;
-use av_des::{SimTime, StreamRng};
+use av_des::{SimTime, Snap, StreamRng};
 use av_ros::{Execution, Message, Node, Outbox};
 use av_tracking::{predict_objects, ImmUkfPdaTracker, PredictParams, TrackerParams};
 
@@ -33,16 +33,10 @@ impl ImmUkfPdaTrackerNode {
 }
 
 impl Node<Msg> for ImmUkfPdaTrackerNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.tracker.save_state(w);
-        crate::snapshot::put_opt_time(w, self.last_stamp);
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.tracker.load_state(r);
-        self.last_stamp = crate::snapshot::get_opt_time(r);
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.tracker.snap(s);
+        s.opt(&mut self.last_stamp, Snap::time);
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -77,12 +71,8 @@ impl UkfTrackRelayNode {
 }
 
 impl Node<Msg> for UkfTrackRelayNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -114,12 +104,8 @@ impl NaiveMotionPredictNode {
 }
 
 impl Node<Msg> for NaiveMotionPredictNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {

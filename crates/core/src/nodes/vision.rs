@@ -3,7 +3,7 @@
 use crate::calib::{Calibration, NodeCost, VisionCost};
 use crate::msg::{unexpected, Msg};
 use crate::topics;
-use av_des::StreamRng;
+use av_des::{Snap, StreamRng};
 use av_geom::Pose;
 use av_perception::fusion::VisionDetection2d;
 use av_perception::{fuse_objects, DetectedObject, FusionParams};
@@ -52,20 +52,17 @@ impl VisionDetectionNode {
 }
 
 impl Node<Msg> for VisionDetectionNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
+    fn snap(&mut self, s: &mut Snap<'_>) {
         // The detector may have been hot-swapped by the supervision
         // layer's fallback, so the active kind and its cost model are
         // dynamic state.
-        crate::snapshot::put_detector_kind(w, self.detector.kind());
-        crate::snapshot::put_vision_cost(w, &self.cost);
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        let kind = crate::snapshot::get_detector_kind(r);
-        let cost = crate::snapshot::get_vision_cost(r);
-        self.set_kind(kind, cost);
-        self.rng.restore(r);
+        let mut kind = self.detector.kind();
+        s.leaf(&mut kind);
+        self.cost.snap(s);
+        if s.is_load() {
+            self.set_kind(kind, self.cost.clone());
+        }
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {
@@ -132,36 +129,19 @@ impl RangeVisionFusionNode {
 }
 
 impl Node<Msg> for RangeVisionFusionNode {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        self.rng.save(w);
-        match &self.cached_lidar {
-            Some((objs, lineage)) => {
-                w.put_bool(true);
-                crate::snapshot::encode_msg(&Msg::DetectedObjects(objs.clone()), w);
-                crate::snapshot::put_lineage(w, lineage);
-            }
-            None => w.put_bool(false),
-        }
-        match self.cached_pose {
-            Some(pose) => {
-                w.put_bool(true);
-                crate::snapshot::put_pose(w, &pose);
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.rng.restore(r);
-        self.cached_lidar = if r.get_bool() {
-            let Msg::DetectedObjects(objs) = crate::snapshot::decode_msg(r) else {
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.rng.snap(s);
+        s.opt(&mut self.cached_lidar, |s, (objs, lineage)| {
+            // Encoded as the `DetectedObjects` payload it arrived as.
+            let mut msg = Msg::DetectedObjects(std::mem::take(objs));
+            s.leaf(&mut msg);
+            let Msg::DetectedObjects(restored) = msg else {
                 panic!("checkpoint corrupt: cached lidar is not DetectedObjects")
             };
-            Some((objs, crate::snapshot::get_lineage(r)))
-        } else {
-            None
-        };
-        self.cached_pose = if r.get_bool() { Some(crate::snapshot::get_pose(r)) } else { None };
+            *objs = restored;
+            s.leaf(lineage);
+        });
+        s.opt(&mut self.cached_pose, Snap::leaf);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {

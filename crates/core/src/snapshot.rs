@@ -1,18 +1,19 @@
-//! Byte-deterministic serialization of stack payloads and shared small
-//! types, used by the checkpoint/resume seam in [`crate::stack`].
+//! Byte-deterministic encoding of stack payloads ([`Msg`]) for the
+//! checkpoint/resume seam in [`crate::stack`].
 //!
-//! Everything here is hand-rolled over [`av_des::SnapWriter`] /
-//! [`av_des::SnapReader`] — no external serialization crates. Encodings
-//! are fixed-width little-endian (floats as IEEE-754 bit patterns), so a
+//! Components describe their checkpointed state through
+//! [`av_des::Snap`]; payloads, which the bus only reaches through shared
+//! references, implement [`Leaf`] on top of the leaf codecs their crates
+//! define next to each type (geometry, lineage, objects). Encodings are
+//! fixed-width little-endian (floats as IEEE-754 bit patterns), so a
 //! checkpoint taken on one run is byte-identical to one taken on any
 //! other run that reached the same state.
 
-use av_des::{SnapReader, SnapWriter};
-use av_geom::{Pose, Quat, Twist, Vec3};
+use av_des::{Leaf, SnapReader, SnapWriter};
+use av_geom::{Pose, Twist, Vec3};
 use av_perception::fusion::VisionDetection2d;
 use av_perception::{DetectedObject, ObjectClass, OccupancyGrid};
 use av_pointcloud::{Point, PointCloud};
-use av_ros::{Lineage, Source};
 use av_tracking::{PredictedObject, TrackedObject};
 use av_world::{
     AgentKind, GnssFix, ImageFrame, ImuSample, LightState, RadarScan, RadarTarget, VisibleLight,
@@ -20,193 +21,6 @@ use av_world::{
 };
 
 use crate::msg::{LightObservation, Msg, PoseEstimate};
-
-/// Writes a [`Vec3`] as three f64 bit patterns.
-pub fn put_vec3(w: &mut SnapWriter, v: Vec3) {
-    w.put_f64(v.x);
-    w.put_f64(v.y);
-    w.put_f64(v.z);
-}
-
-/// Reads a [`Vec3`] written by [`put_vec3`].
-pub fn get_vec3(r: &mut SnapReader<'_>) -> Vec3 {
-    Vec3::new(r.get_f64(), r.get_f64(), r.get_f64())
-}
-
-/// Writes an optional [`Vec3`].
-pub fn put_opt_vec3(w: &mut SnapWriter, v: Option<Vec3>) {
-    w.put_bool(v.is_some());
-    if let Some(v) = v {
-        put_vec3(w, v);
-    }
-}
-
-/// Reads an optional [`Vec3`] written by [`put_opt_vec3`].
-pub fn get_opt_vec3(r: &mut SnapReader<'_>) -> Option<Vec3> {
-    if r.get_bool() {
-        Some(get_vec3(r))
-    } else {
-        None
-    }
-}
-
-/// Writes a [`Quat`] as four f64 bit patterns (w, x, y, z).
-pub fn put_quat(w: &mut SnapWriter, q: Quat) {
-    w.put_f64(q.w);
-    w.put_f64(q.x);
-    w.put_f64(q.y);
-    w.put_f64(q.z);
-}
-
-/// Reads a [`Quat`] written by [`put_quat`].
-pub fn get_quat(r: &mut SnapReader<'_>) -> Quat {
-    Quat { w: r.get_f64(), x: r.get_f64(), y: r.get_f64(), z: r.get_f64() }
-}
-
-/// Writes a [`Pose`].
-pub fn put_pose(w: &mut SnapWriter, p: &Pose) {
-    put_vec3(w, p.translation);
-    put_quat(w, p.rotation);
-}
-
-/// Reads a [`Pose`] written by [`put_pose`].
-pub fn get_pose(r: &mut SnapReader<'_>) -> Pose {
-    Pose { translation: get_vec3(r), rotation: get_quat(r) }
-}
-
-/// Writes a [`SimTime`](av_des::SimTime) as nanoseconds.
-pub fn put_time(w: &mut SnapWriter, t: av_des::SimTime) {
-    w.put_u64(t.as_nanos());
-}
-
-/// Reads a [`SimTime`](av_des::SimTime) written by [`put_time`].
-pub fn get_time(r: &mut SnapReader<'_>) -> av_des::SimTime {
-    av_des::SimTime::from_nanos(r.get_u64())
-}
-
-/// Writes an optional [`SimTime`](av_des::SimTime).
-pub fn put_opt_time(w: &mut SnapWriter, t: Option<av_des::SimTime>) {
-    w.put_bool(t.is_some());
-    if let Some(t) = t {
-        put_time(w, t);
-    }
-}
-
-/// Reads an optional [`SimTime`](av_des::SimTime) written by
-/// [`put_opt_time`].
-pub fn get_opt_time(r: &mut SnapReader<'_>) -> Option<av_des::SimTime> {
-    if r.get_bool() {
-        Some(get_time(r))
-    } else {
-        None
-    }
-}
-
-/// Writes a message [`Lineage`] (entry order preserved).
-pub fn put_lineage(w: &mut SnapWriter, lineage: &Lineage) {
-    let entries: Vec<(Source, av_des::SimTime)> = lineage.iter().collect();
-    w.put_usize(entries.len());
-    for (source, stamp) in entries {
-        w.put_u8(source.code() as u8);
-        put_time(w, stamp);
-    }
-}
-
-/// Reads a [`Lineage`] written by [`put_lineage`].
-pub fn get_lineage(r: &mut SnapReader<'_>) -> Lineage {
-    let n = r.get_usize();
-    let entries = (0..n).map(|_| (Source::from_code(r.get_u8() as u64), get_time(r))).collect();
-    Lineage::from_entries(entries)
-}
-
-/// Writes a [`DetectorKind`](av_vision::DetectorKind) as a one-byte code.
-pub fn put_detector_kind(w: &mut SnapWriter, kind: av_vision::DetectorKind) {
-    w.put_u8(match kind {
-        av_vision::DetectorKind::Ssd512 => 0,
-        av_vision::DetectorKind::Ssd300 => 1,
-        av_vision::DetectorKind::YoloV3 => 2,
-    });
-}
-
-/// Reads a [`DetectorKind`](av_vision::DetectorKind) written by
-/// [`put_detector_kind`].
-pub fn get_detector_kind(r: &mut SnapReader<'_>) -> av_vision::DetectorKind {
-    match r.get_u8() {
-        0 => av_vision::DetectorKind::Ssd512,
-        1 => av_vision::DetectorKind::Ssd300,
-        2 => av_vision::DetectorKind::YoloV3,
-        other => panic!("checkpoint corrupt: unknown detector kind {other}"),
-    }
-}
-
-/// Writes a [`NodeCost`](crate::calib::NodeCost) model.
-pub fn put_node_cost(w: &mut SnapWriter, cost: &crate::calib::NodeCost) {
-    w.put_f64(cost.base_ms);
-    w.put_f64(cost.per_unit_ms);
-    w.put_f64(cost.mem_intensity);
-    w.put_f64(cost.jitter_sigma);
-}
-
-/// Reads a [`NodeCost`](crate::calib::NodeCost) written by
-/// [`put_node_cost`].
-pub fn get_node_cost(r: &mut SnapReader<'_>) -> crate::calib::NodeCost {
-    crate::calib::NodeCost {
-        base_ms: r.get_f64(),
-        per_unit_ms: r.get_f64(),
-        mem_intensity: r.get_f64(),
-        jitter_sigma: r.get_f64(),
-    }
-}
-
-/// Writes a [`VisionCost`](crate::calib::VisionCost) model.
-pub fn put_vision_cost(w: &mut SnapWriter, cost: &crate::calib::VisionCost) {
-    put_node_cost(w, &cost.preprocess);
-    put_node_cost(w, &cost.postprocess);
-    w.put_u64(cost.gpu_kernel.as_nanos());
-    w.put_u64(cost.copy_bytes);
-    w.put_f64(cost.energy_j);
-}
-
-/// Reads a [`VisionCost`](crate::calib::VisionCost) written by
-/// [`put_vision_cost`].
-pub fn get_vision_cost(r: &mut SnapReader<'_>) -> crate::calib::VisionCost {
-    crate::calib::VisionCost {
-        preprocess: get_node_cost(r),
-        postprocess: get_node_cost(r),
-        gpu_kernel: av_des::SimDuration::from_nanos(r.get_u64()),
-        copy_bytes: r.get_u64(),
-        energy_j: r.get_f64(),
-    }
-}
-
-fn class_code(class: ObjectClass) -> u8 {
-    match class {
-        ObjectClass::Car => 0,
-        ObjectClass::Pedestrian => 1,
-        ObjectClass::Cyclist => 2,
-        ObjectClass::Unknown => 3,
-    }
-}
-
-fn class_from_code(code: u8) -> ObjectClass {
-    match code {
-        0 => ObjectClass::Car,
-        1 => ObjectClass::Pedestrian,
-        2 => ObjectClass::Cyclist,
-        3 => ObjectClass::Unknown,
-        other => panic!("checkpoint corrupt: unknown object class {other}"),
-    }
-}
-
-/// Writes an [`ObjectClass`] as a one-byte code.
-pub fn put_class(w: &mut SnapWriter, class: ObjectClass) {
-    w.put_u8(class_code(class));
-}
-
-/// Reads an [`ObjectClass`] written by [`put_class`].
-pub fn get_class(r: &mut SnapReader<'_>) -> ObjectClass {
-    class_from_code(r.get_u8())
-}
 
 fn kind_code(kind: AgentKind) -> u8 {
     match kind {
@@ -256,7 +70,7 @@ fn get_bbox(r: &mut SnapReader<'_>) -> (f64, f64, f64, f64) {
 fn put_cloud(w: &mut SnapWriter, cloud: &PointCloud) {
     w.put_usize(cloud.points().len());
     for p in cloud.points() {
-        put_vec3(w, p.position);
+        p.position.put(w);
         w.put_u32(p.intensity.to_bits());
         w.put_u8(p.ring);
     }
@@ -267,7 +81,7 @@ fn get_cloud(r: &mut SnapReader<'_>) -> PointCloud {
     let mut cloud = PointCloud::with_capacity(n);
     for _ in 0..n {
         cloud.push(Point {
-            position: get_vec3(r),
+            position: Vec3::get(r),
             intensity: f32::from_bits(r.get_u32()),
             ring: r.get_u8(),
         });
@@ -275,266 +89,200 @@ fn get_cloud(r: &mut SnapReader<'_>) -> PointCloud {
     cloud
 }
 
-fn put_detected(w: &mut SnapWriter, obj: &DetectedObject) {
-    put_vec3(w, obj.position);
-    put_vec3(w, obj.half_extents);
-    w.put_f64(obj.yaw);
-    put_class(w, obj.class);
-    w.put_f64(obj.confidence);
-    w.put_u32(obj.point_count);
-}
-
-fn get_detected(r: &mut SnapReader<'_>) -> DetectedObject {
-    DetectedObject {
-        position: get_vec3(r),
-        half_extents: get_vec3(r),
-        yaw: r.get_f64(),
-        class: get_class(r),
-        confidence: r.get_f64(),
-        point_count: r.get_u32(),
-    }
-}
-
-fn put_tracked(w: &mut SnapWriter, obj: &TrackedObject) {
-    w.put_u64(obj.id);
-    put_vec3(w, obj.position);
-    put_vec3(w, obj.velocity);
-    w.put_f64(obj.yaw);
-    w.put_f64(obj.yaw_rate);
-    put_vec3(w, obj.half_extents);
-    put_class(w, obj.class);
-    w.put_u32(obj.age);
-    for p in obj.model_probs {
-        w.put_f64(p);
-    }
-}
-
-fn get_tracked(r: &mut SnapReader<'_>) -> TrackedObject {
-    TrackedObject {
-        id: r.get_u64(),
-        position: get_vec3(r),
-        velocity: get_vec3(r),
-        yaw: r.get_f64(),
-        yaw_rate: r.get_f64(),
-        half_extents: get_vec3(r),
-        class: get_class(r),
-        age: r.get_u32(),
-        model_probs: [r.get_f64(), r.get_f64(), r.get_f64()],
-    }
-}
-
-/// Writes one [`Msg`] payload; variant tags follow declaration order.
-pub fn encode_msg(msg: &Msg, w: &mut SnapWriter) {
-    match msg {
-        Msg::PointCloud(cloud) => {
-            w.put_u8(0);
-            put_cloud(w, cloud);
-        }
-        Msg::Image(frame) => {
-            w.put_u8(1);
-            w.put_u32(frame.width);
-            w.put_u32(frame.height);
-            w.put_usize(frame.visible.len());
-            for v in &frame.visible {
-                w.put_u32(v.id);
-                w.put_u8(kind_code(v.kind));
-                put_bbox(w, v.bbox);
-                w.put_f64(v.distance);
-                w.put_f64(v.occlusion);
+/// Checkpoint encoding of one payload: a variant byte (declaration
+/// order), then the variant's fields.
+impl Leaf for Msg {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Msg::PointCloud(cloud) => {
+                w.put_u8(0);
+                put_cloud(w, cloud);
             }
-            w.put_usize(frame.lights.len());
-            for l in &frame.lights {
-                w.put_u32(l.id);
-                put_bbox(w, l.bbox);
-                w.put_u8(light_code(l.state));
-                w.put_f64(l.distance);
+            Msg::Image(frame) => {
+                w.put_u8(1);
+                w.put_u32(frame.width);
+                w.put_u32(frame.height);
+                w.put_usize(frame.visible.len());
+                for v in &frame.visible {
+                    w.put_u32(v.id);
+                    w.put_u8(kind_code(v.kind));
+                    put_bbox(w, v.bbox);
+                    w.put_f64(v.distance);
+                    w.put_f64(v.occlusion);
+                }
+                w.put_usize(frame.lights.len());
+                for l in &frame.lights {
+                    w.put_u32(l.id);
+                    put_bbox(w, l.bbox);
+                    w.put_u8(light_code(l.state));
+                    w.put_f64(l.distance);
+                }
+                w.put_f64(frame.clutter);
             }
-            w.put_f64(frame.clutter);
-        }
-        Msg::Gnss(fix) => {
-            w.put_u8(2);
-            put_vec3(w, fix.position);
-            w.put_f64(fix.accuracy);
-        }
-        Msg::Imu(sample) => {
-            w.put_u8(3);
-            put_vec3(w, sample.linear_accel);
-            w.put_f64(sample.yaw_rate);
-            w.put_f64(sample.speed);
-        }
-        Msg::Pose(est) => {
-            w.put_u8(4);
-            put_pose(w, &est.pose);
-            w.put_f64(est.fitness);
-            w.put_u32(est.iterations);
-        }
-        Msg::VisionDetections(dets) => {
-            w.put_u8(5);
-            w.put_usize(dets.len());
-            for d in dets {
-                put_bbox(w, d.bbox);
-                put_class(w, d.class);
-                w.put_f64(d.confidence);
+            Msg::Gnss(fix) => {
+                w.put_u8(2);
+                fix.position.put(w);
+                w.put_f64(fix.accuracy);
             }
-        }
-        Msg::DetectedObjects(objs) => {
-            w.put_u8(6);
-            w.put_usize(objs.len());
-            for obj in objs {
-                put_detected(w, obj);
+            Msg::Imu(sample) => {
+                w.put_u8(3);
+                sample.linear_accel.put(w);
+                w.put_f64(sample.yaw_rate);
+                w.put_f64(sample.speed);
             }
-        }
-        Msg::TrackedObjects(objs) => {
-            w.put_u8(7);
-            w.put_usize(objs.len());
-            for obj in objs {
-                put_tracked(w, obj);
+            Msg::Pose(est) => {
+                w.put_u8(4);
+                est.pose.put(w);
+                w.put_f64(est.fitness);
+                w.put_u32(est.iterations);
             }
-        }
-        Msg::PredictedObjects(objs) => {
-            w.put_u8(8);
-            w.put_usize(objs.len());
-            for obj in objs {
-                put_tracked(w, &obj.object);
-                w.put_usize(obj.path.len());
-                for p in &obj.path {
-                    put_vec3(w, *p);
+            Msg::VisionDetections(dets) => {
+                w.put_u8(5);
+                w.put_usize(dets.len());
+                for d in dets {
+                    put_bbox(w, d.bbox);
+                    d.class.put(w);
+                    w.put_f64(d.confidence);
+                }
+            }
+            Msg::DetectedObjects(objs) => {
+                w.put_u8(6);
+                objs.put(w);
+            }
+            Msg::TrackedObjects(objs) => {
+                w.put_u8(7);
+                objs.put(w);
+            }
+            Msg::PredictedObjects(objs) => {
+                w.put_u8(8);
+                w.put_usize(objs.len());
+                for obj in objs {
+                    obj.object.put(w);
+                    obj.path.put(w);
+                }
+            }
+            Msg::Costmap(grid) => {
+                w.put_u8(9);
+                w.put_f64(grid.resolution());
+                w.put_f64(grid.half_size());
+                w.put_usize(grid.data().len());
+                for &cell in grid.data() {
+                    w.put_u8(cell);
+                }
+            }
+            Msg::Twist(twist) => {
+                w.put_u8(10);
+                twist.put(w);
+            }
+            Msg::Path(path) => {
+                w.put_u8(11);
+                path.put(w);
+            }
+            Msg::LightColors(lights) => {
+                w.put_u8(12);
+                w.put_usize(lights.len());
+                for l in lights {
+                    w.put_u32(l.id);
+                    w.put_u8(light_code(l.state));
+                    w.put_f64(l.confidence);
+                    w.put_f64(l.distance);
+                }
+            }
+            Msg::Radar(scan) => {
+                w.put_u8(13);
+                w.put_usize(scan.targets.len());
+                for t in &scan.targets {
+                    w.put_f64(t.range);
+                    w.put_f64(t.bearing);
+                    w.put_f64(t.range_rate);
+                    w.put_f64(t.rcs);
                 }
             }
         }
-        Msg::Costmap(grid) => {
-            w.put_u8(9);
-            w.put_f64(grid.resolution());
-            w.put_f64(grid.half_size());
-            w.put_usize(grid.data().len());
-            for &cell in grid.data() {
-                w.put_u8(cell);
-            }
-        }
-        Msg::Twist(twist) => {
-            w.put_u8(10);
-            put_vec3(w, twist.linear);
-            put_vec3(w, twist.angular);
-        }
-        Msg::Path(path) => {
-            w.put_u8(11);
-            w.put_usize(path.len());
-            for p in path {
-                put_vec3(w, *p);
-            }
-        }
-        Msg::LightColors(lights) => {
-            w.put_u8(12);
-            w.put_usize(lights.len());
-            for l in lights {
-                w.put_u32(l.id);
-                w.put_u8(light_code(l.state));
-                w.put_f64(l.confidence);
-                w.put_f64(l.distance);
-            }
-        }
-        Msg::Radar(scan) => {
-            w.put_u8(13);
-            w.put_usize(scan.targets.len());
-            for t in &scan.targets {
-                w.put_f64(t.range);
-                w.put_f64(t.bearing);
-                w.put_f64(t.range_rate);
-                w.put_f64(t.rcs);
-            }
-        }
     }
-}
 
-/// Reads one [`Msg`] payload written by [`encode_msg`].
-///
-/// # Panics
-///
-/// Panics on a malformed or truncated encoding.
-pub fn decode_msg(r: &mut SnapReader<'_>) -> Msg {
-    match r.get_u8() {
-        0 => Msg::PointCloud(get_cloud(r)),
-        1 => {
-            let width = r.get_u32();
-            let height = r.get_u32();
-            let visible = (0..r.get_usize())
-                .map(|_| VisibleObject {
-                    id: r.get_u32(),
-                    kind: kind_from_code(r.get_u8()),
-                    bbox: get_bbox(r),
-                    distance: r.get_f64(),
-                    occlusion: r.get_f64(),
-                })
-                .collect();
-            let lights = (0..r.get_usize())
-                .map(|_| VisibleLight {
-                    id: r.get_u32(),
-                    bbox: get_bbox(r),
-                    state: light_from_code(r.get_u8()),
-                    distance: r.get_f64(),
-                })
-                .collect();
-            Msg::Image(ImageFrame { width, height, visible, lights, clutter: r.get_f64() })
+    fn get(r: &mut SnapReader<'_>) -> Msg {
+        match r.get_u8() {
+            0 => Msg::PointCloud(get_cloud(r)),
+            1 => {
+                let width = r.get_u32();
+                let height = r.get_u32();
+                let visible = (0..r.get_usize())
+                    .map(|_| VisibleObject {
+                        id: r.get_u32(),
+                        kind: kind_from_code(r.get_u8()),
+                        bbox: get_bbox(r),
+                        distance: r.get_f64(),
+                        occlusion: r.get_f64(),
+                    })
+                    .collect();
+                let lights = (0..r.get_usize())
+                    .map(|_| VisibleLight {
+                        id: r.get_u32(),
+                        bbox: get_bbox(r),
+                        state: light_from_code(r.get_u8()),
+                        distance: r.get_f64(),
+                    })
+                    .collect();
+                Msg::Image(ImageFrame { width, height, visible, lights, clutter: r.get_f64() })
+            }
+            2 => Msg::Gnss(GnssFix { position: Vec3::get(r), accuracy: r.get_f64() }),
+            3 => Msg::Imu(ImuSample {
+                linear_accel: Vec3::get(r),
+                yaw_rate: r.get_f64(),
+                speed: r.get_f64(),
+            }),
+            4 => Msg::Pose(PoseEstimate {
+                pose: Pose::get(r),
+                fitness: r.get_f64(),
+                iterations: r.get_u32(),
+            }),
+            5 => Msg::VisionDetections(
+                (0..r.get_usize())
+                    .map(|_| VisionDetection2d {
+                        bbox: get_bbox(r),
+                        class: ObjectClass::get(r),
+                        confidence: r.get_f64(),
+                    })
+                    .collect(),
+            ),
+            6 => Msg::DetectedObjects(Vec::<DetectedObject>::get(r)),
+            7 => Msg::TrackedObjects(Vec::<TrackedObject>::get(r)),
+            8 => Msg::PredictedObjects(
+                (0..r.get_usize())
+                    .map(|_| PredictedObject { object: TrackedObject::get(r), path: Vec::get(r) })
+                    .collect(),
+            ),
+            9 => {
+                let resolution = r.get_f64();
+                let half_size = r.get_f64();
+                let data = (0..r.get_usize()).map(|_| r.get_u8()).collect();
+                Msg::Costmap(OccupancyGrid::from_parts(resolution, half_size, data))
+            }
+            10 => Msg::Twist(Twist::get(r)),
+            11 => Msg::Path(Vec::get(r)),
+            12 => Msg::LightColors(
+                (0..r.get_usize())
+                    .map(|_| LightObservation {
+                        id: r.get_u32(),
+                        state: light_from_code(r.get_u8()),
+                        confidence: r.get_f64(),
+                        distance: r.get_f64(),
+                    })
+                    .collect(),
+            ),
+            13 => Msg::Radar(RadarScan {
+                targets: (0..r.get_usize())
+                    .map(|_| RadarTarget {
+                        range: r.get_f64(),
+                        bearing: r.get_f64(),
+                        range_rate: r.get_f64(),
+                        rcs: r.get_f64(),
+                    })
+                    .collect(),
+            }),
+            other => panic!("checkpoint corrupt: unknown message tag {other}"),
         }
-        2 => Msg::Gnss(GnssFix { position: get_vec3(r), accuracy: r.get_f64() }),
-        3 => Msg::Imu(ImuSample {
-            linear_accel: get_vec3(r),
-            yaw_rate: r.get_f64(),
-            speed: r.get_f64(),
-        }),
-        4 => Msg::Pose(PoseEstimate {
-            pose: get_pose(r),
-            fitness: r.get_f64(),
-            iterations: r.get_u32(),
-        }),
-        5 => Msg::VisionDetections(
-            (0..r.get_usize())
-                .map(|_| VisionDetection2d {
-                    bbox: get_bbox(r),
-                    class: get_class(r),
-                    confidence: r.get_f64(),
-                })
-                .collect(),
-        ),
-        6 => Msg::DetectedObjects((0..r.get_usize()).map(|_| get_detected(r)).collect()),
-        7 => Msg::TrackedObjects((0..r.get_usize()).map(|_| get_tracked(r)).collect()),
-        8 => Msg::PredictedObjects(
-            (0..r.get_usize())
-                .map(|_| PredictedObject {
-                    object: get_tracked(r),
-                    path: (0..r.get_usize()).map(|_| get_vec3(r)).collect(),
-                })
-                .collect(),
-        ),
-        9 => {
-            let resolution = r.get_f64();
-            let half_size = r.get_f64();
-            let data = (0..r.get_usize()).map(|_| r.get_u8()).collect();
-            Msg::Costmap(OccupancyGrid::from_parts(resolution, half_size, data))
-        }
-        10 => Msg::Twist(Twist { linear: get_vec3(r), angular: get_vec3(r) }),
-        11 => Msg::Path((0..r.get_usize()).map(|_| get_vec3(r)).collect()),
-        12 => Msg::LightColors(
-            (0..r.get_usize())
-                .map(|_| LightObservation {
-                    id: r.get_u32(),
-                    state: light_from_code(r.get_u8()),
-                    confidence: r.get_f64(),
-                    distance: r.get_f64(),
-                })
-                .collect(),
-        ),
-        13 => Msg::Radar(RadarScan {
-            targets: (0..r.get_usize())
-                .map(|_| RadarTarget {
-                    range: r.get_f64(),
-                    bearing: r.get_f64(),
-                    range_rate: r.get_f64(),
-                    rcs: r.get_f64(),
-                })
-                .collect(),
-        }),
-        other => panic!("checkpoint corrupt: unknown message tag {other}"),
     }
 }
 
@@ -542,13 +290,14 @@ pub fn decode_msg(r: &mut SnapReader<'_>) -> Msg {
 mod tests {
     use super::*;
     use av_des::SimTime;
+    use av_ros::{Lineage, Source};
 
     fn round_trip(msg: &Msg) -> Msg {
         let mut w = SnapWriter::new();
-        encode_msg(msg, &mut w);
+        msg.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let out = decode_msg(&mut r);
+        let out = Msg::get(&mut r);
         assert!(r.is_exhausted(), "trailing bytes after {}", msg.kind_name());
         out
     }
@@ -628,10 +377,10 @@ mod tests {
         let mut lineage = Lineage::origin(Source::Lidar, SimTime::from_millis(100));
         lineage.merge(&Lineage::origin(Source::Camera, SimTime::from_millis(90)));
         let mut w = SnapWriter::new();
-        put_lineage(&mut w, &lineage);
+        lineage.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let out = get_lineage(&mut r);
+        let out = Lineage::get(&mut r);
         assert!(r.is_exhausted());
         let a: Vec<_> = lineage.iter().collect();
         let b: Vec<_> = out.iter().collect();

@@ -13,7 +13,7 @@ use crate::msg::Msg;
 use crate::nodes::*;
 use crate::supervision::{FallbackLocalizer, FaultReport, SupervisionPolicy, Supervisor};
 use crate::topics::{self, nodes as node_names};
-use av_des::{RngStreams, Sim, SimDuration, SimTime, SnapReader, SnapWriter, StreamRng};
+use av_des::{RngStreams, Sim, SimDuration, SimTime, Snap, SnapWriter, StreamRng};
 use av_perception::{
     ClusterParams, CostmapParams, FusionParams, NdtMappingBuilder, RayGroundParams,
 };
@@ -420,12 +420,8 @@ impl<N: Node<Msg>> Node<Msg> for Shared<N> {
         self.0.borrow_mut().on_restart();
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.0.borrow().save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) {
-        self.0.borrow_mut().load_state(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        self.0.borrow_mut().snap(s);
     }
 }
 
@@ -1605,6 +1601,12 @@ impl CheckpointHeader {
     /// parsed header, not rejected here, so callers can distinguish "not
     /// a checkpoint" from "a checkpoint we no longer read".
     pub fn parse(bytes: &[u8]) -> Result<CheckpointHeader, String> {
+        CheckpointHeader::parse_prefix(bytes).map(|(header, _)| header)
+    }
+
+    /// [`CheckpointHeader::parse`], also returning the header's length in
+    /// bytes — where the state sections begin.
+    fn parse_prefix(bytes: &[u8]) -> Result<(CheckpointHeader, usize), String> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
             if *pos + n > bytes.len() {
@@ -1638,14 +1640,15 @@ impl CheckpointHeader {
             1 => true,
             b => return Err(format!("checkpoint header corrupt: bool byte {b}")),
         };
-        Ok(CheckpointHeader {
+        let header = CheckpointHeader {
             version,
             barrier_ns,
             fingerprint,
             fingerprint_stripped,
             earliest_blackout_s,
             traced,
-        })
+        };
+        Ok((header, pos))
     }
 }
 
@@ -1682,6 +1685,13 @@ pub fn drive_fingerprint_stripped(config: &StackConfig) -> u64 {
 
 fn earliest_blackout_start(config: &StackConfig) -> Option<f64> {
     config.blackouts.iter().map(|b| b.from_s).min_by(f64::total_cmp)
+}
+
+/// A pending event a resumed session re-inserts.
+enum Restored {
+    Timer(usize),
+    Fault(usize),
+    Bus(RestoredContinuation),
 }
 
 /// A fully constructed drive: simulator, bus, platform, observers, and
@@ -1723,7 +1733,7 @@ impl DriveSession {
     /// Serializes the session's complete dynamic state at `barrier`
     /// (which must be the current virtual time, with every event up to
     /// the barrier already executed and all pending events strictly
-    /// beyond it).
+    /// beyond it): the [`CheckpointHeader`], then [`DriveSession::snap`].
     fn capture(&self, config: &StackConfig, barrier: SimTime) -> Checkpoint {
         debug_assert_eq!(self.sim.now(), barrier);
         let mut w = SnapWriter::new();
@@ -1734,88 +1744,9 @@ impl DriveSession {
         w.put_u64(config_fingerprint(config, true));
         w.put_opt_f64(earliest_blackout_start(config));
         w.put_bool(self.tracer.is_some());
-
-        w.put_tag("sim");
-        w.put_u64(self.sim.now().as_nanos());
-        w.put_u64(self.sim.events_executed());
-
-        w.put_tag("noise");
-        w.put_usize(self.noise_rngs.len());
-        for (name, rng) in &self.noise_rngs {
-            w.put_str(name);
-            rng.borrow().save(&mut w);
-        }
-
-        w.put_tag("timers");
-        w.put_usize(self.timers.len());
-        for timer in &self.timers {
-            let s = timer.borrow();
-            s.rng.save(&mut w);
-            match s.pending {
-                Some((at, seq)) => {
-                    w.put_bool(true);
-                    w.put_u64(at.as_nanos());
-                    w.put_u64(seq);
-                }
-                None => w.put_bool(false),
-            }
-        }
-
-        w.put_tag("fault-events");
-        w.put_usize(self.fault_events.len());
-        for ev in &self.fault_events {
-            w.put_u64(ev.time.as_nanos());
-            w.put_u64(ev.seq.get());
-        }
-
-        w.put_tag("samplers");
-        match &self.loc_tracking_started {
-            Some(cell) => {
-                w.put_bool(true);
-                w.put_bool(cell.get());
-            }
-            None => w.put_bool(false),
-        }
-        match &self.trace_prev {
-            Some(prev) => {
-                w.put_bool(true);
-                let prev = prev.borrow();
-                w.put_usize(prev.node_busy.len());
-                for d in &prev.node_busy {
-                    w.put_u64(d.as_nanos());
-                }
-                w.put_u64(prev.cpu_busy.as_nanos());
-                w.put_u64(prev.gpu_busy.as_nanos());
-                w.put_f64(prev.gpu_energy);
-            }
-            None => w.put_bool(false),
-        }
-
-        w.put_tag("loc-errors");
-        {
-            let errors = self.loc_errors.borrow();
-            w.put_usize(errors.len());
-            for &e in errors.iter() {
-                w.put_f64(e);
-            }
-        }
-
-        self.platform.cpu().save_state(&mut w);
-        self.platform.gpu().save_state(&mut w);
-        self.bus.save_state(&mut w, &mut crate::snapshot::encode_msg);
-        match &self.supervisor {
-            Some(sup) => {
-                w.put_bool(true);
-                sup.save_state(&mut w);
-            }
-            None => w.put_bool(false),
-        }
-        self.recorder.save_state(&mut w);
-        if let Some(tracer) = &self.tracer {
-            tracer.save_state(&mut w);
-        }
-
-        Checkpoint { barrier, bytes: w.into_bytes() }
+        let mut s = Snap::Save(w);
+        self.snap(&mut s, barrier);
+        Checkpoint { barrier, bytes: s.into_bytes() }
     }
 
     /// Restores `checkpoint` onto this freshly built session: overlays
@@ -1829,130 +1760,36 @@ impl DriveSession {
     /// Panics when the checkpoint does not match this session's
     /// configuration (see [`drive`]) or the bytes are corrupt.
     fn resume_from(&self, checkpoint: &Checkpoint, config: &StackConfig) {
-        let mut r = SnapReader::new(&checkpoint.bytes);
-        r.expect_tag("av-checkpoint");
-        let version = r.get_u32();
+        let (header, header_len) =
+            CheckpointHeader::parse_prefix(&checkpoint.bytes).unwrap_or_else(|e| panic!("{e}"));
+        let version = header.version;
         assert_eq!(version, CHECKPOINT_VERSION, "unsupported checkpoint version {version}");
-        let barrier = SimTime::from_nanos(r.get_u64());
+        let barrier = SimTime::from_nanos(header.barrier_ns);
         assert!(
             barrier <= self.until,
             "run duration {} s lies before the checkpoint barrier {} s",
             self.until.as_secs_f64(),
             barrier.as_secs_f64()
         );
-        let full = r.get_u64();
-        let stripped = r.get_u64();
-        let original_first_blackout = r.get_opt_f64();
-        if config_fingerprint(config, false) != full {
+        if config_fingerprint(config, false) != header.fingerprint {
             assert_eq!(
                 config_fingerprint(config, true),
-                stripped,
+                header.fingerprint_stripped,
                 "checkpoint was taken under a different configuration"
             );
             let b = barrier.as_secs_f64();
             let clean = |first: Option<f64>| first.is_none_or(|s| s > b);
             assert!(
-                clean(original_first_blackout) && clean(earliest_blackout_start(config)),
+                clean(header.earliest_blackout_s) && clean(earliest_blackout_start(config)),
                 "blackout-divergent resume requires every outage window \
                  (of both configurations) to start strictly after the barrier"
             );
         }
-        let has_tracer = r.get_bool();
-        assert_eq!(has_tracer, self.tracer.is_some(), "checkpoint tracing mode mismatch");
+        assert_eq!(header.traced, self.tracer.is_some(), "checkpoint tracing mode mismatch");
 
-        r.expect_tag("sim");
-        let now = SimTime::from_nanos(r.get_u64());
-        let executed = r.get_u64();
-        self.sim.restore_counters(now, executed);
-
-        r.expect_tag("noise");
-        assert_eq!(r.get_usize(), self.noise_rngs.len(), "checkpoint noise-stream count mismatch");
-        for (name, rng) in &self.noise_rngs {
-            let saved = r.get_str();
-            assert_eq!(saved, *name, "checkpoint noise-stream order mismatch");
-            rng.borrow_mut().restore(&mut r);
-        }
-
-        enum Restored {
-            Timer(usize),
-            Fault(usize),
-            Bus(RestoredContinuation),
-        }
-        // `(time, key, seq, what)`: the key is each event's urgency key as
-        // it will be re-scheduled (the timer's config-derived key; fault
-        // events and bus continuations are key 0), so the re-insertion
-        // order below matches the heap order `(time, key, seq)` the
-        // original run dispatched in.
-        let mut events: Vec<(SimTime, u64, u64, Restored)> = Vec::new();
-
-        r.expect_tag("timers");
-        assert_eq!(r.get_usize(), self.timers.len(), "checkpoint timer count mismatch");
-        for (i, timer) in self.timers.iter().enumerate() {
-            timer.borrow_mut().rng.restore(&mut r);
-            if r.get_bool() {
-                let at = SimTime::from_nanos(r.get_u64());
-                let seq = r.get_u64();
-                let key = timer.borrow().key;
-                events.push((at, key, seq, Restored::Timer(i)));
-            }
-        }
-
-        r.expect_tag("fault-events");
-        assert_eq!(r.get_usize(), self.fault_events.len(), "checkpoint fault-event count mismatch");
-        for (i, ev) in self.fault_events.iter().enumerate() {
-            let at = SimTime::from_nanos(r.get_u64());
-            let seq = r.get_u64();
-            debug_assert_eq!(at, ev.time, "fault-event schedule mismatch");
-            // Events at or before the barrier already fired inside the
-            // checkpointed prefix; their effects are in the saved state.
-            if at > barrier {
-                events.push((at, 0, seq, Restored::Fault(i)));
-            }
-        }
-
-        r.expect_tag("samplers");
-        let has_loc = r.get_bool();
-        assert_eq!(
-            has_loc,
-            self.loc_tracking_started.is_some(),
-            "checkpoint localization-sampler mismatch"
-        );
-        if let Some(cell) = &self.loc_tracking_started {
-            cell.set(r.get_bool());
-        }
-        let has_trace_prev = r.get_bool();
-        assert_eq!(
-            has_trace_prev,
-            self.trace_prev.is_some(),
-            "checkpoint metrics-sampler mismatch"
-        );
-        if let Some(prev) = &self.trace_prev {
-            let mut prev = prev.borrow_mut();
-            prev.node_busy =
-                (0..r.get_usize()).map(|_| SimDuration::from_nanos(r.get_u64())).collect();
-            prev.cpu_busy = SimDuration::from_nanos(r.get_u64());
-            prev.gpu_busy = SimDuration::from_nanos(r.get_u64());
-            prev.gpu_energy = r.get_f64();
-        }
-
-        r.expect_tag("loc-errors");
-        *self.loc_errors.borrow_mut() = (0..r.get_usize()).map(|_| r.get_f64()).collect();
-
-        self.platform.cpu().load_state(&mut r);
-        self.platform.gpu().load_state(&mut r);
-        for c in self.bus.load_state(&mut r, &mut crate::snapshot::decode_msg) {
-            events.push((c.time, 0, c.seq, Restored::Bus(c)));
-        }
-        let has_supervisor = r.get_bool();
-        assert_eq!(has_supervisor, self.supervisor.is_some(), "checkpoint supervision mismatch");
-        if let Some(sup) = &self.supervisor {
-            sup.load_state(&mut r);
-        }
-        self.recorder.load_state(&mut r);
-        if let Some(tracer) = &self.tracer {
-            tracer.load_state(&mut r);
-        }
-        assert!(r.is_exhausted(), "checkpoint has trailing bytes");
+        let mut s = Snap::load(&checkpoint.bytes[header_len..]);
+        let mut events = self.snap(&mut s, barrier);
+        assert!(s.is_exhausted(), "checkpoint has trailing bytes");
 
         // Re-insert every pending event in the original global dispatch
         // order `(time, key, seq)`. Sequence numbers only increase, so
@@ -1970,6 +1807,93 @@ impl DriveSession {
                 Restored::Bus(c) => self.bus.schedule_restored(c),
             }
         }
+    }
+
+    /// Saves or restores every state section after the header. Loading
+    /// returns the pending events to re-insert (saving returns none) as
+    /// `(time, key, seq, what)`: the key is each event's urgency key as
+    /// it will be re-scheduled (the timer's config-derived key; fault
+    /// events and bus continuations are key 0), so sorting by
+    /// `(time, key, seq)` reproduces the heap order the original run
+    /// dispatched in.
+    fn snap(&self, s: &mut Snap<'_>, barrier: SimTime) -> Vec<(SimTime, u64, u64, Restored)> {
+        let mut events = Vec::new();
+
+        s.tag("sim");
+        let mut now = self.sim.now();
+        let mut executed = self.sim.events_executed();
+        s.time(&mut now);
+        s.u64(&mut executed);
+        if s.is_load() {
+            self.sim.restore_counters(now, executed);
+        }
+
+        s.tag("noise");
+        s.check_len(self.noise_rngs.len(), "checkpoint noise-stream count mismatch");
+        for (name, rng) in &self.noise_rngs {
+            s.check_str(name, "checkpoint noise-stream order mismatch");
+            rng.borrow_mut().snap(s);
+        }
+
+        s.tag("timers");
+        s.check_len(self.timers.len(), "checkpoint timer count mismatch");
+        for (i, timer) in self.timers.iter().enumerate() {
+            let mut timer = timer.borrow_mut();
+            timer.rng.snap(s);
+            let mut pending = timer.pending;
+            s.opt(&mut pending, Snap::leaf);
+            if let (true, Some((at, seq))) = (s.is_load(), pending) {
+                events.push((at, timer.key, seq, Restored::Timer(i)));
+            }
+        }
+
+        s.tag("fault-events");
+        s.check_len(self.fault_events.len(), "checkpoint fault-event count mismatch");
+        for (i, ev) in self.fault_events.iter().enumerate() {
+            let (mut at, mut seq) = (ev.time, ev.seq.get());
+            s.time(&mut at);
+            s.u64(&mut seq);
+            debug_assert_eq!(at, ev.time, "fault-event schedule mismatch");
+            // Events at or before the barrier already fired inside the
+            // checkpointed prefix; their effects are in the saved state.
+            if s.is_load() && at > barrier {
+                events.push((at, 0, seq, Restored::Fault(i)));
+            }
+        }
+
+        s.tag("samplers");
+        let loc = self.loc_tracking_started.as_ref();
+        if let Some(cell) = s.check_some(loc, "checkpoint localization-sampler mismatch") {
+            let mut started = cell.get();
+            s.bool(&mut started);
+            cell.set(started);
+        }
+        let prev = self.trace_prev.as_ref();
+        if let Some(prev) = s.check_some(prev, "checkpoint metrics-sampler mismatch") {
+            let mut prev = prev.borrow_mut();
+            s.leaf(&mut prev.node_busy);
+            s.dur(&mut prev.cpu_busy);
+            s.dur(&mut prev.gpu_busy);
+            s.f64(&mut prev.gpu_energy);
+        }
+
+        s.tag("loc-errors");
+        s.leaf(&mut *self.loc_errors.borrow_mut());
+
+        self.platform.cpu().snap(s);
+        self.platform.gpu().snap(s);
+        for c in self.bus.snap(s) {
+            events.push((c.time, 0, c.seq, Restored::Bus(c)));
+        }
+        let supervisor = self.supervisor.as_ref();
+        if let Some(sup) = s.check_some(supervisor, "checkpoint supervision mismatch") {
+            sup.snap(s);
+        }
+        self.recorder.snap(s);
+        if let Some(tracer) = &self.tracer {
+            tracer.snap(s);
+        }
+        events
     }
 
     /// Assembles the run report from the session's final state.

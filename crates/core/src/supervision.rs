@@ -30,7 +30,7 @@ use crate::calib::{Calibration, NodeCost, VisionCost};
 use crate::msg::{unexpected, Msg, PoseEstimate};
 use crate::nodes::VisionDetectionNode;
 use crate::topics;
-use av_des::{SimDuration, SimTime, StreamRng};
+use av_des::{SimDuration, SimTime, Snap, StreamRng};
 use av_geom::{Pose, Vec3};
 use av_ros::{
     Bus, BusObserver, Execution, FaultKind, Lineage, Message, Node, Outbox, ProcessedEvent,
@@ -474,86 +474,42 @@ impl Supervisor {
         }
     }
 
-    /// Serializes the supervisor's dynamic bookkeeping for a checkpoint.
-    /// The policy, watch list and fallback wiring are configuration and
-    /// are rebuilt from the run config on resume.
-    pub fn save_state(&self, w: &mut av_des::SnapWriter) {
-        let s = self.state.borrow();
-        w.put_tag("supervisor");
-        w.put_usize(s.watched.len());
-        for watch in &s.watched {
-            w.put_str(&watch.name);
-            crate::snapshot::put_opt_time(w, watch.last_seen);
-            crate::snapshot::put_opt_time(w, watch.down_since);
-            crate::snapshot::put_opt_time(w, watch.restart_at);
-            crate::snapshot::put_opt_time(w, watch.restarted_at);
-            crate::snapshot::put_opt_time(w, watch.recover_from);
-            w.put_u32(watch.attempts);
-            w.put_bool(watch.miss_reported);
-        }
-        w.put_u64(s.crashes);
-        w.put_u64(s.heartbeat_misses);
-        w.put_u64(s.restarts);
-        w.put_u64(s.fallback_enters);
-        w.put_u64(s.fallback_exits);
-        w.put_usize(s.recovery_latencies_s.len());
-        for &v in &s.recovery_latencies_s {
-            w.put_f64(v);
-        }
-        w.put_f64(s.degraded_s);
-        w.put_bool(s.loc_fallback_active);
-        match &s.detector {
-            Some(det) => {
-                w.put_bool(true);
-                w.put_bool(det.pending);
-                crate::snapshot::put_opt_time(w, det.active_since);
-                crate::snapshot::put_opt_time(w, det.revert_at);
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    /// Restores the bookkeeping written by [`Supervisor::save_state`]
-    /// onto a freshly built supervisor with the same configuration.
+    /// Saves or restores the supervisor's dynamic bookkeeping for a
+    /// checkpoint. The policy, watch list and fallback wiring are
+    /// configuration and are rebuilt from the run config on resume.
     ///
     /// # Panics
     ///
-    /// Panics when the checkpoint's watch list or fallback wiring does
-    /// not match this supervisor's configuration.
-    pub fn load_state(&self, r: &mut av_des::SnapReader<'_>) {
-        let mut s = self.state.borrow_mut();
-        r.expect_tag("supervisor");
-        let n = r.get_usize();
-        assert_eq!(n, s.watched.len(), "checkpoint watch-list size mismatch");
-        for watch in &mut s.watched {
-            let name = r.get_str();
-            assert_eq!(name, watch.name, "checkpoint watch-list order mismatch");
-            watch.last_seen = crate::snapshot::get_opt_time(r);
-            watch.down_since = crate::snapshot::get_opt_time(r);
-            watch.restart_at = crate::snapshot::get_opt_time(r);
-            watch.restarted_at = crate::snapshot::get_opt_time(r);
-            watch.recover_from = crate::snapshot::get_opt_time(r);
-            watch.attempts = r.get_u32();
-            watch.miss_reported = r.get_bool();
+    /// Loading panics when the checkpoint's watch list or fallback
+    /// wiring does not match this supervisor's configuration.
+    pub fn snap(&self, s: &mut Snap<'_>) {
+        let mut st = self.state.borrow_mut();
+        let st = &mut *st;
+        s.tag("supervisor");
+        s.check_len(st.watched.len(), "checkpoint watch-list size mismatch");
+        for watch in &mut st.watched {
+            s.check_str(&watch.name, "checkpoint watch-list order mismatch");
+            s.opt(&mut watch.last_seen, Snap::time);
+            s.opt(&mut watch.down_since, Snap::time);
+            s.opt(&mut watch.restart_at, Snap::time);
+            s.opt(&mut watch.restarted_at, Snap::time);
+            s.opt(&mut watch.recover_from, Snap::time);
+            s.u32(&mut watch.attempts);
+            s.bool(&mut watch.miss_reported);
         }
-        s.crashes = r.get_u64();
-        s.heartbeat_misses = r.get_u64();
-        s.restarts = r.get_u64();
-        s.fallback_enters = r.get_u64();
-        s.fallback_exits = r.get_u64();
-        s.recovery_latencies_s = (0..r.get_usize()).map(|_| r.get_f64()).collect();
-        s.degraded_s = r.get_f64();
-        s.loc_fallback_active = r.get_bool();
-        let has_detector = r.get_bool();
-        assert_eq!(
-            has_detector,
-            s.detector.is_some(),
-            "checkpoint detector-fallback wiring mismatch"
-        );
-        if let Some(det) = &mut s.detector {
-            det.pending = r.get_bool();
-            det.active_since = crate::snapshot::get_opt_time(r);
-            det.revert_at = crate::snapshot::get_opt_time(r);
+        s.u64(&mut st.crashes);
+        s.u64(&mut st.heartbeat_misses);
+        s.u64(&mut st.restarts);
+        s.u64(&mut st.fallback_enters);
+        s.u64(&mut st.fallback_exits);
+        s.leaf(&mut st.recovery_latencies_s);
+        s.f64(&mut st.degraded_s);
+        s.bool(&mut st.loc_fallback_active);
+        let detector = st.detector.as_mut();
+        if let Some(det) = s.check_some(detector, "checkpoint detector-fallback wiring mismatch") {
+            s.bool(&mut det.pending);
+            s.opt(&mut det.active_since, Snap::time);
+            s.opt(&mut det.revert_at, Snap::time);
         }
     }
 
@@ -648,28 +604,16 @@ impl FallbackLocalizer {
 }
 
 impl Node<Msg> for FallbackLocalizer {
-    fn save_state(&self, w: &mut av_des::SnapWriter) {
-        w.put_bool(self.active);
-        crate::snapshot::put_pose(w, &self.pose);
-        w.put_f64(self.speed);
-        w.put_f64(self.yaw_rate);
-        crate::snapshot::put_opt_time(w, self.last_imu_stamp);
-        crate::snapshot::put_opt_vec3(w, self.last_gnss);
-        w.put_u64(self.imu_count);
-        crate::snapshot::put_lineage(w, &self.reseed_lineage);
-        self.rng.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        self.active = r.get_bool();
-        self.pose = crate::snapshot::get_pose(r);
-        self.speed = r.get_f64();
-        self.yaw_rate = r.get_f64();
-        self.last_imu_stamp = crate::snapshot::get_opt_time(r);
-        self.last_gnss = crate::snapshot::get_opt_vec3(r);
-        self.imu_count = r.get_u64();
-        self.reseed_lineage = crate::snapshot::get_lineage(r);
-        self.rng.restore(r);
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        s.bool(&mut self.active);
+        s.leaf(&mut self.pose);
+        s.f64(&mut self.speed);
+        s.f64(&mut self.yaw_rate);
+        s.opt(&mut self.last_imu_stamp, Snap::time);
+        s.opt(&mut self.last_gnss, Snap::leaf);
+        s.u64(&mut self.imu_count);
+        s.leaf(&mut self.reseed_lineage);
+        self.rng.snap(s);
     }
 
     fn on_message(&mut self, topic: &str, msg: &Message<Msg>, out: &mut Outbox<Msg>) -> Execution {

@@ -179,26 +179,13 @@ impl StreamRng {
         self.next_f64() < p
     }
 
-    /// Serializes the complete generator state (LCG state, stream
-    /// increment, Box-Muller spare) for checkpointing.
-    pub fn save(&self, w: &mut crate::SnapWriter) {
-        w.put_u64(self.state);
-        w.put_u64(self.inc);
-        w.put_opt_f64(self.gauss_spare);
-    }
-
-    /// Reconstructs a generator from [`StreamRng::save`] bytes. The
-    /// restored stream continues the exact draw sequence of the original.
-    pub fn load(r: &mut crate::SnapReader<'_>) -> StreamRng {
-        let state = r.get_u64();
-        let inc = r.get_u64();
-        let gauss_spare = r.get_opt_f64();
-        StreamRng { state, inc, gauss_spare }
-    }
-
-    /// Overwrites this generator's state from [`StreamRng::save`] bytes.
-    pub fn restore(&mut self, r: &mut crate::SnapReader<'_>) {
-        *self = StreamRng::load(r);
+    /// Saves or restores the complete generator state (LCG state, stream
+    /// increment, Box-Muller spare) for checkpointing. A restored stream
+    /// continues the exact draw sequence of the original.
+    pub fn snap(&mut self, s: &mut crate::Snap<'_>) {
+        s.u64(&mut self.state);
+        s.u64(&mut self.inc);
+        s.opt(&mut self.gauss_spare, crate::Snap::f64);
     }
 }
 

@@ -1,16 +1,31 @@
 //! Byte-deterministic snapshot encoding for checkpoint/resume.
 //!
-//! A hand-rolled little-endian writer/reader pair — no external crates, no
-//! reflection, no versioned schema language. Every component that
-//! participates in a checkpoint encodes its state field by field in a fixed
-//! order; the reader consumes the same fields in the same order. Floats are
-//! encoded via their IEEE-754 bit patterns so the byte stream is exactly
-//! reproducible (including NaN payloads and signed zeros), which is what
-//! makes checkpoints content-addressable and resume byte-identical.
+//! A hand-rolled little-endian encoding — no external crates, no
+//! reflection, no versioned schema language. Floats are encoded via their
+//! IEEE-754 bit patterns so the byte stream is exactly reproducible
+//! (including NaN payloads and signed zeros), which is what makes
+//! checkpoints content-addressable and resume byte-identical.
+//!
+//! Every checkpointed component describes its state once, in one
+//! `snap(&mut self, s: &mut Snap<'_>)` method. [`Snap`] is either saving
+//! or loading, and each of its primitives takes the field by `&mut`:
+//! `s.u64(&mut self.holds)` writes the value when saving and assigns it
+//! when loading. Because one walk serves both directions, a field added
+//! to a component is saved and restored by the same line, in the same
+//! order — the two halves cannot drift apart. Small value types with one
+//! fixed encoding implement [`Leaf`] (a `put`/`get` pair written side by
+//! side), so payloads reachable only through shared references can be
+//! encoded with the same bytes.
+//!
+//! [`SnapWriter`] and [`SnapReader`] are the raw byte layer underneath.
 //!
 //! Malformed input is a programming error (a checkpoint only ever meets the
-//! code revision that wrote it), so the reader panics with a clear message
+//! code revision that wrote it), so loading panics with a clear message
 //! instead of threading `Result` through every snapshot site.
+
+use crate::{SimDuration, SimTime};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
 
 /// Append-only encoder for checkpoint bytes.
 #[derive(Debug, Default)]
@@ -82,12 +97,9 @@ impl SnapWriter {
 
     /// Writes an `Option<f64>` as a presence byte plus the bit pattern.
     pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_f64(x);
-            }
-            None => self.put_bool(false),
+        self.put_bool(v.is_some());
+        if let Some(x) = v {
+            self.put_f64(x);
         }
     }
 
@@ -179,19 +191,337 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(bytes.to_vec()).expect("checkpoint corrupt: non-UTF-8 string")
     }
 
-    /// Reads an `Option<f64>` written by [`SnapWriter::put_opt_f64`].
-    pub fn get_opt_f64(&mut self) -> Option<f64> {
-        if self.get_bool() {
-            Some(self.get_f64())
-        } else {
-            None
-        }
-    }
-
     /// Reads and checks a section tag written by [`SnapWriter::put_tag`].
     pub fn expect_tag(&mut self, tag: &str) {
         let got = self.get_str();
         assert_eq!(got, tag, "checkpoint section mismatch: expected {tag:?}, found {got:?}");
+    }
+}
+
+/// A value with one fixed encoding, its `put` and `get` written side by
+/// side. Implemented for the primitives, [`SimTime`], [`SimDuration`],
+/// sequences (a `u64` length, then the elements), pairs and triples
+/// (the fields in order) and fixed-size arrays (the elements, no
+/// length); crates implement it for their own small value types.
+pub trait Leaf: Sized {
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut SnapWriter);
+    /// Reads one value written by [`Leaf::put`].
+    fn get(r: &mut SnapReader<'_>) -> Self;
+}
+
+macro_rules! leaf_primitive {
+    ($($t:ty => $put:ident, $get:ident;)*) => {$(
+        impl Leaf for $t {
+            fn put(&self, w: &mut SnapWriter) {
+                w.$put(*self);
+            }
+            fn get(r: &mut SnapReader<'_>) -> $t {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+leaf_primitive! {
+    u32 => put_u32, get_u32;
+    u64 => put_u64, get_u64;
+    usize => put_usize, get_usize;
+    f64 => put_f64, get_f64;
+    bool => put_bool, get_bool;
+}
+
+impl Leaf for String {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_str(self);
+    }
+    fn get(r: &mut SnapReader<'_>) -> String {
+        r.get_str()
+    }
+}
+
+/// Nanoseconds.
+impl Leaf for SimTime {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u64(self.as_nanos());
+    }
+    fn get(r: &mut SnapReader<'_>) -> SimTime {
+        SimTime::from_nanos(r.get_u64())
+    }
+}
+
+/// Nanoseconds.
+impl Leaf for SimDuration {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u64(self.as_nanos());
+    }
+    fn get(r: &mut SnapReader<'_>) -> SimDuration {
+        SimDuration::from_nanos(r.get_u64())
+    }
+}
+
+impl<T: Leaf> Leaf for Vec<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len());
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Vec<T> {
+        (0..r.get_usize()).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<T: Leaf> Leaf for VecDeque<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len());
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn get(r: &mut SnapReader<'_>) -> VecDeque<T> {
+        (0..r.get_usize()).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<T: Leaf, const N: usize> Leaf for [T; N] {
+    fn put(&self, w: &mut SnapWriter) {
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn get(r: &mut SnapReader<'_>) -> [T; N] {
+        std::array::from_fn(|_| T::get(r))
+    }
+}
+
+impl<A: Leaf, B: Leaf> Leaf for (A, B) {
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> (A, B) {
+        (A::get(r), B::get(r))
+    }
+}
+
+impl<A: Leaf, B: Leaf, C: Leaf> Leaf for (A, B, C) {
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> (A, B, C) {
+        (A::get(r), B::get(r), C::get(r))
+    }
+}
+
+/// The symmetric checkpoint codec: one walk over a component's fields
+/// either saves them or loads them. Each primitive takes the field by
+/// `&mut`, writing its value when saving and assigning the decoded value
+/// when loading, so a component's `snap` method is the one description of
+/// its checkpointed state.
+///
+/// # Panics
+///
+/// Loading panics if the bytes are truncated or malformed, or if a
+/// `check_*` helper finds the checkpoint disagreeing with the structure
+/// it is being restored onto.
+#[derive(Debug)]
+pub enum Snap<'a> {
+    /// Saving: every primitive appends the field's current value.
+    Save(SnapWriter),
+    /// Loading: every primitive assigns the next decoded value.
+    Load(SnapReader<'a>),
+}
+
+impl Snap<'static> {
+    /// A saving codec over an empty buffer.
+    pub fn save() -> Snap<'static> {
+        Snap::Save(SnapWriter::new())
+    }
+}
+
+impl<'a> Snap<'a> {
+    /// A loading codec over `bytes`.
+    pub fn load(bytes: &'a [u8]) -> Snap<'a> {
+        Snap::Load(SnapReader::new(bytes))
+    }
+
+    /// `true` when loading — for the few steps that only one direction
+    /// takes (clearing a cache, re-deriving state from loaded fields).
+    pub fn is_load(&self) -> bool {
+        matches!(self, Snap::Load(_))
+    }
+
+    /// The saved bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when loading.
+    pub fn into_bytes(self) -> Vec<u8> {
+        match self {
+            Snap::Save(w) => w.into_bytes(),
+            Snap::Load(_) => panic!("into_bytes on a loading snap"),
+        }
+    }
+
+    /// `true` once a loading codec has consumed every byte (always `true`
+    /// when saving).
+    pub fn is_exhausted(&self) -> bool {
+        match self {
+            Snap::Save(_) => true,
+            Snap::Load(r) => r.is_exhausted(),
+        }
+    }
+
+    /// Saves or loads any [`Leaf`] value.
+    pub fn leaf<T: Leaf>(&mut self, v: &mut T) {
+        match self {
+            Snap::Save(w) => v.put(w),
+            Snap::Load(r) => *v = T::get(r),
+        }
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, v: &mut u32) {
+        self.leaf(v);
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: &mut u64) {
+        self.leaf(v);
+    }
+
+    /// A `usize`, encoded as a `u64`.
+    pub fn usize(&mut self, v: &mut usize) {
+        self.leaf(v);
+    }
+
+    /// An `f64` bit pattern.
+    pub fn f64(&mut self, v: &mut f64) {
+        self.leaf(v);
+    }
+
+    /// A bool byte.
+    pub fn bool(&mut self, v: &mut bool) {
+        self.leaf(v);
+    }
+
+    /// A length-prefixed UTF-8 string.
+    pub fn str(&mut self, v: &mut String) {
+        self.leaf(v);
+    }
+
+    /// A virtual instant, as nanoseconds.
+    pub fn time(&mut self, v: &mut SimTime) {
+        self.leaf(v);
+    }
+
+    /// A virtual duration, as nanoseconds.
+    pub fn dur(&mut self, v: &mut SimDuration) {
+        self.leaf(v);
+    }
+
+    /// An `Option`: a presence bool, then the value through `f`. On load
+    /// a present value is built from `T::default()` and filled by `f`.
+    pub fn opt<T: Default>(&mut self, v: &mut Option<T>, f: impl FnOnce(&mut Self, &mut T)) {
+        let mut present = v.is_some();
+        self.bool(&mut present);
+        if self.is_load() {
+            *v = present.then(T::default);
+        }
+        if let Some(x) = v {
+            f(self, x);
+        }
+    }
+
+    /// A `Vec` of values that are not themselves [`Leaf`]: its length,
+    /// then each element through `f`. On load the vector is rebuilt from
+    /// `T::default()` elements.
+    pub fn vec<T: Default>(&mut self, v: &mut Vec<T>, f: impl FnMut(&mut Self, &mut T)) {
+        self.vec_with(v, T::default, f);
+    }
+
+    /// [`Snap::vec`] for element types without a `Default`: on load the
+    /// vector is rebuilt from `blank()` elements before `f` fills them.
+    pub fn vec_with<T>(
+        &mut self,
+        v: &mut Vec<T>,
+        blank: impl FnMut() -> T,
+        mut f: impl FnMut(&mut Self, &mut T),
+    ) {
+        let mut n = v.len();
+        self.usize(&mut n);
+        if self.is_load() {
+            v.clear();
+            v.resize_with(n, blank);
+        }
+        for x in v.iter_mut() {
+            f(self, x);
+        }
+    }
+
+    /// A hash map, saved in sorted key order so the bytes are
+    /// deterministic: its length, then per entry the key and the value
+    /// through `f`. On load the map is cleared and refilled, each value
+    /// built from `V::default()` and filled by `f`.
+    pub fn map<K, V, S>(&mut self, m: &mut HashMap<K, V, S>, mut f: impl FnMut(&mut Self, &mut V))
+    where
+        K: Leaf + Default + Ord + Hash,
+        V: Default,
+        S: BuildHasher,
+    {
+        let mut n = m.len();
+        self.usize(&mut n);
+        if self.is_load() {
+            m.clear();
+            for _ in 0..n {
+                let (mut k, mut v) = (K::default(), V::default());
+                self.leaf(&mut k);
+                f(self, &mut v);
+                m.insert(k, v);
+            }
+        } else {
+            let mut entries: Vec<(&K, &mut V)> = m.iter_mut().collect();
+            entries.sort_by(|a, b| a.0.cmp(b.0));
+            for (k, v) in entries {
+                if let Snap::Save(w) = self {
+                    k.put(w);
+                }
+                f(self, v);
+            }
+        }
+    }
+
+    /// A short ASCII section tag that catches misalignment early: written
+    /// on save, checked on load.
+    pub fn tag(&mut self, tag: &str) {
+        match self {
+            Snap::Save(w) => w.put_tag(tag),
+            Snap::Load(r) => r.expect_tag(tag),
+        }
+    }
+
+    /// A structural count the loading side already knows (rebuilt from
+    /// the same configuration): written on save; on load the saved value
+    /// must equal `n`, or loading panics with `what`.
+    pub fn check_len(&mut self, n: usize, what: &str) {
+        let mut saved = n;
+        self.usize(&mut saved);
+        assert_eq!(saved, n, "{what}");
+    }
+
+    /// A structural name (a node, a stream): written on save; on load the
+    /// saved string must equal `name`, or loading panics with `what`.
+    pub fn check_str(&mut self, name: &str, what: &str) {
+        let mut saved = name.to_string();
+        self.str(&mut saved);
+        assert_eq!(saved, name, "{what}");
+    }
+
+    /// A structural presence flag: writes whether `v` is present on save;
+    /// on load the saved flag must match, or loading panics with `what`.
+    /// Returns `v` so the caller can snap what it holds.
+    pub fn check_some<T>(&mut self, v: Option<T>, what: &str) -> Option<T> {
+        let mut present = v.is_some();
+        self.bool(&mut present);
+        assert_eq!(present, v.is_some(), "{what}");
+        v
     }
 }
 
@@ -227,8 +557,9 @@ mod tests {
         assert!(r.get_f64().is_nan());
         assert!(r.get_bool());
         assert_eq!(r.get_str(), "hello köln");
-        assert_eq!(r.get_opt_f64(), Some(2.5));
-        assert_eq!(r.get_opt_f64(), None);
+        assert!(r.get_bool());
+        assert_eq!(r.get_f64(), 2.5);
+        assert!(!r.get_bool());
         assert!(r.is_exhausted());
     }
 
@@ -244,23 +575,136 @@ mod tests {
         assert_eq!(encode(), encode());
     }
 
+    /// A component exercising every `Snap` helper, described once.
+    #[derive(Debug, Default, PartialEq)]
+    struct Probe {
+        count: u64,
+        at: SimTime,
+        spare: Option<f64>,
+        cached: Option<(u32, String)>,
+        samples: Vec<f64>,
+        runs: Vec<(SimTime, f64)>,
+        busy: HashMap<String, SimDuration>,
+        slots: Vec<u32>,
+    }
+
+    impl Probe {
+        fn snap(&mut self, s: &mut Snap<'_>) {
+            s.tag("probe");
+            s.u64(&mut self.count);
+            s.time(&mut self.at);
+            s.opt(&mut self.spare, Snap::f64);
+            s.opt(&mut self.cached, |s, (n, name)| {
+                s.u32(n);
+                s.str(name);
+            });
+            s.leaf(&mut self.samples);
+            s.vec(&mut self.runs, |s, (end, mem)| {
+                s.time(end);
+                s.f64(mem);
+            });
+            s.map(&mut self.busy, Snap::dur);
+            s.check_len(self.slots.len(), "probe slot count mismatch");
+            for slot in &mut self.slots {
+                s.u32(slot);
+            }
+        }
+    }
+
+    fn probe() -> Probe {
+        Probe {
+            count: 42,
+            at: SimTime::from_millis(1500),
+            spare: Some(-0.25),
+            cached: None,
+            samples: vec![1.0, f64::MIN_POSITIVE],
+            runs: vec![(SimTime::from_millis(7), 0.5)],
+            busy: HashMap::from([
+                ("b".to_string(), SimDuration::from_millis(2)),
+                ("a".to_string(), SimDuration::from_millis(1)),
+            ]),
+            slots: vec![3, 4],
+        }
+    }
+
+    fn save(p: &mut Probe) -> Vec<u8> {
+        let mut s = Snap::save();
+        p.snap(&mut s);
+        s.into_bytes()
+    }
+
+    #[test]
+    fn snap_writes_the_put_sequence() {
+        let mut w = SnapWriter::new();
+        w.put_tag("probe");
+        w.put_u64(42);
+        w.put_u64(1_500_000_000);
+        w.put_opt_f64(Some(-0.25));
+        w.put_bool(false);
+        w.put_usize(2);
+        w.put_f64(1.0);
+        w.put_f64(f64::MIN_POSITIVE);
+        w.put_usize(1);
+        w.put_u64(7_000_000);
+        w.put_f64(0.5);
+        w.put_usize(2);
+        w.put_str("a");
+        w.put_u64(1_000_000);
+        w.put_str("b");
+        w.put_u64(2_000_000);
+        w.put_usize(2);
+        w.put_u32(3);
+        w.put_u32(4);
+        assert_eq!(save(&mut probe()), w.into_bytes());
+    }
+
+    #[test]
+    fn snap_round_trips_every_helper() {
+        let mut original = probe();
+        original.cached = Some((9, "lidar".to_string()));
+        let bytes = save(&mut original);
+        // Loading overwrites whatever the fresh component held, except
+        // the structural slot count, which must already agree.
+        let mut restored = Probe {
+            count: 1,
+            spare: None,
+            cached: None,
+            samples: vec![9.0; 5],
+            busy: HashMap::from([("stale".to_string(), SimDuration::ZERO)]),
+            slots: vec![0, 0],
+            ..Probe::default()
+        };
+        let mut s = Snap::load(&bytes);
+        assert!(s.is_load());
+        restored.snap(&mut s);
+        assert!(s.is_exhausted());
+        assert_eq!(restored, original);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe slot count mismatch")]
+    fn check_len_mismatch_panics_with_its_message() {
+        let bytes = save(&mut probe());
+        let mut fewer = Probe { slots: vec![0], ..Probe::default() };
+        fewer.snap(&mut Snap::load(&bytes));
+    }
+
     #[test]
     #[should_panic(expected = "checkpoint truncated")]
     fn truncated_read_panics() {
-        let mut w = SnapWriter::new();
-        w.put_u32(1);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let _ = r.get_u64();
+        let mut s = Snap::save();
+        s.u32(&mut 1);
+        let bytes = s.into_bytes();
+        s = Snap::load(&bytes);
+        s.u64(&mut 0);
     }
 
     #[test]
     #[should_panic(expected = "section mismatch")]
     fn tag_mismatch_panics() {
-        let mut w = SnapWriter::new();
-        w.put_tag("rng");
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        r.expect_tag("bus");
+        let mut s = Snap::save();
+        s.tag("rng");
+        let bytes = s.into_bytes();
+        Snap::load(&bytes).tag("bus");
     }
 }

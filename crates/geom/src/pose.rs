@@ -129,6 +129,28 @@ impl fmt::Display for Pose {
     }
 }
 
+/// Checkpoint encoding: translation, then rotation.
+impl av_des::Leaf for Pose {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        self.translation.put(w);
+        self.rotation.put(w);
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Pose {
+        Pose { translation: Vec3::get(r), rotation: Quat::get(r) }
+    }
+}
+
+/// Checkpoint encoding: linear, then angular.
+impl av_des::Leaf for Twist {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        self.linear.put(w);
+        self.angular.put(w);
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Twist {
+        Twist { linear: Vec3::get(r), angular: Vec3::get(r) }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -163,6 +163,17 @@ impl Mul for Quat {
     }
 }
 
+/// Checkpoint encoding: `w`, `x`, `y`, `z` as f64 bit patterns.
+impl av_des::Leaf for Quat {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        [self.w, self.x, self.y, self.z].put(w);
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Quat {
+        let [w, x, y, z] = <[f64; 4]>::get(r);
+        Quat { w, x, y, z }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

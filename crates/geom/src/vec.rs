@@ -373,6 +373,17 @@ impl fmt::Display for Vec3 {
     }
 }
 
+/// Checkpoint encoding: `x`, `y`, `z` as f64 bit patterns.
+impl av_des::Leaf for Vec3 {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        [self.x, self.y, self.z].put(w);
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Vec3 {
+        let [x, y, z] = <[f64; 3]>::get(r);
+        Vec3::new(x, y, z)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

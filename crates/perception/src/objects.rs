@@ -65,6 +65,49 @@ impl DetectedObject {
     }
 }
 
+/// Checkpoint encoding: a one-byte class code.
+impl av_des::Leaf for ObjectClass {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        w.put_u8(match self {
+            ObjectClass::Car => 0,
+            ObjectClass::Pedestrian => 1,
+            ObjectClass::Cyclist => 2,
+            ObjectClass::Unknown => 3,
+        });
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> ObjectClass {
+        match r.get_u8() {
+            0 => ObjectClass::Car,
+            1 => ObjectClass::Pedestrian,
+            2 => ObjectClass::Cyclist,
+            3 => ObjectClass::Unknown,
+            other => panic!("checkpoint corrupt: unknown object class {other}"),
+        }
+    }
+}
+
+/// Checkpoint encoding: the fields in declaration order.
+impl av_des::Leaf for DetectedObject {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        self.position.put(w);
+        self.half_extents.put(w);
+        w.put_f64(self.yaw);
+        self.class.put(w);
+        w.put_f64(self.confidence);
+        w.put_u32(self.point_count);
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> DetectedObject {
+        DetectedObject {
+            position: Vec3::get(r),
+            half_extents: Vec3::get(r),
+            yaw: r.get_f64(),
+            class: ObjectClass::get(r),
+            confidence: r.get_f64(),
+            point_count: r.get_u32(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

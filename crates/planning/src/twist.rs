@@ -57,30 +57,10 @@ impl TwistFilter {
         self.state
     }
 
-    /// Serializes the filter's dynamic state (the last emitted command);
-    /// parameters are configuration and are not saved.
-    pub fn save_state(&self, w: &mut av_des::SnapWriter) {
-        for v in [
-            self.state.linear.x,
-            self.state.linear.y,
-            self.state.linear.z,
-            self.state.angular.x,
-            self.state.angular.y,
-            self.state.angular.z,
-        ] {
-            w.put_f64(v);
-        }
-    }
-
-    /// Restores the state written by [`TwistFilter::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed checkpoint bytes.
-    pub fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        let linear = av_geom::Vec3::new(r.get_f64(), r.get_f64(), r.get_f64());
-        let angular = av_geom::Vec3::new(r.get_f64(), r.get_f64(), r.get_f64());
-        self.state = Twist { linear, angular };
+    /// Saves or restores the filter's dynamic state (the last emitted
+    /// command); parameters are configuration and are not saved.
+    pub fn snap(&mut self, s: &mut av_des::Snap<'_>) {
+        s.leaf(&mut self.state);
     }
 
     /// Filters one raw command, `dt` seconds after the previous one.

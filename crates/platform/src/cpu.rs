@@ -92,6 +92,7 @@ impl CpuStats {
     }
 }
 
+#[derive(Default)]
 struct Running {
     end: SimTime,
     mem_intensity: f64,
@@ -214,63 +215,33 @@ impl Cpu {
         inner.running.iter().filter(|r| r.end > now).count()
     }
 
-    /// Serializes the model's dynamic state (core occupancy, in-flight
-    /// contention set, accumulated statistics) for a checkpoint. The
-    /// configuration is not saved — resume rebuilds it from the same
-    /// calibration.
-    pub fn save_state(&self, w: &mut av_des::SnapWriter) {
-        let inner = self.inner.borrow();
-        w.put_tag("cpu");
-        w.put_usize(inner.core_free_at.len());
-        for &t in &inner.core_free_at {
-            w.put_u64(t.as_nanos());
-        }
-        w.put_usize(inner.running.len());
-        for r in &inner.running {
-            w.put_u64(r.end.as_nanos());
-            w.put_f64(r.mem_intensity);
-        }
-        w.put_u64(inner.stats.tasks_completed);
-        w.put_u64(inner.stats.total_busy.as_nanos());
-        w.put_u64(inner.stats.total_wait.as_nanos());
-        w.put_u64(inner.stats.max_wait.as_nanos());
-        let mut clients: Vec<(&String, &SimDuration)> = inner.stats.busy_by_client.iter().collect();
-        clients.sort_by(|a, b| a.0.cmp(b.0));
-        w.put_usize(clients.len());
-        for (client, busy) in clients {
-            w.put_str(client);
-            w.put_u64(busy.as_nanos());
-        }
-    }
-
-    /// Restores state written by [`Cpu::save_state`].
+    /// Saves or restores the model's dynamic state (core occupancy,
+    /// in-flight contention set, accumulated statistics) for a
+    /// checkpoint. The configuration is not saved — resume rebuilds it
+    /// from the same calibration.
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint's core count differs from this model's.
-    pub fn load_state(&self, r: &mut av_des::SnapReader<'_>) {
+    /// Loading panics if the checkpoint's core count differs from this
+    /// model's.
+    pub fn snap(&self, s: &mut av_des::Snap<'_>) {
         let mut inner = self.inner.borrow_mut();
-        r.expect_tag("cpu");
-        let cores = r.get_usize();
-        assert_eq!(cores, inner.core_free_at.len(), "checkpoint core count mismatch");
-        for slot in inner.core_free_at.iter_mut() {
-            *slot = SimTime::from_nanos(r.get_u64());
+        let inner = &mut *inner;
+        s.tag("cpu");
+        s.check_len(inner.core_free_at.len(), "checkpoint core count mismatch");
+        for slot in &mut inner.core_free_at {
+            s.time(slot);
         }
-        let n_running = r.get_usize();
-        inner.running = (0..n_running)
-            .map(|_| Running { end: SimTime::from_nanos(r.get_u64()), mem_intensity: r.get_f64() })
-            .collect();
-        inner.stats.tasks_completed = r.get_u64();
-        inner.stats.total_busy = SimDuration::from_nanos(r.get_u64());
-        inner.stats.total_wait = SimDuration::from_nanos(r.get_u64());
-        inner.stats.max_wait = SimDuration::from_nanos(r.get_u64());
-        let n_clients = r.get_usize();
-        inner.stats.busy_by_client.clear();
-        for _ in 0..n_clients {
-            let client = r.get_str();
-            let busy = SimDuration::from_nanos(r.get_u64());
-            inner.stats.busy_by_client.insert(client, busy);
-        }
+        s.vec(&mut inner.running, |s, r| {
+            s.time(&mut r.end);
+            s.f64(&mut r.mem_intensity);
+        });
+        let stats = &mut inner.stats;
+        s.u64(&mut stats.tasks_completed);
+        s.dur(&mut stats.total_busy);
+        s.dur(&mut stats.total_wait);
+        s.dur(&mut stats.max_wait);
+        s.map(&mut stats.busy_by_client, av_des::Snap::dur);
     }
 }
 

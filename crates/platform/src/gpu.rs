@@ -175,43 +175,20 @@ impl Gpu {
         inner.busy_until > inner.sim.now()
     }
 
-    /// Serializes the model's dynamic state (queue head, accumulated
-    /// statistics) for a checkpoint.
-    pub fn save_state(&self, w: &mut av_des::SnapWriter) {
-        let inner = self.inner.borrow();
-        w.put_tag("gpu");
-        w.put_u64(inner.busy_until.as_nanos());
-        w.put_u64(inner.stats.jobs_completed);
-        w.put_u64(inner.stats.total_busy.as_nanos());
-        w.put_f64(inner.stats.total_energy_j);
-        w.put_u64(inner.stats.total_wait.as_nanos());
-        w.put_u64(inner.stats.max_wait.as_nanos());
-        let mut clients: Vec<(&String, &SimDuration)> = inner.stats.busy_by_client.iter().collect();
-        clients.sort_by(|a, b| a.0.cmp(b.0));
-        w.put_usize(clients.len());
-        for (client, busy) in clients {
-            w.put_str(client);
-            w.put_u64(busy.as_nanos());
-        }
-    }
-
-    /// Restores state written by [`Gpu::save_state`].
-    pub fn load_state(&self, r: &mut av_des::SnapReader<'_>) {
+    /// Saves or restores the model's dynamic state (queue head,
+    /// accumulated statistics) for a checkpoint.
+    pub fn snap(&self, s: &mut av_des::Snap<'_>) {
         let mut inner = self.inner.borrow_mut();
-        r.expect_tag("gpu");
-        inner.busy_until = SimTime::from_nanos(r.get_u64());
-        inner.stats.jobs_completed = r.get_u64();
-        inner.stats.total_busy = SimDuration::from_nanos(r.get_u64());
-        inner.stats.total_energy_j = r.get_f64();
-        inner.stats.total_wait = SimDuration::from_nanos(r.get_u64());
-        inner.stats.max_wait = SimDuration::from_nanos(r.get_u64());
-        let n_clients = r.get_usize();
-        inner.stats.busy_by_client.clear();
-        for _ in 0..n_clients {
-            let client = r.get_str();
-            let busy = SimDuration::from_nanos(r.get_u64());
-            inner.stats.busy_by_client.insert(client, busy);
-        }
+        let inner = &mut *inner;
+        s.tag("gpu");
+        s.time(&mut inner.busy_until);
+        let stats = &mut inner.stats;
+        s.u64(&mut stats.jobs_completed);
+        s.dur(&mut stats.total_busy);
+        s.f64(&mut stats.total_energy_j);
+        s.dur(&mut stats.total_wait);
+        s.dur(&mut stats.max_wait);
+        s.map(&mut stats.busy_by_client, av_des::Snap::dur);
     }
 }
 

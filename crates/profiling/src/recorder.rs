@@ -2,7 +2,7 @@
 //! latency measurements.
 
 use crate::Distribution;
-use av_des::{SimTime, SnapReader, SnapWriter};
+use av_des::{SimTime, Snap};
 use av_ros::{BusObserver, ProcessedEvent, Source};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -112,64 +112,19 @@ impl LatencyRecorder {
             .max_by(|a, b| a.1.mean.total_cmp(&b.1.mean))
     }
 
-    /// Serializes the recorded distributions into a checkpoint section.
+    /// Saves or restores the recorded distributions as a checkpoint
+    /// section, replacing current contents on load.
     ///
     /// Path specs are *not* saved — they are rebuilt from the run
     /// configuration at resume, and only the accumulated samples are
-    /// state. Maps are emitted in sorted key order so the encoding is
+    /// state. Maps are saved in sorted key order so the encoding is
     /// byte-deterministic.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_tag("latency");
-        for map in [&self.node_latency, &self.node_queue_wait, &self.path_latency] {
-            let mut keys: Vec<&String> = map.keys().collect();
-            keys.sort();
-            w.put_usize(keys.len());
-            for key in keys {
-                w.put_str(key);
-                let samples = map[key].samples();
-                w.put_usize(samples.len());
-                for &s in samples {
-                    w.put_f64(s);
-                }
-            }
+    pub fn snap(&mut self, s: &mut Snap<'_>) {
+        s.tag("latency");
+        for map in [&mut self.node_latency, &mut self.node_queue_wait, &mut self.path_latency] {
+            s.map(map, |s, dist| dist.snap(s));
         }
-        let mut drops: Vec<(&(String, String), &u64)> = self.drops.iter().collect();
-        drops.sort();
-        w.put_usize(drops.len());
-        for ((topic, node), count) in drops {
-            w.put_str(topic);
-            w.put_str(node);
-            w.put_u64(*count);
-        }
-    }
-
-    /// Restores the distributions saved by [`LatencyRecorder::save_state`],
-    /// replacing current contents. Path specs are left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed checkpoint bytes.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) {
-        r.expect_tag("latency");
-        let mut maps: [HashMap<String, Distribution>; 3] = Default::default();
-        for map in &mut maps {
-            for _ in 0..r.get_usize() {
-                let key = r.get_str();
-                let n = r.get_usize();
-                let dist: Distribution = (0..n).map(|_| r.get_f64()).collect();
-                map.insert(key, dist);
-            }
-        }
-        let [node_latency, node_queue_wait, path_latency] = maps;
-        self.node_latency = node_latency;
-        self.node_queue_wait = node_queue_wait;
-        self.path_latency = path_latency;
-        self.drops.clear();
-        for _ in 0..r.get_usize() {
-            let topic = r.get_str();
-            let node = r.get_str();
-            self.drops.insert((topic, node), r.get_u64());
-        }
+        s.map(&mut self.drops, Snap::u64);
     }
 
     fn on_processed(&mut self, event: &ProcessedEvent) {
@@ -250,14 +205,10 @@ impl SharedRecorder {
         self.inner.borrow().clone()
     }
 
-    /// Serializes the wrapped recorder (see [`LatencyRecorder::save_state`]).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.inner.borrow().save_state(w);
-    }
-
-    /// Restores the wrapped recorder (see [`LatencyRecorder::load_state`]).
-    pub fn load_state(&self, r: &mut SnapReader<'_>) {
-        self.inner.borrow_mut().load_state(r);
+    /// Saves or restores the wrapped recorder (see
+    /// [`LatencyRecorder::snap`]).
+    pub fn snap(&self, s: &mut Snap<'_>) {
+        self.inner.borrow_mut().snap(s);
     }
 }
 
@@ -388,21 +339,21 @@ mod tests {
         r.node_processed(&event("voxel_grid_filter", 10, 14, Lineage::empty(), true));
         r.message_dropped("/image_raw", "vision_detection", 0, SimTime::ZERO);
 
-        let mut w = SnapWriter::new();
-        r.save_state(&mut w);
-        let bytes = w.into_bytes();
+        let mut s = Snap::save();
+        r.snap(&mut s);
+        let bytes = s.into_bytes();
 
         let mut restored = recorder();
-        restored.load_state(&mut SnapReader::new(&bytes));
+        restored.snap(&mut Snap::load(&bytes));
         assert_eq!(restored.node_summary("ndt_matching"), r.node_summary("ndt_matching"));
         assert_eq!(restored.path_summary("localization"), r.path_summary("localization"));
         assert_eq!(restored.observed_drops(), r.observed_drops());
         assert_eq!(restored.nodes(), r.nodes());
 
         // Re-serializing the restored state is byte-identical.
-        let mut w2 = SnapWriter::new();
-        restored.save_state(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
+        let mut s2 = Snap::save();
+        restored.snap(&mut s2);
+        assert_eq!(s2.into_bytes(), bytes);
     }
 
     #[test]

@@ -96,6 +96,11 @@ impl Distribution {
         &self.samples
     }
 
+    /// Saves or restores the samples, in arrival order, for a checkpoint.
+    pub fn snap(&mut self, s: &mut av_des::Snap<'_>) {
+        s.leaf(&mut self.samples);
+    }
+
     /// The percentile (0–100, linear interpolation) of the samples.
     ///
     /// Returns 0 for an empty distribution.

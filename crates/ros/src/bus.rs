@@ -2,10 +2,8 @@
 
 use crate::node::{Execution, Node, Outbox, Phase};
 use crate::observer::{BusObserver, FaultKind, ProcessedEvent};
-use crate::{Header, Lineage, Message, Source};
-use av_des::{
-    ReadyItem, SchedPolicyKind, Sim, SimDuration, SimTime, SnapReader, SnapWriter, StreamRng,
-};
+use crate::{Header, Lineage, Message};
+use av_des::{Leaf, ReadyItem, SchedPolicyKind, Sim, SimDuration, SimTime, Snap, StreamRng};
 use av_platform::{CpuTask, GpuJob, Platform};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -212,7 +210,41 @@ struct InFlight<M> {
     seq: u64,
 }
 
-/// One pending continuation reconstructed by [`Bus::load_state`].
+impl<M: Leaf> InFlight<M> {
+    /// An empty record for [`InFlight::snap`] to load into.
+    fn blank() -> InFlight<M> {
+        let state = ExecState {
+            node_idx: 0,
+            node_name: String::new(),
+            topic: String::new(),
+            arrival: SimTime::ZERO,
+            started: SimTime::ZERO,
+            phases: VecDeque::new(),
+            outbox_items: Vec::new(),
+            input_lineage: Lineage::empty(),
+            epoch: 0,
+        };
+        InFlight { state, resume_at: SimTime::ZERO, seq: 0 }
+    }
+
+    /// Saves or restores everything but `node_name`, which the bus
+    /// re-derives from `node_idx`.
+    fn snap(&mut self, s: &mut Snap<'_>) {
+        s.time(&mut self.resume_at);
+        s.u64(&mut self.seq);
+        let state = &mut self.state;
+        s.usize(&mut state.node_idx);
+        s.str(&mut state.topic);
+        s.time(&mut state.arrival);
+        s.time(&mut state.started);
+        s.u64(&mut state.epoch);
+        s.leaf(&mut state.phases);
+        s.leaf(&mut state.outbox_items);
+        s.leaf(&mut state.input_lineage);
+    }
+}
+
+/// One pending continuation reconstructed by [`Bus::snap`].
 ///
 /// The caller merges these with its own restored events (timer ticks,
 /// scheduled faults), sorts the union by `(time, seq)`, and schedules them
@@ -934,196 +966,96 @@ impl<M: 'static> Bus<M> {
 
     // --- Checkpointing --------------------------------------------------
 
-    /// Serializes all dynamic bus state: topic counters, subscription
-    /// queues and stats, node-slot dynamics plus each node's internal
-    /// state (via [`Node::save_state`]), fault counters and edge-fault
+    /// Saves or restores all dynamic bus state: topic counters,
+    /// subscription queues and stats, node-slot dynamics plus each node's
+    /// internal state (via [`Node::snap`]), fault counters and edge-fault
     /// RNG positions, and every in-flight callback execution.
     ///
     /// Static structure — registered nodes, subscriptions, observer,
     /// stall/slow windows — is *not* saved; resume rebuilds it from the
     /// same configuration, then overlays this dynamic state.
     ///
-    /// `encode` serializes one payload; it must mirror the `decode` given
-    /// to [`Bus::load_state`].
-    pub fn save_state(&self, w: &mut SnapWriter, encode: &mut dyn FnMut(&M, &mut SnapWriter)) {
-        let inner = self.inner.borrow();
-
-        w.put_tag("bus.topics");
-        let mut topics: Vec<(&String, &TopicState)> = inner.topics.iter().collect();
-        topics.sort_by(|a, b| a.0.cmp(b.0));
-        w.put_usize(topics.len());
-        for (name, state) in topics {
-            w.put_str(name);
-            w.put_u64(state.seq);
-            w.put_u64(state.published);
-        }
-
-        w.put_tag("bus.nodes");
-        w.put_usize(inner.nodes.len());
-        for slot in &inner.nodes {
-            w.put_str(&slot.name);
-            w.put_bool(slot.busy);
-            w.put_u64(slot.busy_since.as_nanos());
-            w.put_u64(slot.busy_accum.as_nanos());
-            w.put_bool(slot.down);
-            w.put_u64(slot.epoch);
-            w.put_usize(slot.subs.len());
-            for sub in &slot.subs {
-                w.put_u64(sub.delivered);
-                w.put_u64(sub.dropped);
-                w.put_usize(sub.queue.len());
-                for pending in &sub.queue {
-                    debug_assert_eq!(pending.topic, sub.topic);
-                    w.put_u64(pending.arrival.as_nanos());
-                    save_message(w, &pending.msg, encode);
-                }
-            }
-            slot.node.borrow().save_state(w);
-        }
-
-        w.put_tag("bus.faults");
-        w.put_bool(inner.faults_armed);
-        w.put_usize(inner.edge_faults.len());
-        for fault in &inner.edge_faults {
-            fault.rng.save(w);
-        }
-        w.put_u64(inner.lost_to_fault);
-        w.put_u64(inner.duplicated_by_fault);
-
-        w.put_tag("bus.inflight");
-        w.put_usize(inner.in_flight.len());
-        for entry in inner.in_flight.values() {
-            w.put_u64(entry.resume_at.as_nanos());
-            w.put_u64(entry.seq);
-            let state = &entry.state;
-            w.put_usize(state.node_idx);
-            w.put_str(&state.topic);
-            w.put_u64(state.arrival.as_nanos());
-            w.put_u64(state.started.as_nanos());
-            w.put_u64(state.epoch);
-            w.put_usize(state.phases.len());
-            for phase in &state.phases {
-                save_phase(w, phase);
-            }
-            w.put_usize(state.outbox_items.len());
-            for (topic, payload, lineage) in &state.outbox_items {
-                w.put_str(topic);
-                encode(payload, w);
-                save_lineage(w, lineage);
-            }
-            save_lineage(w, &state.input_lineage);
-        }
-    }
-
-    /// Restores dynamic state written by [`Bus::save_state`] onto a bus
-    /// that has been rebuilt with the identical node/subscription
-    /// structure, and returns the reconstructed in-flight continuations.
-    ///
-    /// The caller must merge the returned continuations with its other
-    /// restored events, sort everything by `(time, seq)`, and hand each
+    /// Loading returns the reconstructed in-flight continuations (saving
+    /// returns none). The caller must merge them with its other restored
+    /// events, sort everything by `(time, seq)`, and hand each
     /// continuation back to [`Bus::schedule_restored`] in that order.
     ///
     /// # Panics
     ///
-    /// Panics if the bus structure (node names, subscription counts,
-    /// edge-fault count) does not match the checkpoint.
-    pub fn load_state(
-        &self,
-        r: &mut SnapReader<'_>,
-        decode: &mut dyn FnMut(&mut SnapReader<'_>) -> M,
-    ) -> Vec<RestoredContinuation> {
-        let mut inner = self.inner.borrow_mut();
+    /// Loading panics if the bus structure (node names, subscription
+    /// counts, edge-fault count) does not match the checkpoint.
+    pub fn snap(&self, s: &mut Snap<'_>) -> Vec<RestoredContinuation>
+    where
+        M: Leaf,
+    {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
 
-        r.expect_tag("bus.topics");
-        let n_topics = r.get_usize();
-        inner.topics.clear();
-        for _ in 0..n_topics {
-            let name = r.get_str();
-            let state = TopicState { seq: r.get_u64(), published: r.get_u64() };
-            inner.topics.insert(name, state);
-        }
+        s.tag("bus.topics");
+        s.map(&mut inner.topics, |s, topic| {
+            s.u64(&mut topic.seq);
+            s.u64(&mut topic.published);
+        });
 
-        r.expect_tag("bus.nodes");
-        let n_nodes = r.get_usize();
-        assert_eq!(n_nodes, inner.nodes.len(), "checkpoint node count mismatch");
+        s.tag("bus.nodes");
+        s.check_len(inner.nodes.len(), "checkpoint node count mismatch");
         for slot in &mut inner.nodes {
-            let name = r.get_str();
-            assert_eq!(name, slot.name, "checkpoint node order mismatch");
-            slot.busy = r.get_bool();
-            slot.busy_since = SimTime::from_nanos(r.get_u64());
-            slot.busy_accum = SimDuration::from_nanos(r.get_u64());
-            slot.down = r.get_bool();
-            slot.epoch = r.get_u64();
-            let n_subs = r.get_usize();
-            assert_eq!(n_subs, slot.subs.len(), "checkpoint subscription count mismatch");
+            s.check_str(&slot.name, "checkpoint node order mismatch");
+            s.bool(&mut slot.busy);
+            s.time(&mut slot.busy_since);
+            s.dur(&mut slot.busy_accum);
+            s.bool(&mut slot.down);
+            s.u64(&mut slot.epoch);
+            s.check_len(slot.subs.len(), "checkpoint subscription count mismatch");
             for sub in &mut slot.subs {
-                sub.delivered = r.get_u64();
-                sub.dropped = r.get_u64();
-                let depth = r.get_usize();
-                sub.queue.clear();
-                for _ in 0..depth {
-                    let arrival = SimTime::from_nanos(r.get_u64());
-                    let msg = load_message(r, decode);
-                    sub.queue.push_back(PendingMsg { topic: sub.topic.clone(), msg, arrival });
+                s.u64(&mut sub.delivered);
+                s.u64(&mut sub.dropped);
+                let mut queue: Vec<(SimTime, Message<M>)> =
+                    sub.queue.iter().map(|p| (p.arrival, p.msg.clone())).collect();
+                s.leaf(&mut queue);
+                if s.is_load() {
+                    let topic = &sub.topic;
+                    sub.queue = queue
+                        .into_iter()
+                        .map(|(arrival, msg)| PendingMsg { topic: topic.clone(), msg, arrival })
+                        .collect();
                 }
             }
-            slot.node.borrow_mut().load_state(r);
+            slot.node.borrow_mut().snap(s);
         }
 
-        r.expect_tag("bus.faults");
-        inner.faults_armed = r.get_bool();
-        let n_faults = r.get_usize();
-        assert_eq!(n_faults, inner.edge_faults.len(), "checkpoint edge-fault count mismatch");
+        s.tag("bus.faults");
+        s.bool(&mut inner.faults_armed);
+        s.check_len(inner.edge_faults.len(), "checkpoint edge-fault count mismatch");
         for fault in &mut inner.edge_faults {
-            fault.rng.restore(r);
+            fault.rng.snap(s);
         }
-        inner.lost_to_fault = r.get_u64();
-        inner.duplicated_by_fault = r.get_u64();
+        s.u64(&mut inner.lost_to_fault);
+        s.u64(&mut inner.duplicated_by_fault);
 
-        r.expect_tag("bus.inflight");
-        let n_inflight = r.get_usize();
-        let mut continuations = Vec::with_capacity(n_inflight);
-        for _ in 0..n_inflight {
-            let resume_at = SimTime::from_nanos(r.get_u64());
-            let seq = r.get_u64();
-            let node_idx = r.get_usize();
-            let node_name = inner.nodes[node_idx].name.clone();
-            let topic = r.get_str();
-            let arrival = SimTime::from_nanos(r.get_u64());
-            let started = SimTime::from_nanos(r.get_u64());
-            let epoch = r.get_u64();
-            let n_phases = r.get_usize();
-            let phases = (0..n_phases).map(|_| load_phase(r)).collect();
-            let n_items = r.get_usize();
-            let outbox_items = (0..n_items)
-                .map(|_| {
-                    let topic = r.get_str();
-                    let payload = decode(r);
-                    let lineage = load_lineage(r);
-                    (topic, payload, lineage)
-                })
-                .collect();
-            let input_lineage = load_lineage(r);
-            let state = ExecState {
-                node_idx,
-                node_name,
-                topic,
-                arrival,
-                started,
-                phases,
-                outbox_items,
-                input_lineage,
-                epoch,
-            };
-            let token = inner.next_token;
-            inner.next_token += 1;
-            inner.in_flight.insert(token, InFlight { state, resume_at, seq });
-            continuations.push(RestoredContinuation { time: resume_at, seq, token });
+        s.tag("bus.inflight");
+        let mut n_inflight = inner.in_flight.len();
+        s.usize(&mut n_inflight);
+        if !s.is_load() {
+            inner.in_flight.values_mut().for_each(|entry| entry.snap(s));
+            return Vec::new();
         }
-        continuations
+        (0..n_inflight)
+            .map(|_| {
+                let mut entry = InFlight::blank();
+                entry.snap(s);
+                entry.state.node_name = inner.nodes[entry.state.node_idx].name.clone();
+                let token = inner.next_token;
+                inner.next_token += 1;
+                let time = entry.resume_at;
+                let seq = entry.seq;
+                inner.in_flight.insert(token, entry);
+                RestoredContinuation { time, seq, token }
+            })
+            .collect()
     }
 
-    /// Schedules one continuation returned by [`Bus::load_state`]. Must be
+    /// Schedules one continuation returned by [`Bus::snap`]. Must be
     /// called in globally sorted `(time, seq)` order relative to every
     /// other restored event so equal-time ties replay in original order.
     pub fn schedule_restored(&self, c: RestoredContinuation) {
@@ -1176,80 +1108,6 @@ fn ready_item<M>(sub: &Subscription<M>, pending: &PendingMsg<M>, budget: SimDura
         deadline: release + budget,
         downstream_cost: sub.downstream,
     }
-}
-
-fn save_lineage(w: &mut SnapWriter, lineage: &Lineage) {
-    let entries: Vec<(Source, SimTime)> = lineage.iter().collect();
-    w.put_usize(entries.len());
-    for (source, stamp) in entries {
-        w.put_u8(source.code() as u8);
-        w.put_u64(stamp.as_nanos());
-    }
-}
-
-fn load_lineage(r: &mut SnapReader<'_>) -> Lineage {
-    let n = r.get_usize();
-    let entries = (0..n)
-        .map(|_| (Source::from_code(r.get_u8() as u64), SimTime::from_nanos(r.get_u64())))
-        .collect();
-    Lineage::from_entries(entries)
-}
-
-fn save_phase(w: &mut SnapWriter, phase: &Phase) {
-    match phase {
-        Phase::Cpu { demand, mem_intensity } => {
-            w.put_u8(0);
-            w.put_u64(demand.as_nanos());
-            w.put_f64(*mem_intensity);
-        }
-        Phase::Gpu { kernel_time, copy_bytes, energy_j } => {
-            w.put_u8(1);
-            w.put_u64(kernel_time.as_nanos());
-            w.put_u64(*copy_bytes);
-            w.put_f64(*energy_j);
-        }
-        Phase::Wait { duration } => {
-            w.put_u8(2);
-            w.put_u64(duration.as_nanos());
-        }
-    }
-}
-
-fn load_phase(r: &mut SnapReader<'_>) -> Phase {
-    match r.get_u8() {
-        0 => {
-            Phase::Cpu { demand: SimDuration::from_nanos(r.get_u64()), mem_intensity: r.get_f64() }
-        }
-        1 => Phase::Gpu {
-            kernel_time: SimDuration::from_nanos(r.get_u64()),
-            copy_bytes: r.get_u64(),
-            energy_j: r.get_f64(),
-        },
-        2 => Phase::Wait { duration: SimDuration::from_nanos(r.get_u64()) },
-        tag => panic!("unknown phase tag {tag}"),
-    }
-}
-
-fn save_message<M>(
-    w: &mut SnapWriter,
-    msg: &Message<M>,
-    encode: &mut dyn FnMut(&M, &mut SnapWriter),
-) {
-    w.put_u64(msg.header.seq);
-    w.put_u64(msg.header.stamp.as_nanos());
-    save_lineage(w, &msg.header.lineage);
-    encode(&msg.payload, w);
-}
-
-fn load_message<M>(
-    r: &mut SnapReader<'_>,
-    decode: &mut dyn FnMut(&mut SnapReader<'_>) -> M,
-) -> Message<M> {
-    let seq = r.get_u64();
-    let stamp = SimTime::from_nanos(r.get_u64());
-    let lineage = load_lineage(r);
-    let payload = decode(r);
-    Message::new(Header { seq, stamp, lineage }, payload)
 }
 
 impl<M: 'static> fmt::Debug for Bus<M> {

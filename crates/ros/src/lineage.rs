@@ -145,6 +145,24 @@ impl Lineage {
     }
 }
 
+/// Checkpoint encoding: the entry count, then per entry the source code
+/// (one byte) and the stamp, in entry order.
+impl av_des::Leaf for Lineage {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        w.put_usize(self.entries.len());
+        for (source, stamp) in &self.entries {
+            w.put_u8(source.code() as u8);
+            stamp.put(w);
+        }
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Lineage {
+        let n = r.get_usize();
+        let entries =
+            (0..n).map(|_| (Source::from_code(r.get_u8() as u64), SimTime::get(r))).collect();
+        Lineage::from_entries(entries)
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     //! Seeded randomized property tests (fixed-seed PCG stream, so any

@@ -1,7 +1,7 @@
 //! Messages and headers.
 
 use crate::Lineage;
-use av_des::SimTime;
+use av_des::{Leaf, SimTime, SnapReader, SnapWriter};
 use std::rc::Rc;
 
 /// Message metadata, mirroring ROS's `std_msgs/Header`.
@@ -37,6 +37,21 @@ impl<M> Message<M> {
     /// Creates a message.
     pub fn new(header: Header, payload: M) -> Message<M> {
         Message { header, payload: Rc::new(payload) }
+    }
+}
+
+/// Checkpoint encoding: the header's sequence number, stamp and lineage,
+/// then the payload.
+impl<M: Leaf> Leaf for Message<M> {
+    fn put(&self, w: &mut SnapWriter) {
+        self.header.seq.put(w);
+        self.header.stamp.put(w);
+        self.header.lineage.put(w);
+        self.payload.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Message<M> {
+        let header = Header { seq: u64::get(r), stamp: SimTime::get(r), lineage: Lineage::get(r) };
+        Message::new(header, M::get(r))
     }
 }
 

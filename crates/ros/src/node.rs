@@ -1,7 +1,7 @@
 //! The node trait and its execution description.
 
 use crate::{Lineage, Message};
-use av_des::SimDuration;
+use av_des::{Leaf, SimDuration, SnapReader, SnapWriter};
 
 /// One phase of a node callback's modeled execution.
 ///
@@ -137,6 +137,41 @@ impl<M> Outbox<M> {
     }
 }
 
+/// Checkpoint encoding: a variant byte, then the variant's fields.
+impl Leaf for Phase {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Phase::Cpu { demand, mem_intensity } => {
+                w.put_u8(0);
+                demand.put(w);
+                w.put_f64(*mem_intensity);
+            }
+            Phase::Gpu { kernel_time, copy_bytes, energy_j } => {
+                w.put_u8(1);
+                kernel_time.put(w);
+                w.put_u64(*copy_bytes);
+                w.put_f64(*energy_j);
+            }
+            Phase::Wait { duration } => {
+                w.put_u8(2);
+                duration.put(w);
+            }
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Phase {
+        match r.get_u8() {
+            0 => Phase::Cpu { demand: SimDuration::get(r), mem_intensity: r.get_f64() },
+            1 => Phase::Gpu {
+                kernel_time: SimDuration::get(r),
+                copy_bytes: r.get_u64(),
+                energy_j: r.get_f64(),
+            },
+            2 => Phase::Wait { duration: SimDuration::get(r) },
+            tag => panic!("unknown phase tag {tag}"),
+        }
+    }
+}
+
 /// A processing node in the graph.
 ///
 /// Implementations run their real algorithm inside [`Node::on_message`]
@@ -153,17 +188,15 @@ pub trait Node<M> {
     /// caches). Default: nothing to reset.
     fn on_restart(&mut self) {}
 
-    /// Serializes the node's mutable internal state for a checkpoint.
+    /// Saves or restores the node's mutable internal state for a
+    /// checkpoint, describing each field once (see [`av_des::Snap`]).
     ///
     /// Stateless nodes (pure per-message transforms whose only state is
     /// an RNG the stack snapshots elsewhere — or nothing at all) keep the
-    /// default no-op; stateful nodes write every field a resumed run needs
-    /// to continue byte-identically. Must mirror [`Node::load_state`].
-    fn save_state(&self, _w: &mut av_des::SnapWriter) {}
-
-    /// Restores state written by [`Node::save_state`] on a freshly built
-    /// node during checkpoint resume.
-    fn load_state(&mut self, _r: &mut av_des::SnapReader<'_>) {}
+    /// default no-op; stateful nodes snap every field a resumed run needs
+    /// to continue byte-identically. Loading runs on a freshly built
+    /// node.
+    fn snap(&mut self, _s: &mut av_des::Snap<'_>) {}
 }
 
 #[cfg(test)]

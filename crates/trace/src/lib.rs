@@ -33,7 +33,7 @@ pub mod diff;
 pub mod export;
 pub mod json;
 
-use av_des::{SimDuration, SimTime, SnapReader, SnapWriter};
+use av_des::{Leaf, SimDuration, SimTime, Snap, SnapReader, SnapWriter};
 use av_ros::{BusObserver, FaultKind, ProcessedEvent, Source};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -159,7 +159,7 @@ impl TraceEvent {
 
 /// One fixed-cadence metrics sample, covering the interval ending at
 /// `time`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricSample {
     /// End of the sampled interval.
     pub time: SimTime,
@@ -376,218 +376,132 @@ impl SharedTracer {
         self.inner.borrow().data.events.get(from..).unwrap_or(&[]).to_vec()
     }
 
-    /// Serializes the recorded trace into a checkpoint section.
+    /// Saves or restores the recorded trace as a checkpoint section,
+    /// replacing any current contents on load.
     ///
     /// Everything is owned data in emission order, so the encoding is a
-    /// direct walk; restoring with [`SharedTracer::load_state`] and then
-    /// continuing the run appends events exactly where a straight-through
-    /// run would, keeping the exported trace byte-identical.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let data = &self.inner.borrow().data;
-        w.put_tag("tracer");
-        w.put_u64(data.sample_interval.as_nanos());
-        w.put_bool(data.policy.is_some());
-        if let Some(policy) = &data.policy {
-            w.put_str(policy);
-        }
-        w.put_usize(data.nodes.len());
-        for node in &data.nodes {
-            w.put_str(node);
-        }
-        w.put_usize(data.subscriptions.len());
-        for (topic, node) in &data.subscriptions {
-            w.put_str(topic);
-            w.put_str(node);
-        }
-        w.put_usize(data.events.len());
-        for event in &data.events {
-            save_event(event, w);
-        }
-        w.put_usize(data.samples.len());
-        for sample in &data.samples {
-            w.put_u64(sample.time.as_nanos());
-            w.put_usize(sample.queue_depths.len());
-            for &d in &sample.queue_depths {
-                w.put_u64(d);
-            }
-            w.put_usize(sample.node_busy_frac.len());
-            for &f in &sample.node_busy_frac {
-                w.put_f64(f);
-            }
-            w.put_f64(sample.cpu_util);
-            w.put_f64(sample.gpu_util);
-            w.put_f64(sample.cpu_w);
-            w.put_f64(sample.gpu_w);
-        }
-    }
-
-    /// Restores the recorded trace from a checkpoint section, replacing
-    /// any current contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed checkpoint bytes.
-    pub fn load_state(&self, r: &mut SnapReader<'_>) {
-        r.expect_tag("tracer");
-        let mut data = TraceData {
-            sample_interval: SimDuration::from_nanos(r.get_u64()),
-            ..TraceData::default()
-        };
-        if r.get_bool() {
-            data.policy = Some(r.get_str());
-        }
-        for _ in 0..r.get_usize() {
-            data.nodes.push(r.get_str());
-        }
-        for _ in 0..r.get_usize() {
-            let topic = r.get_str();
-            let node = r.get_str();
-            data.subscriptions.push((topic, node));
-        }
-        for _ in 0..r.get_usize() {
-            data.events.push(load_event(r));
-        }
-        for _ in 0..r.get_usize() {
-            let time = SimTime::from_nanos(r.get_u64());
-            let mut queue_depths = Vec::new();
-            for _ in 0..r.get_usize() {
-                queue_depths.push(r.get_u64());
-            }
-            let mut node_busy_frac = Vec::new();
-            for _ in 0..r.get_usize() {
-                node_busy_frac.push(r.get_f64());
-            }
-            data.samples.push(MetricSample {
-                time,
-                queue_depths,
-                node_busy_frac,
-                cpu_util: r.get_f64(),
-                gpu_util: r.get_f64(),
-                cpu_w: r.get_f64(),
-                gpu_w: r.get_f64(),
-            });
-        }
-        self.inner.borrow_mut().data = data;
+    /// direct walk; restoring and then continuing the run appends events
+    /// exactly where a straight-through run would, keeping the exported
+    /// trace byte-identical.
+    pub fn snap(&self, s: &mut Snap<'_>) {
+        let data = &mut self.inner.borrow_mut().data;
+        s.tag("tracer");
+        s.dur(&mut data.sample_interval);
+        s.opt(&mut data.policy, Snap::str);
+        s.leaf(&mut data.nodes);
+        s.leaf(&mut data.subscriptions);
+        s.leaf(&mut data.events);
+        s.vec(&mut data.samples, |s, sample| {
+            s.time(&mut sample.time);
+            s.leaf(&mut sample.queue_depths);
+            s.leaf(&mut sample.node_busy_frac);
+            s.f64(&mut sample.cpu_util);
+            s.f64(&mut sample.gpu_util);
+            s.f64(&mut sample.cpu_w);
+            s.f64(&mut sample.gpu_w);
+        });
     }
 }
 
-fn save_event(event: &TraceEvent, w: &mut SnapWriter) {
-    match event {
-        TraceEvent::Callback { node, topic, arrival, started, completed, lineage, published } => {
-            w.put_u8(0);
-            w.put_str(node);
-            w.put_str(topic);
-            w.put_u64(arrival.as_nanos());
-            w.put_u64(started.as_nanos());
-            w.put_u64(completed.as_nanos());
-            w.put_usize(lineage.len());
-            for &(source, stamp) in lineage {
-                w.put_u64(source.code());
-                w.put_u64(stamp.as_nanos());
-            }
-            w.put_usize(published.len());
-            for topic in published {
-                w.put_str(topic);
-            }
-        }
-        TraceEvent::Enqueued { topic, node, depth, time } => {
-            w.put_u8(1);
-            w.put_str(topic);
-            w.put_str(node);
-            w.put_usize(*depth);
-            w.put_u64(time.as_nanos());
-        }
-        TraceEvent::Dequeued { topic, node, depth, time } => {
-            w.put_u8(2);
-            w.put_str(topic);
-            w.put_str(node);
-            w.put_usize(*depth);
-            w.put_u64(time.as_nanos());
-        }
-        TraceEvent::Dropped { topic, node, depth, time } => {
-            w.put_u8(3);
-            w.put_str(topic);
-            w.put_str(node);
-            w.put_usize(*depth);
-            w.put_u64(time.as_nanos());
-        }
-        TraceEvent::Fault { kind, node, info, time } => {
-            w.put_u8(4);
-            w.put_str(kind.name());
-            w.put_str(node);
-            w.put_str(info);
-            w.put_u64(time.as_nanos());
-        }
-        TraceEvent::SchedDecision { node, topic, considered, key, time } => {
-            w.put_u8(5);
-            w.put_str(node);
-            w.put_str(topic);
-            w.put_u64(*considered);
-            w.put_u64(*key as u64);
-            w.put_u64(time.as_nanos());
-        }
-    }
-}
-
-fn load_event(r: &mut SnapReader<'_>) -> TraceEvent {
-    match r.get_u8() {
-        0 => {
-            let node = r.get_str();
-            let topic = r.get_str();
-            let arrival = SimTime::from_nanos(r.get_u64());
-            let started = SimTime::from_nanos(r.get_u64());
-            let completed = SimTime::from_nanos(r.get_u64());
-            let mut lineage = Vec::new();
-            for _ in 0..r.get_usize() {
-                let source = Source::from_code(r.get_u64());
-                lineage.push((source, SimTime::from_nanos(r.get_u64())));
-            }
-            let mut published = Vec::new();
-            for _ in 0..r.get_usize() {
-                published.push(r.get_str());
-            }
-            TraceEvent::Callback { node, topic, arrival, started, completed, lineage, published }
-        }
-        1 => {
-            let topic = r.get_str();
-            let node = r.get_str();
-            let depth = r.get_usize();
-            TraceEvent::Enqueued { topic, node, depth, time: SimTime::from_nanos(r.get_u64()) }
-        }
-        2 => {
-            let topic = r.get_str();
-            let node = r.get_str();
-            let depth = r.get_usize();
-            TraceEvent::Dequeued { topic, node, depth, time: SimTime::from_nanos(r.get_u64()) }
-        }
-        3 => {
-            let topic = r.get_str();
-            let node = r.get_str();
-            let depth = r.get_usize();
-            TraceEvent::Dropped { topic, node, depth, time: SimTime::from_nanos(r.get_u64()) }
-        }
-        4 => {
-            let name = r.get_str();
-            let kind = FaultKind::parse(&name)
-                .unwrap_or_else(|| panic!("checkpoint corrupt: unknown fault kind {name:?}"));
-            let node = r.get_str();
-            let info = r.get_str();
-            TraceEvent::Fault { kind, node, info, time: SimTime::from_nanos(r.get_u64()) }
-        }
-        5 => {
-            let node = r.get_str();
-            let topic = r.get_str();
-            let considered = r.get_u64();
-            let key = r.get_u64() as i64;
-            TraceEvent::SchedDecision {
+/// Checkpoint encoding: a variant byte, then the variant's fields.
+impl Leaf for TraceEvent {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            TraceEvent::Callback {
                 node,
                 topic,
-                considered,
-                key,
-                time: SimTime::from_nanos(r.get_u64()),
+                arrival,
+                started,
+                completed,
+                lineage,
+                published,
+            } => {
+                w.put_u8(0);
+                w.put_str(node);
+                w.put_str(topic);
+                arrival.put(w);
+                started.put(w);
+                completed.put(w);
+                w.put_usize(lineage.len());
+                for &(source, stamp) in lineage {
+                    w.put_u64(source.code());
+                    stamp.put(w);
+                }
+                published.put(w);
+            }
+            TraceEvent::Enqueued { topic, node, depth, time }
+            | TraceEvent::Dequeued { topic, node, depth, time }
+            | TraceEvent::Dropped { topic, node, depth, time } => {
+                w.put_u8(match self {
+                    TraceEvent::Enqueued { .. } => 1,
+                    TraceEvent::Dequeued { .. } => 2,
+                    _ => 3,
+                });
+                w.put_str(topic);
+                w.put_str(node);
+                w.put_usize(*depth);
+                time.put(w);
+            }
+            TraceEvent::Fault { kind, node, info, time } => {
+                w.put_u8(4);
+                w.put_str(kind.name());
+                w.put_str(node);
+                w.put_str(info);
+                time.put(w);
+            }
+            TraceEvent::SchedDecision { node, topic, considered, key, time } => {
+                w.put_u8(5);
+                w.put_str(node);
+                w.put_str(topic);
+                w.put_u64(*considered);
+                w.put_i64(*key);
+                time.put(w);
             }
         }
-        other => panic!("checkpoint corrupt: unknown trace event tag {other}"),
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> TraceEvent {
+        match r.get_u8() {
+            0 => TraceEvent::Callback {
+                node: r.get_str(),
+                topic: r.get_str(),
+                arrival: SimTime::get(r),
+                started: SimTime::get(r),
+                completed: SimTime::get(r),
+                lineage: (0..r.get_usize())
+                    .map(|_| (Source::from_code(r.get_u64()), SimTime::get(r)))
+                    .collect(),
+                published: Vec::get(r),
+            },
+            tag @ 1..=3 => {
+                let (topic, node, depth, time) =
+                    (r.get_str(), r.get_str(), r.get_usize(), SimTime::get(r));
+                match tag {
+                    1 => TraceEvent::Enqueued { topic, node, depth, time },
+                    2 => TraceEvent::Dequeued { topic, node, depth, time },
+                    _ => TraceEvent::Dropped { topic, node, depth, time },
+                }
+            }
+            4 => {
+                let name = r.get_str();
+                let kind = FaultKind::parse(&name)
+                    .unwrap_or_else(|| panic!("checkpoint corrupt: unknown fault kind {name:?}"));
+                TraceEvent::Fault {
+                    kind,
+                    node: r.get_str(),
+                    info: r.get_str(),
+                    time: SimTime::get(r),
+                }
+            }
+            5 => TraceEvent::SchedDecision {
+                node: r.get_str(),
+                topic: r.get_str(),
+                considered: r.get_u64(),
+                key: r.get_i64(),
+                time: SimTime::get(r),
+            },
+            other => panic!("checkpoint corrupt: unknown trace event tag {other}"),
+        }
     }
 }
 
@@ -666,17 +580,17 @@ mod tests {
             cpu_w: 11.0,
             gpu_w: 19.5,
         });
-        let mut w = SnapWriter::new();
-        tracer.save_state(&mut w);
-        let bytes = w.into_bytes();
+        let mut s = Snap::save();
+        tracer.snap(&mut s);
+        let bytes = s.into_bytes();
 
         let restored = SharedTracer::default();
-        restored.load_state(&mut SnapReader::new(&bytes));
+        restored.snap(&mut Snap::load(&bytes));
         assert_eq!(restored.snapshot(), tracer.snapshot());
 
         // Re-serializing the restored state is byte-identical.
-        let mut w2 = SnapWriter::new();
-        restored.save_state(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
+        let mut s2 = Snap::save();
+        restored.snap(&mut s2);
+        assert_eq!(s2.into_bytes(), bytes);
     }
 }

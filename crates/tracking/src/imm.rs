@@ -180,34 +180,14 @@ impl ImmFilter {
         }
     }
 
-    /// Serializes the bank's dynamic state (per-model filters and model
-    /// probabilities); parameters are reconstructed by the caller at load.
-    pub fn save_state(&self, w: &mut av_des::SnapWriter) {
-        for f in &self.filters {
-            f.save_state(w);
+    /// Saves or restores the bank's dynamic state (per-model filters and
+    /// model probabilities); parameters are configuration, so a loading
+    /// bank must have been built with the same ones.
+    pub fn snap(&mut self, s: &mut av_des::Snap<'_>) {
+        for f in &mut self.filters {
+            f.snap(s);
         }
-        for &p in &self.probs {
-            w.put_f64(p);
-        }
-    }
-
-    /// Rebuilds a filter bank from configuration plus the dynamic state
-    /// written by [`ImmFilter::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed checkpoint bytes.
-    pub fn load_state(params: ImmParams, r: &mut av_des::SnapReader<'_>) -> ImmFilter {
-        let filters = [
-            Ukf::load_state(MODELS[0], params.noise.clone(), r),
-            Ukf::load_state(MODELS[1], params.noise.clone(), r),
-            Ukf::load_state(MODELS[2], params.noise.clone(), r),
-        ];
-        let mut probs = [0.0f64; N_MODELS];
-        for p in &mut probs {
-            *p = r.get_f64();
-        }
-        ImmFilter { params, filters, probs }
+        s.leaf(&mut self.probs);
     }
 
     /// The probability-weighted combined estimate.

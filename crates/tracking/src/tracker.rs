@@ -64,22 +64,31 @@ pub struct TrackerWork {
     pub gates_evaluated: usize,
 }
 
-fn class_code(class: ObjectClass) -> u8 {
-    match class {
-        ObjectClass::Car => 0,
-        ObjectClass::Pedestrian => 1,
-        ObjectClass::Cyclist => 2,
-        ObjectClass::Unknown => 3,
+/// Checkpoint encoding: the fields in declaration order.
+impl av_des::Leaf for TrackedObject {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        w.put_u64(self.id);
+        self.position.put(w);
+        self.velocity.put(w);
+        w.put_f64(self.yaw);
+        w.put_f64(self.yaw_rate);
+        self.half_extents.put(w);
+        self.class.put(w);
+        w.put_u32(self.age);
+        self.model_probs.put(w);
     }
-}
-
-fn class_from_code(code: u8) -> ObjectClass {
-    match code {
-        0 => ObjectClass::Car,
-        1 => ObjectClass::Pedestrian,
-        2 => ObjectClass::Cyclist,
-        3 => ObjectClass::Unknown,
-        other => panic!("checkpoint corrupt: unknown object class code {other}"),
+    fn get(r: &mut av_des::SnapReader<'_>) -> TrackedObject {
+        TrackedObject {
+            id: r.get_u64(),
+            position: Vec3::get(r),
+            velocity: Vec3::get(r),
+            yaw: r.get_f64(),
+            yaw_rate: r.get_f64(),
+            half_extents: Vec3::get(r),
+            class: ObjectClass::get(r),
+            age: r.get_u32(),
+            model_probs: <[f64; N_MODELS]>::get(r),
+        }
     }
 }
 
@@ -126,56 +135,37 @@ impl ImmUkfPdaTracker {
         self.last_work
     }
 
-    /// Serializes all track state into a checkpoint section. Tracker
-    /// parameters are configuration and are not saved.
-    pub fn save_state(&self, w: &mut av_des::SnapWriter) {
-        w.put_tag("tracker");
-        w.put_u64(self.next_id);
-        w.put_usize(self.last_work.tracks);
-        w.put_usize(self.last_work.measurements);
-        w.put_usize(self.last_work.gates_evaluated);
-        w.put_usize(self.tracks.len());
-        for t in &self.tracks {
-            w.put_u64(t.id);
-            w.put_u32(t.hits);
-            w.put_u32(t.misses);
-            w.put_u32(t.age);
-            w.put_f64(t.half_extents.x);
-            w.put_f64(t.half_extents.y);
-            w.put_f64(t.half_extents.z);
-            w.put_u8(class_code(t.class));
-            w.put_f64(t.z_height);
-            t.imm.save_state(w);
-        }
-    }
-
-    /// Restores the track state written by
-    /// [`ImmUkfPdaTracker::save_state`], replacing all current tracks. The
-    /// tracker must have been constructed with the same parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed checkpoint bytes.
-    pub fn load_state(&mut self, r: &mut av_des::SnapReader<'_>) {
-        r.expect_tag("tracker");
-        self.next_id = r.get_u64();
-        self.last_work = TrackerWork {
-            tracks: r.get_usize(),
-            measurements: r.get_usize(),
-            gates_evaluated: r.get_usize(),
+    /// Saves or restores all track state as a checkpoint section,
+    /// replacing all current tracks on load. Tracker parameters are
+    /// configuration and are not saved: a loading tracker must have been
+    /// constructed with the same parameters.
+    pub fn snap(&mut self, s: &mut av_des::Snap<'_>) {
+        s.tag("tracker");
+        s.u64(&mut self.next_id);
+        s.usize(&mut self.last_work.tracks);
+        s.usize(&mut self.last_work.measurements);
+        s.usize(&mut self.last_work.gates_evaluated);
+        let imm = &self.params.imm;
+        let blank = || Track {
+            id: 0,
+            imm: ImmFilter::new(imm.clone(), 0.0, 0.0),
+            hits: 0,
+            misses: 0,
+            age: 0,
+            half_extents: Vec3::ZERO,
+            class: ObjectClass::Unknown,
+            z_height: 0.0,
         };
-        self.tracks.clear();
-        for _ in 0..r.get_usize() {
-            let id = r.get_u64();
-            let hits = r.get_u32();
-            let misses = r.get_u32();
-            let age = r.get_u32();
-            let half_extents = Vec3::new(r.get_f64(), r.get_f64(), r.get_f64());
-            let class = class_from_code(r.get_u8());
-            let z_height = r.get_f64();
-            let imm = ImmFilter::load_state(self.params.imm.clone(), r);
-            self.tracks.push(Track { id, imm, hits, misses, age, half_extents, class, z_height });
-        }
+        s.vec_with(&mut self.tracks, blank, |s, t| {
+            s.u64(&mut t.id);
+            s.u32(&mut t.hits);
+            s.u32(&mut t.misses);
+            s.u32(&mut t.age);
+            s.leaf(&mut t.half_extents);
+            s.leaf(&mut t.class);
+            s.f64(&mut t.z_height);
+            t.imm.snap(s);
+        });
     }
 
     /// Advances the tracker by one frame.
@@ -419,12 +409,12 @@ mod tests {
                 0.1,
             );
         }
-        let mut w = av_des::SnapWriter::new();
-        a.save_state(&mut w);
-        let bytes = w.into_bytes();
+        let mut s = av_des::Snap::save();
+        a.snap(&mut s);
+        let bytes = s.into_bytes();
 
         let mut b = ImmUkfPdaTracker::new(TrackerParams::default());
-        b.load_state(&mut av_des::SnapReader::new(&bytes));
+        b.snap(&mut av_des::Snap::load(&bytes));
         assert_eq!(b.track_count(), a.track_count());
         assert_eq!(b.last_work(), a.last_work());
 
@@ -437,11 +427,11 @@ mod tests {
         }
 
         // And re-serializing restored state reproduces the bytes.
-        let mut w2 = av_des::SnapWriter::new();
         let mut c = ImmUkfPdaTracker::new(TrackerParams::default());
-        c.load_state(&mut av_des::SnapReader::new(&bytes));
-        c.save_state(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
+        c.snap(&mut av_des::Snap::load(&bytes));
+        let mut s2 = av_des::Snap::save();
+        c.snap(&mut s2);
+        assert_eq!(s2.into_bytes(), bytes);
     }
 
     #[test]

@@ -253,45 +253,25 @@ impl Ukf {
         self.pred_meas = Some((z_mean, s));
     }
 
-    /// Serializes the dynamic state (state vector and covariance).
+    /// Saves or restores the dynamic state (state vector and covariance).
     ///
     /// The model, noise parameters and sigma weights are configuration,
-    /// reconstructed by the caller at load. The cached predicted
-    /// measurement is *not* saved: every consumer calls
-    /// [`Ukf::predict`] — which recomputes it — before reading it, so an
-    /// empty cache after restore is unobservable.
-    pub fn save_state(&self, w: &mut av_des::SnapWriter) {
-        for &v in self.state.as_slice() {
-            w.put_f64(v);
+    /// so a loading filter must have been built with the same ones. The
+    /// cached predicted measurement is *not* saved: every consumer calls
+    /// [`Ukf::predict`] — which recomputes it — before reading it, so
+    /// clearing the cache on load is unobservable.
+    pub fn snap(&mut self, s: &mut av_des::Snap<'_>) {
+        for i in 0..STATE_DIM {
+            s.f64(&mut self.state[i]);
         }
         for row in 0..STATE_DIM {
             for col in 0..STATE_DIM {
-                w.put_f64(self.cov[(row, col)]);
+                s.f64(&mut self.cov[(row, col)]);
             }
         }
-    }
-
-    /// Rebuilds a filter from configuration plus the dynamic state written
-    /// by [`Ukf::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed checkpoint bytes.
-    pub fn load_state(
-        model: MotionModel,
-        noise: NoiseParams,
-        r: &mut av_des::SnapReader<'_>,
-    ) -> Ukf {
-        let mut ukf = Ukf::new(model, noise, 0.0, 0.0);
-        let state: Vec<f64> = (0..STATE_DIM).map(|_| r.get_f64()).collect();
-        ukf.state = VecN::from_slice(&state);
-        for row in 0..STATE_DIM {
-            for col in 0..STATE_DIM {
-                ukf.cov[(row, col)] = r.get_f64();
-            }
+        if s.is_load() {
+            self.pred_meas = None;
         }
-        ukf.pred_meas = None;
-        ukf
     }
 
     /// Predicted measurement mean and innovation covariance from the last

@@ -343,6 +343,25 @@ impl NetworkDescriptor {
     }
 }
 
+/// Checkpoint encoding: a one-byte code.
+impl av_des::Leaf for DetectorKind {
+    fn put(&self, w: &mut av_des::SnapWriter) {
+        w.put_u8(match self {
+            DetectorKind::Ssd512 => 0,
+            DetectorKind::Ssd300 => 1,
+            DetectorKind::YoloV3 => 2,
+        });
+    }
+    fn get(r: &mut av_des::SnapReader<'_>) -> DetectorKind {
+        match r.get_u8() {
+            0 => DetectorKind::Ssd512,
+            1 => DetectorKind::Ssd300,
+            2 => DetectorKind::YoloV3,
+            other => panic!("checkpoint corrupt: unknown detector kind {other}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
