@@ -302,6 +302,128 @@ mod tests {
         out
     }
 
+    /// One deterministic payload of every variant, in declaration order.
+    fn one_of_each() -> Vec<Msg> {
+        let mut cloud = PointCloud::with_capacity(2);
+        cloud.push(Point { position: Vec3::new(1.0, -2.0, 0.5), intensity: 0.25, ring: 7 });
+        cloud.push(Point { position: Vec3::new(-4.0, 8.0, 1.5), intensity: 0.75, ring: 31 });
+        let tracked = TrackedObject {
+            id: 42,
+            position: Vec3::new(1.0, 2.0, 0.0),
+            velocity: Vec3::new(-0.5, 0.25, 0.0),
+            yaw: 0.3,
+            yaw_rate: -0.05,
+            half_extents: Vec3::new(2.25, 0.9, 0.75),
+            class: ObjectClass::Car,
+            age: 17,
+            model_probs: [0.2, 0.5, 0.3],
+        };
+        vec![
+            Msg::PointCloud(cloud),
+            Msg::Image(ImageFrame {
+                width: 640,
+                height: 480,
+                visible: vec![VisibleObject {
+                    id: 3,
+                    kind: AgentKind::Cyclist,
+                    bbox: (1.0, 2.0, 3.0, 4.0),
+                    distance: 12.5,
+                    occlusion: 0.25,
+                }],
+                lights: vec![VisibleLight {
+                    id: 9,
+                    bbox: (5.0, 6.0, 7.0, 8.0),
+                    state: LightState::Yellow,
+                    distance: 40.0,
+                }],
+                clutter: 0.1,
+            }),
+            Msg::Gnss(GnssFix { position: Vec3::new(10.0, 20.0, 0.0), accuracy: 0.8 }),
+            Msg::Imu(ImuSample {
+                linear_accel: Vec3::new(0.1, -0.2, 9.8),
+                yaw_rate: 0.02,
+                speed: 8.5,
+            }),
+            Msg::Pose(PoseEstimate {
+                pose: Pose::new(Vec3::new(3.0, -1.0, 0.2), av_geom::Quat::from_yaw(0.7)),
+                fitness: 0.125,
+                iterations: 4,
+            }),
+            Msg::VisionDetections(vec![VisionDetection2d {
+                bbox: (10.0, 20.0, 30.0, 40.0),
+                class: ObjectClass::Pedestrian,
+                confidence: 0.875,
+            }]),
+            Msg::DetectedObjects(vec![DetectedObject {
+                position: Vec3::new(6.0, 1.0, 0.5),
+                half_extents: Vec3::new(0.4, 0.4, 0.9),
+                yaw: -0.25,
+                class: ObjectClass::Cyclist,
+                confidence: 0.5,
+                point_count: 33,
+            }]),
+            Msg::TrackedObjects(vec![tracked.clone()]),
+            Msg::PredictedObjects(vec![PredictedObject {
+                object: tracked,
+                path: vec![Vec3::new(2.0, 2.0, 0.0), Vec3::new(3.0, 2.1, 0.0)],
+            }]),
+            Msg::Costmap(
+                av_perception::CostmapGenerator::new(Default::default())
+                    .from_points(&PointCloud::from_positions([Vec3::new(5.0, 2.0, 0.0)])),
+            ),
+            Msg::Twist(Twist::planar(5.0, 0.1)),
+            Msg::Path(vec![Vec3::new(1.0, 0.0, 0.0), Vec3::new(2.0, 0.5, 0.0)]),
+            Msg::LightColors(vec![LightObservation {
+                id: 2,
+                state: LightState::Red,
+                confidence: 0.9,
+                distance: 25.0,
+            }]),
+            Msg::Radar(RadarScan {
+                targets: vec![RadarTarget {
+                    range: 30.0,
+                    bearing: 0.1,
+                    range_rate: -2.0,
+                    rcs: 5.0,
+                }],
+            }),
+        ]
+    }
+
+    /// The checkpoint encoding of every payload variant, byte for byte:
+    /// fnv64 and length of `Leaf::put` for [`one_of_each`]. These
+    /// constants are the contract; a codec change that moves one is a
+    /// checkpoint format change.
+    #[test]
+    fn every_variant_encoding_is_pinned() {
+        const PINS: [(&str, u64, usize); 14] = [
+            ("PointCloud", 0xaddd00e805140d31, 67),
+            ("Image", 0x320607ebe429a838, 131),
+            ("Gnss", 0xb93244c7ca473544, 33),
+            ("Imu", 0x4619f13555f46dfb, 41),
+            ("Pose", 0x84bed595b65df6cd, 69),
+            ("VisionDetections", 0x4f23aa96f003053b, 50),
+            ("DetectedObjects", 0x6511db8370da5a0d, 78),
+            ("TrackedObjects", 0x6cc57aef091c85df, 134),
+            ("PredictedObjects", 0x739445b6accfbe67, 190),
+            ("Costmap", 0x2f6c601871ea50e0, 102425),
+            ("Twist", 0x2b84027203893290, 49),
+            ("Path", 0x31e0b6ff609fb6f8, 57),
+            ("LightColors", 0xa0db8f27d802e0c3, 30),
+            ("Radar", 0x29c73065343d74c2, 41),
+        ];
+        let got: Vec<(&str, u64, usize)> = one_of_each()
+            .iter()
+            .map(|msg| {
+                let mut w = SnapWriter::new();
+                msg.put(&mut w);
+                let bytes = w.into_bytes();
+                (msg.kind_name(), crate::determinism::fnv64(&bytes), bytes.len())
+            })
+            .collect();
+        assert_eq!(got, PINS);
+    }
+
     #[test]
     fn cloud_round_trips() {
         let mut cloud = PointCloud::with_capacity(2);
