@@ -156,14 +156,6 @@ fn parse_edge(rest: &str, part: &str) -> Result<(String, String, f64, (f64, f64)
     Ok((topic.to_string(), node.to_string(), parse_rate(rate, part)?, parse_window(window, part)?))
 }
 
-fn parse_source(s: &str, part: &str) -> Result<Source, String> {
-    const ALL: [Source; 5] =
-        [Source::Lidar, Source::Camera, Source::Gnss, Source::Imu, Source::Radar];
-    ALL.into_iter()
-        .find(|src| src.name().eq_ignore_ascii_case(s))
-        .ok_or_else(|| format!("fault {part:?}: unknown sensor source {s:?}"))
-}
-
 impl FaultSpec {
     /// Parses one DSL fragment (one `+`-separated part of a plan).
     pub fn parse(part: &str) -> Result<FaultSpec, String> {
@@ -224,7 +216,8 @@ impl FaultSpec {
                     .ok_or_else(|| format!("fault {part:?}: expected skew:SENSOR:xF:FROM-TO"))?;
                 let window =
                     fields.next().ok_or_else(|| format!("fault {part:?}: missing window"))?;
-                let source = parse_source(source, part)?;
+                let source = Source::parse(source)
+                    .ok_or_else(|| format!("fault {part:?}: unknown sensor source {source:?}"))?;
                 let factor = parse_factor(factor, part)?;
                 let (from_s, to_s) = parse_window(window, part)?;
                 Ok(FaultSpec::TimerSkew { source, factor, from_s, to_s })

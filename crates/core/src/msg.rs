@@ -1,5 +1,6 @@
 //! Message payloads exchanged on the bus.
 
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter};
 use av_geom::{Pose, Twist};
 use av_perception::fusion::VisionDetection2d;
 use av_perception::{DetectedObject, OccupancyGrid};
@@ -16,6 +17,18 @@ pub struct PoseEstimate {
     pub fitness: f64,
     /// Newton iterations the match took.
     pub iterations: u32,
+}
+
+/// Checkpoint encoding: the fields in declaration order.
+impl Leaf for PoseEstimate {
+    fn put(&self, w: &mut SnapWriter) {
+        self.pose.put(w);
+        w.put_f64(self.fitness);
+        w.put_u32(self.iterations);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<PoseEstimate, SnapError> {
+        Ok(PoseEstimate { pose: Pose::get(r)?, fitness: r.get_f64()?, iterations: r.get_u32()? })
+    }
 }
 
 /// Every payload type the stack exchanges.
@@ -72,6 +85,24 @@ pub struct LightObservation {
     pub confidence: f64,
     /// Distance to the light, meters.
     pub distance: f64,
+}
+
+/// Checkpoint encoding: the fields in declaration order.
+impl Leaf for LightObservation {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(self.id);
+        self.state.put(w);
+        w.put_f64(self.confidence);
+        w.put_f64(self.distance);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<LightObservation, SnapError> {
+        Ok(LightObservation {
+            id: r.get_u32()?,
+            state: LightState::get(r)?,
+            confidence: r.get_f64()?,
+            distance: r.get_f64()?,
+        })
+    }
 }
 
 impl Msg {

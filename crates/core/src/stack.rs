@@ -13,7 +13,9 @@ use crate::msg::Msg;
 use crate::nodes::*;
 use crate::supervision::{FallbackLocalizer, FaultReport, SupervisionPolicy, Supervisor};
 use crate::topics::{self, nodes as node_names};
-use av_des::{RngStreams, Sim, SimDuration, SimTime, Snap, SnapWriter, StreamRng};
+use av_des::{
+    Leaf, RngStreams, Sim, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter, StreamRng,
+};
 use av_perception::{
     ClusterParams, CostmapParams, FusionParams, NdtMappingBuilder, RayGroundParams,
 };
@@ -1584,7 +1586,7 @@ pub struct CheckpointHeader {
 }
 
 /// The tag every checkpoint payload opens with.
-const CHECKPOINT_TAG: &[u8] = b"av-checkpoint";
+const CHECKPOINT_TAG: &str = "av-checkpoint";
 
 impl CheckpointHeader {
     /// Virtual time of the capture barrier, seconds.
@@ -1594,61 +1596,48 @@ impl CheckpointHeader {
 
     /// Parses the header off the front of serialized checkpoint bytes.
     ///
-    /// Unlike the snapshot reader this never panics: it is meant for
+    /// Unlike a checkpoint load this never panics: it is meant for
     /// *untrusted* bytes (a store entry of unknown provenance), so every
     /// malformation — truncation, wrong magic tag, mangled option byte —
     /// comes back as an error string. Version skew is reported in the
     /// parsed header, not rejected here, so callers can distinguish "not
     /// a checkpoint" from "a checkpoint we no longer read".
     pub fn parse(bytes: &[u8]) -> Result<CheckpointHeader, String> {
-        CheckpointHeader::parse_prefix(bytes).map(|(header, _)| header)
+        CheckpointHeader::read(&mut SnapReader::new(bytes))
     }
 
-    /// [`CheckpointHeader::parse`], also returning the header's length in
-    /// bytes — where the state sections begin.
-    fn parse_prefix(bytes: &[u8]) -> Result<(CheckpointHeader, usize), String> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *pos + n > bytes.len() {
-                return Err(format!(
-                    "checkpoint header truncated: need {n} bytes at offset {pos}, have {}",
-                    bytes.len() - *pos
-                ));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let tag_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        if tag_len != CHECKPOINT_TAG.len() || take(&mut pos, tag_len)? != CHECKPOINT_TAG {
-            return Err("not a checkpoint: magic tag mismatch".to_string());
-        }
-        let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let get_u64 = |pos: &mut usize| -> Result<u64, String> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().unwrap()))
-        };
-        let barrier_ns = get_u64(&mut pos)?;
-        let fingerprint = get_u64(&mut pos)?;
-        let fingerprint_stripped = get_u64(&mut pos)?;
-        let earliest_blackout_s = match take(&mut pos, 1)?[0] {
-            0 => None,
-            1 => Some(f64::from_bits(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()))),
-            b => return Err(format!("checkpoint header corrupt: option byte {b}")),
-        };
-        let traced = match take(&mut pos, 1)?[0] {
-            0 => false,
-            1 => true,
-            b => return Err(format!("checkpoint header corrupt: bool byte {b}")),
-        };
-        let header = CheckpointHeader {
-            version,
-            barrier_ns,
-            fingerprint,
-            fingerprint_stripped,
-            earliest_blackout_s,
-            traced,
-        };
-        Ok((header, pos))
+    /// [`CheckpointHeader::parse`] off the front of `r`, leaving it at
+    /// the first state section.
+    fn read(r: &mut SnapReader<'_>) -> Result<CheckpointHeader, String> {
+        CheckpointHeader::get(r).map_err(|e| match e {
+            SnapError::SectionMismatch { .. } => "not a checkpoint: magic tag mismatch".to_string(),
+            e => e.to_string(),
+        })
+    }
+}
+
+/// Checkpoint encoding: the magic tag, then the fields in declaration
+/// order.
+impl Leaf for CheckpointHeader {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_tag(CHECKPOINT_TAG);
+        w.put_u32(self.version);
+        w.put_u64(self.barrier_ns);
+        w.put_u64(self.fingerprint);
+        w.put_u64(self.fingerprint_stripped);
+        self.earliest_blackout_s.put(w);
+        w.put_bool(self.traced);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<CheckpointHeader, SnapError> {
+        r.expect_tag(CHECKPOINT_TAG)?;
+        Ok(CheckpointHeader {
+            version: r.get_u32()?,
+            barrier_ns: r.get_u64()?,
+            fingerprint: r.get_u64()?,
+            fingerprint_stripped: r.get_u64()?,
+            earliest_blackout_s: Leaf::get(r)?,
+            traced: r.get_bool()?,
+        })
     }
 }
 
@@ -1736,15 +1725,15 @@ impl DriveSession {
     /// beyond it): the [`CheckpointHeader`], then [`DriveSession::snap`].
     fn capture(&self, config: &StackConfig, barrier: SimTime) -> Checkpoint {
         debug_assert_eq!(self.sim.now(), barrier);
-        let mut w = SnapWriter::new();
-        w.put_tag("av-checkpoint");
-        w.put_u32(CHECKPOINT_VERSION);
-        w.put_u64(barrier.as_nanos());
-        w.put_u64(config_fingerprint(config, false));
-        w.put_u64(config_fingerprint(config, true));
-        w.put_opt_f64(earliest_blackout_start(config));
-        w.put_bool(self.tracer.is_some());
-        let mut s = Snap::Save(w);
+        let mut s = Snap::save();
+        s.leaf(&mut CheckpointHeader {
+            version: CHECKPOINT_VERSION,
+            barrier_ns: barrier.as_nanos(),
+            fingerprint: config_fingerprint(config, false),
+            fingerprint_stripped: config_fingerprint(config, true),
+            earliest_blackout_s: earliest_blackout_start(config),
+            traced: self.tracer.is_some(),
+        });
         self.snap(&mut s, barrier);
         Checkpoint { barrier, bytes: s.into_bytes() }
     }
@@ -1760,8 +1749,8 @@ impl DriveSession {
     /// Panics when the checkpoint does not match this session's
     /// configuration (see [`drive`]) or the bytes are corrupt.
     fn resume_from(&self, checkpoint: &Checkpoint, config: &StackConfig) {
-        let (header, header_len) =
-            CheckpointHeader::parse_prefix(&checkpoint.bytes).unwrap_or_else(|e| panic!("{e}"));
+        let mut r = SnapReader::new(&checkpoint.bytes);
+        let header = CheckpointHeader::read(&mut r).unwrap_or_else(|e| panic!("{e}"));
         let version = header.version;
         assert_eq!(version, CHECKPOINT_VERSION, "unsupported checkpoint version {version}");
         let barrier = SimTime::from_nanos(header.barrier_ns);
@@ -1787,7 +1776,7 @@ impl DriveSession {
         }
         assert_eq!(header.traced, self.tracer.is_some(), "checkpoint tracing mode mismatch");
 
-        let mut s = Snap::load(&checkpoint.bytes[header_len..]);
+        let mut s = Snap::Load(r);
         let mut events = self.snap(&mut s, barrier);
         assert!(s.is_exhausted(), "checkpoint has trailing bytes");
 
@@ -1963,6 +1952,38 @@ mod tests {
 
     /// One streamed pause: `(time_s, done, events_total, new_events)`.
     type Pulse = (f64, bool, usize, Vec<TraceEvent>);
+
+    /// Random bytes, every truncation of a header and a magic-tag length
+    /// beyond the bytes left all parse to an error, never a panic.
+    #[test]
+    fn header_parse_rejects_garbage_and_truncation() {
+        let mut rng = RngStreams::new(0x5eed).stream("header-garbage");
+        for _ in 0..512 {
+            let soup: Vec<u8> = (0..rng.uniform_usize(80)).map(|_| rng.next_u64() as u8).collect();
+            let _ = CheckpointHeader::parse(&soup);
+        }
+        let header = CheckpointHeader {
+            version: CHECKPOINT_VERSION,
+            barrier_ns: 2_000_000_000,
+            fingerprint: 7,
+            fingerprint_stripped: 9,
+            earliest_blackout_s: Some(3.5),
+            traced: true,
+        };
+        let mut w = SnapWriter::new();
+        header.put(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(CheckpointHeader::parse(&bytes), Ok(header));
+        for cut in 0..bytes.len() {
+            assert!(CheckpointHeader::parse(&bytes[..cut]).is_err(), "cut at {cut} must error");
+        }
+        let mut mangled = bytes.clone();
+        mangled[4] = b'A';
+        let err = CheckpointHeader::parse(&mangled).unwrap_err();
+        assert_eq!(err, "not a checkpoint: magic tag mismatch");
+        let err = CheckpointHeader::parse(&[0xff, 0xff, 0xff, 0xff, b'a']).unwrap_err();
+        assert_eq!(err, "checkpoint truncated: need 4294967295 bytes at offset 4, have 1");
+    }
 
     #[test]
     fn streamed_drive_is_byte_identical_and_slices_partition_by_emission_time() {

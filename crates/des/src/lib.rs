@@ -49,5 +49,5 @@ mod time;
 pub use rng::{RngStreams, StreamRng};
 pub use sched::{ReadyItem, SchedPolicy, SchedPolicyKind};
 pub use sim::{EventHandle, Sim};
-pub use snap::{Leaf, Snap, SnapReader, SnapWriter};
+pub use snap::{Leaf, Snap, SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

@@ -18,10 +18,17 @@
 //! encoded with the same bytes.
 //!
 //! [`SnapWriter`] and [`SnapReader`] are the raw byte layer underneath.
+//! The reader is fallible: every read, and every [`Leaf::get`], returns a
+//! [`SnapError`] on truncated or malformed bytes, so one codec serves
+//! untrusted input too — a store entry's header, a bag file — and a
+//! corrupt length prefix fails before anything is allocated.
 //!
-//! Malformed input is a programming error (a checkpoint only ever meets the
-//! code revision that wrote it), so loading panics with a clear message
-//! instead of threading `Result` through every snapshot site.
+//! [`Snap`] turns a decode error into a panic, at one boundary. A `snap`
+//! method restores a live component in place through `&mut` fields, so
+//! it has no partial result to return; and a checkpoint body reaches it
+//! only from this build's own capture or from a store entry whose
+//! checksum and header already passed, so a failure there is a bug, not
+//! an input error.
 
 use crate::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
@@ -107,15 +114,82 @@ impl SnapWriter {
     pub fn put_tag(&mut self, tag: &str) {
         self.put_str(tag);
     }
+
+    /// Writes an enum variant: its tag byte, then its payload.
+    pub fn put_variant(&mut self, tag: u8, payload: &impl Leaf) {
+        self.put_u8(tag);
+        payload.put(self);
+    }
+
+    /// Writes a fieldless enum value as its index in `table`, one byte —
+    /// the code table is written once and read back by
+    /// [`SnapReader::get_code`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is missing from `table` (a table that does not list
+    /// every variant is a bug).
+    pub fn put_code<T: PartialEq + std::fmt::Debug>(&mut self, v: &T, table: &[T]) {
+        let code = table.iter().position(|t| t == v);
+        self.put_u8(code.unwrap_or_else(|| panic!("{v:?} missing from its code table")) as u8);
+    }
 }
 
-/// Sequential decoder over checkpoint bytes.
-///
-/// # Panics
-///
-/// Every read panics if the buffer is truncated or (for strings/tags) the
-/// content is malformed — a checkpoint is an internal artifact, so a
-/// mismatch is a bug, not an input error.
+/// Why bytes could not be decoded. Its `Display` is the message a
+/// checkpoint load panics with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapError {
+    /// The bytes end before a read completes: it needs `need` bytes at
+    /// `offset` and `have` are left.
+    Truncated {
+        /// Bytes the read needs.
+        need: usize,
+        /// Where the read starts.
+        offset: usize,
+        /// Bytes left at `offset`.
+        have: usize,
+    },
+    /// A code byte outside its type's table; `what` names the type.
+    UnknownCode {
+        /// The type being decoded, e.g. `"agent kind"`.
+        what: &'static str,
+        /// The code found.
+        code: u64,
+    },
+    /// A section tag other than the expected one.
+    SectionMismatch {
+        /// The tag the reader expected.
+        expected: String,
+        /// The tag in the bytes.
+        found: String,
+    },
+    /// Any other malformation: a bool byte other than 0 or 1, a
+    /// non-UTF-8 string, a value that breaks its type's invariant.
+    Corrupt(String),
+}
+
+impl std::fmt::Display for SnapError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapError::Truncated { need, offset, have } => {
+                write!(f, "checkpoint truncated: need {need} bytes at offset {offset}, have {have}")
+            }
+            SnapError::UnknownCode { what, code } => {
+                write!(f, "checkpoint corrupt: unknown {what} {code}")
+            }
+            SnapError::SectionMismatch { expected, found } => {
+                write!(f, "checkpoint section mismatch: expected {expected:?}, found {found:?}")
+            }
+            SnapError::Corrupt(what) => write!(f, "checkpoint corrupt: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for SnapError {}
+
+/// Sequential decoder over encoded bytes. Every read returns a
+/// [`SnapError`] instead of panicking, so the same reader serves
+/// untrusted bytes (a store entry, a bag file) and live checkpoints.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -133,81 +207,112 @@ impl<'a> SnapReader<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(
-            self.pos + n <= self.buf.len(),
-            "checkpoint truncated: need {n} bytes at offset {}, have {}",
-            self.pos,
-            self.buf.len() - self.pos
-        );
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
+    fn take(&mut self, need: usize) -> Result<&'a [u8], SnapError> {
+        let have = self.buf.len() - self.pos;
+        if need > have {
+            return Err(SnapError::Truncated { need, offset: self.pos, have });
+        }
+        let s = &self.buf[self.pos..self.pos + need];
+        self.pos += need;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
+    pub fn get_u8(&mut self) -> Result<u8, SnapError> {
+        Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    pub fn get_u32(&mut self) -> Result<u32, SnapError> {
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+    pub fn get_u64(&mut self) -> Result<u64, SnapError> {
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> i64 {
-        i64::from_le_bytes(self.take(8).try_into().unwrap())
+    pub fn get_i64(&mut self) -> Result<i64, SnapError> {
+        self.array().map(i64::from_le_bytes)
     }
 
     /// Reads a `usize` encoded as `u64`.
-    pub fn get_usize(&mut self) -> usize {
-        self.get_u64() as usize
+    pub fn get_usize(&mut self) -> Result<usize, SnapError> {
+        self.get_u64().map(|v| v as usize)
+    }
+
+    /// Reads an element count encoded as `u64`, rejecting one larger than
+    /// the bytes left (every element encodes to at least one byte), so a
+    /// corrupt length fails before anything is allocated.
+    pub fn get_len(&mut self) -> Result<usize, SnapError> {
+        let need = self.get_usize()?;
+        let have = self.buf.len() - self.pos;
+        if need > have {
+            return Err(SnapError::Truncated { need, offset: self.pos, have });
+        }
+        Ok(need)
     }
 
     /// Reads an `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> f64 {
-        f64::from_bits(self.get_u64())
+    pub fn get_f64(&mut self) -> Result<f64, SnapError> {
+        self.get_u64().map(f64::from_bits)
     }
 
     /// Reads a bool byte.
-    pub fn get_bool(&mut self) -> bool {
-        match self.get_u8() {
-            0 => false,
-            1 => true,
-            b => panic!("checkpoint corrupt: bool byte {b}"),
+    pub fn get_bool(&mut self) -> Result<bool, SnapError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(SnapError::Corrupt(format!("bool byte {b}"))),
         }
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> String {
-        let len = self.get_u32() as usize;
-        let bytes = self.take(len);
-        String::from_utf8(bytes.to_vec()).expect("checkpoint corrupt: non-UTF-8 string")
+    pub fn get_str(&mut self) -> Result<String, SnapError> {
+        let len = self.get_u32()? as usize;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| SnapError::Corrupt("non-UTF-8 string".to_string()))
     }
 
     /// Reads and checks a section tag written by [`SnapWriter::put_tag`].
-    pub fn expect_tag(&mut self, tag: &str) {
-        let got = self.get_str();
-        assert_eq!(got, tag, "checkpoint section mismatch: expected {tag:?}, found {got:?}");
+    pub fn expect_tag(&mut self, tag: &str) -> Result<(), SnapError> {
+        let found = self.get_str()?;
+        if found != tag {
+            return Err(SnapError::SectionMismatch { expected: tag.to_string(), found });
+        }
+        Ok(())
+    }
+
+    /// Reads a one-byte code written by [`SnapWriter::put_code`] with
+    /// the same `table`; `what` names the type in the error.
+    pub fn get_code<T: Copy>(&mut self, what: &'static str, table: &[T]) -> Result<T, SnapError> {
+        let code = self.get_u8()?;
+        table
+            .get(usize::from(code))
+            .copied()
+            .ok_or(SnapError::UnknownCode { what, code: code.into() })
     }
 }
 
 /// A value with one fixed encoding, its `put` and `get` written side by
 /// side. Implemented for the primitives, [`SimTime`], [`SimDuration`],
-/// sequences (a `u64` length, then the elements), pairs and triples
-/// (the fields in order) and fixed-size arrays (the elements, no
-/// length); crates implement it for their own small value types.
+/// sequences (a `u64` length, then the elements), options (a presence
+/// bool, then the value), tuples of two to four (the fields in order)
+/// and fixed-size arrays (the elements, no length); crates implement it
+/// for their own value types, next to each type.
 pub trait Leaf: Sized {
     /// Appends the encoding of `self`.
     fn put(&self, w: &mut SnapWriter);
     /// Reads one value written by [`Leaf::put`].
-    fn get(r: &mut SnapReader<'_>) -> Self;
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
 
 macro_rules! leaf_primitive {
@@ -216,7 +321,7 @@ macro_rules! leaf_primitive {
             fn put(&self, w: &mut SnapWriter) {
                 w.$put(*self);
             }
-            fn get(r: &mut SnapReader<'_>) -> $t {
+            fn get(r: &mut SnapReader<'_>) -> Result<$t, SnapError> {
                 r.$get()
             }
         }
@@ -224,8 +329,10 @@ macro_rules! leaf_primitive {
 }
 
 leaf_primitive! {
+    u8 => put_u8, get_u8;
     u32 => put_u32, get_u32;
     u64 => put_u64, get_u64;
+    i64 => put_i64, get_i64;
     usize => put_usize, get_usize;
     f64 => put_f64, get_f64;
     bool => put_bool, get_bool;
@@ -235,7 +342,7 @@ impl Leaf for String {
     fn put(&self, w: &mut SnapWriter) {
         w.put_str(self);
     }
-    fn get(r: &mut SnapReader<'_>) -> String {
+    fn get(r: &mut SnapReader<'_>) -> Result<String, SnapError> {
         r.get_str()
     }
 }
@@ -245,8 +352,8 @@ impl Leaf for SimTime {
     fn put(&self, w: &mut SnapWriter) {
         w.put_u64(self.as_nanos());
     }
-    fn get(r: &mut SnapReader<'_>) -> SimTime {
-        SimTime::from_nanos(r.get_u64())
+    fn get(r: &mut SnapReader<'_>) -> Result<SimTime, SnapError> {
+        r.get_u64().map(SimTime::from_nanos)
     }
 }
 
@@ -255,8 +362,8 @@ impl Leaf for SimDuration {
     fn put(&self, w: &mut SnapWriter) {
         w.put_u64(self.as_nanos());
     }
-    fn get(r: &mut SnapReader<'_>) -> SimDuration {
-        SimDuration::from_nanos(r.get_u64())
+    fn get(r: &mut SnapReader<'_>) -> Result<SimDuration, SnapError> {
+        r.get_u64().map(SimDuration::from_nanos)
     }
 }
 
@@ -265,8 +372,13 @@ impl<T: Leaf> Leaf for Vec<T> {
         w.put_usize(self.len());
         self.iter().for_each(|x| x.put(w));
     }
-    fn get(r: &mut SnapReader<'_>) -> Vec<T> {
-        (0..r.get_usize()).map(|_| T::get(r)).collect()
+    fn get(r: &mut SnapReader<'_>) -> Result<Vec<T>, SnapError> {
+        let n = r.get_len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
     }
 }
 
@@ -275,40 +387,54 @@ impl<T: Leaf> Leaf for VecDeque<T> {
         w.put_usize(self.len());
         self.iter().for_each(|x| x.put(w));
     }
-    fn get(r: &mut SnapReader<'_>) -> VecDeque<T> {
-        (0..r.get_usize()).map(|_| T::get(r)).collect()
+    fn get(r: &mut SnapReader<'_>) -> Result<VecDeque<T>, SnapError> {
+        Vec::get(r).map(VecDeque::from)
     }
 }
 
-impl<T: Leaf, const N: usize> Leaf for [T; N] {
+impl<T: Leaf> Leaf for Option<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_bool(self.is_some());
+        if let Some(x) = self {
+            x.put(w);
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Option<T>, SnapError> {
+        Ok(if r.get_bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Leaf + Default, const N: usize> Leaf for [T; N] {
     fn put(&self, w: &mut SnapWriter) {
         self.iter().for_each(|x| x.put(w));
     }
-    fn get(r: &mut SnapReader<'_>) -> [T; N] {
-        std::array::from_fn(|_| T::get(r))
+    fn get(r: &mut SnapReader<'_>) -> Result<[T; N], SnapError> {
+        let mut out: [T; N] = std::array::from_fn(|_| T::default());
+        for x in &mut out {
+            *x = T::get(r)?;
+        }
+        Ok(out)
     }
 }
 
-impl<A: Leaf, B: Leaf> Leaf for (A, B) {
-    fn put(&self, w: &mut SnapWriter) {
-        self.0.put(w);
-        self.1.put(w);
-    }
-    fn get(r: &mut SnapReader<'_>) -> (A, B) {
-        (A::get(r), B::get(r))
-    }
+macro_rules! leaf_tuple {
+    ($($t:ident)+) => {
+        #[allow(non_snake_case)]
+        impl<$($t: Leaf),+> Leaf for ($($t,)+) {
+            fn put(&self, w: &mut SnapWriter) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+            fn get(r: &mut SnapReader<'_>) -> Result<($($t,)+), SnapError> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    };
 }
 
-impl<A: Leaf, B: Leaf, C: Leaf> Leaf for (A, B, C) {
-    fn put(&self, w: &mut SnapWriter) {
-        self.0.put(w);
-        self.1.put(w);
-        self.2.put(w);
-    }
-    fn get(r: &mut SnapReader<'_>) -> (A, B, C) {
-        (A::get(r), B::get(r), C::get(r))
-    }
-}
+leaf_tuple!(A B);
+leaf_tuple!(A B C);
+leaf_tuple!(A B C D);
 
 /// The symmetric checkpoint codec: one walk over a component's fields
 /// either saves them or loads them. Each primitive takes the field by
@@ -318,15 +444,21 @@ impl<A: Leaf, B: Leaf, C: Leaf> Leaf for (A, B, C) {
 ///
 /// # Panics
 ///
-/// Loading panics if the bytes are truncated or malformed, or if a
-/// `check_*` helper finds the checkpoint disagreeing with the structure
-/// it is being restored onto.
+/// Loading panics with the [`SnapError`] message if the bytes are
+/// truncated or malformed, or if a `check_*` helper finds the checkpoint
+/// disagreeing with the structure it is being restored onto.
 #[derive(Debug)]
 pub enum Snap<'a> {
     /// Saving: every primitive appends the field's current value.
     Save(SnapWriter),
     /// Loading: every primitive assigns the next decoded value.
     Load(SnapReader<'a>),
+}
+
+/// The one place a decode error becomes a panic: restoring live state
+/// has no partial result to hand back (see the module docs).
+fn loaded<T>(result: Result<T, SnapError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Snap<'static> {
@@ -373,7 +505,7 @@ impl<'a> Snap<'a> {
     pub fn leaf<T: Leaf>(&mut self, v: &mut T) {
         match self {
             Snap::Save(w) => v.put(w),
-            Snap::Load(r) => *v = T::get(r),
+            Snap::Load(r) => *v = loaded(T::get(r)),
         }
     }
 
@@ -493,7 +625,7 @@ impl<'a> Snap<'a> {
     pub fn tag(&mut self, tag: &str) {
         match self {
             Snap::Save(w) => w.put_tag(tag),
-            Snap::Load(r) => r.expect_tag(tag),
+            Snap::Load(r) => loaded(r.expect_tag(tag)),
         }
     }
 
@@ -547,20 +679,47 @@ mod tests {
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
-        r.expect_tag("t");
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u32(), 0xdead_beef);
-        assert_eq!(r.get_u64(), u64::MAX - 3);
-        assert_eq!(r.get_i64(), -42);
-        assert_eq!(r.get_usize(), 12345);
-        assert_eq!(r.get_f64().to_bits(), (-0.0f64).to_bits());
-        assert!(r.get_f64().is_nan());
-        assert!(r.get_bool());
-        assert_eq!(r.get_str(), "hello köln");
-        assert!(r.get_bool());
-        assert_eq!(r.get_f64(), 2.5);
-        assert!(!r.get_bool());
+        r.expect_tag("t").unwrap();
+        assert_eq!(r.get_u8(), Ok(7));
+        assert_eq!(r.get_u32(), Ok(0xdead_beef));
+        assert_eq!(r.get_u64(), Ok(u64::MAX - 3));
+        assert_eq!(r.get_i64(), Ok(-42));
+        assert_eq!(r.get_usize(), Ok(12345));
+        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(r.get_f64().unwrap().is_nan());
+        assert_eq!(r.get_bool(), Ok(true));
+        assert_eq!(r.get_str().unwrap(), "hello köln");
+        assert_eq!(Option::<f64>::get(&mut r), Ok(Some(2.5)));
+        assert_eq!(Option::<f64>::get(&mut r), Ok(None));
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn reader_errors_are_typed() {
+        let truncated = SnapError::Truncated { need: 8, offset: 0, have: 3 };
+        assert_eq!(SnapReader::new(&[1, 2, 3]).get_u64(), Err(truncated));
+        assert_eq!(
+            SnapReader::new(&[2]).get_bool().unwrap_err().to_string(),
+            "checkpoint corrupt: bool byte 2"
+        );
+        let table = ["a", "b"];
+        let mut w = SnapWriter::new();
+        w.put_code(&"b", &table);
+        w.put_u8(2);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.get_code("letter", &table), Ok("b"));
+        assert_eq!(
+            r.get_code("letter", &table).unwrap_err().to_string(),
+            "checkpoint corrupt: unknown letter 2"
+        );
+        // A length prefix beyond the bytes left fails before allocating.
+        let mut w = SnapWriter::new();
+        w.put_usize(usize::MAX);
+        w.put_u32(7);
+        let bytes = w.into_bytes();
+        let err = SnapError::Truncated { need: usize::MAX, offset: 8, have: 4 };
+        assert_eq!(Vec::<u8>::get(&mut SnapReader::new(&bytes)), Err(err));
     }
 
     #[test]

@@ -135,8 +135,8 @@ impl av_des::Leaf for Pose {
         self.translation.put(w);
         self.rotation.put(w);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> Pose {
-        Pose { translation: Vec3::get(r), rotation: Quat::get(r) }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<Pose, av_des::SnapError> {
+        Ok(Pose { translation: Vec3::get(r)?, rotation: Quat::get(r)? })
     }
 }
 
@@ -146,8 +146,8 @@ impl av_des::Leaf for Twist {
         self.linear.put(w);
         self.angular.put(w);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> Twist {
-        Twist { linear: Vec3::get(r), angular: Vec3::get(r) }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<Twist, av_des::SnapError> {
+        Ok(Twist { linear: Vec3::get(r)?, angular: Vec3::get(r)? })
     }
 }
 

@@ -168,9 +168,9 @@ impl av_des::Leaf for Quat {
     fn put(&self, w: &mut av_des::SnapWriter) {
         [self.w, self.x, self.y, self.z].put(w);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> Quat {
-        let [w, x, y, z] = <[f64; 4]>::get(r);
-        Quat { w, x, y, z }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<Quat, av_des::SnapError> {
+        let [w, x, y, z] = <[f64; 4]>::get(r)?;
+        Ok(Quat { w, x, y, z })
     }
 }
 

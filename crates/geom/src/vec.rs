@@ -378,9 +378,9 @@ impl av_des::Leaf for Vec3 {
     fn put(&self, w: &mut av_des::SnapWriter) {
         [self.x, self.y, self.z].put(w);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> Vec3 {
-        let [x, y, z] = <[f64; 3]>::get(r);
-        Vec3::new(x, y, z)
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<Vec3, av_des::SnapError> {
+        let [x, y, z] = <[f64; 3]>::get(r)?;
+        Ok(Vec3::new(x, y, z))
     }
 }
 

@@ -9,6 +9,7 @@
 //!   along the trajectory they are predicted to follow, with decaying
 //!   cost ("not occupied by objects or to be occupied in the near future").
 
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter};
 use av_geom::Vec3;
 use av_pointcloud::PointCloud;
 
@@ -73,9 +74,15 @@ impl OccupancyGrid {
     /// Panics if `data` does not hold a whole square grid matching the
     /// geometry implied by `resolution` and `half_size`.
     pub fn from_parts(resolution: f64, half_size: f64, data: Vec<u8>) -> OccupancyGrid {
+        OccupancyGrid::checked(resolution, half_size, data).expect("grid data length mismatch")
+    }
+
+    fn checked(resolution: f64, half_size: f64, data: Vec<u8>) -> Option<OccupancyGrid> {
         let cells_per_side = ((2.0 * half_size) / resolution).ceil() as usize;
-        assert_eq!(data.len(), cells_per_side * cells_per_side, "grid data length mismatch");
-        OccupancyGrid { resolution, half_size, cells_per_side, data }
+        if cells_per_side.checked_mul(cells_per_side) != Some(data.len()) {
+            return None;
+        }
+        Some(OccupancyGrid { resolution, half_size, cells_per_side, data })
     }
 
     /// Cell edge length, meters.
@@ -139,6 +146,21 @@ impl OccupancyGrid {
     /// Raw cost data, row-major (row = y, col = x).
     pub fn data(&self) -> &[u8] {
         &self.data
+    }
+}
+
+/// Checkpoint encoding: resolution, half-size, then the cells as a
+/// sequence.
+impl Leaf for OccupancyGrid {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_f64(self.resolution);
+        w.put_f64(self.half_size);
+        self.data.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<OccupancyGrid, SnapError> {
+        let (resolution, half_size, data) = Leaf::get(r)?;
+        OccupancyGrid::checked(resolution, half_size, data)
+            .ok_or_else(|| SnapError::Corrupt("grid data length mismatch".to_string()))
     }
 }
 

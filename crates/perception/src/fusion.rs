@@ -8,6 +8,7 @@
 //! ranged object.
 
 use crate::{DetectedObject, ObjectClass};
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter};
 use av_geom::deg_to_rad;
 
 /// A 2D vision detection, as published by the vision-detection nodes.
@@ -19,6 +20,22 @@ pub struct VisionDetection2d {
     pub class: ObjectClass,
     /// Classifier confidence in `[0, 1]`.
     pub confidence: f64,
+}
+
+/// Checkpoint encoding: the fields in declaration order.
+impl Leaf for VisionDetection2d {
+    fn put(&self, w: &mut SnapWriter) {
+        self.bbox.put(w);
+        self.class.put(w);
+        w.put_f64(self.confidence);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<VisionDetection2d, SnapError> {
+        Ok(VisionDetection2d {
+            bbox: Leaf::get(r)?,
+            class: ObjectClass::get(r)?,
+            confidence: r.get_f64()?,
+        })
+    }
 }
 
 /// Camera geometry needed to project clusters into the image.

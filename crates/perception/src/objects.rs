@@ -65,24 +65,16 @@ impl DetectedObject {
     }
 }
 
+const CLASS_CODES: [ObjectClass; 4] =
+    [ObjectClass::Car, ObjectClass::Pedestrian, ObjectClass::Cyclist, ObjectClass::Unknown];
+
 /// Checkpoint encoding: a one-byte class code.
 impl av_des::Leaf for ObjectClass {
     fn put(&self, w: &mut av_des::SnapWriter) {
-        w.put_u8(match self {
-            ObjectClass::Car => 0,
-            ObjectClass::Pedestrian => 1,
-            ObjectClass::Cyclist => 2,
-            ObjectClass::Unknown => 3,
-        });
+        w.put_code(self, &CLASS_CODES);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> ObjectClass {
-        match r.get_u8() {
-            0 => ObjectClass::Car,
-            1 => ObjectClass::Pedestrian,
-            2 => ObjectClass::Cyclist,
-            3 => ObjectClass::Unknown,
-            other => panic!("checkpoint corrupt: unknown object class {other}"),
-        }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<ObjectClass, av_des::SnapError> {
+        r.get_code("object class", &CLASS_CODES)
     }
 }
 
@@ -96,15 +88,15 @@ impl av_des::Leaf for DetectedObject {
         w.put_f64(self.confidence);
         w.put_u32(self.point_count);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> DetectedObject {
-        DetectedObject {
-            position: Vec3::get(r),
-            half_extents: Vec3::get(r),
-            yaw: r.get_f64(),
-            class: ObjectClass::get(r),
-            confidence: r.get_f64(),
-            point_count: r.get_u32(),
-        }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<DetectedObject, av_des::SnapError> {
+        Ok(DetectedObject {
+            position: Vec3::get(r)?,
+            half_extents: Vec3::get(r)?,
+            yaw: r.get_f64()?,
+            class: ObjectClass::get(r)?,
+            confidence: r.get_f64()?,
+            point_count: r.get_u32()?,
+        })
     }
 }
 

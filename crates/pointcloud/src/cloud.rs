@@ -1,5 +1,6 @@
 //! The point-cloud container.
 
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter};
 use av_geom::{Aabb, Pose, Vec3};
 use std::fmt;
 
@@ -170,6 +171,33 @@ impl<'a> IntoIterator for &'a PointCloud {
 impl fmt::Display for PointCloud {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PointCloud({} points)", self.points.len())
+    }
+}
+
+/// Checkpoint and bag encoding: the position, the intensity's f32 bit
+/// pattern as a `u32`, then the ring byte.
+impl Leaf for Point {
+    fn put(&self, w: &mut SnapWriter) {
+        self.position.put(w);
+        w.put_u32(self.intensity.to_bits());
+        w.put_u8(self.ring);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Point, SnapError> {
+        Ok(Point {
+            position: Vec3::get(r)?,
+            intensity: f32::from_bits(r.get_u32()?),
+            ring: r.get_u8()?,
+        })
+    }
+}
+
+/// Checkpoint and bag encoding: the points as a sequence.
+impl Leaf for PointCloud {
+    fn put(&self, w: &mut SnapWriter) {
+        self.points.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<PointCloud, SnapError> {
+        Ok(PointCloud { points: Vec::get(r)? })
     }
 }
 

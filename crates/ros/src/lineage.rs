@@ -1,6 +1,6 @@
 //! Message lineage: which sensor acquisitions a message derives from.
 
-use av_des::SimTime;
+use av_des::{Leaf, SimTime, SnapError, SnapReader, SnapWriter};
 
 /// The sensor class a message (transitively) originated from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -18,6 +18,10 @@ pub enum Source {
 }
 
 impl Source {
+    /// Every source, in [`Source::code`] order.
+    pub const ALL: [Source; 5] =
+        [Source::Lidar, Source::Camera, Source::Gnss, Source::Imu, Source::Radar];
+
     /// Stable lower-case name, used in trace/CSV output.
     pub fn name(self) -> &'static str {
         match self {
@@ -42,18 +46,19 @@ impl Source {
 
     /// Inverse of [`Source::code`], used by checkpoint decoding.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unknown code.
-    pub fn from_code(code: u64) -> Source {
-        match code {
-            0 => Source::Lidar,
-            1 => Source::Camera,
-            2 => Source::Gnss,
-            3 => Source::Imu,
-            4 => Source::Radar,
-            other => panic!("unknown source code {other}"),
-        }
+    /// Returns [`SnapError::UnknownCode`] on a code no source has.
+    pub fn from_code(code: u64) -> Result<Source, SnapError> {
+        Source::ALL
+            .into_iter()
+            .find(|s| s.code() == code)
+            .ok_or(SnapError::UnknownCode { what: "source code", code })
+    }
+
+    /// The source named `name` ([`Source::name`]), ignoring ASCII case.
+    pub fn parse(name: &str) -> Option<Source> {
+        Source::ALL.into_iter().find(|s| s.name().eq_ignore_ascii_case(name))
     }
 }
 
@@ -133,10 +138,16 @@ impl Lineage {
     /// Panics if a source appears twice — a lineage keeps one stamp per
     /// source, so duplicates indicate corrupt checkpoint bytes.
     pub fn from_entries(entries: Vec<(Source, SimTime)>) -> Lineage {
+        Lineage::checked(entries).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn checked(entries: Vec<(Source, SimTime)>) -> Result<Lineage, SnapError> {
         for (i, (s, _)) in entries.iter().enumerate() {
-            assert!(!entries[..i].iter().any(|(p, _)| p == s), "duplicate lineage source {s:?}");
+            if entries[..i].iter().any(|(p, _)| p == s) {
+                return Err(SnapError::Corrupt(format!("duplicate lineage source {s:?}")));
+            }
         }
-        Lineage { entries }
+        Ok(Lineage { entries })
     }
 
     /// `true` when the message has no sensor ancestry.
@@ -145,21 +156,23 @@ impl Lineage {
     }
 }
 
-/// Checkpoint encoding: the entry count, then per entry the source code
-/// (one byte) and the stamp, in entry order.
-impl av_des::Leaf for Lineage {
-    fn put(&self, w: &mut av_des::SnapWriter) {
-        w.put_usize(self.entries.len());
-        for (source, stamp) in &self.entries {
-            w.put_u8(source.code() as u8);
-            stamp.put(w);
-        }
+/// Checkpoint encoding: the code as one byte.
+impl Leaf for Source {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u8(self.code() as u8);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> Lineage {
-        let n = r.get_usize();
-        let entries =
-            (0..n).map(|_| (Source::from_code(r.get_u8() as u64), SimTime::get(r))).collect();
-        Lineage::from_entries(entries)
+    fn get(r: &mut SnapReader<'_>) -> Result<Source, SnapError> {
+        Source::from_code(r.get_u8()?.into())
+    }
+}
+
+/// Checkpoint encoding: the `(source, stamp)` entries in entry order.
+impl Leaf for Lineage {
+    fn put(&self, w: &mut SnapWriter) {
+        self.entries.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Lineage, SnapError> {
+        Lineage::checked(Vec::get(r)?)
     }
 }
 
@@ -237,6 +250,17 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sources_round_trip_through_code_and_name() {
+        for source in Source::ALL {
+            assert_eq!(Source::from_code(source.code()), Ok(source));
+            assert_eq!(Source::parse(&source.name().to_uppercase()), Some(source));
+        }
+        let err = Source::from_code(5).unwrap_err();
+        assert_eq!(err.to_string(), "checkpoint corrupt: unknown source code 5");
+        assert_eq!(Source::parse("sonar"), None);
+    }
 
     #[test]
     fn origin_has_single_entry() {

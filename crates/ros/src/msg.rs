@@ -1,7 +1,7 @@
 //! Messages and headers.
 
 use crate::Lineage;
-use av_des::{Leaf, SimTime, SnapReader, SnapWriter};
+use av_des::{Leaf, SimTime, SnapError, SnapReader, SnapWriter};
 use std::rc::Rc;
 
 /// Message metadata, mirroring ROS's `std_msgs/Header`.
@@ -49,9 +49,10 @@ impl<M: Leaf> Leaf for Message<M> {
         self.header.lineage.put(w);
         self.payload.put(w);
     }
-    fn get(r: &mut SnapReader<'_>) -> Message<M> {
-        let header = Header { seq: u64::get(r), stamp: SimTime::get(r), lineage: Lineage::get(r) };
-        Message::new(header, M::get(r))
+    fn get(r: &mut SnapReader<'_>) -> Result<Message<M>, SnapError> {
+        let header =
+            Header { seq: u64::get(r)?, stamp: SimTime::get(r)?, lineage: Lineage::get(r)? };
+        Ok(Message::new(header, M::get(r)?))
     }
 }
 

@@ -1,7 +1,7 @@
 //! The node trait and its execution description.
 
 use crate::{Lineage, Message};
-use av_des::{Leaf, SimDuration, SnapReader, SnapWriter};
+use av_des::{Leaf, SimDuration, SnapError, SnapReader, SnapWriter};
 
 /// One phase of a node callback's modeled execution.
 ///
@@ -158,17 +158,17 @@ impl Leaf for Phase {
             }
         }
     }
-    fn get(r: &mut SnapReader<'_>) -> Phase {
-        match r.get_u8() {
-            0 => Phase::Cpu { demand: SimDuration::get(r), mem_intensity: r.get_f64() },
+    fn get(r: &mut SnapReader<'_>) -> Result<Phase, SnapError> {
+        Ok(match r.get_u8()? {
+            0 => Phase::Cpu { demand: SimDuration::get(r)?, mem_intensity: r.get_f64()? },
             1 => Phase::Gpu {
-                kernel_time: SimDuration::get(r),
-                copy_bytes: r.get_u64(),
-                energy_j: r.get_f64(),
+                kernel_time: SimDuration::get(r)?,
+                copy_bytes: r.get_u64()?,
+                energy_j: r.get_f64()?,
             },
-            2 => Phase::Wait { duration: SimDuration::get(r) },
-            tag => panic!("unknown phase tag {tag}"),
-        }
+            2 => Phase::Wait { duration: SimDuration::get(r)? },
+            code => return Err(SnapError::UnknownCode { what: "phase tag", code: code.into() }),
+        })
     }
 }
 

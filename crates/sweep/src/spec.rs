@@ -79,7 +79,8 @@ impl BlackoutSpec {
             let (source, window) = part
                 .split_once(':')
                 .ok_or_else(|| format!("blackout {part:?}: expected source:from-to"))?;
-            let source = parse_source(source)?;
+            let source =
+                Source::parse(source).ok_or_else(|| format!("unknown sensor source {source:?}"))?;
             let (from, to) = window
                 .split_once('-')
                 .ok_or_else(|| format!("blackout {part:?}: expected from-to window"))?;
@@ -111,14 +112,6 @@ impl FaultPlanSpec {
     pub fn parse(s: &str) -> Result<FaultPlanSpec, String> {
         Ok(FaultPlanSpec { label: s.to_string(), plan: FaultPlan::parse(s)? })
     }
-}
-
-fn parse_source(s: &str) -> Result<Source, String> {
-    const ALL: [Source; 5] =
-        [Source::Lidar, Source::Camera, Source::Gnss, Source::Imu, Source::Radar];
-    ALL.into_iter()
-        .find(|src| src.name().eq_ignore_ascii_case(s))
-        .ok_or_else(|| format!("unknown sensor source {s:?}"))
 }
 
 /// One point of the expanded sweep: the base config plus the axis

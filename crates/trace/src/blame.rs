@@ -709,9 +709,6 @@ fn arg_f64(event: &JsonValue, key: &str) -> Option<f64> {
     event.get("args")?.get(key)?.as_f64()
 }
 
-const ALL_SOURCES: [Source; 5] =
-    [Source::Lidar, Source::Camera, Source::Gnss, Source::Imu, Source::Radar];
-
 /// Reconstructs a blame-sufficient [`TraceData`] from an exported Chrome
 /// trace document: callback spans with lineage, fault instants, drop
 /// instants and the metrics samples. Queue enqueue/dequeue counters are
@@ -768,7 +765,7 @@ pub fn trace_from_chrome(doc: &JsonValue) -> Result<TraceData, String> {
                     .filter_map(|p| p.as_str().map(str::to_string))
                     .collect();
                 let mut lineage = Vec::new();
-                for source in ALL_SOURCES {
+                for source in Source::ALL {
                     let key = format!("lineage_{}_ns", source.name());
                     if let Some(stamp) = arg_u64(event, &key) {
                         lineage.push((source, SimTime::from_nanos(stamp)));

@@ -33,7 +33,7 @@ pub mod diff;
 pub mod export;
 pub mod json;
 
-use av_des::{Leaf, SimDuration, SimTime, Snap, SnapReader, SnapWriter};
+use av_des::{Leaf, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use av_ros::{BusObserver, FaultKind, ProcessedEvent, Source};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -460,22 +460,27 @@ impl Leaf for TraceEvent {
         }
     }
 
-    fn get(r: &mut SnapReader<'_>) -> TraceEvent {
-        match r.get_u8() {
+    fn get(r: &mut SnapReader<'_>) -> Result<TraceEvent, SnapError> {
+        Ok(match r.get_u8()? {
             0 => TraceEvent::Callback {
-                node: r.get_str(),
-                topic: r.get_str(),
-                arrival: SimTime::get(r),
-                started: SimTime::get(r),
-                completed: SimTime::get(r),
-                lineage: (0..r.get_usize())
-                    .map(|_| (Source::from_code(r.get_u64()), SimTime::get(r)))
-                    .collect(),
-                published: Vec::get(r),
+                node: r.get_str()?,
+                topic: r.get_str()?,
+                arrival: SimTime::get(r)?,
+                started: SimTime::get(r)?,
+                completed: SimTime::get(r)?,
+                lineage: {
+                    let n = r.get_len()?;
+                    let mut lineage = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        lineage.push((Source::from_code(r.get_u64()?)?, SimTime::get(r)?));
+                    }
+                    lineage
+                },
+                published: Vec::get(r)?,
             },
             tag @ 1..=3 => {
                 let (topic, node, depth, time) =
-                    (r.get_str(), r.get_str(), r.get_usize(), SimTime::get(r));
+                    (r.get_str()?, r.get_str()?, r.get_usize()?, SimTime::get(r)?);
                 match tag {
                     1 => TraceEvent::Enqueued { topic, node, depth, time },
                     2 => TraceEvent::Dequeued { topic, node, depth, time },
@@ -483,25 +488,27 @@ impl Leaf for TraceEvent {
                 }
             }
             4 => {
-                let name = r.get_str();
+                let name = r.get_str()?;
                 let kind = FaultKind::parse(&name)
-                    .unwrap_or_else(|| panic!("checkpoint corrupt: unknown fault kind {name:?}"));
+                    .ok_or_else(|| SnapError::Corrupt(format!("unknown fault kind {name:?}")))?;
                 TraceEvent::Fault {
                     kind,
-                    node: r.get_str(),
-                    info: r.get_str(),
-                    time: SimTime::get(r),
+                    node: r.get_str()?,
+                    info: r.get_str()?,
+                    time: SimTime::get(r)?,
                 }
             }
             5 => TraceEvent::SchedDecision {
-                node: r.get_str(),
-                topic: r.get_str(),
-                considered: r.get_u64(),
-                key: r.get_i64(),
-                time: SimTime::get(r),
+                node: r.get_str()?,
+                topic: r.get_str()?,
+                considered: r.get_u64()?,
+                key: r.get_i64()?,
+                time: SimTime::get(r)?,
             },
-            other => panic!("checkpoint corrupt: unknown trace event tag {other}"),
-        }
+            code => {
+                return Err(SnapError::UnknownCode { what: "trace event tag", code: code.into() })
+            }
+        })
     }
 }
 
@@ -546,8 +553,8 @@ mod tests {
         assert_eq!(data.sample_interval, SimDuration::from_millis(100));
     }
 
-    #[test]
-    fn tracer_state_round_trips() {
+    /// A tracer holding one event of each kind, a policy and a sample.
+    fn sample_tracer() -> SharedTracer {
         let tracer = SharedTracer::new(&TraceConfig::default());
         tracer.set_topology(
             vec!["vision".to_string(), "ndt".to_string()],
@@ -580,6 +587,41 @@ mod tests {
             cpu_w: 11.0,
             gpu_w: 19.5,
         });
+        tracer
+    }
+
+    /// Random bytes, every truncation of every event's encoding and a
+    /// length prefix beyond the bytes left all decode to an error, never
+    /// a panic.
+    #[test]
+    fn event_decoder_rejects_garbage_and_truncation() {
+        let mut rng = av_des::RngStreams::new(0x5eed).stream("trace-garbage");
+        for _ in 0..512 {
+            let soup: Vec<u8> = (0..rng.uniform_usize(200)).map(|_| rng.next_u64() as u8).collect();
+            let _ = TraceEvent::get(&mut SnapReader::new(&soup));
+        }
+        for event in sample_tracer().snapshot().events {
+            let mut w = SnapWriter::new();
+            event.put(&mut w);
+            let bytes = w.into_bytes();
+            for cut in 0..bytes.len() {
+                let r = TraceEvent::get(&mut SnapReader::new(&bytes[..cut]));
+                assert!(r.is_err(), "{event:?} cut at {cut} must error");
+            }
+        }
+        let mut w = SnapWriter::new();
+        w.put_u8(0); // a callback ...
+        w.put_str("vision");
+        w.put_str("/image_raw");
+        [SimTime::ZERO; 3].put(&mut w);
+        w.put_usize(usize::MAX); // ... with 2^64 - 1 lineage entries
+        let err = TraceEvent::get(&mut SnapReader::new(&w.into_bytes())).unwrap_err();
+        assert!(matches!(err, SnapError::Truncated { need: usize::MAX, have: 0, .. }), "{err}");
+    }
+
+    #[test]
+    fn tracer_state_round_trips() {
+        let tracer = sample_tracer();
         let mut s = Snap::save();
         tracer.snap(&mut s);
         let bytes = s.into_bytes();

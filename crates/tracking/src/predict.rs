@@ -6,6 +6,7 @@
 //! with the CTRV equations at its current speed and yaw rate.
 
 use crate::TrackedObject;
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter};
 use av_geom::Vec3;
 
 /// Prediction horizon parameters.
@@ -31,6 +32,17 @@ pub struct PredictedObject {
     pub object: TrackedObject,
     /// Future positions at `step_s` intervals, nearest first.
     pub path: Vec<Vec3>,
+}
+
+/// Checkpoint encoding: the object, then the path.
+impl Leaf for PredictedObject {
+    fn put(&self, w: &mut SnapWriter) {
+        self.object.put(w);
+        self.path.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<PredictedObject, SnapError> {
+        Ok(PredictedObject { object: TrackedObject::get(r)?, path: Vec::get(r)? })
+    }
 }
 
 /// Rolls a track's constant-velocity/turn state forward.

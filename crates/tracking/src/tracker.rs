@@ -77,18 +77,18 @@ impl av_des::Leaf for TrackedObject {
         w.put_u32(self.age);
         self.model_probs.put(w);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> TrackedObject {
-        TrackedObject {
-            id: r.get_u64(),
-            position: Vec3::get(r),
-            velocity: Vec3::get(r),
-            yaw: r.get_f64(),
-            yaw_rate: r.get_f64(),
-            half_extents: Vec3::get(r),
-            class: ObjectClass::get(r),
-            age: r.get_u32(),
-            model_probs: <[f64; N_MODELS]>::get(r),
-        }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<TrackedObject, av_des::SnapError> {
+        Ok(TrackedObject {
+            id: r.get_u64()?,
+            position: Vec3::get(r)?,
+            velocity: Vec3::get(r)?,
+            yaw: r.get_f64()?,
+            yaw_rate: r.get_f64()?,
+            half_extents: Vec3::get(r)?,
+            class: ObjectClass::get(r)?,
+            age: r.get_u32()?,
+            model_probs: <[f64; N_MODELS]>::get(r)?,
+        })
     }
 }
 

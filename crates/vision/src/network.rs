@@ -343,22 +343,16 @@ impl NetworkDescriptor {
     }
 }
 
+const DETECTOR_CODES: [DetectorKind; 3] =
+    [DetectorKind::Ssd512, DetectorKind::Ssd300, DetectorKind::YoloV3];
+
 /// Checkpoint encoding: a one-byte code.
 impl av_des::Leaf for DetectorKind {
     fn put(&self, w: &mut av_des::SnapWriter) {
-        w.put_u8(match self {
-            DetectorKind::Ssd512 => 0,
-            DetectorKind::Ssd300 => 1,
-            DetectorKind::YoloV3 => 2,
-        });
+        w.put_code(self, &DETECTOR_CODES);
     }
-    fn get(r: &mut av_des::SnapReader<'_>) -> DetectorKind {
-        match r.get_u8() {
-            0 => DetectorKind::Ssd512,
-            1 => DetectorKind::Ssd300,
-            2 => DetectorKind::YoloV3,
-            other => panic!("checkpoint corrupt: unknown detector kind {other}"),
-        }
+    fn get(r: &mut av_des::SnapReader<'_>) -> Result<DetectorKind, av_des::SnapError> {
+        r.get_code("detector kind", &DETECTOR_CODES)
     }
 }
 

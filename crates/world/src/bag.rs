@@ -4,97 +4,21 @@
 //! through every experiment. [`Bag`] gives the simulation the same
 //! property: generate the sensor streams once, serialize them, and replay
 //! byte-identical input under every detector configuration.
+//!
+//! The `AVBAG03` format is the magic line, then the entries as one
+//! [`Leaf`] sequence (a `u64` count, then per entry the time, a sample
+//! tag and the sample). Each sample is written by the codec its sensor
+//! type shares with checkpoint payloads, so a recorded frame and a
+//! checkpointed one are the same bytes, and decoding goes through the
+//! same fallible reader.
 
-use crate::{
-    GnssFix, ImageFrame, ImuSample, LightState, RadarScan, RadarTarget, VisibleLight, VisibleObject,
-};
-use av_des::SimTime;
-use av_geom::Vec3;
-use av_pointcloud::{Point, PointCloud};
+use crate::{GnssFix, ImageFrame, ImuSample, RadarScan};
+use av_des::{Leaf, SimTime, SnapError, SnapReader, SnapWriter};
+use av_pointcloud::PointCloud;
 use std::error::Error;
 use std::fmt;
 
-/// Minimal little-endian wire helpers (the tiny subset of the `bytes`
-/// crate this format needs), kept in-house so the build is hermetic.
-mod wire {
-    pub trait WireWrite {
-        fn put_slice(&mut self, s: &[u8]);
-        fn put_u8(&mut self, v: u8);
-        fn put_u32_le(&mut self, v: u32);
-        fn put_u64_le(&mut self, v: u64);
-        fn put_f32_le(&mut self, v: f32);
-        fn put_f64_le(&mut self, v: f64);
-    }
-
-    impl WireWrite for Vec<u8> {
-        fn put_slice(&mut self, s: &[u8]) {
-            self.extend_from_slice(s);
-        }
-        fn put_u8(&mut self, v: u8) {
-            self.push(v);
-        }
-        fn put_u32_le(&mut self, v: u32) {
-            self.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_u64_le(&mut self, v: u64) {
-            self.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_f32_le(&mut self, v: f32) {
-            self.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_f64_le(&mut self, v: f64) {
-            self.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    pub trait WireRead {
-        fn remaining(&self) -> usize;
-        fn advance(&mut self, n: usize);
-        fn get_u8(&mut self) -> u8;
-        fn get_u32_le(&mut self) -> u32;
-        fn get_u64_le(&mut self) -> u64;
-        fn get_f32_le(&mut self) -> f32;
-        fn get_f64_le(&mut self) -> f64;
-    }
-
-    impl WireRead for &[u8] {
-        fn remaining(&self) -> usize {
-            self.len()
-        }
-        fn advance(&mut self, n: usize) {
-            *self = &self[n..];
-        }
-        fn get_u8(&mut self) -> u8 {
-            let v = self[0];
-            self.advance(1);
-            v
-        }
-        fn get_u32_le(&mut self) -> u32 {
-            let v = u32::from_le_bytes(self[..4].try_into().unwrap());
-            self.advance(4);
-            v
-        }
-        fn get_u64_le(&mut self) -> u64 {
-            let v = u64::from_le_bytes(self[..8].try_into().unwrap());
-            self.advance(8);
-            v
-        }
-        fn get_f32_le(&mut self) -> f32 {
-            let v = f32::from_le_bytes(self[..4].try_into().unwrap());
-            self.advance(4);
-            v
-        }
-        fn get_f64_le(&mut self) -> f64 {
-            let v = f64::from_le_bytes(self[..8].try_into().unwrap());
-            self.advance(8);
-            v
-        }
-    }
-}
-
-use wire::{WireRead, WireWrite};
-
-const MAGIC: &[u8; 8] = b"AVBAG02\n";
+const MAGIC: &[u8; 8] = b"AVBAG03\n";
 
 /// One recorded sensor sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,15 +35,26 @@ pub enum SensorSample {
     Radar(RadarScan),
 }
 
-impl SensorSample {
-    fn tag(&self) -> u8 {
+/// Bag encoding: a sample tag, then the sample's own codec.
+impl Leaf for SensorSample {
+    fn put(&self, w: &mut SnapWriter) {
         match self {
-            SensorSample::Lidar(_) => 0,
-            SensorSample::Camera(_) => 1,
-            SensorSample::Gnss(_) => 2,
-            SensorSample::Imu(_) => 3,
-            SensorSample::Radar(_) => 4,
+            SensorSample::Lidar(cloud) => w.put_variant(0, cloud),
+            SensorSample::Camera(frame) => w.put_variant(1, frame),
+            SensorSample::Gnss(fix) => w.put_variant(2, fix),
+            SensorSample::Imu(imu) => w.put_variant(3, imu),
+            SensorSample::Radar(scan) => w.put_variant(4, scan),
         }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<SensorSample, SnapError> {
+        Ok(match r.get_u8()? {
+            0 => SensorSample::Lidar(PointCloud::get(r)?),
+            1 => SensorSample::Camera(ImageFrame::get(r)?),
+            2 => SensorSample::Gnss(GnssFix::get(r)?),
+            3 => SensorSample::Imu(ImuSample::get(r)?),
+            4 => SensorSample::Radar(RadarScan::get(r)?),
+            code => return Err(SnapError::UnknownCode { what: "sample tag", code: code.into() }),
+        })
     }
 }
 
@@ -130,6 +65,17 @@ pub struct BagEntry {
     pub time: SimTime,
     /// The sample.
     pub sample: SensorSample,
+}
+
+/// Bag encoding: the time, then the sample.
+impl Leaf for BagEntry {
+    fn put(&self, w: &mut SnapWriter) {
+        self.time.put(w);
+        self.sample.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<BagEntry, SnapError> {
+        Ok(BagEntry { time: SimTime::get(r)?, sample: SensorSample::get(r)? })
+    }
 }
 
 /// Decoding failures.
@@ -154,6 +100,19 @@ impl fmt::Display for BagError {
 }
 
 impl Error for BagError {}
+
+impl From<SnapError> for BagError {
+    fn from(e: SnapError) -> BagError {
+        match e {
+            SnapError::UnknownCode { code, .. } => {
+                BagError::BadTag(code.try_into().unwrap_or(u8::MAX))
+            }
+            // Bag records hold no bools, strings or section tags, so every
+            // other failure is the data ending mid-record.
+            _ => BagError::UnexpectedEof,
+        }
+    }
+}
 
 /// An ordered recording of sensor samples.
 ///
@@ -224,68 +183,10 @@ impl Bag {
 
     /// Serializes the bag to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.entries.len() * 64);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(self.entries.len() as u32);
-        for entry in &self.entries {
-            buf.put_u64_le(entry.time.as_nanos());
-            buf.put_u8(entry.sample.tag());
-            match &entry.sample {
-                SensorSample::Lidar(cloud) => {
-                    buf.put_u32_le(cloud.len() as u32);
-                    for p in cloud.iter() {
-                        put_vec3(&mut buf, p.position);
-                        buf.put_f32_le(p.intensity);
-                        buf.put_u8(p.ring);
-                    }
-                }
-                SensorSample::Camera(frame) => {
-                    buf.put_u32_le(frame.width);
-                    buf.put_u32_le(frame.height);
-                    buf.put_f64_le(frame.clutter);
-                    buf.put_u32_le(frame.visible.len() as u32);
-                    for v in &frame.visible {
-                        buf.put_u32_le(v.id);
-                        buf.put_u8(kind_tag(v.kind));
-                        buf.put_f64_le(v.bbox.0);
-                        buf.put_f64_le(v.bbox.1);
-                        buf.put_f64_le(v.bbox.2);
-                        buf.put_f64_le(v.bbox.3);
-                        buf.put_f64_le(v.distance);
-                        buf.put_f64_le(v.occlusion);
-                    }
-                    buf.put_u32_le(frame.lights.len() as u32);
-                    for l in &frame.lights {
-                        buf.put_u32_le(l.id);
-                        buf.put_u8(light_tag(l.state));
-                        buf.put_f64_le(l.bbox.0);
-                        buf.put_f64_le(l.bbox.1);
-                        buf.put_f64_le(l.bbox.2);
-                        buf.put_f64_le(l.bbox.3);
-                        buf.put_f64_le(l.distance);
-                    }
-                }
-                SensorSample::Gnss(fix) => {
-                    put_vec3(&mut buf, fix.position);
-                    buf.put_f64_le(fix.accuracy);
-                }
-                SensorSample::Imu(imu) => {
-                    put_vec3(&mut buf, imu.linear_accel);
-                    buf.put_f64_le(imu.yaw_rate);
-                    buf.put_f64_le(imu.speed);
-                }
-                SensorSample::Radar(scan) => {
-                    buf.put_u32_le(scan.targets.len() as u32);
-                    for t in &scan.targets {
-                        buf.put_f64_le(t.range);
-                        buf.put_f64_le(t.bearing);
-                        buf.put_f64_le(t.range_rate);
-                        buf.put_f64_le(t.rcs);
-                    }
-                }
-            }
-        }
-        buf
+        let mut w = SnapWriter::new();
+        MAGIC.iter().for_each(|&b| w.put_u8(b));
+        self.entries.put(&mut w);
+        w.into_bytes()
     }
 
     /// Deserializes a bag.
@@ -293,93 +194,11 @@ impl Bag {
     /// # Errors
     ///
     /// Returns a [`BagError`] when the data is truncated, has the wrong
-    /// magic, or contains an unknown sample tag.
-    pub fn decode(mut data: &[u8]) -> Result<Bag, BagError> {
-        if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-            return Err(BagError::BadMagic);
-        }
-        data.advance(MAGIC.len());
-        let count = get_u32(&mut data)? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let time = SimTime::from_nanos(get_u64(&mut data)?);
-            let tag = get_u8(&mut data)?;
-            let sample = match tag {
-                0 => {
-                    let n = get_u32(&mut data)? as usize;
-                    let mut cloud = PointCloud::with_capacity(n.min(1 << 22));
-                    for _ in 0..n {
-                        let position = get_vec3(&mut data)?;
-                        let intensity = get_f32(&mut data)?;
-                        let ring = get_u8(&mut data)?;
-                        cloud.push(Point { position, intensity, ring });
-                    }
-                    SensorSample::Lidar(cloud)
-                }
-                1 => {
-                    let width = get_u32(&mut data)?;
-                    let height = get_u32(&mut data)?;
-                    let clutter = get_f64(&mut data)?;
-                    let n = get_u32(&mut data)? as usize;
-                    let mut visible = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        let id = get_u32(&mut data)?;
-                        let kind = kind_from_tag(get_u8(&mut data)?)?;
-                        let bbox = (
-                            get_f64(&mut data)?,
-                            get_f64(&mut data)?,
-                            get_f64(&mut data)?,
-                            get_f64(&mut data)?,
-                        );
-                        let distance = get_f64(&mut data)?;
-                        let occlusion = get_f64(&mut data)?;
-                        visible.push(VisibleObject { id, kind, bbox, distance, occlusion });
-                    }
-                    let n_lights = get_u32(&mut data)? as usize;
-                    let mut lights = Vec::with_capacity(n_lights.min(1 << 10));
-                    for _ in 0..n_lights {
-                        let id = get_u32(&mut data)?;
-                        let state = light_from_tag(get_u8(&mut data)?)?;
-                        let bbox = (
-                            get_f64(&mut data)?,
-                            get_f64(&mut data)?,
-                            get_f64(&mut data)?,
-                            get_f64(&mut data)?,
-                        );
-                        let distance = get_f64(&mut data)?;
-                        lights.push(VisibleLight { id, state, bbox, distance });
-                    }
-                    SensorSample::Camera(ImageFrame { width, height, visible, lights, clutter })
-                }
-                2 => {
-                    let position = get_vec3(&mut data)?;
-                    let accuracy = get_f64(&mut data)?;
-                    SensorSample::Gnss(GnssFix { position, accuracy })
-                }
-                3 => {
-                    let linear_accel = get_vec3(&mut data)?;
-                    let yaw_rate = get_f64(&mut data)?;
-                    let speed = get_f64(&mut data)?;
-                    SensorSample::Imu(ImuSample { linear_accel, yaw_rate, speed })
-                }
-                4 => {
-                    let n = get_u32(&mut data)? as usize;
-                    let mut targets = Vec::with_capacity(n.min(1 << 12));
-                    for _ in 0..n {
-                        targets.push(RadarTarget {
-                            range: get_f64(&mut data)?,
-                            bearing: get_f64(&mut data)?,
-                            range_rate: get_f64(&mut data)?,
-                            rcs: get_f64(&mut data)?,
-                        });
-                    }
-                    SensorSample::Radar(RadarScan { targets })
-                }
-                other => return Err(BagError::BadTag(other)),
-            };
-            entries.push(BagEntry { time, sample });
-        }
-        Ok(Bag { entries })
+    /// magic, or contains an unknown sample, agent-kind or light-state
+    /// tag.
+    pub fn decode(data: &[u8]) -> Result<Bag, BagError> {
+        let body = data.strip_prefix(MAGIC.as_slice()).ok_or(BagError::BadMagic)?;
+        Ok(Bag { entries: Vec::get(&mut SnapReader::new(body))? })
     }
 
     /// Writes the bag to a file.
@@ -403,89 +222,12 @@ impl Bag {
     }
 }
 
-fn kind_tag(kind: crate::AgentKind) -> u8 {
-    match kind {
-        crate::AgentKind::Car => 0,
-        crate::AgentKind::Pedestrian => 1,
-        crate::AgentKind::Cyclist => 2,
-    }
-}
-
-fn light_tag(state: LightState) -> u8 {
-    match state {
-        LightState::Green => 0,
-        LightState::Yellow => 1,
-        LightState::Red => 2,
-    }
-}
-
-fn light_from_tag(tag: u8) -> Result<LightState, BagError> {
-    match tag {
-        0 => Ok(LightState::Green),
-        1 => Ok(LightState::Yellow),
-        2 => Ok(LightState::Red),
-        other => Err(BagError::BadTag(other)),
-    }
-}
-
-fn kind_from_tag(tag: u8) -> Result<crate::AgentKind, BagError> {
-    match tag {
-        0 => Ok(crate::AgentKind::Car),
-        1 => Ok(crate::AgentKind::Pedestrian),
-        2 => Ok(crate::AgentKind::Cyclist),
-        other => Err(BagError::BadTag(other)),
-    }
-}
-
-fn put_vec3(buf: &mut Vec<u8>, v: Vec3) {
-    buf.put_f64_le(v.x);
-    buf.put_f64_le(v.y);
-    buf.put_f64_le(v.z);
-}
-
-fn get_u8(data: &mut &[u8]) -> Result<u8, BagError> {
-    if data.remaining() < 1 {
-        return Err(BagError::UnexpectedEof);
-    }
-    Ok(data.get_u8())
-}
-
-fn get_u32(data: &mut &[u8]) -> Result<u32, BagError> {
-    if data.remaining() < 4 {
-        return Err(BagError::UnexpectedEof);
-    }
-    Ok(data.get_u32_le())
-}
-
-fn get_u64(data: &mut &[u8]) -> Result<u64, BagError> {
-    if data.remaining() < 8 {
-        return Err(BagError::UnexpectedEof);
-    }
-    Ok(data.get_u64_le())
-}
-
-fn get_f32(data: &mut &[u8]) -> Result<f32, BagError> {
-    if data.remaining() < 4 {
-        return Err(BagError::UnexpectedEof);
-    }
-    Ok(data.get_f32_le())
-}
-
-fn get_f64(data: &mut &[u8]) -> Result<f64, BagError> {
-    if data.remaining() < 8 {
-        return Err(BagError::UnexpectedEof);
-    }
-    Ok(data.get_f64_le())
-}
-
-fn get_vec3(data: &mut &[u8]) -> Result<Vec3, BagError> {
-    Ok(Vec3::new(get_f64(data)?, get_f64(data)?, get_f64(data)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AgentKind;
+    use crate::{AgentKind, LightState, RadarTarget, VisibleLight, VisibleObject};
+    use av_geom::Vec3;
+    use av_pointcloud::Point;
 
     fn sample_bag() -> Bag {
         let mut bag = Bag::new();
@@ -578,12 +320,12 @@ mod tests {
 
     #[test]
     fn bad_tag_rejected() {
-        let mut bytes = Vec::new();
-        bytes.put_slice(MAGIC);
-        bytes.put_u32_le(1);
-        bytes.put_u64_le(0);
-        bytes.put_u8(9); // invalid tag
-        assert_eq!(Bag::decode(&bytes), Err(BagError::BadTag(9)));
+        let mut w = SnapWriter::new();
+        MAGIC.iter().for_each(|&b| w.put_u8(b));
+        w.put_usize(1);
+        w.put_u64(0);
+        w.put_u8(9); // invalid tag
+        assert_eq!(Bag::decode(&w.into_bytes()), Err(BagError::BadTag(9)));
     }
 
     #[test]
@@ -623,9 +365,11 @@ mod proptests {
     //! Seeded randomized property tests (in-house harness: a fixed-seed
     //! PCG stream generates the cases, so failures reproduce exactly).
     use super::*;
-    use crate::AgentKind;
+    use crate::{AgentKind, RadarTarget, VisibleObject};
     use av_des::RngStreams;
     use av_des::StreamRng;
+    use av_geom::Vec3;
+    use av_pointcloud::Point;
 
     fn random_sample(rng: &mut StreamRng) -> SensorSample {
         match rng.uniform_usize(5) {

@@ -1,6 +1,7 @@
 //! Forward camera model: pinhole projection of scene objects.
 
 use crate::{AgentKind, LightState, Scene, World};
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter};
 use av_geom::{deg_to_rad, normalize_angle};
 
 /// Camera parameters.
@@ -89,6 +90,64 @@ impl ImageFrame {
     pub fn byte_size(&self) -> u64 {
         // Bayer-ish raw frame.
         (self.width as u64) * (self.height as u64)
+    }
+}
+
+/// Checkpoint and bag encoding: the fields in declaration order.
+impl Leaf for VisibleObject {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(self.id);
+        self.kind.put(w);
+        self.bbox.put(w);
+        w.put_f64(self.distance);
+        w.put_f64(self.occlusion);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<VisibleObject, SnapError> {
+        Ok(VisibleObject {
+            id: r.get_u32()?,
+            kind: AgentKind::get(r)?,
+            bbox: Leaf::get(r)?,
+            distance: r.get_f64()?,
+            occlusion: r.get_f64()?,
+        })
+    }
+}
+
+/// Checkpoint and bag encoding: the fields in declaration order.
+impl Leaf for VisibleLight {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(self.id);
+        self.bbox.put(w);
+        self.state.put(w);
+        w.put_f64(self.distance);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<VisibleLight, SnapError> {
+        Ok(VisibleLight {
+            id: r.get_u32()?,
+            bbox: Leaf::get(r)?,
+            state: LightState::get(r)?,
+            distance: r.get_f64()?,
+        })
+    }
+}
+
+/// Checkpoint and bag encoding: the fields in declaration order.
+impl Leaf for ImageFrame {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(self.width);
+        w.put_u32(self.height);
+        self.visible.put(w);
+        self.lights.put(w);
+        w.put_f64(self.clutter);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<ImageFrame, SnapError> {
+        Ok(ImageFrame {
+            width: r.get_u32()?,
+            height: r.get_u32()?,
+            visible: Vec::get(r)?,
+            lights: Vec::get(r)?,
+            clutter: r.get_f64()?,
+        })
     }
 }
 

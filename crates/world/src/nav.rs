@@ -1,7 +1,7 @@
 //! GNSS and IMU sample types.
 
 use crate::EgoState;
-use av_des::StreamRng;
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter, StreamRng};
 use av_geom::Vec3;
 
 /// A GNSS position fix (meter-level accuracy, as the paper notes — orders
@@ -19,6 +19,17 @@ impl GnssFix {
     pub fn sample(ego: &EgoState, accuracy: f64, rng: &mut StreamRng) -> GnssFix {
         let noise = Vec3::new(rng.normal(0.0, accuracy), rng.normal(0.0, accuracy), 0.0);
         GnssFix { position: ego.pose.translation + noise, accuracy }
+    }
+}
+
+/// Checkpoint and bag encoding: the position, then the accuracy.
+impl Leaf for GnssFix {
+    fn put(&self, w: &mut SnapWriter) {
+        self.position.put(w);
+        w.put_f64(self.accuracy);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<GnssFix, SnapError> {
+        Ok(GnssFix { position: Vec3::get(r)?, accuracy: r.get_f64()? })
     }
 }
 
@@ -41,6 +52,18 @@ impl ImuSample {
             yaw_rate: ego.yaw_rate + rng.normal(0.0, 0.005),
             speed: ego.speed + rng.normal(0.0, 0.05),
         }
+    }
+}
+
+/// Checkpoint and bag encoding: the fields in declaration order.
+impl Leaf for ImuSample {
+    fn put(&self, w: &mut SnapWriter) {
+        self.linear_accel.put(w);
+        w.put_f64(self.yaw_rate);
+        w.put_f64(self.speed);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<ImuSample, SnapError> {
+        Ok(ImuSample { linear_accel: Vec3::get(r)?, yaw_rate: r.get_f64()?, speed: r.get_f64()? })
     }
 }
 

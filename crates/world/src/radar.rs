@@ -7,7 +7,7 @@
 //! direct range-rate (Doppler) measurement.
 
 use crate::Scene;
-use av_des::StreamRng;
+use av_des::{Leaf, SnapError, SnapReader, SnapWriter, StreamRng};
 use av_geom::normalize_angle;
 
 /// Radar sensor parameters.
@@ -61,6 +61,27 @@ pub struct RadarTarget {
 pub struct RadarScan {
     /// Returns, unordered.
     pub targets: Vec<RadarTarget>,
+}
+
+/// Checkpoint and bag encoding: the fields in declaration order.
+impl Leaf for RadarTarget {
+    fn put(&self, w: &mut SnapWriter) {
+        [self.range, self.bearing, self.range_rate, self.rcs].put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<RadarTarget, SnapError> {
+        let [range, bearing, range_rate, rcs] = <[f64; 4]>::get(r)?;
+        Ok(RadarTarget { range, bearing, range_rate, rcs })
+    }
+}
+
+/// Checkpoint and bag encoding: the targets as a sequence.
+impl Leaf for RadarScan {
+    fn put(&self, w: &mut SnapWriter) {
+        self.targets.put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<RadarScan, SnapError> {
+        Ok(RadarScan { targets: Vec::get(r)? })
+    }
 }
 
 /// The radar model.

@@ -1,7 +1,7 @@
 //! The scenario: route, buildings, traffic agents, and scene snapshots.
 
 use crate::Route;
-use av_des::RngStreams;
+use av_des::{Leaf, RngStreams, SnapError, SnapReader, SnapWriter};
 use av_geom::{Aabb, Pose, Vec3};
 use std::fmt;
 
@@ -14,6 +14,19 @@ pub enum AgentKind {
     Pedestrian,
     /// A cyclist at the lane edge.
     Cyclist,
+}
+
+const AGENT_KIND_CODES: [AgentKind; 3] =
+    [AgentKind::Car, AgentKind::Pedestrian, AgentKind::Cyclist];
+
+/// Checkpoint and bag encoding: a one-byte code.
+impl Leaf for AgentKind {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_code(self, &AGENT_KIND_CODES);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<AgentKind, SnapError> {
+        r.get_code("agent kind", &AGENT_KIND_CODES)
+    }
 }
 
 impl AgentKind {
@@ -229,6 +242,18 @@ pub enum LightState {
     Yellow,
     /// Stop.
     Red,
+}
+
+const LIGHT_STATE_CODES: [LightState; 3] = [LightState::Green, LightState::Yellow, LightState::Red];
+
+/// Checkpoint and bag encoding: a one-byte code.
+impl Leaf for LightState {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_code(self, &LIGHT_STATE_CODES);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<LightState, SnapError> {
+        r.get_code("light state", &LIGHT_STATE_CODES)
+    }
 }
 
 /// An HD-map traffic-light annotation: the "3D position of traffic

@@ -182,6 +182,13 @@ cmp "$tmp/ckpt/ls_a.log" "$tmp/ckpt/ls_b.log"
 ./target/release/ckpt verify --dir "$tmp/ckpt/gc_a" >/dev/null
 echo "cross-process resume byte-identical; corruption quarantined; GC deterministic"
 
+echo "== bag replay: record and reload a drive through a real file =="
+# The bag codec is the checkpoint payload codec; this sends one second of
+# sensor streams at the default 16x360 LiDAR size through an AVBAG03 file
+# and back (the example asserts the reload equals the recording).
+cargo run --release --quiet --example bag_replay -- 1 "$tmp/drive.avbag" >"$tmp/bag.log"
+grep 'replayed:' "$tmp/bag.log"
+
 echo "== scenario service: serve --check self-test =="
 # In-process end-to-end: ping, malformed frame -> error, cold streamed
 # drive, store-served repeat byte-identical, oversized frame bounded,
