@@ -158,14 +158,16 @@ fn bench_resume(options: &Options, jobs: usize, path: &Path) {
     cli::write(path, json_object(&fields));
 
     println!(
-        "cold: {} evaluation(s), {:.1} virtual s simulated, {cold_wall_s:.1} s wall",
-        cold_stats.evaluations, cold_stats.simulated_s
+        "cold: {} evaluation(s), {:.1} virtual s simulated, {} map build(s), \
+         {cold_wall_s:.1} s wall",
+        cold_stats.evaluations, cold_stats.simulated_s, cold_stats.map_builds
     );
     println!(
-        "warm: {} evaluation(s), {:.1} virtual s simulated, {warm_wall_s:.1} s wall \
-         ({} warm resume(s) skipping {:.1} virtual s, {} cache hit(s))",
+        "warm: {} evaluation(s), {:.1} virtual s simulated, {} map build(s), \
+         {warm_wall_s:.1} s wall ({} warm resume(s) skipping {:.1} virtual s, {} cache hit(s))",
         warm_stats.evaluations,
         warm_stats.simulated_s,
+        warm_stats.map_builds,
         warm_stats.warm_resumes,
         warm_stats.resumed_prefix_s,
         warm_stats.cache_hits
@@ -208,9 +210,10 @@ fn main() {
     print!("{}", artifacts.summary_txt);
     println!("search golden hash: {:#018x}", artifacts.search_hash);
     println!(
-        "artifacts: {} ({} evaluation(s) took {search_s:.1} s)",
+        "artifacts: {} ({} evaluation(s) took {search_s:.1} s, {} map build(s))",
         options.results_dir.display(),
-        outcome.evaluations()
+        outcome.evaluations(),
+        stats.map_builds
     );
     if let (Some(store), Some(dir)) = (&store, &options.ckpt_dir) {
         println!(

@@ -147,6 +147,10 @@ fn main() {
     print!("{}", artifacts.summary_txt);
     println!("sweep golden hash: {:#018x}", artifacts.sweep_hash);
     println!("artifacts: {} (batch took {batch_s:.1} s)", options.results_dir.display());
+    println!(
+        "{} evaluation(s) of {point_count} point(s), {} map build(s)",
+        stats.unique_points, stats.map_builds
+    );
     if let (Some(store), Some(dir)) = (&store, &options.ckpt_dir) {
         println!(
             "checkpoint store {}: {} entr{} ({} B); {} of {} prefix group(s) restored from \

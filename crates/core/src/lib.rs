@@ -12,6 +12,9 @@
 //! * [`nodes`] — every Autoware node as an [`av_ros::Node`]: the real
 //!   algorithm runs in the callback, its work profile feeds the cost
 //!   model, its outputs are published with lineage.
+//! * [`map`] — the HD map build (the paper's `ndt_mapping` step) and
+//!   the cache that shares each map across one sweep's or search's
+//!   drives.
 //! * [`stack`] — scenario + sensors + node graph assembly; launch a full
 //!   stack (or a single node in isolation, for Fig 8) and run a drive.
 //! * [`experiments`] — one function per paper artifact (Fig 5–8,
@@ -51,6 +54,7 @@ pub mod durable;
 pub mod experiments;
 pub mod fault;
 pub mod findings;
+pub mod map;
 pub mod metrics;
 pub mod msg;
 pub mod nodes;

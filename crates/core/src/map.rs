@@ -1,0 +1,169 @@
+//! The HD map: [`build_map`] (the paper's offline `ndt_mapping` step,
+//! §III-A) and [`MapCache`], which lets every drive of one sweep or
+//! search share the maps it needs instead of rebuilding one per session.
+//!
+//! A map is a pure function of the scenario, the LiDAR model, the NDT
+//! cell size and the seed of the `"mapping"` RNG stream (the mapping
+//! rig's LiDAR noise), so a cached map is the very map a fresh build
+//! would return, and sharing it changes no output byte.
+
+use crate::stack::StackConfig;
+use av_des::{RngStreams, StreamRng};
+use av_perception::NdtMappingBuilder;
+use av_pointcloud::NdtGrid;
+use av_world::{LidarConfig, LidarModel, ScenarioConfig, World};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Builds the HD map the way the authors did: run the mapping utility
+/// over the drive's own LiDAR data at known poses (§III-A).
+pub fn build_map(
+    world: &World,
+    lidar: &LidarModel,
+    cell_size: f64,
+    rng: &mut StreamRng,
+) -> NdtGrid {
+    let mut builder = NdtMappingBuilder::new(0.5);
+    let route_len = world.route().length();
+    let lap_time = route_len / world.config().ego_speed;
+    // One scan per ~8 m of travel, one full lap (the drive loops).
+    let scans = (route_len / 8.0).ceil() as usize;
+    for i in 0..scans {
+        let t = i as f64 * lap_time / scans as f64;
+        let mut scene = world.snapshot(t);
+        // Mapping rigs drive at quiet hours and mapping pipelines scrub
+        // dynamic objects; freezing traffic into the map would leave ghost
+        // geometry that corrupts every later scan match.
+        scene.objects.clear();
+        let sweep = lidar.scan(world, &scene, rng);
+        // Mapping uses the ground-truth pose (the calibrated mapping rig).
+        let mut pose = scene.ego.pose;
+        pose.translation.z = lidar.config().mount_height;
+        builder.add_sweep(&sweep, &pose);
+    }
+    let (_, grid) = builder.build(cell_size, 6);
+    grid
+}
+
+/// Everything [`build_map`] reads from a [`StackConfig`]: the world comes
+/// from the scenario, the scans from the LiDAR model, and their noise
+/// from the `"mapping"` stream of the run seed.
+#[derive(Debug, Clone, PartialEq)]
+struct MapKey {
+    scenario: ScenarioConfig,
+    lidar: LidarConfig,
+    cell_size_bits: u64,
+    seed: u64,
+}
+
+impl MapKey {
+    fn of(config: &StackConfig) -> MapKey {
+        MapKey {
+            scenario: config.scenario.clone(),
+            lidar: config.lidar.clone(),
+            cell_size_bits: config.map_cell_size.to_bits(),
+            seed: config.seed,
+        }
+    }
+}
+
+/// One slot per map: filled once, by whichever worker asks first.
+type Slot = Arc<OnceLock<Arc<NdtGrid>>>;
+
+/// The HD maps of one sweep or search, each built once and shared by
+/// every drive that needs it.
+///
+/// Shareable across worker threads by reference. The lock is held only
+/// to find or insert a key's slot; the build runs outside it, and the
+/// slot's `OnceLock` makes concurrent workers asking for one key build
+/// it exactly once while workers on other keys proceed. Meant to live
+/// for one call: it keeps every map it built until dropped.
+#[derive(Debug, Default)]
+pub struct MapCache {
+    slots: Mutex<Vec<(MapKey, Slot)>>,
+    builds: AtomicUsize,
+}
+
+impl MapCache {
+    /// Creates an empty cache.
+    pub fn new() -> MapCache {
+        MapCache::default()
+    }
+
+    /// The map of `config`, built on the first request for its key.
+    /// `world` and `lidar` must be the ones `config` generates.
+    fn get(&self, config: &StackConfig, world: &World, lidar: &LidarModel) -> Arc<NdtGrid> {
+        let key = MapKey::of(config);
+        let slot = {
+            let mut slots = self.slots.lock().expect("map cache lock poisoned");
+            match slots.iter().find(|(k, _)| *k == key) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Slot::default();
+                    slots.push((key, Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        Arc::clone(slot.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            Arc::new(fresh_map(config, world, lidar))
+        }))
+    }
+
+    /// Number of maps this cache actually built.
+    pub fn builds(&self) -> usize {
+        self.builds.load(Ordering::Relaxed)
+    }
+}
+
+/// The map a session of `config` drives on: from `maps` when the caller
+/// shares one, otherwise freshly built.
+pub(crate) fn session_map(
+    maps: Option<&MapCache>,
+    config: &StackConfig,
+    world: &World,
+    lidar: &LidarModel,
+) -> Arc<NdtGrid> {
+    match maps {
+        Some(cache) => cache.get(config, world, lidar),
+        None => Arc::new(fresh_map(config, world, lidar)),
+    }
+}
+
+fn fresh_map(config: &StackConfig, world: &World, lidar: &LidarModel) -> NdtGrid {
+    let mut rng = RngStreams::new(config.seed).stream("mapping");
+    build_map(world, lidar, config.map_cell_size, &mut rng)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::determinism::run_hash;
+    use crate::stack::{drive, run_drive, DriveRequest, RunConfig};
+    use av_vision::DetectorKind;
+
+    #[test]
+    fn cold_captures_and_resumes_share_one_map() {
+        let maps = MapCache::new();
+        let run = RunConfig::seconds(4.0);
+        let yolo = StackConfig::smoke_test(DetectorKind::YoloV3);
+        let request =
+            DriveRequest { capture_at_s: Some(2.0), maps: Some(&maps), ..DriveRequest::default() };
+        let (captured, checkpoint) = drive(&yolo, &run, request);
+        let checkpoint = checkpoint.expect("captured at 2 s");
+        let cold = run_hash(&run_drive(&yolo, &run));
+        assert_eq!(run_hash(&captured), cold);
+
+        let request =
+            DriveRequest { from: Some(&checkpoint), maps: Some(&maps), ..DriveRequest::default() };
+        assert_eq!(run_hash(&drive(&yolo, &run, request).0), cold);
+
+        // A checkpoint resumes only its own configuration; another
+        // detector drives cold, on the same map.
+        let ssd = StackConfig::smoke_test(DetectorKind::Ssd300);
+        let request = DriveRequest { maps: Some(&maps), ..DriveRequest::default() };
+        assert_eq!(run_hash(&drive(&ssd, &run, request).0), run_hash(&run_drive(&ssd, &run)));
+        assert_eq!(maps.builds(), 1);
+    }
+}

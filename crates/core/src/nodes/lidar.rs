@@ -11,6 +11,7 @@ use av_perception::{
 };
 use av_pointcloud::{NdtGrid, VoxelGrid};
 use av_ros::{Execution, Lineage, Message, Node, Outbox};
+use std::sync::Arc;
 
 /// `voxel_grid_filter`: down-samples `/points_raw` for localization.
 pub struct VoxelGridFilterNode {
@@ -71,9 +72,10 @@ pub struct NdtMatchingNode {
 }
 
 impl NdtMatchingNode {
-    /// Creates the node around a map grid and an initial pose guess.
+    /// Creates the node around a map grid (owned or shared) and an
+    /// initial pose guess.
     pub fn new(
-        map: NdtGrid,
+        map: impl Into<Arc<NdtGrid>>,
         initial_guess: Pose,
         sensor_height: f64,
         calib: &Calibration,

@@ -9,6 +9,7 @@
 use crate::calib::Calibration;
 use crate::determinism::fnv64;
 use crate::fault::{FaultPlan, FaultSpec};
+use crate::map::{session_map, MapCache};
 use crate::msg::Msg;
 use crate::nodes::*;
 use crate::supervision::{FallbackLocalizer, FaultReport, SupervisionPolicy, Supervisor};
@@ -16,9 +17,7 @@ use crate::topics::{self, nodes as node_names};
 use av_des::{
     Leaf, RngStreams, Sim, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter, StreamRng,
 };
-use av_perception::{
-    ClusterParams, CostmapParams, FusionParams, NdtMappingBuilder, RayGroundParams,
-};
+use av_perception::{ClusterParams, CostmapParams, FusionParams, RayGroundParams};
 use av_planning::{LocalPlannerParams, PurePursuitParams, TwistFilterParams, Waypoint};
 use av_platform::{CpuStats, GpuStats, Platform, PowerReport};
 use av_profiling::{LatencyRecorder, PathSpec, SharedRecorder, Summary, Table};
@@ -33,6 +32,7 @@ use av_world::{CameraConfig, CameraModel, LidarConfig, LidarModel, ScenarioConfi
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+pub use crate::map::build_map;
 pub use av_des::SchedPolicyKind;
 
 /// The computation paths of Table IV, as [`PathSpec`]s.
@@ -429,36 +429,6 @@ impl<N: Node<Msg>> Node<Msg> for Shared<N> {
 
 use av_ros::Execution;
 
-/// Builds the HD map the way the authors did: run the mapping utility
-/// over the drive's own LiDAR data at known poses (§III-A).
-pub fn build_map(
-    world: &World,
-    lidar: &LidarModel,
-    cell_size: f64,
-    rng: &mut StreamRng,
-) -> av_pointcloud::NdtGrid {
-    let mut builder = NdtMappingBuilder::new(0.5);
-    let route_len = world.route().length();
-    let lap_time = route_len / world.config().ego_speed;
-    // One scan per ~8 m of travel, one full lap (the drive loops).
-    let scans = (route_len / 8.0).ceil() as usize;
-    for i in 0..scans {
-        let t = i as f64 * lap_time / scans as f64;
-        let mut scene = world.snapshot(t);
-        // Mapping rigs drive at quiet hours and mapping pipelines scrub
-        // dynamic objects; freezing traffic into the map would leave ghost
-        // geometry that corrupts every later scan match.
-        scene.objects.clear();
-        let sweep = lidar.scan(world, &scene, rng);
-        // Mapping uses the ground-truth pose (the calibrated mapping rig).
-        let mut pose = scene.ego.pose;
-        pose.translation.z = lidar.config().mount_height;
-        builder.add_sweep(&sweep, &pose);
-    }
-    let (_, grid) = builder.build(cell_size, 6);
-    grid
-}
-
 fn global_waypoints(world: &World) -> Vec<Waypoint> {
     let route = world.route();
     let n = (route.length() / 4.0).ceil() as usize;
@@ -528,6 +498,10 @@ pub struct DriveRequest<'a> {
     /// hand the callback a [`DriveProgress`] at each pause, plus a final
     /// `done` one after the end-of-run drain.
     pub stream: Option<(f64, OnProgress<'a>)>,
+    /// Take the HD map from this cache, shared with the caller's other
+    /// drives, instead of building a fresh one. Either way the map is
+    /// the same; only the build is skipped.
+    pub maps: Option<&'a MapCache>,
 }
 
 /// Runs one drive — cold or resumed, batch or streamed, with or without
@@ -573,11 +547,11 @@ pub fn drive(
     run: &RunConfig,
     request: DriveRequest<'_>,
 ) -> (RunReport, Option<Checkpoint>) {
-    let DriveRequest { from, capture_at_s, mut stream } = request;
+    let DriveRequest { from, capture_at_s, mut stream, maps } = request;
     if let Some((slice_s, _)) = &stream {
         assert!(slice_s.is_finite() && *slice_s > 0.0, "slice_s must be positive and finite");
     }
-    let session = build_session(config, run);
+    let session = build_session(config, run, maps);
     match from {
         None => session.start_fresh(),
         Some(checkpoint) => session.resume_from(checkpoint, config),
@@ -662,8 +636,9 @@ pub fn drive(
 /// supervision, timers — without scheduling a single event. Both a
 /// fresh start and a checkpoint resume share this phase; the only
 /// randomness consumed is the (stateless) per-name stream derivation
-/// plus the map build, identical in both cases.
-fn build_session(config: &StackConfig, run: &RunConfig) -> DriveSession {
+/// plus the map build, identical in both cases and whether or not the
+/// map comes out of `maps`.
+fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>) -> DriveSession {
     let sim = Sim::new();
     let streams = RngStreams::new(config.seed);
     let world = Rc::new(World::generate(&config.scenario));
@@ -671,7 +646,7 @@ fn build_session(config: &StackConfig, run: &RunConfig) -> DriveSession {
     let camera = Rc::new(CameraModel::new(config.camera.clone()));
 
     // HD map (the paper's ndt_mapping step).
-    let map = build_map(&world, &lidar, config.map_cell_size, &mut streams.stream("mapping"));
+    let map = session_map(maps, config, &world, &lidar);
 
     let platform = Platform::new(&sim, config.calib.cpu.clone(), config.calib.gpu.clone());
     let bus: Bus<Msg> = Bus::new(&sim, &platform);
@@ -2010,8 +1985,11 @@ mod tests {
                         pulses.push((p.time_s, p.done, p.events_total, p.new_events.to_vec()));
                     };
                     let stream = streamed.then_some((1.0, &mut on_progress as OnProgress<'_>));
-                    let (report, captured) =
-                        drive(&config, &run, DriveRequest { from, capture_at_s, stream });
+                    let (report, captured) = drive(
+                        &config,
+                        &run,
+                        DriveRequest { from, capture_at_s, stream, maps: None },
+                    );
                     assert_eq!(h(&report), h(&straight), "run hash diverged: {case}");
                     assert_eq!(captured.is_some(), capture_at_s.is_some(), "{case}");
                     let bytes = captured.map(|cp| cp.as_bytes().to_vec());
@@ -2057,7 +2035,8 @@ mod tests {
         // Capturing at `from`'s own barrier is a pure drain with nothing
         // new to capture.
         let (_, cp6) = checkpoint_drive(&config, &run, 6.0);
-        let request = DriveRequest { from: Some(&cp6), capture_at_s: Some(6.0), stream: None };
+        let request =
+            DriveRequest { from: Some(&cp6), capture_at_s: Some(6.0), ..DriveRequest::default() };
         let (drained, none) = drive(&config, &run, request);
         assert_eq!(h(&drained), h(&straight));
         assert!(none.is_none());

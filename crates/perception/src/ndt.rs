@@ -10,6 +10,7 @@
 
 use av_geom::{Mat3, Pose, Vec3};
 use av_pointcloud::{CellMap, NdtCell, NdtGrid, PointCloud};
+use std::sync::Arc;
 
 /// NDT optimization parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,13 +53,15 @@ pub struct MatchResult {
     pub matched_points: usize,
 }
 
-/// The NDT scan matcher. Holds the map grid; [`NdtMatcher::align`] is
-/// called per sweep with the previous pose as the initial guess.
+/// The NDT scan matcher. Holds the map grid (shared: the map is
+/// read-only, so every matcher over one map can hold the same grid);
+/// [`NdtMatcher::align`] is called per sweep with the previous pose as
+/// the initial guess.
 ///
 /// See `tests` for an end-to-end alignment example.
 #[derive(Debug, Clone)]
 pub struct NdtMatcher {
-    grid: NdtGrid,
+    grid: Arc<NdtGrid>,
     params: NdtParams,
 }
 
@@ -143,9 +146,9 @@ fn derivatives(terms: &[Term]) -> (Vec3, Mat3) {
 }
 
 impl NdtMatcher {
-    /// Creates a matcher over a map grid.
-    pub fn new(grid: NdtGrid, params: NdtParams) -> NdtMatcher {
-        NdtMatcher { grid, params }
+    /// Creates a matcher over a map grid, owned or shared.
+    pub fn new(grid: impl Into<Arc<NdtGrid>>, params: NdtParams) -> NdtMatcher {
+        NdtMatcher { grid: grid.into(), params }
     }
 
     /// The map grid.

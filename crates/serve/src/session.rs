@@ -203,6 +203,7 @@ fn streamed_drive(
         from: from.as_ref(),
         capture_at_s: ckpt.is_some().then_some(horizon_s),
         stream: Some((DRIVE_SLICE_S, &mut on_progress)),
+        maps: None,
     };
     let (report, snapshot) = drive(&config, run, request);
     if let (Some(store), Some(snapshot)) = (ckpt, &snapshot) {

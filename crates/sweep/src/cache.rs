@@ -12,6 +12,7 @@
 
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::{fnv64, run_hash};
+use av_core::map::MapCache;
 use av_core::stack::{drive, drive_fingerprint, DriveRequest, RunConfig, RunReport, StackConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,6 +36,7 @@ pub struct EvalCache {
     hits: AtomicUsize,
     misses: AtomicUsize,
     store_hits: AtomicUsize,
+    maps: MapCache,
 }
 
 impl EvalCache {
@@ -105,12 +107,23 @@ impl EvalCache {
         if checkpoint.barrier_ns() != horizon_ns {
             return None;
         }
-        let (report, _) =
-            drive(config, run, DriveRequest { from: Some(&checkpoint), ..DriveRequest::default() });
+        let request = DriveRequest {
+            from: Some(&checkpoint),
+            maps: Some(&self.maps),
+            ..DriveRequest::default()
+        };
+        let (report, _) = drive(config, run, request);
         let hash = run_hash(&report);
         self.insert(key, &report, hash);
         self.store_hits.fetch_add(1, Ordering::Relaxed);
         Some(CachedRun { report, run_hash: hash })
+    }
+
+    /// The HD maps of the cache's evaluations: the drain behind a
+    /// store hit takes its map from here, and so should every drive the
+    /// caller runs alongside the cache.
+    pub fn maps(&self) -> &MapCache {
+        &self.maps
     }
 
     /// Number of lookups that found a memoized run.

@@ -10,8 +10,8 @@
 //! sorts by ordinal so even a reordered result list cannot change the
 //! artifacts.
 //!
-//! Two structural optimizations keep the result *set* untouched while
-//! skipping redundant simulation:
+//! Three structural optimizations keep the result *set* untouched while
+//! skipping redundant work:
 //!
 //! * **Deduplication** — grids whose axes overlap their explicit extra
 //!   points can expand to several points with identical effective
@@ -26,15 +26,20 @@
 //!   through [`av_core::stack::drive`]). The checkpoint seam guarantees
 //!   each fork is byte-identical to that member's own cold run, so
 //!   sharing is invisible in every artifact.
+//! * **Map sharing** — every drive of the sweep takes its HD map from
+//!   one [`MapCache`], so each distinct map is built once per sweep
+//!   instead of once per drive. A shared map is the map a fresh build
+//!   would return, so sharing is invisible in every artifact too.
 
 use crate::cache::EvalCache;
 use crate::spec::{SweepPoint, SweepSpec};
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
+use av_core::map::MapCache;
 use av_core::parallel::parallel_map_streamed;
 use av_core::stack::{
-    drive, drive_fingerprint, drive_fingerprint_stripped, run_drive, Checkpoint, DriveRequest,
-    RunConfig, RunReport, StackConfig,
+    drive, drive_fingerprint, drive_fingerprint_stripped, Checkpoint, DriveRequest, RunConfig,
+    RunReport, StackConfig,
 };
 use std::collections::HashMap;
 
@@ -76,6 +81,9 @@ pub struct SweepStats {
     pub store_prefix_hits: usize,
     /// Virtual seconds of group-leader prefix those restores skipped.
     pub store_saved_s: f64,
+    /// HD maps actually built: one per distinct map the sweep's drives
+    /// need, however many drives share it.
+    pub map_builds: usize,
 }
 
 /// The run configuration a sweep point effectively executes: the CLI
@@ -240,6 +248,8 @@ pub fn run_sweep_streamed(
 
     let reps = &reps;
     let run_ref = &run;
+    let maps = MapCache::new();
+    let maps = &maps;
     // Results fan out from representatives to points behind an ordinal
     // frontier: a point is emitted (and appended to `results`) the
     // moment its representative's result is known *and* every earlier
@@ -257,7 +267,10 @@ pub fn run_sweep_streamed(
                 (rep, report, hash)
             };
             match task {
-                Task::Single(rep) => vec![finish(rep, run_drive(&reps[rep], run_ref))],
+                Task::Single(rep) => {
+                    let request = DriveRequest { maps: Some(maps), ..DriveRequest::default() };
+                    vec![finish(rep, drive(&reps[rep], run_ref, request).0)]
+                }
                 Task::Shared { barrier_s, members, prefix } => {
                     // The leader captures the barrier unless it came out
                     // of the store; every other member forks from it.
@@ -265,6 +278,7 @@ pub fn run_sweep_streamed(
                     let request = DriveRequest {
                         from: prefix.as_ref(),
                         capture_at_s,
+                        maps: Some(maps),
                         ..DriveRequest::default()
                     };
                     let (first, captured) = drive(&reps[members[0]], run_ref, request);
@@ -276,8 +290,11 @@ pub fn run_sweep_streamed(
                     let checkpoint = captured.or(prefix).expect("a shared barrier checkpoint");
                     let mut out = vec![finish(members[0], first)];
                     for &rep in &members[1..] {
-                        let request =
-                            DriveRequest { from: Some(&checkpoint), ..DriveRequest::default() };
+                        let request = DriveRequest {
+                            from: Some(&checkpoint),
+                            maps: Some(maps),
+                            ..DriveRequest::default()
+                        };
                         out.push(finish(rep, drive(&reps[rep], run_ref, request).0));
                     }
                     out
@@ -300,6 +317,7 @@ pub fn run_sweep_streamed(
         },
     );
     assert_eq!(results.len(), points.len(), "every representative evaluated");
+    stats.map_builds = maps.builds();
     (results, stats)
 }
 
@@ -307,6 +325,7 @@ pub fn run_sweep_streamed(
 mod tests {
     use super::*;
     use crate::spec::{BlackoutSpec, WorldKind};
+    use av_core::stack::run_drive;
     use av_vision::DetectorKind;
 
     #[test]
@@ -399,17 +418,62 @@ mod tests {
         assert!((stats.shared_prefix_s - 2.5 * 2.0).abs() < 1e-9);
 
         // Sharing must be invisible: every point equals its cold run.
+        assert_eq!(hashes(&results), cold_hashes(&spec));
+    }
+
+    fn hashes(results: &[PointResult]) -> Vec<u64> {
+        results.iter().map(|r| r.run_hash).collect()
+    }
+
+    /// Each point's golden hash from its own cold [`run_drive`], which
+    /// builds a fresh map and shares nothing.
+    fn cold_hashes(spec: &SweepSpec) -> Vec<u64> {
         let base = spec.base_config();
-        let run = effective_run(&spec, &RunConfig::default());
-        for r in &results {
-            let cold = run_drive(&r.point.apply(&base), &run);
-            assert_eq!(
-                r.run_hash,
-                av_core::determinism::run_hash(&cold),
-                "prefix-shared point {} diverged from its cold run",
-                r.point.id()
-            );
+        let run = effective_run(spec, &RunConfig::default());
+        spec.points().iter().map(|p| run_hash(&run_drive(&p.apply(&base), &run))).collect()
+    }
+
+    #[test]
+    fn one_map_serves_a_whole_smoke_batch_at_any_jobs_level() {
+        // The grid of the benchmark's smoke-sweep batch (there 8 s per
+        // point): detectors, camera rates and blackouts leave the map
+        // alone, so all twelve drives (prefix leaders and forks) share
+        // one build.
+        let spec = SweepSpec {
+            duration_s: Some(6.0),
+            detectors: vec![DetectorKind::Ssd512, DetectorKind::Ssd300, DetectorKind::YoloV3],
+            camera_rate_hz: vec![10.0, 20.0],
+            blackouts: vec![
+                BlackoutSpec::parse("none").unwrap(),
+                BlackoutSpec::parse("lidar:4-6").unwrap(),
+            ],
+            ..SweepSpec::new("t", WorldKind::Smoke)
+        };
+        let cold = cold_hashes(&spec);
+        assert_eq!(cold.len(), 12);
+        for jobs in [1, 4] {
+            let (results, stats) = run_sweep_instrumented(&spec, &RunConfig::default(), jobs);
+            assert_eq!(stats.resumed_points, 6, "jobs={jobs}");
+            assert_eq!(stats.map_builds, 1, "jobs={jobs}");
+            assert_eq!(hashes(&results), cold, "a shared map changed a point at jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn every_input_of_the_map_build_keys_its_own_map() {
+        // The seed (the mapping rig's LiDAR noise), the LiDAR model and
+        // the scenario each reach the map: 2 × 2 × 2 distinct maps.
+        let spec = SweepSpec {
+            duration_s: Some(2.0),
+            seeds: vec![1, 2],
+            lidar_rate_hz: vec![10.0, 20.0],
+            traffic_density: vec![0.5, 1.0],
+            ..SweepSpec::new("t", WorldKind::Smoke)
+        };
+        let (results, stats) = run_sweep_instrumented(&spec, &RunConfig::default(), 2);
+        assert_eq!(stats.unique_points, 8);
+        assert_eq!(stats.map_builds, 8, "one build per distinct map");
+        assert_eq!(hashes(&results), cold_hashes(&spec), "a point drove on another's map");
     }
 
     #[test]

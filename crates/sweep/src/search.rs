@@ -36,7 +36,7 @@ use crate::spec::{SweepPoint, WorldKind};
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::{run_hash, Fnv64};
 use av_core::parallel::parallel_map;
-use av_core::stack::{drive, drive_fingerprint, run_drive, Checkpoint, DriveRequest, RunConfig};
+use av_core::stack::{drive, drive_fingerprint, Checkpoint, DriveRequest, RunConfig};
 use av_des::RngStreams;
 use av_trace::json::{self, JsonValue};
 use std::collections::HashMap;
@@ -610,6 +610,9 @@ pub struct SearchStats {
     /// Memory-cache misses served whole by resuming a full-horizon
     /// checkpoint from the disk store (a pure end-of-run drain).
     pub store_hits: usize,
+    /// HD maps actually built: one per distinct map the search's drives
+    /// need, however many drives (cold, warm or drained) share it.
+    pub map_builds: usize,
 }
 
 /// Runs the search for real: every evaluation is a simulated drive,
@@ -623,7 +626,9 @@ pub struct SearchStats {
 /// (`from`) instead of re-simulating the shared prefix — byte-identical
 /// to cold runs, strictly fewer simulated virtual seconds. A
 /// (spec-hash → result) cache additionally memoizes whole evaluations
-/// within the search.
+/// within the search, and every drive of the search takes its HD map
+/// from the cache's [`EvalCache::maps`], so each distinct map is built
+/// once per search.
 pub fn run_search(spec: &SearchSpec, jobs: usize, prior: &[BatchRecord]) -> SearchOutcome {
     run_search_instrumented(spec, jobs, prior, true).0
 }
@@ -716,6 +721,7 @@ fn search_engine(
                 let request = DriveRequest {
                     from: from.as_ref(),
                     capture_at_s: capture.then_some(pe.duration_s),
+                    maps: Some(cache.maps()),
                     ..DriveRequest::default()
                 };
                 let (report, checkpoint) = drive(&config, &run, request);
@@ -744,7 +750,8 @@ fn search_engine(
                 drop(s);
                 (objective.evaluate(&report), hash)
             } else {
-                let report = run_drive(&config, &run);
+                let request = DriveRequest { maps: Some(cache.maps()), ..DriveRequest::default() };
+                let (report, _) = drive(&config, &run, request);
                 let mut s = stats.lock().unwrap();
                 s.evaluations += 1;
                 s.simulated_s += pe.duration_s;
@@ -756,6 +763,7 @@ fn search_engine(
     let mut final_stats = stats.into_inner().unwrap();
     final_stats.cache_hits = cache.hits();
     final_stats.store_hits = cache.store_hits();
+    final_stats.map_builds = cache.maps().builds();
     (outcome, final_stats)
 }
 
@@ -1449,6 +1457,39 @@ mod tests {
         };
         let c = run_search_with(&reseeded, &[], oracle(rate));
         assert_ne!(a.search_hash, c.search_hash);
+    }
+
+    #[test]
+    fn each_halving_pass_builds_one_map_with_or_without_a_store() {
+        let spec = SearchSpec {
+            name: "m".to_string(),
+            world: WorldKind::Smoke,
+            base: SweepPoint::default(),
+            objective: Objective::E2eP99Ms,
+            duration_s: 1.0,
+            strategy: Strategy::Halving(HalvingSpec {
+                knobs: vec![KnobRange { knob: Knob::CameraRateHz, lo: 10.0, hi: 40.0 }],
+                initial: 4,
+                eta: 2,
+                rungs: 2,
+                seed: 7,
+                max_duration_s: None,
+            }),
+        };
+        let (cold, cold_stats) = run_search_instrumented(&spec, 2, &[], false);
+        assert_eq!(cold_stats.map_builds, 1);
+        let dir = std::env::temp_dir().join(format!("av-search-maps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for pass in ["fresh store", "reopened store"] {
+            let (store, _) = CkptStore::open(&dir).expect("open store");
+            let (outcome, stats) = run_search_with_store(&spec, 2, &[], Some(&store));
+            assert_eq!(outcome.search_hash, cold.search_hash, "{pass}");
+            assert_eq!(stats.map_builds, 1, "{pass}");
+            if pass == "reopened store" {
+                assert!(stats.store_hits > 0, "the second pass drains stored runs");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

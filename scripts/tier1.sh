@@ -110,6 +110,10 @@ echo "== warm search: checkpointed halving matches cold search, simulates less =
     --results "$tmp/search_warm" >"$tmp/warm.log" 2>/dev/null
 grep 'identical search hash' "$tmp/warm.log"
 grep -q '"virtual_seconds_saved": 32.000' "$tmp/bench_resume.json"
+# Every candidate shares one scenario, LiDAR model and seed, so each
+# pass builds its HD map exactly once, whatever the worker count.
+grep -q '^cold: .* 1 map build(s),' "$tmp/warm.log"
+grep -q '^warm: .* 1 map build(s),' "$tmp/warm.log"
 
 echo "== trace_diff self-diff: a trace diffed against itself is empty =="
 ./target/release/trace_diff "$tmp/sweep/trace_p00.json" "$tmp/sweep/trace_p00.json" \
