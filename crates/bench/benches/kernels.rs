@@ -2,15 +2,17 @@
 //! own performance (wall-clock), complementing the modeled latencies.
 
 use av_bench::microbench::Bench;
+use av_core::stack::{build_map, StackConfig};
 use av_des::RngStreams;
 use av_geom::{Pose, Vec3};
+use av_perception::costmap::ObjectFootprint;
 use av_perception::{
-    ClusterParams, DetectedObject, EuclideanCluster, NdtMatcher, NdtParams, RayGroundFilter,
-    RayGroundParams,
+    ClusterParams, CostmapGenerator, CostmapParams, DetectedObject, EuclideanCluster, NdtMatcher,
+    NdtParams, RayGroundFilter, RayGroundParams,
 };
 use av_pointcloud::{KdTree, NdtGrid, PointCloud, VoxelGrid};
 use av_tracking::{ImmUkfPdaTracker, TrackerParams};
-use av_vision::{nms, rank_candidates, ScoredBox};
+use av_vision::{nms, rank_candidates, DetectorKind, ScoredBox};
 use av_world::{LidarConfig, LidarModel, ScenarioConfig, World};
 use std::hint::black_box;
 
@@ -109,6 +111,46 @@ fn bench_ndt(c: &mut Bench) {
     });
 }
 
+fn bench_mapping(c: &mut Bench) {
+    // The whole ndt_mapping step (scans, compaction, NDT statistics) on
+    // the smoke and on the paper world, as every cold session runs it.
+    for (name, config) in [
+        ("mapping/build_map_smoke", StackConfig::smoke_test(DetectorKind::YoloV3)),
+        ("mapping/build_map_paper", StackConfig::paper_default(DetectorKind::YoloV3)),
+    ] {
+        let world = World::generate(&config.scenario);
+        let lidar = LidarModel::new(config.lidar.clone());
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut rng = RngStreams::new(config.seed).stream("mapping");
+                black_box(build_map(black_box(&world), &lidar, config.map_cell_size, &mut rng))
+            })
+        });
+    }
+}
+
+fn bench_costmap(c: &mut Bench) {
+    // 22 car-sized objects, each with a 3 s path at 0.5 s steps: about
+    // one predicted-objects frame of a paper drive.
+    let objects: Vec<ObjectFootprint> = (0..22)
+        .map(|i| {
+            let position = Vec3::new(-30.0 + 3.0 * i as f64, 4.0 * (i % 5) as f64 - 8.0, 0.8);
+            let yaw = 0.3 * i as f64;
+            let velocity = Vec3::new(8.0 * yaw.cos(), 8.0 * yaw.sin(), 0.0);
+            ObjectFootprint {
+                position,
+                half_extents: Vec3::new(2.25, 0.9, 0.75),
+                yaw,
+                path: (1..=6).map(|k| position + velocity * (0.5 * k as f64)).collect(),
+            }
+        })
+        .collect();
+    let generator = CostmapGenerator::new(CostmapParams::default());
+    c.bench_function("costmap/from_objects", |b| {
+        b.iter(|| black_box(generator.from_objects(black_box(&objects))))
+    });
+}
+
 fn bench_tracker(c: &mut Bench) {
     // 22 objects in straight-line motion: about the live track count per
     // fused frame of a paper drive. Each sample steps one new frame.
@@ -169,6 +211,8 @@ fn main() {
     bench_ground_filter(&mut c);
     bench_clustering(&mut c);
     bench_ndt(&mut c);
+    bench_mapping(&mut c);
+    bench_costmap(&mut c);
     bench_tracker(&mut c);
     bench_nms(&mut c);
 }

@@ -139,9 +139,46 @@ fn fresh_map(config: &StackConfig, world: &World, lidar: &LidarModel) -> NdtGrid
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::determinism::run_hash;
+    use crate::determinism::{run_hash, Fnv64};
     use crate::stack::{drive, run_drive, DriveRequest, RunConfig};
+    use av_geom::Mat3;
     use av_vision::DetectorKind;
+
+    /// The cell count and an FNV-64 over every cell's bits, cells sorted
+    /// by those bits so the digest ignores the grid's bucket order.
+    fn map_digest(config: &StackConfig) -> (usize, u64) {
+        let world = World::generate(&config.scenario);
+        let lidar = LidarModel::new(config.lidar.clone());
+        let grid = fresh_map(config, &world, &lidar);
+        let mat_bits = |m: &Mat3| m.m.concat().into_iter().map(f64::to_bits);
+        let mut cells: Vec<Vec<u64>> = grid
+            .cells()
+            .map(|c| {
+                let mut bits = vec![c.mean.x.to_bits(), c.mean.y.to_bits(), c.mean.z.to_bits()];
+                bits.extend(mat_bits(&c.cov));
+                bits.extend(mat_bits(&c.inv_cov));
+                bits.push(c.count as u64);
+                bits
+            })
+            .collect();
+        cells.sort_unstable();
+        let mut h = Fnv64::new();
+        for bits in cells.iter().flatten() {
+            h.write_u64(*bits);
+        }
+        (grid.len(), h.finish())
+    }
+
+    /// `build_map`'s output for the smoke and the paper configuration,
+    /// bit for bit: every kernel under the map build (LiDAR scan, voxel
+    /// compaction, NDT statistics) must leave these unmoved.
+    #[test]
+    fn maps_are_pinned() {
+        let smoke = map_digest(&StackConfig::smoke_test(DetectorKind::YoloV3));
+        let paper = map_digest(&StackConfig::paper_default(DetectorKind::YoloV3));
+        assert_eq!(smoke, (1799, 0x21e9_d56d_becc_c748), "smoke map");
+        assert_eq!(paper, (15214, 0x7d7a_6c66_e97e_4df6), "paper map");
+    }
 
     #[test]
     fn cold_captures_and_resumes_share_one_map() {
