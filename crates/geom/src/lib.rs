@@ -25,6 +25,7 @@
 
 mod aabb;
 mod angle;
+mod floor;
 mod mat;
 mod matn;
 mod pose;
@@ -33,6 +34,7 @@ mod vec;
 
 pub use aabb::Aabb;
 pub use angle::{angle_diff, deg_to_rad, normalize_angle, rad_to_deg};
+pub use floor::floor_i32;
 pub use mat::{Mat3, Mat4};
 pub use matn::{MatN, VecN};
 pub use pose::{Pose, Twist};

@@ -15,9 +15,8 @@
 //! to identical output.
 
 use crate::{DetectedObject, ObjectClass};
-use av_geom::Aabb;
-use av_pointcloud::{KdTree, PointCloud};
-use std::collections::HashMap;
+use av_geom::{floor_i32, Aabb};
+use av_pointcloud::{CellMap, KdTree, PointCloud};
 
 /// Clustering parameters (Autoware defaults: 0.75 m tolerance, 20–100k
 /// point clusters, scaled here to the simulated beam density).
@@ -237,7 +236,7 @@ impl EuclideanCluster {
 struct NeighborGrid {
     inv_cell: f64,
     /// Cell key → `(start, len)` range into `order`.
-    ranges: HashMap<(i32, i32, i32), (u32, u32)>,
+    ranges: CellMap<(u32, u32)>,
     /// Point indices grouped by cell (input order within each cell).
     order: Vec<u32>,
 }
@@ -248,7 +247,7 @@ impl NeighborGrid {
         let keys: Vec<(i32, i32, i32)> =
             positions.iter().map(|p| Self::key(*p, inv_cell)).collect();
         // Pass 1: bucket sizes. Pass 2: carve ranges and fill.
-        let mut ranges: HashMap<(i32, i32, i32), (u32, u32)> = HashMap::new();
+        let mut ranges: CellMap<(u32, u32)> = CellMap::default();
         for &k in &keys {
             ranges.entry(k).or_insert((0, 0)).1 += 1;
         }
@@ -268,11 +267,7 @@ impl NeighborGrid {
     }
 
     fn key(p: av_geom::Vec3, inv_cell: f64) -> (i32, i32, i32) {
-        (
-            (p.x * inv_cell).floor() as i32,
-            (p.y * inv_cell).floor() as i32,
-            (p.z * inv_cell).floor() as i32,
-        )
+        (floor_i32(p.x * inv_cell), floor_i32(p.y * inv_cell), floor_i32(p.z * inv_cell))
     }
 
     /// Calls `f` with the index of every point in the 27-cell

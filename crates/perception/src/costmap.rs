@@ -112,9 +112,10 @@ impl OccupancyGrid {
 
     /// Cell index for a body-frame position, or `None` outside the grid.
     pub fn index_of(&self, p: Vec3) -> Option<usize> {
-        let col = ((p.x + self.half_size) / self.resolution).floor();
-        let row = ((p.y + self.half_size) / self.resolution).floor();
-        if col < 0.0 || row < 0.0 {
+        let col = (p.x + self.half_size) / self.resolution;
+        let row = (p.y + self.half_size) / self.resolution;
+        // Rejects negatives and NaN; `as usize` then floors what is left.
+        if !(col >= 0.0 && row >= 0.0) {
             return None;
         }
         let (col, row) = (col as usize, row as usize);
@@ -397,6 +398,29 @@ mod tests {
     }
 
     #[test]
+    fn nan_positions_mark_nothing() {
+        let gen = generator();
+        let grid = gen.from_points(&PointCloud::new());
+        for p in [
+            Vec3::new(f64::NAN, 0.0, 0.0),
+            Vec3::new(0.0, f64::NAN, 0.0),
+            Vec3::new(f64::NAN, f64::NAN, 0.0),
+        ] {
+            assert_eq!(grid.index_of(p), None, "{p:?}");
+            assert_eq!(grid.cost_at(p), 0, "{p:?}");
+            let marked = gen.from_points(&PointCloud::from_positions([p]));
+            assert_eq!(marked.occupied_cells(), 0, "{p:?}");
+            let object = ObjectFootprint {
+                position: p,
+                half_extents: Vec3::splat(1.0),
+                yaw: 0.0,
+                path: vec![p],
+            };
+            assert_eq!(gen.from_objects(&[object]).occupied_cells(), 0, "{p:?}");
+        }
+    }
+
+    #[test]
     fn grid_geometry() {
         let grid = generator().from_points(&PointCloud::new());
         assert_eq!(grid.cells_per_side(), 320);
@@ -405,5 +429,10 @@ mod tests {
         assert!(grid.index_of(Vec3::new(39.9, 39.9, 0.0)).is_some());
         assert!(grid.index_of(Vec3::new(40.1, 0.0, 0.0)).is_none());
         assert!(grid.index_of(Vec3::new(0.0, -40.1, 0.0)).is_none());
+        // The first cell starts exactly at the grid edge; anything
+        // below it, however little, is outside.
+        assert_eq!(grid.index_of(Vec3::new(-40.0, -40.0, 0.0)), Some(0));
+        assert!(grid.index_of(Vec3::new((-40.0f64).next_down(), 0.0, 0.0)).is_none());
+        assert!(grid.index_of(Vec3::new(f64::INFINITY, 0.0, 0.0)).is_none());
     }
 }

@@ -91,9 +91,9 @@ impl RayGroundFilter {
         for (idx, point) in cloud.iter().enumerate() {
             let pos = point.position;
             let azimuth = pos.y.atan2(pos.x);
+            // `as usize` floors (and clamps below at 0) by itself.
             let bin = (((azimuth + std::f64::consts::PI) / (2.0 * std::f64::consts::PI))
-                * p.rays as f64)
-                .floor() as usize;
+                * p.rays as f64) as usize;
             let bin = bin.min(p.rays - 1);
             bins[bin].push((pos.norm_xy(), idx));
         }

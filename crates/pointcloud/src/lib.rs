@@ -12,7 +12,8 @@
 //!   lookups (and, through its pointer-chasing access pattern, the source
 //!   of `euclidean_cluster`'s poor L1 locality in Table VII).
 //! * [`VoxelGrid`] — centroid down-sampling, i.e. the `voxel_grid_filter`
-//!   node's algorithm.
+//!   node's algorithm; [`VoxelMap`] applies it incrementally to a growing
+//!   map.
 //! * [`NdtGrid`] — per-voxel Gaussian statistics (mean + regularized
 //!   covariance) over a map cloud, the representation `ndt_matching`
 //!   scores candidate poses against.
@@ -27,4 +28,4 @@ mod voxel;
 pub use cloud::{Point, PointCloud};
 pub use kdtree::KdTree;
 pub use ndt_grid::{CellHasher, CellMap, NdtCell, NdtGrid};
-pub use voxel::VoxelGrid;
+pub use voxel::{VoxelGrid, VoxelMap};

@@ -2,7 +2,7 @@
 //! candidate poses against.
 
 use crate::PointCloud;
-use av_geom::{Mat3, Vec3};
+use av_geom::{floor_i32, Mat3, Vec3};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -139,11 +139,7 @@ impl NdtGrid {
     }
 
     fn key_for(p: Vec3, cell_size: f64) -> (i32, i32, i32) {
-        (
-            (p.x / cell_size).floor() as i32,
-            (p.y / cell_size).floor() as i32,
-            (p.z / cell_size).floor() as i32,
-        )
+        (floor_i32(p.x / cell_size), floor_i32(p.y / cell_size), floor_i32(p.z / cell_size))
     }
 
     /// The configured cell size.

@@ -5,10 +5,11 @@
 //! linear probing, no per-entry allocation and no SipHash. The original
 //! `std::collections::HashMap` formulation is retained as
 //! [`VoxelGrid::filter_reference`]; property tests pin the two to
-//! identical output.
+//! identical output. [`VoxelMap`] keeps a down-sampled cloud indexed by
+//! voxel, so that re-filtering it with new points filters only those.
 
 use crate::{Point, PointCloud};
-use av_geom::Vec3;
+use av_geom::{floor_i32, Vec3};
 use std::collections::HashMap;
 
 /// Centroid-based voxel down-sampler.
@@ -57,9 +58,9 @@ impl VoxelGrid {
     /// The integer voxel coordinate containing `p`.
     pub fn voxel_of(&self, p: Vec3) -> (i32, i32, i32) {
         (
-            (p.x / self.leaf_size).floor() as i32,
-            (p.y / self.leaf_size).floor() as i32,
-            (p.z / self.leaf_size).floor() as i32,
+            floor_i32(p.x / self.leaf_size),
+            floor_i32(p.y / self.leaf_size),
+            floor_i32(p.z / self.leaf_size),
         )
     }
 
@@ -79,7 +80,7 @@ impl VoxelGrid {
         // stays ≤ 0.5, so linear probing stays short.
         let capacity = (cloud.len() * 2).next_power_of_two();
         let mask = capacity - 1;
-        let mut slots: Vec<u32> = vec![u32::MAX; capacity];
+        let mut slots: Vec<u32> = vec![EMPTY; capacity];
         let mut accs: Vec<VoxelAcc> = Vec::new();
 
         for p in cloud.iter() {
@@ -87,24 +88,16 @@ impl VoxelGrid {
             let mut slot = Self::hash_key(key) as usize & mask;
             let acc = loop {
                 match slots[slot] {
-                    u32::MAX => {
+                    EMPTY => {
                         slots[slot] = accs.len() as u32;
-                        accs.push(VoxelAcc {
-                            key,
-                            sum: Vec3::ZERO,
-                            intensity: 0.0,
-                            count: 0,
-                            ring: p.ring,
-                        });
+                        accs.push(VoxelAcc::new(key, p.ring));
                         break accs.last_mut().expect("just pushed");
                     }
                     idx if accs[idx as usize].key == key => break &mut accs[idx as usize],
                     _ => slot = (slot + 1) & mask,
                 }
             };
-            acc.sum += p.position;
-            acc.intensity += p.intensity as f64;
-            acc.count += 1;
+            acc.add(p);
         }
         // `accs` is already in first-appearance order — entries are
         // appended exactly when a voxel is first seen.
@@ -157,7 +150,7 @@ impl VoxelGrid {
     /// Mixes a quantized coordinate into a table slot (splitmix64-style
     /// finalizer over the packed components; the full key is still
     /// compared on probe, so hash collisions only cost probes).
-    fn hash_key((x, y, z): (i32, i32, i32)) -> u64 {
+    fn hash_key((x, y, z): Key) -> u64 {
         let packed = (x as u32 as u64) ^ ((y as u32 as u64) << 21) ^ ((z as u32 as u64) << 42);
         let mut h = packed.wrapping_add(0x9e37_79b9_7f4a_7c15);
         h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -166,9 +159,193 @@ impl VoxelGrid {
     }
 }
 
+/// A voxel-down-sampled cloud kept indexed by voxel, so that new points
+/// fold in without re-filtering the points already held — the map an
+/// `ndt_mapping` run compacts every few sweeps.
+///
+/// After [`fold`](Self::fold)`(batch)` the map holds, bit for bit, what
+/// [`VoxelGrid::filter`] returns for the held points followed by
+/// `batch`. That is cheap to maintain while every held point lies in
+/// the voxel it stands for: the filter then meets the held points
+/// first, one per voxel, so a voxel `batch` touches starts from its held
+/// point (sum `ZERO + old`, count 1, the old ring), an untouched one
+/// keeps it, and new voxels follow in first-appearance order. A centroid
+/// can round out of its voxel (at leaf 0.3, seven points at
+/// x = −29.700000000000003 in voxel −100 average to −29.699999999999996
+/// in voxel −99); the next fold then re-filters everything held.
+///
+/// ```
+/// use av_geom::Vec3;
+/// use av_pointcloud::{PointCloud, VoxelGrid, VoxelMap};
+///
+/// let grid = VoxelGrid::new(1.0);
+/// let a = PointCloud::from_positions([Vec3::new(0.2, 0.0, 0.0), Vec3::new(3.5, 0.0, 0.0)]);
+/// let b = PointCloud::from_positions([Vec3::new(0.6, 0.0, 0.0), Vec3::new(7.0, 0.0, 0.0)]);
+/// let mut map = VoxelMap::new(grid);
+/// map.fold(&a);
+/// assert_eq!(map.len(), 2);
+/// let mut both = grid.filter(&a);
+/// both.append(&b);
+/// assert_eq!(map.finish(&b), grid.filter(&both));
+/// ```
+#[derive(Debug, Clone)]
+pub struct VoxelMap {
+    grid: VoxelGrid,
+    /// Open-addressing table (power-of-two size, load ≤ 0.5) of indices
+    /// into `points`, each found under `grid.voxel_of` of its point. It
+    /// is consulted only while no point has escaped its voxel.
+    slots: Vec<u32>,
+    points: Vec<Point>,
+    /// A held point lies outside the voxel it stands for: the next fold
+    /// or [`finish`](Self::finish) re-filters everything.
+    escaped: bool,
+}
+
+impl VoxelMap {
+    /// An empty map down-sampling with `grid`.
+    pub fn new(grid: VoxelGrid) -> VoxelMap {
+        VoxelMap { grid, slots: Vec::new(), points: Vec::new(), escaped: false }
+    }
+
+    /// Number of held points.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// `true` when no point is held.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// Down-samples the held points followed by `batch`, keeping the
+    /// result: the map becomes `grid.filter(held ++ batch)`.
+    pub fn fold(&mut self, batch: &PointCloud) {
+        let accs = self.accumulate(batch);
+        if self.escaped {
+            self.slots.fill(EMPTY);
+            self.points.clear();
+            self.escaped = false;
+        }
+        for (held, acc) in accs {
+            let key = acc.key;
+            let point = acc.centroid();
+            self.escaped |= self.grid.voxel_of(point.position) != key;
+            match held {
+                EMPTY => self.insert(point),
+                held => self.points[held as usize] = point,
+            }
+        }
+    }
+
+    /// `grid.filter(held ++ batch)`, built in the held points' storage.
+    pub fn finish(mut self, batch: &PointCloud) -> PointCloud {
+        let accs = self.accumulate(batch);
+        let mut points = std::mem::take(&mut self.points);
+        if self.escaped {
+            points.clear();
+        }
+        drop(self);
+        // Untouched held points go through the filter's arithmetic too:
+        // `(0 + v) / 1` turns a held −0 (an underflowed mean intensity)
+        // into +0.
+        for p in &mut points {
+            *p = VoxelAcc::of((0, 0, 0), p).centroid();
+        }
+        for (held, acc) in accs {
+            match held {
+                EMPTY => points.push(acc.centroid()),
+                held => points[held as usize] = acc.centroid(),
+            }
+        }
+        points.into_iter().collect()
+    }
+
+    /// The filter's accumulators over `held ++ batch` for every voxel
+    /// `batch` touches, in first-appearance order, each with the index of
+    /// the held point it starts from (`EMPTY` for a new voxel). After an
+    /// escape there is no such shortcut: every held point is accumulated
+    /// afresh, all as new voxels.
+    fn accumulate(&self, batch: &PointCloud) -> Vec<(u32, VoxelAcc)> {
+        let held: &[Point] = if self.escaped { &self.points } else { &[] };
+        let capacity = ((held.len() + batch.len()) * 2).next_power_of_two();
+        let mask = capacity - 1;
+        let mut slots: Vec<u32> = vec![EMPTY; capacity];
+        let mut accs: Vec<(u32, VoxelAcc)> = Vec::new();
+        for p in held.iter().chain(batch) {
+            let key = self.grid.voxel_of(p.position);
+            let mut slot = VoxelGrid::hash_key(key) as usize & mask;
+            let (_, acc) = loop {
+                match slots[slot] {
+                    EMPTY => {
+                        slots[slot] = accs.len() as u32;
+                        let held = if self.escaped { None } else { self.find(key) };
+                        accs.push(match held {
+                            Some(i) => (i, VoxelAcc::of(key, &self.points[i as usize])),
+                            None => (EMPTY, VoxelAcc::new(key, p.ring)),
+                        });
+                        break accs.last_mut().expect("just pushed");
+                    }
+                    idx if accs[idx as usize].1.key == key => break &mut accs[idx as usize],
+                    _ => slot = (slot + 1) & mask,
+                }
+            };
+            acc.add(p);
+        }
+        accs
+    }
+
+    /// The index of the held point standing for `key`.
+    fn find(&self, key: Key) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = VoxelGrid::hash_key(key) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return None,
+                i if self.grid.voxel_of(self.points[i as usize].position) == key => return Some(i),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Holds `point` for a voxel the map does not hold yet.
+    fn insert(&mut self, point: Point) {
+        if (self.points.len() + 1) * 2 > self.slots.len() {
+            let capacity = (self.slots.len() * 2).max(16);
+            self.slots = vec![EMPTY; capacity];
+            for i in 0..self.points.len() {
+                self.place(i as u32);
+            }
+        }
+        self.points.push(point);
+        self.place(self.points.len() as u32 - 1);
+    }
+
+    /// Puts index `i` in the first free slot on its voxel's probe
+    /// sequence.
+    fn place(&mut self, i: u32) {
+        let mask = self.slots.len() - 1;
+        let key = self.grid.voxel_of(self.points[i as usize].position);
+        let mut slot = VoxelGrid::hash_key(key) as usize & mask;
+        while self.slots[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = i;
+    }
+}
+
+/// An integer voxel coordinate.
+type Key = (i32, i32, i32);
+
+/// An empty slot of an open-addressing table.
+const EMPTY: u32 = u32::MAX;
+
 /// Open-addressing accumulator for one occupied voxel.
+#[derive(Debug)]
 struct VoxelAcc {
-    key: (i32, i32, i32),
+    key: Key,
     sum: Vec3,
     intensity: f64,
     count: u32,
@@ -176,6 +353,24 @@ struct VoxelAcc {
 }
 
 impl VoxelAcc {
+    /// An empty voxel; `ring` is its first point's.
+    fn new(key: Key, ring: u8) -> VoxelAcc {
+        VoxelAcc { key, sum: Vec3::ZERO, intensity: 0.0, count: 0, ring }
+    }
+
+    /// A voxel holding just `p`, as when `p` is its first point.
+    fn of(key: Key, p: &Point) -> VoxelAcc {
+        let mut acc = VoxelAcc::new(key, p.ring);
+        acc.add(p);
+        acc
+    }
+
+    fn add(&mut self, p: &Point) {
+        self.sum += p.position;
+        self.intensity += p.intensity as f64;
+        self.count += 1;
+    }
+
     fn centroid(self) -> Point {
         let n = self.count as f64;
         Point { position: self.sum / n, intensity: (self.intensity / n) as f32, ring: self.ring }
@@ -307,5 +502,80 @@ mod proptests {
                 assert!(!members.is_empty(), "centroid escaped its voxel");
             }
         }
+    }
+
+    /// Folding batch after batch into a [`VoxelMap`] gives what
+    /// re-filtering the whole accumulated cloud gives after each batch.
+    #[test]
+    fn voxel_map_matches_refiltering() {
+        let mut rng = RngStreams::new(0x0e1).stream("fold");
+        for round in 0..64 {
+            let g = VoxelGrid::new(rng.uniform(0.2, 3.0));
+            let mut map = VoxelMap::new(g);
+            let mut reference = PointCloud::new();
+            for batch in 0..6 {
+                let cloud = random_cloud(&mut rng, 20.0, 300);
+                let mut all = reference.clone();
+                all.append(&cloud);
+                assert_eq!(
+                    map.clone().finish(&cloud),
+                    g.filter(&all),
+                    "round {round} batch {batch}"
+                );
+                map.fold(&cloud);
+                reference = g.filter(&all);
+                assert_eq!(map.len(), reference.len());
+            }
+        }
+    }
+
+    /// A centroid that rounds out of its voxel makes the next fold
+    /// re-filter everything, and the map still matches the filter.
+    #[test]
+    fn escaped_centroid_takes_the_refilter() {
+        let g = VoxelGrid::new(0.3);
+        let x = -29.700000000000003;
+        assert_eq!(g.voxel_of(Vec3::new(x, 0.0, 0.0)).0, -100);
+        let first = PointCloud::from_positions((0..7).map(|_| Vec3::new(x, 0.0, 0.0)));
+        let second = PointCloud::from_positions([Vec3::new(-29.65, 0.0, 0.0)]);
+        assert_eq!(g.voxel_of(second.point(0).position).0, -99);
+
+        let mut map = VoxelMap::new(g);
+        map.fold(&first);
+        let centroid = map.clone().finish(&PointCloud::new()).point(0).position;
+        assert_eq!(centroid.x, -29.699999999999996);
+        assert!(map.escaped, "the centroid left voxel -100");
+
+        let mut all = g.filter(&first);
+        all.append(&second);
+        assert_eq!(map.clone().finish(&second), g.filter(&all));
+        map.fold(&second);
+        assert!(!map.escaped);
+        // Both points now share voxel -99.
+        assert_eq!(map.len(), 1);
+        assert_eq!(map.finish(&PointCloud::new()), g.filter(&g.filter(&all)));
+    }
+
+    /// A mean intensity that underflows to −0 stays −0 while held, as
+    /// the filter returns it; re-filtering turns it into +0
+    /// (`0.0 + −0`), and so must `finish` for an untouched point.
+    #[test]
+    fn held_negative_zero_comes_out_as_the_filter_gives_it() {
+        let g = VoxelGrid::new(1.0);
+        let tiny = -f32::from_bits(1);
+        let batch: PointCloud = [tiny, 0.0, 0.0]
+            .into_iter()
+            .map(|i| Point::with_attributes(Vec3::new(0.5, 0.5, 0.5), i, 0))
+            .collect();
+        let filtered = g.filter(&batch);
+        assert_eq!(filtered.point(0).intensity.to_bits(), (-0.0f32).to_bits());
+        let mut map = VoxelMap::new(g);
+        map.fold(&batch);
+        let other = PointCloud::from_positions([Vec3::new(5.5, 0.5, 0.5)]);
+        let mut all = filtered.clone();
+        all.append(&other);
+        let bits = |c: &PointCloud| c.iter().map(|p| p.intensity.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&map.clone().finish(&other)), bits(&g.filter(&all)));
+        assert_eq!(bits(&map.finish(&PointCloud::new())), bits(&g.filter(&filtered)));
     }
 }
