@@ -343,7 +343,6 @@ type Key = (i32, i32, i32);
 const EMPTY: u32 = u32::MAX;
 
 /// Open-addressing accumulator for one occupied voxel.
-#[derive(Debug)]
 struct VoxelAcc {
     key: Key,
     sum: Vec3,
