@@ -25,15 +25,15 @@
 //! survives a Chrome-JSON round trip byte-identically. Any disagreement
 //! exits nonzero.
 
-use av_bench::cli::{self, blame_specs, Args};
+use av_bench::cli::{self, Args};
 use av_bench::paper_config;
 use av_core::fault::FaultPlan;
-use av_core::stack::{run_drive, RunConfig, StackConfig};
+use av_core::stack::{computation_paths, run_drive, RunConfig, StackConfig};
 use av_trace::blame::{
     analyze_blame, render_blame_csv, render_blame_summary, render_blame_track, render_paths_csv,
-    trace_from_chrome, BlameReport,
+    BlameReport,
 };
-use av_trace::export::render_chrome_trace;
+use av_trace::export::{render_chrome_trace, trace_from_chrome};
 use av_trace::json;
 use av_vision::DetectorKind;
 
@@ -50,11 +50,7 @@ struct FileOpts {
 }
 
 fn analyze_file(path: &str, opts: &FileOpts) {
-    let doc = json::parse(&cli::read(path))
-        .unwrap_or_else(|e| cli::die(format_args!("cannot parse {path}: {e}")));
-    let data = trace_from_chrome(&doc)
-        .unwrap_or_else(|e| cli::die(format_args!("not a stack trace: {e}")));
-    let report = analyze_blame(&data, &blame_specs()).unwrap_or_else(|e| {
+    let report = analyze_blame(&cli::read_trace(path), &computation_paths()).unwrap_or_else(|e| {
         eprintln!("blame attribution failed: {e}");
         std::process::exit(1);
     });
@@ -89,7 +85,7 @@ fn verify_run(
     eprintln!("verify: running a traced {duration_s:.0} s {label} drive...");
     let live = run_drive(config, &RunConfig::seconds(duration_s).with_trace());
     let trace = live.trace.as_ref().expect("traced run without trace data");
-    let blame = analyze_blame(trace, &blame_specs()).unwrap_or_else(|e| {
+    let blame = analyze_blame(trace, &computation_paths()).unwrap_or_else(|e| {
         eprintln!("  FAIL: {label}: blame attribution failed: {e}");
         std::process::exit(1);
     });
@@ -147,7 +143,8 @@ fn verify_run(
     let rendered = render_chrome_trace(label, trace);
     let doc = json::parse(&rendered).expect("exported trace must parse");
     let rehydrated = trace_from_chrome(&doc).expect("exported trace must rehydrate");
-    let reblamed = analyze_blame(&rehydrated, &blame_specs()).expect("rehydrated trace blames");
+    let reblamed =
+        analyze_blame(&rehydrated, &computation_paths()).expect("rehydrated trace blames");
     check(
         "blame CSV is byte-identical across the Chrome round trip".to_string(),
         render_blame_csv(&blame) == render_blame_csv(&reblamed),

@@ -17,25 +17,20 @@
 //! were found, `2` on usage or parse errors — so the self-diff doubles
 //! as a determinism gate and a CI diff fails loudly.
 
-use av_bench::cli::{self, blame_specs, trace_specs, Args};
+use av_bench::cli::{self, Args};
+use av_core::stack::computation_paths;
 use av_trace::analysis::{analyze_trace, TraceReport};
-use av_trace::blame::{analyze_blame, trace_from_chrome, BlameReport};
+use av_trace::blame::{analyze_blame, BlameReport};
 use av_trace::diff::{diff_blame, diff_reports, render_diff, BLAME_SHIFT_EPSILON};
-use av_trace::json;
 
 const USAGE: &str = "usage: trace_diff <a.json> <b.json>";
 
 fn load(path: &str) -> (TraceReport, BlameReport) {
-    let doc = json::parse(&cli::read(path))
-        .unwrap_or_else(|e| cli::die(format_args!("{path} is not valid JSON: {e}")));
-    let report = analyze_trace(&doc, &trace_specs())
-        .unwrap_or_else(|e| cli::die(format_args!("{path} is not a stack trace: {e}")));
-    let data = trace_from_chrome(&doc).unwrap_or_else(|e| {
-        cli::die(format_args!("{path} cannot be rehydrated for blame attribution: {e}"))
-    });
-    let blame = analyze_blame(&data, &blame_specs())
+    let data = cli::read_trace(path);
+    let paths = computation_paths();
+    let blame = analyze_blame(&data, &paths)
         .unwrap_or_else(|e| cli::die(format_args!("{path} blame attribution failed: {e}")));
-    (report, blame)
+    (analyze_trace(&data, &paths), blame)
 }
 
 fn main() {

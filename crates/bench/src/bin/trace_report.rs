@@ -11,17 +11,18 @@
 //! all derived purely from the trace events, without access to the run.
 //!
 //! `--verify` is the internal consistency oracle: it runs one traced
-//! drive, renders the trace to JSON, parses it back, recomputes the same
-//! quantities, and asserts **exact** (bit-level, not epsilon) agreement
-//! with what the live `LatencyRecorder` and the bus drop counters
-//! measured. Any disagreement exits nonzero.
+//! drive, renders the trace to JSON, reads it back (the read-back trace
+//! must equal the recorded one), recomputes the same quantities, and
+//! asserts **exact** (bit-level, not epsilon) agreement with what the
+//! live `LatencyRecorder` and the bus drop counters measured. Any
+//! disagreement exits nonzero.
 
-use av_bench::cli::{self, trace_specs, Args};
+use av_bench::cli::{self, Args};
 use av_bench::paper_config;
-use av_core::stack::{run_drive, RunConfig};
+use av_core::stack::{computation_paths, run_drive, RunConfig};
 use av_profiling::Table;
 use av_trace::analysis::{analyze_trace, TraceReport};
-use av_trace::export::render_chrome_trace;
+use av_trace::export::{render_chrome_trace, trace_from_chrome};
 use av_trace::json;
 use av_vision::DetectorKind;
 
@@ -113,10 +114,7 @@ fn print_report(title: &str, report: &TraceReport) {
 }
 
 fn analyze_file(path: &str, paths_csv: Option<&str>) {
-    let doc = json::parse(&cli::read(path))
-        .unwrap_or_else(|e| cli::die(format_args!("cannot parse {path}: {e}")));
-    let report = analyze_trace(&doc, &trace_specs())
-        .unwrap_or_else(|e| cli::die(format_args!("not a stack trace: {e}")));
+    let report = analyze_trace(&cli::read_trace(path), &computation_paths());
     print_report(path, &report);
     if let Some(out) = paths_csv {
         cli::write(out, render_paths_csv(&report));
@@ -154,7 +152,8 @@ fn verify(duration_s: f64, detector: DetectorKind) {
     // what an external tool would.
     let rendered = render_chrome_trace(detector.name(), trace);
     let doc = json::parse(&rendered).expect("exported trace must parse");
-    let recomputed = analyze_trace(&doc, &trace_specs()).expect("exported trace must analyze");
+    let rehydrated = trace_from_chrome(&doc).expect("exported trace must read back");
+    let recomputed = analyze_trace(&rehydrated, &computation_paths());
 
     let mut failures = 0;
     let mut check = |label: String, ok: bool| {
@@ -165,6 +164,18 @@ fn verify(duration_s: f64, detector: DetectorKind) {
             failures += 1;
         }
     };
+
+    // The reader is the exact inverse of the exporter: every event,
+    // sample and header field (sched policy included) comes back as
+    // recorded.
+    check(
+        format!(
+            "trace reads back from its export exactly ({} events, policy {})",
+            trace.events.len(),
+            trace.policy.as_deref().unwrap_or("fifo, omitted")
+        ),
+        rehydrated == *trace,
+    );
 
     // Fig 6: every path's sample vector must match the live recorder
     // bit-for-bit (hence so do mean, p99, ... — summaries are pure
@@ -217,22 +228,11 @@ fn verify(duration_s: f64, detector: DetectorKind) {
         trace_dropped == bus_dropped,
     );
 
-    // Scheduler header: the policy name must survive the JSON round-trip,
-    // and decision events must never appear without it.
-    check(
-        format!(
-            "sched policy header round-trips ({})",
-            trace.policy.as_deref().unwrap_or("fifo, omitted")
-        ),
-        recomputed.policy == trace.policy,
-    );
+    // Decision events must never appear without the policy header (the
+    // read-back check above already covers both surviving the export).
     check(
         format!("sched decisions ({}) only under a declared policy", recomputed.sched_decisions),
         recomputed.sched_header_consistent(),
-    );
-    check(
-        format!("sched decision count round-trips ({})", trace.sched_decision_count()),
-        recomputed.sched_decisions == trace.sched_decision_count(),
     );
 
     println!();

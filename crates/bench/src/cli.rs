@@ -11,9 +11,8 @@
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::fnv64;
 use av_core::parallel::effective_jobs;
-use av_core::stack::computation_paths;
-use av_trace::analysis::TracePathSpec;
-use av_trace::blame::BlamePathSpec;
+use av_trace::export::trace_from_chrome;
+use av_trace::{json, TraceData};
 use std::fmt::Display;
 use std::path::Path;
 use std::str::FromStr;
@@ -113,6 +112,16 @@ pub fn read(path: impl AsRef<Path>) -> String {
         .unwrap_or_else(|e| die(format_args!("cannot read {}: {e}", path.display())))
 }
 
+/// Reads an exported Chrome trace back into the [`TraceData`] it was
+/// rendered from, or exits 2 naming the path when the file is unreadable,
+/// not JSON or not a trace this repo exported.
+pub fn read_trace(path: &str) -> TraceData {
+    let doc =
+        json::parse(&read(path)).unwrap_or_else(|e| die(format_args!("cannot parse {path}: {e}")));
+    trace_from_chrome(&doc)
+        .unwrap_or_else(|e| die(format_args!("{path} is not a stack trace: {e}")))
+}
+
 /// Writes an output file, creating its parent directory; exits 1 naming
 /// the path on failure.
 pub fn write(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) {
@@ -206,22 +215,6 @@ pub fn json_object(fields: &[(&str, String)]) -> String {
     let body =
         fields.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect::<Vec<_>>().join(",\n");
     format!("{{\n{body}\n}}\n")
-}
-
-/// The stack's computation paths as trace-analysis specs.
-pub fn trace_specs() -> Vec<TracePathSpec> {
-    computation_paths()
-        .into_iter()
-        .map(|p| TracePathSpec::new(p.name, p.sink_node, p.source.name()))
-        .collect()
-}
-
-/// The stack's computation paths as blame-attribution specs.
-pub fn blame_specs() -> Vec<BlamePathSpec> {
-    computation_paths()
-        .into_iter()
-        .map(|p| BlamePathSpec::new(p.name, p.sink_node, p.source))
-        .collect()
 }
 
 #[cfg(test)]

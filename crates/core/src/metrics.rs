@@ -7,7 +7,7 @@
 //! what "p99 end-to-end latency" or "drop rate" means.
 
 use crate::stack::{computation_paths, RunReport};
-use av_trace::blame::{analyze_blame, BlamePathSpec, Component};
+use av_trace::blame::{analyze_blame, Component};
 use std::collections::BTreeMap;
 
 /// The perception deadline the paper's Finding 2 is stated against:
@@ -102,11 +102,7 @@ pub fn run_metrics(report: &RunReport) -> RunMetrics {
 pub fn blame_scalars(report: &RunReport) -> Result<BTreeMap<String, f64>, String> {
     let trace =
         report.trace.as_ref().ok_or("blame scalars need a traced run (RunConfig::with_trace)")?;
-    let specs: Vec<BlamePathSpec> = computation_paths()
-        .into_iter()
-        .map(|p| BlamePathSpec::new(p.name, p.sink_node, p.source))
-        .collect();
-    let blame = analyze_blame(trace, &specs)?;
+    let blame = analyze_blame(trace, &computation_paths())?;
     let mut out = BTreeMap::new();
     let Some((worst, _)) = report.end_to_end() else { return Ok(out) };
     let Some(path) = blame.path(&worst) else { return Ok(out) };

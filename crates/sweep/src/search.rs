@@ -926,11 +926,9 @@ impl SearchSpec {
                     );
                 }
                 "world" => {
-                    world = match value.as_str() {
-                        Some("paper") => WorldKind::Paper,
-                        Some("smoke") => WorldKind::Smoke,
-                        _ => return Err("world must be \"paper\" or \"smoke\"".to_string()),
-                    };
+                    world = WorldKind::parse(
+                        value.as_str().ok_or_else(|| "world must be a string".to_string())?,
+                    )?;
                 }
                 "base" => base = SweepPoint::from_json_value(value)?,
                 "objective" => {
@@ -1408,6 +1406,12 @@ mod tests {
             )
             .is_err(),
             "non-finite tolerance"
+        );
+        let unknown_world = SearchSpec::from_json("{\"name\": \"x\", \"world\": \"mars\"}");
+        assert_eq!(
+            unknown_world.unwrap_err(),
+            "unknown world \"mars\" (expected \"paper\" or \"smoke\")",
+            "the world is read by the same parser sweep specs use"
         );
         assert!(SearchSpec::builtin("smoke").is_some());
         assert!(SearchSpec::builtin("nope").is_none());

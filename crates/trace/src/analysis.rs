@@ -1,50 +1,26 @@
-//! Recomputing the paper's tables *from an exported trace alone*.
+//! Recomputing the paper's tables *from a recorded trace alone*.
 //!
-//! This is the internal consistency oracle: `trace_report` loads the
-//! Chrome trace JSON back through [`crate::json`], reruns the Fig 6 path
-//! latency and Table III drop-count computations here, and asserts exact
-//! equality with what `av_profiling::LatencyRecorder` measured live. The
-//! arithmetic deliberately mirrors the recorder's — nanosecond stamps are
-//! reconstructed into `SimTime` and pushed through the identical
-//! `saturating_since(..).as_millis_f64()` chain into an
-//! `av_profiling::Distribution` — so agreement is bit-exact, not
+//! This is the internal consistency oracle: `trace_report` reads an
+//! exported Chrome trace back through [`crate::export::trace_from_chrome`],
+//! reruns the Fig 6 path latency and Table III drop-count computations here
+//! on the typed events, and asserts exact equality with what
+//! `av_profiling::LatencyRecorder` measured live. The arithmetic
+//! deliberately mirrors the recorder's — the same `SimTime` stamps go
+//! through the identical `saturating_since(..).as_millis_f64()` chain into
+//! an `av_profiling::Distribution` — so agreement is bit-exact, not
 //! approximate.
 
-use crate::json::JsonValue;
-use av_des::SimTime;
-use av_profiling::Distribution;
+use crate::{TraceData, TraceEvent};
+use av_profiling::{Distribution, PathSpec};
 use std::collections::BTreeMap;
 
-/// A computation path to recompute from the trace, with the lineage source
-/// identified by its stable name (`av_ros::Source::name`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracePathSpec {
-    /// Path name (e.g. `costmap_vision_obj`).
-    pub name: String,
-    /// Terminal node of the path.
-    pub sink_node: String,
-    /// Lineage source name anchoring the measurement (e.g. `lidar`).
-    pub source: String,
-}
-
-impl TracePathSpec {
-    /// Creates a spec.
-    pub fn new(
-        name: impl Into<String>,
-        sink_node: impl Into<String>,
-        source: impl Into<String>,
-    ) -> TracePathSpec {
-        TracePathSpec { name: name.into(), sink_node: sink_node.into(), source: source.into() }
-    }
-}
-
-/// Occupancy of one subscription queue, reconstructed from the exported
-/// queue counter events.
+/// Occupancy of one subscription queue, reconstructed from its queue
+/// events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStat {
-    /// Number of queue counter events (enqueues + dequeues + drops).
+    /// Number of queue events (enqueues + dequeues + drops).
     pub events: u64,
-    /// Highest depth the counter ever reported.
+    /// Highest depth any of them reported.
     pub max_depth: u64,
 }
 
@@ -111,11 +87,11 @@ pub struct TraceReport {
     /// Fault/supervision event counts per `(kind name, node)` — empty for
     /// clean runs, so `trace_diff` flags faulted-vs-clean pairs.
     pub faults: BTreeMap<(String, String), u64>,
-    /// Scheduler policy name from the trace header (`otherData`), if the
-    /// run declared one. FIFO runs omit it.
+    /// Scheduler policy name from the trace header, if the run declared
+    /// one. FIFO runs omit it.
     pub policy: Option<String>,
-    /// Scheduler decision instants (`cat: "sched"`) seen in the trace.
-    /// Nonzero only under a non-FIFO policy.
+    /// Scheduler decision events seen in the trace. Nonzero only under a
+    /// non-FIFO policy.
     pub sched_decisions: u64,
 }
 
@@ -130,25 +106,11 @@ impl TraceReport {
     }
 }
 
-fn str_field<'v>(event: &'v JsonValue, key: &str) -> Option<&'v str> {
-    event.get(key).and_then(JsonValue::as_str)
-}
-
-fn arg_u64(event: &JsonValue, key: &str) -> Option<u64> {
-    event.get("args")?.get(key)?.as_u64()
-}
-
-/// Recomputes path latencies, node latencies and drop counts from a parsed
-/// Chrome trace document.
-///
-/// Returns an error when the document is not a trace this crate exported.
-pub fn analyze_trace(trace: &JsonValue, specs: &[TracePathSpec]) -> Result<TraceReport, String> {
-    let events = trace
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing traceEvents array")?;
-
+/// Recomputes path latencies, node latencies, drop, fault and queue
+/// statistics from a trace's events.
+pub fn analyze_trace(data: &TraceData, specs: &[PathSpec]) -> TraceReport {
     let mut report = TraceReport {
+        callbacks: data.callback_count(),
         paths: specs
             .iter()
             .map(|s| PathReport {
@@ -157,84 +119,43 @@ pub fn analyze_trace(trace: &JsonValue, specs: &[TracePathSpec]) -> Result<Trace
                 verdict: PathVerdict::NoSinkActivity,
             })
             .collect(),
+        drops: data.drop_counts(),
+        faults: data.fault_counts(),
+        policy: data.policy.clone(),
+        sched_decisions: data.sched_decision_count(),
         ..TraceReport::default()
     };
-    report.policy = trace
-        .get("otherData")
-        .and_then(|d| d.get("sched_policy"))
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
     // Sink publications lacking the lineage stamp, per path.
     let mut missing: Vec<u64> = vec![0; specs.len()];
 
-    for event in events {
-        let ph = str_field(event, "ph").ok_or("event without ph")?;
-        let cat = str_field(event, "cat").unwrap_or("");
-        match (ph, cat) {
-            ("X", "callback") => {
-                report.callbacks += 1;
-                let node = str_field(event.get("args").ok_or("callback without args")?, "node")
-                    .ok_or("callback without node arg")?
-                    .to_string();
-                let published = event
-                    .get("args")
-                    .and_then(|a| a.get("published"))
-                    .and_then(JsonValue::as_array)
-                    .ok_or("callback without published arg")?;
-                if published.is_empty() {
-                    // Auxiliary callbacks: the live recorder skips them for
-                    // both node and path statistics.
-                    continue;
-                }
-                let started = arg_u64(event, "started_ns").ok_or("callback without started_ns")?;
-                let completed =
-                    arg_u64(event, "completed_ns").ok_or("callback without completed_ns")?;
-                let completed = SimTime::from_nanos(completed);
-                report.nodes.entry(node.clone()).or_default().record(
-                    completed.saturating_since(SimTime::from_nanos(started)).as_millis_f64(),
-                );
-                for (i, (spec, path)) in specs.iter().zip(report.paths.iter_mut()).enumerate() {
-                    if spec.sink_node != node {
-                        continue;
-                    }
-                    let key = format!("lineage_{}_ns", spec.source);
-                    if let Some(origin) = arg_u64(event, &key) {
-                        path.latency.record(
-                            completed.saturating_since(SimTime::from_nanos(origin)).as_millis_f64(),
-                        );
-                    } else {
-                        missing[i] += 1;
+    for event in &data.events {
+        match event {
+            // Callbacks without outputs are auxiliary: the live recorder
+            // skips them for both node and path statistics.
+            TraceEvent::Callback { node, started, completed, lineage, published, .. }
+                if !published.is_empty() =>
+            {
+                report
+                    .nodes
+                    .entry(node.clone())
+                    .or_default()
+                    .record(completed.saturating_since(*started).as_millis_f64());
+                let paths = specs.iter().zip(&mut report.paths).zip(&mut missing);
+                for ((spec, path), missing) in paths.filter(|((s, _), _)| s.sink_node == *node) {
+                    match lineage.iter().find(|(source, _)| *source == spec.source) {
+                        Some(&(_, origin)) => {
+                            path.latency.record(completed.saturating_since(origin).as_millis_f64())
+                        }
+                        None => *missing += 1,
                     }
                 }
             }
-            ("i", "drop") => {
-                let args = event.get("args").ok_or("drop without args")?;
-                let topic = str_field(args, "topic").ok_or("drop without topic")?.to_string();
-                let node = str_field(args, "node").ok_or("drop without node")?.to_string();
-                *report.drops.entry((topic, node)).or_insert(0) += 1;
-            }
-            ("i", "fault") => {
-                let args = event.get("args").ok_or("fault without args")?;
-                let kind = str_field(args, "kind").ok_or("fault without kind")?.to_string();
-                let node = str_field(args, "node").ok_or("fault without node")?.to_string();
-                *report.faults.entry((kind, node)).or_insert(0) += 1;
-            }
-            ("i", "sched") => {
-                report.sched_decisions += 1;
-            }
-            ("C", "queue") => {
-                // Exported as `q <topic>→<node>` counters by the exporter;
-                // the arrow is the field separator (topics and node names
-                // never contain it).
-                let name = str_field(event, "name").ok_or("queue counter without name")?;
-                let (topic, node) = name
-                    .strip_prefix("q ")
-                    .and_then(|rest| rest.split_once('→'))
-                    .ok_or("malformed queue counter name")?;
-                let depth = arg_u64(event, "depth").ok_or("queue counter without depth")?;
-                let stat = report.queues.entry((topic.to_string(), node.to_string())).or_default();
+            TraceEvent::Enqueued { topic, node, depth, .. }
+            | TraceEvent::Dequeued { topic, node, depth, .. }
+            | TraceEvent::Dropped { topic, node, depth, .. } => {
+                let stat = report.queues.entry((topic.clone(), node.clone())).or_default();
                 stat.events += 1;
-                stat.max_depth = stat.max_depth.max(depth);
+                stat.max_depth = stat.max_depth.max(*depth as u64);
             }
             _ => {}
         }
@@ -248,16 +169,20 @@ pub fn analyze_trace(trace: &JsonValue, specs: &[TracePathSpec]) -> Result<Trace
             PathVerdict::Ok
         };
     }
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::render_chrome_trace;
-    use crate::{TraceData, TraceEvent};
-    use av_des::SimDuration;
+    use crate::export::tests::round_trip;
+    use av_des::{SimDuration, SimTime};
     use av_ros::Source;
+
+    /// The report of a trace read back from its Chrome export.
+    fn analyze_exported(data: &TraceData, specs: &[PathSpec]) -> TraceReport {
+        analyze_trace(&round_trip(data), specs)
+    }
 
     fn callback(
         node: &str,
@@ -320,10 +245,8 @@ mod tests {
             samples: vec![],
             policy: None,
         };
-        let json = render_chrome_trace("t", &data);
-        let parsed = crate::json::parse(&json).unwrap();
-        let specs = vec![TracePathSpec::new("localization", "ndt", "lidar")];
-        let report = analyze_trace(&parsed, &specs).unwrap();
+        let specs = vec![PathSpec::new("localization", "ndt", Source::Lidar)];
+        let report = analyze_exported(&data, &specs);
 
         assert_eq!(report.callbacks, 3);
         let path = &report.paths[0];
@@ -366,9 +289,7 @@ mod tests {
             ],
             ..TraceData::default()
         };
-        let json = render_chrome_trace("t", &data);
-        let parsed = crate::json::parse(&json).unwrap();
-        let report = analyze_trace(&parsed, &[]).unwrap();
+        let report = analyze_exported(&data, &[]);
         let q = report.queues[&("/in".to_string(), "ndt".to_string())];
         assert_eq!(q.events, 3);
         assert_eq!(q.max_depth, 2);
@@ -401,10 +322,7 @@ mod tests {
             ],
             ..TraceData::default()
         };
-        let json = render_chrome_trace("t", &data);
-        assert!(json.contains("\"fault:crash\""));
-        let parsed = crate::json::parse(&json).unwrap();
-        let report = analyze_trace(&parsed, &[]).unwrap();
+        let report = analyze_exported(&data, &[]);
         assert_eq!(report.faults[&("crash".to_string(), "ndt".to_string())], 1);
         assert_eq!(report.faults[&("restart".to_string(), "ndt".to_string())], 2);
     }
@@ -416,13 +334,11 @@ mod tests {
             events: vec![callback("other", 0, 0, 10, vec![(Source::Camera, SimTime::ZERO)], true)],
             ..TraceData::default()
         };
-        let json = render_chrome_trace("t", &data);
-        let parsed = crate::json::parse(&json).unwrap();
         let specs = vec![
-            TracePathSpec::new("localization", "ndt", "lidar"),
-            TracePathSpec::new("by_camera", "other", "lidar"),
+            PathSpec::new("localization", "ndt", Source::Lidar),
+            PathSpec::new("by_camera", "other", Source::Lidar),
         ];
-        let report = analyze_trace(&parsed, &specs).unwrap();
+        let report = analyze_trace(&data, &specs);
         assert!(report.paths[0].latency.is_empty(), "wrong sink node");
         assert_eq!(report.paths[0].verdict, PathVerdict::NoSinkActivity);
         assert_eq!(report.paths[0].verdict.describe(), "no-sink-activity");
@@ -451,30 +367,19 @@ mod tests {
             policy: Some("edf".to_string()),
             ..TraceData::default()
         };
-        let json = render_chrome_trace("t", &data);
-        assert!(json.contains("\"sched_policy\":\"edf\""));
-        let parsed = crate::json::parse(&json).unwrap();
-        let report = analyze_trace(&parsed, &[]).unwrap();
+        let report = analyze_exported(&data, &[]);
         assert_eq!(report.policy.as_deref(), Some("edf"));
         assert_eq!(report.sched_decisions, 1);
         assert!(report.sched_header_consistent());
 
         // Decision events with no declared policy: loud inconsistency.
         let anonymous = TraceData { events: vec![decision], policy: None, ..TraceData::default() };
-        let json = render_chrome_trace("t", &anonymous);
-        assert!(!json.contains("sched_policy"));
-        let report = analyze_trace(&crate::json::parse(&json).unwrap(), &[]).unwrap();
+        let report = analyze_exported(&anonymous, &[]);
         assert_eq!(report.policy, None);
         assert_eq!(report.sched_decisions, 1);
         assert!(!report.sched_header_consistent());
 
         // FIFO-shaped traces (no decisions, no header) are consistent.
         assert!(TraceReport::default().sched_header_consistent());
-    }
-
-    #[test]
-    fn rejects_non_trace_documents() {
-        let parsed = crate::json::parse("{\"a\":1}").unwrap();
-        assert!(analyze_trace(&parsed, &[]).is_err());
     }
 }

@@ -31,10 +31,9 @@
 //! per-edge slack (alignment time by fusion node), and the
 //! dominant-component histogram.
 
-use crate::json::JsonValue;
-use crate::{MetricSample, TraceData, TraceEvent};
-use av_des::{SimDuration, SimTime};
-use av_profiling::{Distribution, RateIntegral};
+use crate::{TraceData, TraceEvent};
+use av_des::SimTime;
+use av_profiling::{Distribution, PathSpec, RateIntegral};
 use av_ros::{FaultKind, Source};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -85,28 +84,6 @@ impl Component {
             Component::Alignment => 3,
             Component::Degraded => 4,
         }
-    }
-}
-
-/// A computation path to attribute, with a typed lineage source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlamePathSpec {
-    /// Path name (e.g. `costmap_vision_obj`).
-    pub name: String,
-    /// Terminal node of the path.
-    pub sink_node: String,
-    /// Lineage source anchoring the measurement.
-    pub source: Source,
-}
-
-impl BlamePathSpec {
-    /// Creates a spec.
-    pub fn new(
-        name: impl Into<String>,
-        sink_node: impl Into<String>,
-        source: Source,
-    ) -> BlamePathSpec {
-        BlamePathSpec { name: name.into(), sink_node: sink_node.into(), source }
     }
 }
 
@@ -379,7 +356,7 @@ impl Cb {
 /// Returns an error when a chain cannot be reconstructed (a lineage stamp
 /// with no recorded carrier — a broken chain) or when the decomposition
 /// of any instance fails to cover its span exactly.
-pub fn analyze_blame(data: &TraceData, specs: &[BlamePathSpec]) -> Result<BlameReport, String> {
+pub fn analyze_blame(data: &TraceData, specs: &[PathSpec]) -> Result<BlameReport, String> {
     // Node name interning: segment attribution stores indexes during the
     // walk and resolves to strings once.
     let mut node_names: Vec<String> = Vec::new();
@@ -690,150 +667,6 @@ fn node_power_integrals(data: &TraceData) -> HashMap<String, RateIntegral> {
 }
 
 // ---------------------------------------------------------------------------
-// Chrome-trace reconstruction (blame from an exported JSON file).
-
-fn ns_from_ts(event: &JsonValue) -> Result<u64, String> {
-    let ts = event.get("ts").and_then(JsonValue::as_f64).ok_or("event without ts")?;
-    Ok((ts * 1000.0).round() as u64)
-}
-
-fn arg_str<'v>(event: &'v JsonValue, key: &str) -> Option<&'v str> {
-    event.get("args")?.get(key)?.as_str()
-}
-
-fn arg_u64(event: &JsonValue, key: &str) -> Option<u64> {
-    event.get("args")?.get(key)?.as_u64()
-}
-
-fn arg_f64(event: &JsonValue, key: &str) -> Option<f64> {
-    event.get("args")?.get(key)?.as_f64()
-}
-
-/// Reconstructs a blame-sufficient [`TraceData`] from an exported Chrome
-/// trace document: callback spans with lineage, fault instants, drop
-/// instants and the metrics samples. Queue enqueue/dequeue counters are
-/// not round-tripped (blame does not consume them).
-pub fn trace_from_chrome(doc: &JsonValue) -> Result<TraceData, String> {
-    let events_json =
-        doc.get("traceEvents").and_then(JsonValue::as_array).ok_or("missing traceEvents array")?;
-    let sample_interval = doc
-        .get("otherData")
-        .and_then(|o| o.get("sample_interval_ns"))
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing otherData.sample_interval_ns")?;
-
-    let mut data = TraceData {
-        sample_interval: SimDuration::from_nanos(sample_interval),
-        ..TraceData::default()
-    };
-
-    // In-progress metrics sample: the exporter emits qdepth*, busy*,
-    // cpu_util, gpu_util then power_w per sampling tick; power_w closes
-    // the block.
-    let mut qdepths: Vec<u64> = Vec::new();
-    let mut busy: Vec<f64> = Vec::new();
-    let mut cpu_util = 0.0f64;
-    let mut gpu_util = 0.0f64;
-    let mut first_sample = true;
-
-    for event in events_json {
-        let ph = event.get("ph").and_then(JsonValue::as_str).ok_or("event without ph")?;
-        let cat = event.get("cat").and_then(JsonValue::as_str).unwrap_or("");
-        let name = event.get("name").and_then(JsonValue::as_str).unwrap_or("");
-        match (ph, cat) {
-            ("M", "") if name == "thread_name" => {
-                let node = arg_str(event, "name").ok_or("thread_name without name")?;
-                data.nodes.push(node.to_string());
-            }
-            ("X", "callback") => {
-                let args = event.get("args").ok_or("callback without args")?;
-                let node =
-                    args.get("node").and_then(JsonValue::as_str).ok_or("callback without node")?;
-                let topic = args
-                    .get("topic")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("callback without topic")?;
-                let arrival = arg_u64(event, "arrival_ns").ok_or("callback without arrival_ns")?;
-                let started = arg_u64(event, "started_ns").ok_or("callback without started_ns")?;
-                let completed =
-                    arg_u64(event, "completed_ns").ok_or("callback without completed_ns")?;
-                let published: Vec<String> = args
-                    .get("published")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("callback without published")?
-                    .iter()
-                    .filter_map(|p| p.as_str().map(str::to_string))
-                    .collect();
-                let mut lineage = Vec::new();
-                for source in Source::ALL {
-                    let key = format!("lineage_{}_ns", source.name());
-                    if let Some(stamp) = arg_u64(event, &key) {
-                        lineage.push((source, SimTime::from_nanos(stamp)));
-                    }
-                }
-                data.events.push(TraceEvent::Callback {
-                    node: node.to_string(),
-                    topic: topic.to_string(),
-                    arrival: SimTime::from_nanos(arrival),
-                    started: SimTime::from_nanos(started),
-                    completed: SimTime::from_nanos(completed),
-                    lineage,
-                    published,
-                });
-            }
-            ("i", "fault") => {
-                let kind_name = arg_str(event, "kind").ok_or("fault without kind")?;
-                let kind = FaultKind::parse(kind_name)
-                    .ok_or_else(|| format!("unknown fault kind {kind_name:?}"))?;
-                data.events.push(TraceEvent::Fault {
-                    kind,
-                    node: arg_str(event, "node").ok_or("fault without node")?.to_string(),
-                    info: arg_str(event, "info").unwrap_or("").to_string(),
-                    time: SimTime::from_nanos(ns_from_ts(event)?),
-                });
-            }
-            ("i", "drop") => {
-                data.events.push(TraceEvent::Dropped {
-                    topic: arg_str(event, "topic").ok_or("drop without topic")?.to_string(),
-                    node: arg_str(event, "node").ok_or("drop without node")?.to_string(),
-                    depth: arg_u64(event, "depth").ok_or("drop without depth")? as usize,
-                    time: SimTime::from_nanos(ns_from_ts(event)?),
-                });
-            }
-            ("C", "metrics") => {
-                if let Some(rest) = name.strip_prefix("qdepth ") {
-                    if first_sample {
-                        let (topic, node) =
-                            rest.split_once('→').ok_or("malformed qdepth counter name")?;
-                        data.subscriptions.push((topic.to_string(), node.to_string()));
-                    }
-                    qdepths.push(arg_u64(event, "depth").ok_or("qdepth without depth")?);
-                } else if name.strip_prefix("busy ").is_some() {
-                    busy.push(arg_f64(event, "frac").ok_or("busy without frac")?);
-                } else if name == "cpu_util" {
-                    cpu_util = arg_f64(event, "util").ok_or("cpu_util without util")?;
-                } else if name == "gpu_util" {
-                    gpu_util = arg_f64(event, "util").ok_or("gpu_util without util")?;
-                } else if name == "power_w" {
-                    data.samples.push(MetricSample {
-                        time: SimTime::from_nanos(ns_from_ts(event)?),
-                        queue_depths: std::mem::take(&mut qdepths),
-                        node_busy_frac: std::mem::take(&mut busy),
-                        cpu_util,
-                        gpu_util,
-                        cpu_w: arg_f64(event, "cpu").ok_or("power_w without cpu")?,
-                        gpu_w: arg_f64(event, "gpu").ok_or("power_w without gpu")?,
-                    });
-                    first_sample = false;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(data)
-}
-
-// ---------------------------------------------------------------------------
 // Deterministic renderings.
 
 /// Milliseconds with a fixed 6-digit fraction via integer math — byte
@@ -1050,6 +883,8 @@ pub fn render_blame_track(run: &str, report: &BlameReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricSample;
+    use av_des::SimDuration;
 
     fn cb(
         node: &str,
@@ -1071,8 +906,8 @@ mod tests {
         }
     }
 
-    fn spec(name: &str, sink: &str, source: Source) -> BlamePathSpec {
-        BlamePathSpec::new(name, sink, source)
+    fn spec(name: &str, sink: &str, source: Source) -> PathSpec {
+        PathSpec::new(name, sink, source)
     }
 
     /// lidar@100 → filter (wait 10, compute 40) → sink (wait 0, compute 30).
@@ -1293,12 +1128,8 @@ mod tests {
             info: "x".to_string(),
             time: SimTime::from_millis(500),
         });
-        let json = crate::export::render_chrome_trace("t", &data);
-        let parsed = crate::json::parse(&json).unwrap();
-        let rebuilt = trace_from_chrome(&parsed).unwrap();
-        assert_eq!(rebuilt.nodes, data.nodes);
-        assert_eq!(rebuilt.subscriptions, data.subscriptions);
-        assert_eq!(rebuilt.samples, data.samples);
+        let rebuilt = crate::export::tests::round_trip(&data);
+        assert_eq!(rebuilt, data);
         let specs = [spec("p", "sink", Source::Lidar)];
         let direct = analyze_blame(&data, &specs).unwrap();
         let roundtrip = analyze_blame(&rebuilt, &specs).unwrap();

@@ -439,7 +439,7 @@ pub fn render_diff(label_a: &str, label_b: &str, diff: &TraceDiff) -> String {
 mod tests {
     use super::*;
     use crate::analysis::analyze_trace;
-    use crate::export::render_chrome_trace;
+    use crate::export::tests::round_trip;
     use crate::{TraceData, TraceEvent};
     use av_des::SimTime;
     use av_ros::Source;
@@ -466,9 +466,7 @@ mod tests {
     }
 
     fn analyze(data: &TraceData) -> TraceReport {
-        let json = render_chrome_trace("t", data);
-        let parsed = crate::json::parse(&json).unwrap();
-        analyze_trace(&parsed, &[]).unwrap()
+        analyze_trace(&round_trip(data), &[])
     }
 
     #[test]
@@ -534,7 +532,7 @@ mod tests {
     /// lidar@100 → filter → sink, with the filter's queue wait and
     /// compute time dialed by the caller.
     fn blamed(wait_ms: u64, compute_ms: u64) -> BlameReport {
-        use crate::blame::{analyze_blame, BlamePathSpec};
+        use crate::blame::analyze_blame;
         let started = 100 + wait_ms;
         let done = started + compute_ms;
         let data = TraceData {
@@ -561,7 +559,7 @@ mod tests {
             ],
             ..TraceData::default()
         };
-        let specs = [BlamePathSpec::new("p", "sink", Source::Lidar)];
+        let specs = [av_profiling::PathSpec::new("p", "sink", Source::Lidar)];
         analyze_blame(&data, &specs).unwrap()
     }
 

@@ -1,9 +1,12 @@
 //! A minimal JSON reader, just big enough to load the trace files this
 //! crate writes (the build is hermetic — no serde).
 //!
-//! Numbers are held as `f64`; every integer the exporter writes (nanosecond
-//! stamps, depths, flow ids) is far below 2^53, so round-tripping through
-//! `f64` is exact.
+//! Numbers are held as `f64`, which represents every integer of magnitude
+//! below 2^53 exactly but not all above it (2^53 + 1 parses as 2^53), so
+//! [`JsonValue::as_i64`] and [`JsonValue::as_u64`] reject magnitudes of
+//! 2^53 and beyond instead of returning a neighbouring integer. Every
+//! integer the exporter writes (nanosecond stamps, depths, flow ids, sched
+//! keys) is far below that.
 
 use std::fmt;
 
@@ -49,14 +52,19 @@ impl JsonValue {
         }
     }
 
-    /// The value as a non-negative integer, if it is a number that is one.
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The value as an integer, if it is a number that is one and its
+    /// magnitude is below 2^53 (so the document spelled exactly it).
+    pub fn as_i64(&self) -> Option<i64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 2f64.powi(53) => Some(*n as i64),
             _ => None,
         }
+    }
+
+    /// The value as a non-negative integer, under the rules of
+    /// [`JsonValue::as_i64`].
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
     }
 
     /// The value as an array slice, if it is one.
@@ -330,6 +338,27 @@ mod tests {
         let stamp = 199_999_999_987u64;
         let v = parse(&stamp.to_string()).unwrap();
         assert_eq!(v.as_u64(), Some(stamp));
+    }
+
+    #[test]
+    fn u64_rejects_2_53_and_beyond_instead_of_rounding() {
+        // 2^53 + 1 has no f64: it parses as 2^53, which must not pass
+        // for a seed or a capacity the document never spelled.
+        for text in ["9007199254740993", "9007199254740992", "1e300"] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        assert_eq!(parse("9007199254740991").unwrap().as_u64(), Some(9_007_199_254_740_991));
+        assert_eq!(parse("-0").unwrap().as_u64(), Some(0));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn i64_reads_signed_integers_below_2_53() {
+        assert_eq!(parse("-42").unwrap().as_i64(), Some(-42));
+        assert_eq!(parse("-9007199254740991").unwrap().as_i64(), Some(-9_007_199_254_740_991));
+        for text in ["-9007199254740992", "9007199254740993", "2.5", "\"7\""] {
+            assert_eq!(parse(text).unwrap().as_i64(), None, "{text}");
+        }
     }
 
     #[test]

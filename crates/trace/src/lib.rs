@@ -21,9 +21,11 @@
 //! is a pure function of the simulated run: byte-identical across
 //! `--jobs` levels and foldable into the determinism golden hash. The
 //! [`export`] module renders Chrome trace-event JSON (loadable in
-//! Perfetto / `chrome://tracing`) and a metrics CSV; [`analysis`]
-//! recomputes the paper tables *from the trace alone*, giving the
-//! reproduction an internal consistency oracle.
+//! Perfetto / `chrome://tracing`) and a metrics CSV, and reads that JSON
+//! back into the exact [`TraceData`] it came from. [`analysis`]
+//! recomputes the paper tables and [`blame`] the critical paths from a
+//! [`TraceData`] alone, whether recorded live or read from a file, giving
+//! the reproduction an internal consistency oracle.
 
 #![warn(missing_docs)]
 

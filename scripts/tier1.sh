@@ -32,6 +32,12 @@ echo "== trace oracle: tables recomputed from the trace match the recorder =="
 ./target/release/trace_report --verify --duration 8 >"$tmp/verify.log" 2>/dev/null
 grep 'verify passed' "$tmp/verify.log"
 
+echo "== trace_report file mode: tables recomputed from the repro step's trace =="
+# The file-mode path the verify step skips: read an exported trace back
+# from disk, reprint the tables, and exit nonzero on an unanchored path.
+./target/release/trace_report "$tmp/res/trace_ssd512.json" >"$tmp/trace_file.log"
+grep -q 'Fig 6' "$tmp/trace_file.log"
+
 echo "== sweep determinism: 4-point smoke sweep across --jobs 1 vs --jobs 8 =="
 ./target/release/sweep --spec specs/smoke.json --trace --check-jobs 1,8 \
     --results "$tmp/sweep" >"$tmp/sweep.log" 2>/dev/null

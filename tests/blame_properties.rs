@@ -9,16 +9,9 @@ use av_core::fault::FaultPlan;
 use av_core::parallel::parallel_map;
 use av_core::stack::{computation_paths, run_drive, Blackout, RunConfig, RunReport, StackConfig};
 use av_ros::{FaultKind, Source};
-use av_trace::blame::{analyze_blame, render_blame_csv, render_blame_track, BlamePathSpec};
+use av_trace::blame::{analyze_blame, render_blame_csv, render_blame_track};
 use av_trace::TraceEvent;
 use av_vision::DetectorKind;
-
-fn blame_specs() -> Vec<BlamePathSpec> {
-    computation_paths()
-        .into_iter()
-        .map(|p| BlamePathSpec::new(p.name, p.sink_node, p.source))
-        .collect()
-}
 
 /// The workload mix the properties quantify over: the heaviest detector
 /// (real queue pressure), a light clean run, a crash-faulted run, and a
@@ -42,7 +35,7 @@ fn components_sum_exactly_to_the_recorded_latency() {
     for config in workloads() {
         let report = traced(&config);
         let trace = report.trace.as_ref().expect("traced run");
-        let blame = analyze_blame(trace, &blame_specs()).expect("attribution succeeds");
+        let blame = analyze_blame(trace, &computation_paths()).expect("attribution succeeds");
         let mut instances = 0usize;
         for path in &blame.paths {
             for inst in &path.instances {
@@ -92,7 +85,7 @@ fn components_sum_exactly_to_the_recorded_latency() {
 fn attribution_bytes_are_identical_across_worker_counts() {
     let render = |report: &RunReport| {
         let trace = report.trace.as_ref().expect("traced run");
-        let blame = analyze_blame(trace, &blame_specs()).expect("attribution succeeds");
+        let blame = analyze_blame(trace, &computation_paths()).expect("attribution succeeds");
         (render_blame_csv(&blame), render_blame_track("jobs", &blame))
     };
     let baseline: Vec<(String, String)> = workloads().iter().map(|c| render(&traced(c))).collect();
@@ -111,7 +104,7 @@ fn crash_mid_chain_stays_attributable_through_reseed_lineage() {
     let trace = report.trace.as_ref().expect("traced run");
 
     // Every path still decomposes: no chain is broken by the crash.
-    let blame = analyze_blame(trace, &blame_specs()).expect("crash run attributes");
+    let blame = analyze_blame(trace, &computation_paths()).expect("crash run attributes");
     assert!(blame.paths.iter().any(|p| !p.instances.is_empty()));
 
     let restart_ns = trace

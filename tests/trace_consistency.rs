@@ -3,12 +3,19 @@
 //! — with the latency recorder, the bus drop counters, and itself after a
 //! round-trip through the exported Chrome-trace JSON.
 
-use av_core::stack::{computation_paths, run_drive, RunConfig, StackConfig};
-use av_trace::analysis::{analyze_trace, TracePathSpec};
-use av_trace::export::{render_chrome_trace, render_metrics_csv};
+use av_core::fault::FaultPlan;
+use av_core::stack::{computation_paths, run_drive, RunConfig, SchedPolicyKind, StackConfig};
+use av_trace::analysis::analyze_trace;
+use av_trace::export::{render_chrome_trace, render_metrics_csv, trace_from_chrome};
 use av_trace::{json, TraceData, TraceEvent};
 use av_vision::DetectorKind;
 use std::collections::BTreeMap;
+
+/// `trace` rendered to Chrome JSON and read back.
+fn read_back(trace: &TraceData) -> TraceData {
+    let doc = json::parse(&render_chrome_trace("consistency", trace)).expect("export parses");
+    trace_from_chrome(&doc).expect("export reads back")
+}
 
 /// One traced drive, shared by every check in this file. SSD512 is the
 /// paper's heaviest detector: it is the configuration whose camera queue
@@ -81,14 +88,10 @@ fn trace_agrees_with_live_recorder_and_bus_counters() {
     assert!(enq > 0, "a contended run must queue messages");
     assert_eq!(enq, deq + dropped + residual, "queue events must conserve messages");
 
-    // --- Round-trip: parse the exported JSON, recompute the tables. ---
-    let rendered = render_chrome_trace("consistency", trace);
-    let doc = json::parse(&rendered).expect("exported trace parses");
-    let specs: Vec<TracePathSpec> = computation_paths()
-        .into_iter()
-        .map(|p| TracePathSpec::new(p.name, p.sink_node, p.source.name()))
-        .collect();
-    let recomputed = analyze_trace(&doc, &specs).expect("exported trace analyzes");
+    // --- Round-trip: read the exported JSON back, recompute the tables. ---
+    let rehydrated = read_back(trace);
+    assert!(rehydrated == *trace, "the export reads back exactly");
+    let recomputed = analyze_trace(&rehydrated, &computation_paths());
 
     assert_eq!(recomputed.callbacks, trace.callback_count());
     assert_eq!(recomputed.drops, recorder_by_sub, "drops survive the JSON round-trip");
@@ -114,6 +117,41 @@ fn trace_agrees_with_live_recorder_and_bus_counters() {
         let live = report.recorder.node_latencies(node).expect("node known to recorder");
         assert_eq!(dist.samples(), live.samples(), "node {node} samples");
     }
+}
+
+/// The reader inverts the exporter on every kind of run: clean FIFO,
+/// EDF (sched decisions and the policy header), crashes with the fallback
+/// localizer (a backlog emptied without queue events) and deep queues
+/// that overflow (enqueue past capacity, then drop).
+#[test]
+fn export_reads_back_exactly_on_four_drives() {
+    let clean = StackConfig::smoke_test(DetectorKind::YoloV3);
+    let mut edf = StackConfig::smoke_test(DetectorKind::Ssd512);
+    edf.sched_policy = SchedPolicyKind::Edf;
+    let mut crash = StackConfig::smoke_test(DetectorKind::Ssd512);
+    crash.queue_capacity = 3;
+    crash.faults = FaultPlan::parse("crash:ndt_matching@3+crash:vision_detection@3").unwrap();
+    let mut drops = StackConfig::smoke_test(DetectorKind::Ssd512);
+    drops.queue_capacity = 3;
+    let traces: Vec<TraceData> = [clean, edf, crash, drops]
+        .iter()
+        .map(|config| run_drive(config, &RunConfig::seconds(8.0).with_trace()).trace.unwrap())
+        .collect();
+    for (drive, trace) in traces.iter().enumerate() {
+        // `assert!`, not `assert_eq!`: a mismatch would print two
+        // thousand-event traces.
+        assert!(read_back(trace) == *trace, "drive {drive}: the export reads back exactly");
+    }
+    let [clean, edf, crash, drops] = &traces[..] else { unreachable!() };
+    assert!(clean.policy.is_none() && clean.sched_decision_count() == 0);
+    assert!(edf.policy.is_some() && edf.sched_decision_count() > 0, "EDF must make choices");
+    let faults = crash.fault_counts();
+    assert!(faults.keys().any(|(kind, _)| kind == "fallback_enter"), "{faults:?}");
+    // The vision crash empties a backlog, so the reader must zero it.
+    let lost = |e: &TraceEvent| matches!(e, TraceEvent::Fault { info, .. } if info == "lost=2");
+    assert!(crash.events.iter().any(lost), "a crash must discard queued input");
+    assert!(drops.dropped_total() > 0, "deep queues must still overflow");
+    assert!(drops.events.iter().any(|e| matches!(e, TraceEvent::Enqueued { depth: 4, .. })));
 }
 
 #[test]
