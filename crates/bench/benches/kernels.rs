@@ -2,6 +2,7 @@
 //! own performance (wall-clock), complementing the modeled latencies.
 
 use av_bench::microbench::Bench;
+use av_core::map::map_builder;
 use av_core::stack::{build_map, StackConfig};
 use av_des::RngStreams;
 use av_geom::{Pose, Vec3};
@@ -111,6 +112,43 @@ fn bench_ndt(c: &mut Bench) {
     });
 }
 
+fn bench_ndt_paper(c: &mut Bench) {
+    // The paper map as a drive builds it, and one traffic-laden paper
+    // sweep, voxel-filtered and lifted as `ndt_matching` receives it,
+    // aligned from a guess off the ground truth by (0.3 m, −0.2 m, 0.01).
+    let config = StackConfig::paper_default(DetectorKind::YoloV3);
+    let world = World::generate(&config.scenario);
+    let lidar = LidarModel::new(config.lidar.clone());
+    let mut rng = RngStreams::new(config.seed).stream("mapping");
+    let (map, grid) = map_builder(&world, &lidar, &mut rng).build(config.map_cell_size, 6);
+    c.bench_function("ndt_grid/build_paper", |b| {
+        b.iter(|| black_box(NdtGrid::build(black_box(&map), config.map_cell_size, 6)))
+    });
+    drop(map);
+
+    let matcher = NdtMatcher::new(grid, NdtParams::default());
+    let scene = world.snapshot(10.0);
+    let sweep = lidar.scan(&world, &scene, &mut RngStreams::new(7).stream("bench-ndt-paper"));
+    let lifted = VoxelGrid::new(config.voxel_leaf).filter(&sweep).transformed(&Pose::new(
+        Vec3::new(0.0, 0.0, lidar.config().mount_height),
+        Default::default(),
+    ));
+    let truth = scene.ego.pose;
+    let guess =
+        Pose::planar(truth.translation.x + 0.3, truth.translation.y - 0.2, truth.yaw() + 0.01);
+    let aligned = matcher.align(&lifted, &guess);
+    println!(
+        "ndt_matching/align_paper: {} points, {} matched, {} iterations, {:.3} m off the truth",
+        lifted.len(),
+        aligned.matched_points,
+        aligned.iterations,
+        aligned.pose.translation.truncate().distance(truth.translation.truncate()),
+    );
+    c.bench_function("ndt_matching/align_paper", |b| {
+        b.iter(|| black_box(matcher.align(black_box(&lifted), black_box(&guess))))
+    });
+}
+
 fn bench_mapping(c: &mut Bench) {
     // The whole ndt_mapping step (scans, compaction, NDT statistics) on
     // the smoke and on the paper world, as every cold session runs it.
@@ -211,6 +249,7 @@ fn main() {
     bench_ground_filter(&mut c);
     bench_clustering(&mut c);
     bench_ndt(&mut c);
+    bench_ndt_paper(&mut c);
     bench_mapping(&mut c);
     bench_costmap(&mut c);
     bench_tracker(&mut c);

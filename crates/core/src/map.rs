@@ -23,6 +23,14 @@ pub fn build_map(
     cell_size: f64,
     rng: &mut StreamRng,
 ) -> NdtGrid {
+    let (_, grid) = map_builder(world, lidar, rng).build(cell_size, 6);
+    grid
+}
+
+/// [`build_map`]'s mapping run with every sweep added, before the final
+/// down-sample and the NDT statistics: `build` on it returns the map
+/// cloud as well as the grid.
+pub fn map_builder(world: &World, lidar: &LidarModel, rng: &mut StreamRng) -> NdtMappingBuilder {
     let mut builder = NdtMappingBuilder::new(0.5);
     let route_len = world.route().length();
     let lap_time = route_len / world.config().ego_speed;
@@ -41,8 +49,7 @@ pub fn build_map(
         pose.translation.z = lidar.config().mount_height;
         builder.add_sweep(&sweep, &pose);
     }
-    let (_, grid) = builder.build(cell_size, 6);
-    grid
+    builder
 }
 
 /// Everything [`build_map`] reads from a [`StackConfig`]: the world comes
