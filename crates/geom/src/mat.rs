@@ -126,10 +126,11 @@ impl Mat3 {
 
     /// Matrix inverse via the adjugate.
     ///
-    /// Returns `None` when the determinant magnitude is below `1e-12`.
+    /// Returns `None` when the determinant magnitude is below `1e-12` or
+    /// the determinant is not finite.
     pub fn inverse(&self) -> Option<Mat3> {
         let d = self.det();
-        if d.abs() < 1e-12 {
+        if !d.is_finite() || d.abs() < 1e-12 {
             return None;
         }
         let m = &self.m;
@@ -330,6 +331,17 @@ mod tests {
     fn singular_matrix_has_no_inverse() {
         let a = Mat3::new([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]);
         assert!(a.inverse().is_none());
+    }
+
+    #[test]
+    fn non_finite_determinant_has_no_inverse() {
+        let mut a = Mat3::IDENTITY;
+        a.m[1][2] = f64::NAN;
+        assert!(a.det().is_nan());
+        assert!(a.inverse().is_none());
+        let huge = Mat3::diagonal(Vec3::new(1e200, 1e200, 1e200));
+        assert_eq!(huge.det(), f64::INFINITY);
+        assert!(huge.inverse().is_none());
     }
 
     #[test]

@@ -340,7 +340,8 @@ impl MatN {
 
     /// Matrix inverse via Gauss-Jordan elimination with partial pivoting.
     ///
-    /// Returns `None` when the matrix is singular.
+    /// Returns `None` when the matrix is singular or a pivot is not
+    /// finite.
     pub fn inverse(&self) -> Option<MatN> {
         assert_eq!(self.rows, self.cols, "inverse requires a square matrix");
         let n = self.rows;
@@ -354,7 +355,8 @@ impl MatN {
                     pivot = r;
                 }
             }
-            if a[(pivot, col)].abs() < 1e-12 {
+            let p = a[(pivot, col)];
+            if !p.is_finite() || p.abs() < 1e-12 {
                 return None;
             }
             if pivot != col {
@@ -563,6 +565,14 @@ mod tests {
     fn matn_singular_inverse_is_none() {
         let a = MatN::from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]);
         assert!(a.inverse().is_none());
+    }
+
+    #[test]
+    fn matn_non_finite_pivot_inverse_is_none() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let a = MatN::from_rows(2, 2, &[bad, 1.0, 1.0, 2.0]);
+            assert!(a.inverse().is_none(), "pivot {bad}");
+        }
     }
 
     #[test]

@@ -226,6 +226,7 @@ impl VoxelMap {
             self.points.clear();
             self.escaped = false;
         }
+        self.points.reserve_exact(new_voxels(&accs));
         for (held, acc) in accs {
             let key = acc.key;
             let point = acc.centroid();
@@ -251,6 +252,7 @@ impl VoxelMap {
         for p in &mut points {
             *p = VoxelAcc::of((0, 0, 0), p).centroid();
         }
+        points.reserve_exact(new_voxels(&accs));
         for (held, acc) in accs {
             match held {
                 EMPTY => points.push(acc.centroid()),
@@ -334,6 +336,13 @@ impl VoxelMap {
         }
         self.slots[slot] = i;
     }
+}
+
+/// How many of [`VoxelMap::accumulate`]'s voxels are new to the map. The
+/// map reserves exactly that room: a doubling `Vec` would leave up to
+/// half of the map's size allocated and unused.
+fn new_voxels(accs: &[(u32, VoxelAcc)]) -> usize {
+    accs.iter().filter(|(held, _)| *held == EMPTY).count()
 }
 
 /// An integer voxel coordinate.

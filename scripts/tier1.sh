@@ -240,8 +240,14 @@ echo "== paper-world pin: one drive-paper cycle against its full-size digest =="
 # --check runs smoke sizes only; this is the one step that drives the
 # default 16x360 LiDAR, the paper map and the full NDT/tracker load. One
 # cycle (~10 s), exiting nonzero if the `full drive-paper` pin moves.
+# The cycle's peak live heap (the final JSON line's heap_mb; the map
+# build's, deterministic) must also stay at or below 12.5 MB.
 cargo run --release --quiet --offline --manifest-path avbench/Cargo.toml -- \
-    --workload drive-paper --seed 1 --seconds 1 --trace 0 >/dev/null
+    --workload drive-paper --seed 1 --seconds 1 --trace 0 >"$tmp/paper.log"
+heap=$(tail -n 1 "$tmp/paper.log" | grep -o '"heap_mb":{"value":[0-9.eE+-]*' | sed 's/.*://' || true)
+awk -v h="$heap" 'BEGIN { exit !(h != "" && h + 0 <= 12.5) }' \
+    || { echo "drive-paper peak heap ${heap:-missing} MB exceeds 12.5 MB" >&2; exit 1; }
+echo "drive-paper peak heap $heap MB (gate: 12.5 MB)"
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
