@@ -2,7 +2,7 @@
 //! own performance (wall-clock), complementing the modeled latencies.
 
 use av_bench::microbench::Bench;
-use av_core::map::map_builder;
+use av_core::map::{map_builder, mapping_scenes};
 use av_core::stack::{build_map, StackConfig};
 use av_des::RngStreams;
 use av_geom::{Pose, Vec3};
@@ -11,7 +11,7 @@ use av_perception::{
     ClusterParams, CostmapGenerator, CostmapParams, DetectedObject, EuclideanCluster, NdtMatcher,
     NdtParams, RayGroundFilter, RayGroundParams,
 };
-use av_pointcloud::{KdTree, NdtGrid, PointCloud, VoxelGrid};
+use av_pointcloud::{KdTree, NdtGrid, PointCloud, VoxelGrid, VoxelMap};
 use av_tracking::{ImmUkfPdaTracker, TrackerParams};
 use av_vision::{nms, rank_candidates, DetectorKind, ScoredBox};
 use av_world::{LidarConfig, LidarModel, ScenarioConfig, World};
@@ -167,6 +167,53 @@ fn bench_mapping(c: &mut Bench) {
     }
 }
 
+fn bench_map_phases(c: &mut Bench) {
+    // The two phases of the paper map build apart: its 121 traffic-free
+    // scans, then folding their map-frame points into the 0.5 m voxel
+    // map eight sweeps at a time and finishing it, as `build_map` does.
+    let config = StackConfig::paper_default(DetectorKind::YoloV3);
+    let world = World::generate(&config.scenario);
+    let lidar = LidarModel::new(config.lidar.clone());
+    let scenes: Vec<_> = mapping_scenes(&world, lidar.config().mount_height).collect();
+    c.bench_function("lidar/scan_paper_map", |b| {
+        b.iter(|| {
+            let mut rng = RngStreams::new(config.seed).stream("mapping");
+            for (scene, _) in &scenes {
+                black_box(lidar.scan(&world, black_box(scene), &mut rng));
+            }
+        })
+    });
+
+    let mut rng = RngStreams::new(config.seed).stream("mapping");
+    let sweeps: Vec<PointCloud> = scenes
+        .iter()
+        .map(|(scene, pose)| lidar.scan(&world, scene, &mut rng).transformed(pose))
+        .collect();
+    let batches: Vec<PointCloud> = sweeps
+        .chunks(8)
+        .map(|chunk| {
+            let mut batch = PointCloud::new();
+            chunk.iter().for_each(|sweep| batch.append(sweep));
+            batch
+        })
+        .collect();
+    // `build_map` folds every eighth sweep; a partial last batch (or
+    // none) goes to `finish`.
+    let (folds, last) = match sweeps.len() % 8 {
+        0 => (&batches[..], PointCloud::new()),
+        _ => (&batches[..batches.len() - 1], batches[batches.len() - 1].clone()),
+    };
+    c.bench_function("voxel_map/fold_paper", |b| {
+        b.iter(|| {
+            let mut map = VoxelMap::new(VoxelGrid::new(0.5));
+            for batch in folds {
+                map.fold(black_box(batch));
+            }
+            black_box(map.finish(black_box(&last)))
+        })
+    });
+}
+
 fn bench_costmap(c: &mut Bench) {
     // 22 car-sized objects, each with a 3 s path at 0.5 s steps: about
     // one predicted-objects frame of a paper drive.
@@ -251,6 +298,7 @@ fn main() {
     bench_ndt(&mut c);
     bench_ndt_paper(&mut c);
     bench_mapping(&mut c);
+    bench_map_phases(&mut c);
     bench_costmap(&mut c);
     bench_tracker(&mut c);
     bench_nms(&mut c);

@@ -9,9 +9,10 @@
 
 use crate::stack::StackConfig;
 use av_des::{RngStreams, StreamRng};
+use av_geom::Pose;
 use av_perception::NdtMappingBuilder;
 use av_pointcloud::NdtGrid;
-use av_world::{LidarConfig, LidarModel, ScenarioConfig, World};
+use av_world::{LidarConfig, LidarModel, ScenarioConfig, Scene, World};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -32,24 +33,35 @@ pub fn build_map(
 /// cloud as well as the grid.
 pub fn map_builder(world: &World, lidar: &LidarModel, rng: &mut StreamRng) -> NdtMappingBuilder {
     let mut builder = NdtMappingBuilder::new(0.5);
+    for (scene, pose) in mapping_scenes(world, lidar.config().mount_height) {
+        builder.add_sweep(&lidar.scan(world, &scene, rng), &pose);
+    }
+    builder
+}
+
+/// The mapping run's scan instants, in order: one traffic-free scene per
+/// ~8 m of one lap, each with the pose of a sensor head mounted at
+/// `mount_height`.
+pub fn mapping_scenes(
+    world: &World,
+    mount_height: f64,
+) -> impl Iterator<Item = (Scene, Pose)> + '_ {
     let route_len = world.route().length();
     let lap_time = route_len / world.config().ego_speed;
     // One scan per ~8 m of travel, one full lap (the drive loops).
     let scans = (route_len / 8.0).ceil() as usize;
-    for i in 0..scans {
+    (0..scans).map(move |i| {
         let t = i as f64 * lap_time / scans as f64;
         let mut scene = world.snapshot(t);
         // Mapping rigs drive at quiet hours and mapping pipelines scrub
         // dynamic objects; freezing traffic into the map would leave ghost
         // geometry that corrupts every later scan match.
         scene.objects.clear();
-        let sweep = lidar.scan(world, &scene, rng);
         // Mapping uses the ground-truth pose (the calibrated mapping rig).
         let mut pose = scene.ego.pose;
-        pose.translation.z = lidar.config().mount_height;
-        builder.add_sweep(&sweep, &pose);
-    }
-    builder
+        pose.translation.z = mount_height;
+        (scene, pose)
+    })
 }
 
 /// Everything [`build_map`] reads from a [`StackConfig`]: the world comes
