@@ -34,7 +34,7 @@ mod vec;
 
 pub use aabb::Aabb;
 pub use angle::{angle_diff, deg_to_rad, normalize_angle, rad_to_deg};
-pub use floor::floor_i32;
+pub use floor::{floor_i32, CellScale};
 pub use mat::{Mat3, Mat4};
 pub use matn::{MatN, VecN};
 pub use pose::{Pose, Twist};

@@ -7,7 +7,7 @@
 //! down-sample, and emit both the map cloud and its NDT grid.
 
 use av_geom::Pose;
-use av_pointcloud::{NdtGrid, PointCloud, VoxelGrid, VoxelMap};
+use av_pointcloud::{NdtGrid, Point, PointCloud, VoxelGrid, VoxelMap};
 
 /// Incremental point-cloud map builder.
 ///
@@ -57,7 +57,9 @@ impl NdtMappingBuilder {
     /// exactly what re-filtering the whole accumulated cloud would give,
     /// but only the newest 8 sweeps are filtered (see [`VoxelMap`]).
     pub fn add_sweep(&mut self, sweep: &PointCloud, pose: &Pose) {
-        self.pending.append(&sweep.transformed(pose));
+        self.pending.extend(
+            sweep.iter().map(|p| Point { position: pose.transform_point(p.position), ..*p }),
+        );
         self.sweeps += 1;
         if self.sweeps.is_multiple_of(8) {
             self.map.fold(&std::mem::take(&mut self.pending));
@@ -94,7 +96,6 @@ mod tests {
     use super::*;
     use av_des::{RngStreams, StreamRng};
     use av_geom::Vec3;
-    use av_pointcloud::Point;
 
     fn ground_sweep() -> PointCloud {
         PointCloud::from_positions(

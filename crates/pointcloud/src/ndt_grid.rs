@@ -2,7 +2,7 @@
 //! candidate poses against.
 
 use crate::PointCloud;
-use av_geom::{floor_i32, Mat3, Vec3};
+use av_geom::{CellScale, Mat3, Vec3};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -81,7 +81,7 @@ pub struct NdtCell {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NdtGrid {
-    cell_size: f64,
+    cells_of: CellScale,
     cells: Vec<NdtCell>,
     /// Index into `cells` of each populated cell's key.
     index: CellMap<u32>,
@@ -113,12 +113,13 @@ impl NdtGrid {
         assert!(cell_size.is_finite() && cell_size > 0.0, "cell size must be positive");
         assert!(min_points >= 3, "NDT cells need at least 3 points for a covariance");
         let points = || map.positions().filter(|p| p.is_finite());
+        let cells_of = CellScale::new(cell_size);
 
         // Pass 1: each key's sum and count, keys in first-appearance order.
         let mut index: CellMap<u32> = CellMap::default();
         let mut sums: Vec<(Vec3, usize)> = Vec::new();
         for p in points() {
-            let slot = *index.entry(Self::key_for(p, cell_size)).or_insert_with(|| {
+            let slot = *index.entry(cells_of.key(p)).or_insert_with(|| {
                 sums.push((Vec3::ZERO, 0));
                 (sums.len() - 1) as u32
             });
@@ -142,7 +143,7 @@ impl NdtGrid {
 
         // Pass 2: the covariance sums.
         for p in points() {
-            let c = slot[index[&Self::key_for(p, cell_size)] as usize];
+            let c = slot[index[&cells_of.key(p)] as usize];
             if c != NONE {
                 let cell = &mut cells[c as usize];
                 let d = p - cell.mean;
@@ -178,16 +179,12 @@ impl NdtGrid {
             *i = slot[*i as usize];
             *i != NONE
         });
-        NdtGrid { cell_size, cells, index }
-    }
-
-    fn key_for(p: Vec3, cell_size: f64) -> (i32, i32, i32) {
-        (floor_i32(p.x / cell_size), floor_i32(p.y / cell_size), floor_i32(p.z / cell_size))
+        NdtGrid { cells_of, cells, index }
     }
 
     /// The configured cell size.
     pub fn cell_size(&self) -> f64 {
-        self.cell_size
+        self.cells_of.size()
     }
 
     /// Number of populated cells.
@@ -202,7 +199,7 @@ impl NdtGrid {
 
     /// The cell containing `p`, if populated.
     pub fn cell_containing(&self, p: Vec3) -> Option<&NdtCell> {
-        self.cell(Self::key_for(p, self.cell_size))
+        self.cell(self.cells_of.key(p))
     }
 
     fn cell(&self, key: (i32, i32, i32)) -> Option<&NdtCell> {
@@ -231,7 +228,7 @@ impl NdtGrid {
     /// The integer cell coordinate containing `p` — the cache key for
     /// [`cells_around_key`](Self::cells_around_key).
     pub fn key_of(&self, p: Vec3) -> (i32, i32, i32) {
-        Self::key_for(p, self.cell_size)
+        self.cells_of.key(p)
     }
 
     /// The populated cells in the DIRECT7 neighbourhood of `p`: the
@@ -264,16 +261,19 @@ const DIRECT7: [(i32, i32, i32); 7] =
 impl NdtGrid {
     /// The grid's cells by key, built the way the grid was first built:
     /// every key's points copied into a list of their own, then each
-    /// list's mean and covariance. Retained as the oracle that the
-    /// two-pass [`build`](Self::build) is checked against bit for bit.
+    /// list's mean and covariance, keyed by dividing by the cell size.
+    /// Retained as the oracle that the two-pass [`build`](Self::build),
+    /// which multiplies by an exact reciprocal, is checked against bit
+    /// for bit.
     fn build_reference(map: &PointCloud, cell_size: f64, min_points: usize) -> CellMap<NdtCell> {
         struct Acc {
             sum: Vec3,
             points: Vec<Vec3>,
         }
         let mut acc: CellMap<Acc> = CellMap::default();
+        let floor = av_geom::floor_i32;
         for p in map.positions() {
-            let key = Self::key_for(p, cell_size);
+            let key = (floor(p.x / cell_size), floor(p.y / cell_size), floor(p.z / cell_size));
             let entry =
                 acc.entry(key).or_insert_with(|| Acc { sum: Vec3::ZERO, points: Vec::new() });
             entry.sum += p;

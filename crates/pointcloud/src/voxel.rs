@@ -9,7 +9,7 @@
 //! voxel, so that re-filtering it with new points filters only those.
 
 use crate::{Point, PointCloud};
-use av_geom::{floor_i32, Vec3};
+use av_geom::{CellScale, Vec3};
 use std::collections::HashMap;
 
 /// Centroid-based voxel down-sampler.
@@ -33,7 +33,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoxelGrid {
-    leaf_size: f64,
+    leaves: CellScale,
 }
 
 impl VoxelGrid {
@@ -47,24 +47,25 @@ impl VoxelGrid {
             leaf_size.is_finite() && leaf_size > 0.0,
             "voxel leaf size must be positive and finite"
         );
-        VoxelGrid { leaf_size }
+        VoxelGrid { leaves: CellScale::new(leaf_size) }
     }
 
     /// The configured leaf size.
     pub fn leaf_size(&self) -> f64 {
-        self.leaf_size
+        self.leaves.size()
     }
 
     /// The integer voxel coordinate containing `p`.
+    #[inline]
     pub fn voxel_of(&self, p: Vec3) -> (i32, i32, i32) {
-        (
-            floor_i32(p.x / self.leaf_size),
-            floor_i32(p.y / self.leaf_size),
-            floor_i32(p.z / self.leaf_size),
-        )
+        self.leaves.key(p)
     }
 
     /// Down-samples `cloud` to one centroid per occupied voxel.
+    ///
+    /// Points with a non-finite coordinate are dropped, as PCL's
+    /// `VoxelGrid` drops them from a non-dense cloud: a NaN would floor
+    /// into voxel (0, 0, 0) and turn its centroid to NaN.
     ///
     /// Output order follows the first appearance of each voxel in the
     /// input, so the operation is deterministic. Accumulation runs over
@@ -83,7 +84,7 @@ impl VoxelGrid {
         let mut slots: Vec<u32> = vec![EMPTY; capacity];
         let mut accs: Vec<VoxelAcc> = Vec::new();
 
-        for p in cloud.iter() {
+        for p in cloud.iter().filter(|p| p.position.is_finite()) {
             let key = self.voxel_of(p.position);
             let mut slot = Self::hash_key(key) as usize & mask;
             let acc = loop {
@@ -118,7 +119,7 @@ impl VoxelGrid {
         }
         let mut cells: HashMap<(i32, i32, i32), Acc> = HashMap::new();
         let mut next_order = 0u32;
-        for p in cloud.iter() {
+        for p in cloud.iter().filter(|p| p.position.is_finite()) {
             let key = self.voxel_of(p.position);
             let acc = cells.entry(key).or_insert_with(|| {
                 let order = next_order;
@@ -172,7 +173,9 @@ impl VoxelGrid {
 /// keeps it, and new voxels follow in first-appearance order. A centroid
 /// can round out of its voxel (at leaf 0.3, seven points at
 /// x = −29.700000000000003 in voxel −100 average to −29.699999999999996
-/// in voxel −99); the next fold then re-filters everything held.
+/// in voxel −99), and a sum can overflow to a non-finite centroid,
+/// which the filter drops when it meets it again; either way the next
+/// fold re-filters everything held.
 ///
 /// ```
 /// use av_geom::Vec3;
@@ -192,8 +195,11 @@ impl VoxelGrid {
 pub struct VoxelMap {
     grid: VoxelGrid,
     /// Open-addressing table (power-of-two size, load ≤ 0.5) of indices
-    /// into `points`, each found under `grid.voxel_of` of its point. It
-    /// is consulted only while no point has escaped its voxel.
+    /// into `points`, each found under `grid.voxel_of` of its point. An
+    /// index is below half the size, so the bits above it are free: they
+    /// hold a tag, the top of its voxel's hash (see [`tagged`]), and a
+    /// probe reads `points` only when the tag matches. The table is
+    /// consulted only while no point has escaped its voxel.
     slots: Vec<u32>,
     points: Vec<Point>,
     /// A held point lies outside the voxel it stands for: the next fold
@@ -230,9 +236,10 @@ impl VoxelMap {
         for (held, acc) in accs {
             let key = acc.key;
             let point = acc.centroid();
-            self.escaped |= self.grid.voxel_of(point.position) != key;
+            let at = self.grid.voxel_of(point.position);
+            self.escaped |= at != key || !point.position.is_finite();
             match held {
-                EMPTY => self.insert(point),
+                EMPTY => self.insert(point, at),
                 held => self.points[held as usize] = point,
             }
         }
@@ -266,21 +273,23 @@ impl VoxelMap {
     /// `batch` touches, in first-appearance order, each with the index of
     /// the held point it starts from (`EMPTY` for a new voxel). After an
     /// escape there is no such shortcut: every held point is accumulated
-    /// afresh, all as new voxels.
+    /// afresh, all as new voxels. Non-finite points are dropped, as the
+    /// filter drops them.
     fn accumulate(&self, batch: &PointCloud) -> Vec<(u32, VoxelAcc)> {
         let held: &[Point] = if self.escaped { &self.points } else { &[] };
         let capacity = ((held.len() + batch.len()) * 2).next_power_of_two();
         let mask = capacity - 1;
         let mut slots: Vec<u32> = vec![EMPTY; capacity];
         let mut accs: Vec<(u32, VoxelAcc)> = Vec::new();
-        for p in held.iter().chain(batch) {
+        for p in held.iter().chain(batch).filter(|p| p.position.is_finite()) {
             let key = self.grid.voxel_of(p.position);
-            let mut slot = VoxelGrid::hash_key(key) as usize & mask;
+            let hash = VoxelGrid::hash_key(key);
+            let mut slot = hash as usize & mask;
             let (_, acc) = loop {
                 match slots[slot] {
                     EMPTY => {
                         slots[slot] = accs.len() as u32;
-                        let held = if self.escaped { None } else { self.find(key) };
+                        let held = if self.escaped { None } else { self.find(key, hash) };
                         accs.push(match held {
                             Some(i) => (i, VoxelAcc::of(key, &self.points[i as usize])),
                             None => (EMPTY, VoxelAcc::new(key, p.ring)),
@@ -296,46 +305,65 @@ impl VoxelMap {
         accs
     }
 
-    /// The index of the held point standing for `key`.
-    fn find(&self, key: Key) -> Option<u32> {
+    /// The index of the held point standing for `key`, whose hash is
+    /// `hash`. A slot whose tag differs holds another voxel; one whose tag
+    /// matches may still, so the key is compared too.
+    fn find(&self, key: Key, hash: u64) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut slot = VoxelGrid::hash_key(key) as usize & mask;
+        let tag = tagged(hash, 0, mask);
+        let mut slot = hash as usize & mask;
         loop {
             match self.slots[slot] {
                 EMPTY => return None,
-                i if self.grid.voxel_of(self.points[i as usize].position) == key => return Some(i),
-                _ => slot = (slot + 1) & mask,
+                s if s & !(mask as u32) == tag => {
+                    let i = s & mask as u32;
+                    if self.grid.voxel_of(self.points[i as usize].position) == key {
+                        return Some(i);
+                    }
+                }
+                _ => {}
             }
+            slot = (slot + 1) & mask;
         }
     }
 
-    /// Holds `point` for a voxel the map does not hold yet.
-    fn insert(&mut self, point: Point) {
+    /// Holds `point`, which lies in voxel `key`, for a voxel the map does
+    /// not hold yet.
+    fn insert(&mut self, point: Point, key: Key) {
         if (self.points.len() + 1) * 2 > self.slots.len() {
             let capacity = (self.slots.len() * 2).max(16);
             self.slots = vec![EMPTY; capacity];
             for i in 0..self.points.len() {
-                self.place(i as u32);
+                let key = self.grid.voxel_of(self.points[i].position);
+                self.place(i as u32, VoxelGrid::hash_key(key));
             }
         }
         self.points.push(point);
-        self.place(self.points.len() as u32 - 1);
+        self.place(self.points.len() as u32 - 1, VoxelGrid::hash_key(key));
     }
 
-    /// Puts index `i` in the first free slot on its voxel's probe
-    /// sequence.
-    fn place(&mut self, i: u32) {
+    /// Puts index `i` in the first free slot on the probe sequence of the
+    /// voxel hash `hash`.
+    fn place(&mut self, i: u32, hash: u64) {
         let mask = self.slots.len() - 1;
-        let key = self.grid.voxel_of(self.points[i as usize].position);
-        let mut slot = VoxelGrid::hash_key(key) as usize & mask;
+        let mut slot = hash as usize & mask;
         while self.slots[slot] != EMPTY {
             slot = (slot + 1) & mask;
         }
-        self.slots[slot] = i;
+        self.slots[slot] = tagged(hash, i, mask);
     }
+}
+
+/// The slot word of index `i` under voxel hash `hash` in a table of
+/// `mask + 1` slots: the index in the low bits, and above them the bits
+/// of `hash`'s upper half, which the slot position (its low bits) does
+/// not use. An index is below half the table size, so bit `log2(size)
+/// − 1` is always 0 and no word equals `EMPTY`.
+fn tagged(hash: u64, i: u32, mask: usize) -> u32 {
+    ((hash >> 32) as u32 & !(mask as u32)) | i
 }
 
 /// How many of [`VoxelMap::accumulate`]'s voxels are new to the map. The
@@ -585,5 +613,98 @@ mod proptests {
         let bits = |c: &PointCloud| c.iter().map(|p| p.intensity.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&map.clone().finish(&other)), bits(&g.filter(&all)));
         assert_eq!(bits(&map.finish(&PointCloud::new())), bits(&g.filter(&filtered)));
+    }
+
+    /// Non-finite points are dropped by the filter, its reference and
+    /// the map alike; a NaN used to floor into voxel (0, 0, 0) and turn
+    /// a real point's centroid to NaN, and ±∞ to saturate into an edge
+    /// voxel with an infinite centroid.
+    #[test]
+    fn non_finite_points_are_dropped() {
+        let g = VoxelGrid::new(0.5);
+        let (a, b) = (Vec3::new(0.1, 0.1, 0.1), Vec3::new(0.2, 0.2, 0.2));
+        let inf = f64::INFINITY;
+        let cloud = PointCloud::from_positions([
+            a,
+            Vec3::new(f64::NAN, 0.2, 0.2),
+            Vec3::new(0.2, -inf, 0.2),
+            Vec3::new(inf, inf, inf),
+            b,
+        ]);
+        let want = PointCloud::from_positions([(a + b) / 2.0]);
+        assert_eq!(g.filter(&cloud), want);
+        assert_eq!(g.filter_reference(&cloud), want);
+        let mut map = VoxelMap::new(g);
+        map.fold(&cloud);
+        assert_eq!(map.len(), 1);
+        let mut all = want.clone();
+        all.append(&cloud);
+        assert_eq!(map.clone().finish(&cloud), g.filter(&all));
+        assert_eq!(map.finish(&PointCloud::new()), want);
+    }
+
+    /// Finite points whose sum overflows leave a non-finite centroid,
+    /// which the filter drops when it meets it again: the map takes the
+    /// re-filter, so it still equals re-filtering what it holds.
+    #[test]
+    fn non_finite_centroid_takes_the_refilter() {
+        let g = VoxelGrid::new(0.5);
+        let huge = PointCloud::from_positions([Vec3::new(f64::MAX, 0.0, 0.0); 2]);
+        let held = g.filter(&huge);
+        assert_eq!(held.point(0).position.x, f64::INFINITY);
+        let mut map = VoxelMap::new(g);
+        map.fold(&huge);
+        assert!(map.escaped, "an infinite centroid must re-filter");
+        let next = PointCloud::from_positions([Vec3::new(1.0, 0.0, 0.0)]);
+        let mut all = held.clone();
+        all.append(&next);
+        assert_eq!(map.clone().finish(&next), g.filter(&all));
+        map.fold(&next);
+        assert_eq!(map.finish(&PointCloud::new()), g.filter(&g.filter(&all)));
+    }
+
+    /// Two voxels whose hashes share the home slot and the tag of a
+    /// table of `mask + 1` slots: found by a birthday search over keys
+    /// along one axis.
+    fn colliding_keys(mask: usize) -> (Key, Key) {
+        let mut seen: HashMap<u32, Key> = HashMap::new();
+        for x in 0.. {
+            let key = (x, 0, 0);
+            let hash = VoxelGrid::hash_key(key);
+            let signature = tagged(hash, hash as u32 & mask as u32, mask);
+            if let Some(&other) = seen.get(&signature) {
+                return (other, key);
+            }
+            seen.insert(signature, key);
+        }
+        unreachable!()
+    }
+
+    /// A probe must compare the key behind a matching tag: in 16- and
+    /// 64-slot tables, a voxel whose slot and tag equal a held voxel's
+    /// is still a new voxel.
+    #[test]
+    fn equal_tags_of_different_voxels_stay_apart() {
+        let g = VoxelGrid::new(1.0);
+        let at = |(x, y, z): Key| Vec3::new(x as f64 + 0.5, y as f64 + 0.5, z as f64 + 0.5);
+        for (mask, fillers) in [(15, 0), (63, 20)] {
+            let (a, b) = colliding_keys(mask);
+            let hash = |k| VoxelGrid::hash_key(k);
+            assert_eq!(hash(a) as usize & mask, hash(b) as usize & mask);
+            assert_eq!(tagged(hash(a), 0, mask), tagged(hash(b), 0, mask));
+            let first: PointCloud = std::iter::once(at(a))
+                .chain((0..fillers).map(|k| at((k, 7_000, 0))))
+                .map(Point::from)
+                .collect();
+            let mut map = VoxelMap::new(g);
+            map.fold(&first);
+            assert_eq!(map.slots.len(), mask + 1);
+            let second = PointCloud::from_positions([at(b), at(a)]);
+            let mut all = g.filter(&first);
+            all.append(&second);
+            map.fold(&second);
+            assert_eq!(map.len(), fillers as usize + 2, "table of {} slots", mask + 1);
+            assert_eq!(map.finish(&PointCloud::new()), g.filter(&g.filter(&all)));
+        }
     }
 }

@@ -95,16 +95,42 @@ impl ObstacleBox {
     /// Returns the entry distance along `dir` (which need not be
     /// normalized; `t` is in units of `dir`'s length), or `None` on a miss.
     pub fn ray_intersect(&self, origin: Vec3, dir: Vec3) -> Option<f64> {
-        // Transform the ray into the box frame, where the box is an AABB
+        self.rays_from(origin).intersect(dir)
+    }
+
+    /// The box as rays from `origin` meet it: what
+    /// [`ray_intersect`](Self::ray_intersect) computes from the box and
+    /// the origin alone, computed once for every ray of a sweep.
+    pub(crate) fn rays_from(&self, origin: Vec3) -> BoxRays {
+        // Rays are intersected in the box frame, where the box is an AABB
         // centered at (0, 0, half_z).
         let inv = self.pose.inverse();
-        let local_origin = inv.transform_point(origin);
-        let local_dir = inv.transform_vector(dir);
-        let aabb = Aabb::from_center_size(
-            Vec3::new(0.0, 0.0, self.half_extents.z),
-            self.half_extents * 2.0,
-        );
-        aabb.ray_intersect(local_origin, local_dir)
+        BoxRays {
+            inv,
+            origin: inv.transform_point(origin),
+            aabb: Aabb::from_center_size(
+                Vec3::new(0.0, 0.0, self.half_extents.z),
+                self.half_extents * 2.0,
+            ),
+        }
+    }
+}
+
+/// An [`ObstacleBox`] in its own frame, seen from one ray origin.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoxRays {
+    /// World → box frame.
+    inv: Pose,
+    /// The ray origin in the box frame.
+    origin: Vec3,
+    aabb: Aabb,
+}
+
+impl BoxRays {
+    /// [`ObstacleBox::ray_intersect`] of the ray along `dir`.
+    #[inline]
+    pub(crate) fn intersect(&self, dir: Vec3) -> Option<f64> {
+        self.aabb.ray_intersect(self.origin, self.inv.transform_vector(dir))
     }
 }
 

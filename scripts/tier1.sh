@@ -249,6 +249,13 @@ awk -v h="$heap" 'BEGIN { exit !(h != "" && h + 0 <= 12.5) }' \
     || { echo "drive-paper peak heap ${heap:-missing} MB exceeds 12.5 MB" >&2; exit 1; }
 echo "drive-paper peak heap $heap MB (gate: 12.5 MB)"
 
+echo "== smoke-world pin: one sweep-smoke cycle against its full-size digest =="
+# --check runs a 4-point batch of 2 s smoke drives; this runs one full-size
+# batch (12 points, 8 s drives, one fresh smoke map; ~2 s), exiting nonzero
+# if the `full sweep-smoke` pin moves.
+cargo run --release --quiet --offline --manifest-path avbench/Cargo.toml -- \
+    --workload sweep-smoke --seed 1 --seconds 1 --trace 0 >"$tmp/smoke.log"
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
