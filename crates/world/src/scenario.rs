@@ -117,7 +117,6 @@ impl ObstacleBox {
 }
 
 /// An [`ObstacleBox`] in its own frame, seen from one ray origin.
-#[derive(Debug, Clone, Copy)]
 pub(crate) struct BoxRays {
     /// World → box frame.
     inv: Pose,
