@@ -147,6 +147,49 @@ fn bench_ndt_paper(c: &mut Bench) {
     c.bench_function("ndt_matching/align_paper", |b| {
         b.iter(|| black_box(matcher.align(black_box(&lifted), black_box(&guess))))
     });
+
+    // 20 consecutive 10 Hz paper sweeps from t = 10 s, each aligned from
+    // the previous result as the node does (the first from the offset
+    // guess above).
+    let mut rng = RngStreams::new(7).stream("bench-ndt-sequence");
+    let sequence: Vec<PointCloud> = (0..20)
+        .map(|k| {
+            let scene = world.snapshot(10.0 + 0.1 * k as f64);
+            let sweep = lidar.scan(&world, &scene, &mut rng);
+            VoxelGrid::new(config.voxel_leaf).filter(&sweep).transformed(&Pose::new(
+                Vec3::new(0.0, 0.0, lidar.config().mount_height),
+                Default::default(),
+            ))
+        })
+        .collect();
+    c.bench_function("ndt_matching/align_paper_sequence", |b| {
+        b.iter(|| {
+            let mut pose = guess;
+            for scan in &sequence {
+                pose = matcher.align(black_box(scan), &pose).pose;
+            }
+            black_box(pose)
+        })
+    });
+}
+
+fn bench_exp_pass(c: &mut Bench) {
+    // 1 M NDT-like exponents `-0.5 · d·B·d` in [-1100, 0], half of them
+    // above -17, replaced by their `exp` and summed as `score` does.
+    let mut rng = RngStreams::new(11).stream("bench-exp");
+    let args: Vec<f64> = (0..1_000_000).map(|_| -1100.0 * rng.next_f64().powi(6)).collect();
+    c.bench_function("ndt/exp_pass", |b| {
+        let mut terms = args.clone();
+        b.iter(|| {
+            terms.copy_from_slice(&args);
+            let mut f = 0.0;
+            for t in terms.iter_mut() {
+                *t = t.exp();
+                f -= *t;
+            }
+            black_box(f)
+        })
+    });
 }
 
 fn bench_mapping(c: &mut Bench) {
@@ -297,6 +340,7 @@ fn main() {
     bench_clustering(&mut c);
     bench_ndt(&mut c);
     bench_ndt_paper(&mut c);
+    bench_exp_pass(&mut c);
     bench_mapping(&mut c);
     bench_map_phases(&mut c);
     bench_costmap(&mut c);
