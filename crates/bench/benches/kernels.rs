@@ -9,7 +9,7 @@ use av_geom::{Pose, Vec3};
 use av_perception::costmap::ObjectFootprint;
 use av_perception::{
     ClusterParams, CostmapGenerator, CostmapParams, DetectedObject, EuclideanCluster, NdtMatcher,
-    NdtParams, RayGroundFilter, RayGroundParams,
+    NdtParams, NdtWorkspace, RayGroundFilter, RayGroundParams,
 };
 use av_pointcloud::{KdTree, NdtGrid, PointCloud, VoxelGrid, VoxelMap};
 use av_tracking::{ImmUkfPdaTracker, TrackerParams};
@@ -149,8 +149,8 @@ fn bench_ndt_paper(c: &mut Bench) {
     });
 
     // 20 consecutive 10 Hz paper sweeps from t = 10 s, each aligned from
-    // the previous result as the node does (the first from the offset
-    // guess above).
+    // the previous result through one workspace, as the node does (the
+    // first from the offset guess above).
     let mut rng = RngStreams::new(7).stream("bench-ndt-sequence");
     let sequence: Vec<PointCloud> = (0..20)
         .map(|k| {
@@ -164,9 +164,10 @@ fn bench_ndt_paper(c: &mut Bench) {
         .collect();
     c.bench_function("ndt_matching/align_paper_sequence", |b| {
         b.iter(|| {
+            let mut workspace = NdtWorkspace::default();
             let mut pose = guess;
             for scan in &sequence {
-                pose = matcher.align(black_box(scan), &pose).pose;
+                pose = matcher.align_with(black_box(scan), &pose, &mut workspace).pose;
             }
             black_box(pose)
         })
@@ -178,7 +179,15 @@ fn bench_exp_pass(c: &mut Bench) {
     // above -17, replaced by their `exp` and summed as `score` does.
     let mut rng = RngStreams::new(11).stream("bench-exp");
     let args: Vec<f64> = (0..1_000_000).map(|_| -1100.0 * rng.next_f64().powi(6)).collect();
+    println!("ndt/exp_pass: inline exp selected: {}", av_des::inline_exp_selected());
     c.bench_function("ndt/exp_pass", |b| {
+        let mut terms = args.clone();
+        b.iter(|| {
+            terms.copy_from_slice(&args);
+            black_box(av_des::exp_sub_each(&mut terms, 0.0))
+        })
+    });
+    c.bench_function("ndt/exp_pass_libm", |b| {
         let mut terms = args.clone();
         b.iter(|| {
             terms.copy_from_slice(&args);

@@ -188,6 +188,63 @@ mod tests {
         (grid.len(), h.finish())
     }
 
+    fn match_bits(result: &av_perception::MatchResult) -> [u64; 7] {
+        let (t, q) = (result.pose.translation, result.pose.rotation);
+        [
+            t.x.to_bits(),
+            t.y.to_bits(),
+            q.z.to_bits(),
+            q.w.to_bits(),
+            result.fitness.to_bits(),
+            result.iterations as u64,
+            result.matched_points as u64 | (result.converged as u64) << 63,
+        ]
+    }
+
+    /// One NDT workspace kept across paper sweeps, as the `ndt_matching`
+    /// node keeps it: three far-apart sweeps fill most of its cache, then
+    /// 36 consecutive 10 Hz sweeps outgrow it and start it over. Every
+    /// alignment equals a fresh matcher's, bit for bit.
+    #[test]
+    fn kept_ndt_workspace_equals_fresh_alignments_on_paper_scans() {
+        use av_geom::{Quat, Vec3};
+        use av_perception::{NdtMatcher, NdtParams, NdtWorkspace};
+        use av_pointcloud::VoxelGrid;
+
+        let config = StackConfig::paper_default(DetectorKind::YoloV3);
+        let world = World::generate(&config.scenario);
+        let lidar = LidarModel::new(config.lidar.clone());
+        let matcher = NdtMatcher::new(fresh_map(&config, &world, &lidar), NdtParams::default());
+        let lift = Pose::new(Vec3::new(0.0, 0.0, lidar.config().mount_height), Quat::IDENTITY);
+        let filter = VoxelGrid::new(config.voxel_leaf);
+        let mut rng = RngStreams::new(7).stream("ndt-sequence");
+        let offset = |truth: Pose| {
+            Pose::planar(truth.translation.x + 0.3, truth.translation.y - 0.2, truth.yaw() + 0.01)
+        };
+        let mut workspace = NdtWorkspace::default();
+        let mut clears = 0;
+        let instants = [40.0, 60.0, 80.0].into_iter().chain((0..36).map(|k| 5.0 + 0.1 * k as f64));
+        let mut guess = None;
+        for (k, t) in instants.enumerate() {
+            let scene = world.snapshot(t);
+            let scan = filter.filter(&lidar.scan(&world, &scene, &mut rng)).transformed(&lift);
+            // Consecutive sweeps start from the previous match.
+            let from = match guess {
+                Some(previous) if k > 3 => previous,
+                _ => offset(scene.ego.pose),
+            };
+            let cached = workspace.cached_cells();
+            let kept = matcher.align_with(&scan, &from, &mut workspace);
+            let fresh = matcher.align(&scan, &from);
+            assert_eq!(match_bits(&kept), match_bits(&fresh), "sweep {k} at {t} s");
+            if workspace.cached_cells() < cached {
+                clears += 1;
+            }
+            guess = Some(kept.pose);
+        }
+        assert_eq!(clears, 1, "the cache must outgrow its cap once");
+    }
+
     /// `build_map`'s output for the smoke and the paper configuration,
     /// bit for bit: every kernel under the map build (LiDAR scan, voxel
     /// compaction, NDT statistics) must leave these unmoved.

@@ -7,7 +7,8 @@ use crate::topics;
 use av_des::{SimTime, Snap, StreamRng};
 use av_geom::Pose;
 use av_perception::{
-    ClusterParams, EuclideanCluster, NdtMatcher, NdtParams, RayGroundFilter, RayGroundParams,
+    ClusterParams, EuclideanCluster, NdtMatcher, NdtParams, NdtWorkspace, RayGroundFilter,
+    RayGroundParams,
 };
 use av_pointcloud::{NdtGrid, VoxelGrid};
 use av_ros::{Execution, Lineage, Message, Node, Outbox};
@@ -52,6 +53,8 @@ impl Node<Msg> for VoxelGridFilterNode {
 /// the first convergence).
 pub struct NdtMatchingNode {
     matcher: NdtMatcher,
+    // Map cells packed by earlier alignments; a cache, so not snapped.
+    workspace: NdtWorkspace,
     cost: NodeCost,
     aux: NodeCost,
     rng: StreamRng,
@@ -83,6 +86,7 @@ impl NdtMatchingNode {
     ) -> NdtMatchingNode {
         NdtMatchingNode {
             matcher: NdtMatcher::new(map, NdtParams::default()),
+            workspace: NdtWorkspace::default(),
             cost: calib.ndt_matching.clone(),
             aux: calib.auxiliary.clone(),
             rng,
@@ -211,7 +215,7 @@ impl Node<Msg> for NdtMatchingNode {
                     av_geom::Quat::IDENTITY,
                 ));
                 let guess = self.predicted_guess(msg.header.stamp);
-                let result = self.matcher.align(&lifted, &guess);
+                let result = self.matcher.align_with(&lifted, &guess, &mut self.workspace);
                 // Accept solid matches near the motion prediction; a weak
                 // or jumping match is rejected (coast on dead reckoning),
                 // and a streak of rejections declares the filter lost so

@@ -40,12 +40,14 @@
 
 #![warn(missing_docs)]
 
+mod exp;
 mod rng;
 pub mod sched;
 mod sim;
 mod snap;
 mod time;
 
+pub use exp::{exp_sub_each, inline_exp_selected};
 pub use rng::{RngStreams, StreamRng};
 pub use sched::{ReadyItem, SchedPolicy, SchedPolicyKind};
 pub use sim::{EventHandle, Sim};

@@ -64,9 +64,9 @@ impl CellScale {
         self.size
     }
 
-    /// `x / size`.
+    /// `x / size`, bit for bit.
     #[inline]
-    fn scaled(&self, x: f64) -> f64 {
+    pub fn scaled(&self, x: f64) -> f64 {
         match self.recip {
             Some(recip) => x * recip,
             None => x / self.size,

@@ -9,7 +9,10 @@
 //! The hot path grows regions over a voxel-hash neighbor grid with cells
 //! of `tolerance` meters: every neighbor within the tolerance lives in
 //! one of the 27 cells around a point, so the BFS expands by scanning at
-//! most 27 bucket ranges instead of descending a k-d tree per point. The
+//! most 27 bucket ranges instead of descending a k-d tree per point.
+//! Each occupied cell finds its occupied neighbours once, shared by all
+//! of its points, and a cell whose points all joined clusters is skipped
+//! whole. The
 //! original k-d tree formulation is retained as
 //! [`EuclideanCluster::cluster_reference`]; property tests pin the two
 //! to identical output.
@@ -121,24 +124,36 @@ impl EuclideanCluster {
         let tol_sq = self.params.tolerance * self.params.tolerance;
 
         let mut visited = vec![false; positions.len()];
+        // Per cell, how many of its points no cluster holds yet: a cell
+        // with none left is skipped whole.
+        let mut unvisited: Vec<u32> = grid.cells.iter().map(|&(_, len)| len).collect();
         let mut clusters = Vec::new();
         for seed in 0..positions.len() {
             if visited[seed] {
                 continue;
             }
             visited[seed] = true;
+            unvisited[grid.cell_of[seed] as usize] -= 1;
             let mut members = vec![seed];
             let mut cursor = 0;
             while cursor < members.len() {
                 let current = members[cursor];
                 cursor += 1;
                 let p = positions[current];
-                grid.for_neighbors(p, |n| {
-                    if !visited[n] && positions[n].distance_sq(p) <= tol_sq {
-                        visited[n] = true;
-                        members.push(n);
+                for &cell in grid.adjacent(current) {
+                    let left = &mut unvisited[cell as usize];
+                    if *left == 0 {
+                        continue;
                     }
-                });
+                    for &n in grid.points(cell) {
+                        let n = n as usize;
+                        if !visited[n] && positions[n].distance_sq(p) <= tol_sq {
+                            visited[n] = true;
+                            *left -= 1;
+                            members.push(n);
+                        }
+                    }
+                }
             }
             if let Some(cluster) = self.finish_cluster(members, &positions, &in_range) {
                 clusters.push(cluster);
@@ -228,65 +243,127 @@ impl EuclideanCluster {
     }
 }
 
+/// The 13 of the 26 neighbour offsets that follow `(0, 0, 0)` in
+/// lexicographic order; the other 13 are their negations.
+const FORWARD: [(i32, i32, i32); 13] = [
+    (0, 0, 1),
+    (0, 1, -1),
+    (0, 1, 0),
+    (0, 1, 1),
+    (1, -1, -1),
+    (1, -1, 0),
+    (1, -1, 1),
+    (1, 0, -1),
+    (1, 0, 0),
+    (1, 0, 1),
+    (1, 1, -1),
+    (1, 1, 0),
+    (1, 1, 1),
+];
+
 /// A voxel-hash neighbor grid with cubic cells of the clustering
 /// tolerance: any point within `tolerance` of `p` lies in one of the 27
 /// cells around `p`'s cell, so a radius query degenerates to scanning at
-/// most 27 contiguous bucket ranges (CSR layout — one shared index
-/// array, no per-cell allocation).
+/// most 27 contiguous bucket ranges. CSR layout throughout — one shared
+/// index array for the points of every cell, one for the occupied
+/// neighbours of every cell, no per-cell allocation.
 struct NeighborGrid {
-    inv_cell: f64,
-    /// Cell key → `(start, len)` range into `order`.
-    ranges: CellMap<(u32, u32)>,
+    /// Per occupied cell, its `(start, len)` range of `order`.
+    cells: Vec<(u32, u32)>,
     /// Point indices grouped by cell (input order within each cell).
     order: Vec<u32>,
+    /// The occupied cell of every point.
+    cell_of: Vec<u32>,
+    /// Per occupied cell, its range of `adjacent`: `adjacent_start[c]..
+    /// adjacent_start[c + 1]`.
+    adjacent_start: Vec<u32>,
+    /// The occupied cells among each cell's 27, itself included.
+    adjacent: Vec<u32>,
 }
 
 impl NeighborGrid {
     fn build(positions: &[av_geom::Vec3], cell: f64) -> NeighborGrid {
         let inv_cell = 1.0 / cell;
-        let keys: Vec<(i32, i32, i32)> =
-            positions.iter().map(|p| Self::key(*p, inv_cell)).collect();
-        // Pass 1: bucket sizes. Pass 2: carve ranges and fill.
-        let mut ranges: CellMap<(u32, u32)> = CellMap::default();
-        for &k in &keys {
-            ranges.entry(k).or_insert((0, 0)).1 += 1;
-        }
+        // Dense cell ids in first-appearance order, and bucket sizes.
+        let mut ids: CellMap<u32> = CellMap::default();
+        let mut keys = Vec::new();
+        let mut cells: Vec<(u32, u32)> = Vec::new();
+        let cell_of: Vec<u32> = positions
+            .iter()
+            .map(|p| {
+                let key = Self::key(*p, inv_cell);
+                let id = *ids.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    cells.push((0, 0));
+                    (cells.len() - 1) as u32
+                });
+                cells[id as usize].1 += 1;
+                id
+            })
+            .collect();
+        // Carve ranges, then fill them in input order.
         let mut start = 0u32;
-        for range in ranges.values_mut() {
+        for range in &mut cells {
             range.0 = start;
             start += range.1;
             range.1 = 0; // reused as a fill cursor below
         }
         let mut order = vec![0u32; positions.len()];
-        for (i, &k) in keys.iter().enumerate() {
-            let range = ranges.get_mut(&k).expect("key bucketed in pass 1");
+        for (i, &id) in cell_of.iter().enumerate() {
+            let range = &mut cells[id as usize];
             order[(range.0 + range.1) as usize] = i as u32;
             range.1 += 1;
         }
-        NeighborGrid { inv_cell, ranges, order }
+        // Each adjacent pair is found once, from its lower key: 13 probes
+        // per cell instead of 26.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (id, &(kx, ky, kz)) in keys.iter().enumerate() {
+            for (dx, dy, dz) in FORWARD {
+                if let Some(&other) = ids.get(&(kx + dx, ky + dy, kz + dz)) {
+                    pairs.push((id as u32, other));
+                }
+            }
+        }
+        // Each cell lists itself, then its neighbours.
+        let mut adjacent_start = vec![0u32; keys.len() + 1];
+        for &(a, b) in &pairs {
+            adjacent_start[a as usize + 1] += 1;
+            adjacent_start[b as usize + 1] += 1;
+        }
+        for c in 0..keys.len() {
+            adjacent_start[c + 1] += adjacent_start[c] + 1;
+        }
+        let mut fill: Vec<u32> = adjacent_start[..keys.len()].to_vec();
+        let mut adjacent = vec![0u32; adjacent_start[keys.len()] as usize];
+        for c in 0..keys.len() as u32 {
+            adjacent[fill[c as usize] as usize] = c;
+            fill[c as usize] += 1;
+        }
+        for &(a, b) in &pairs {
+            adjacent[fill[a as usize] as usize] = b;
+            fill[a as usize] += 1;
+            adjacent[fill[b as usize] as usize] = a;
+            fill[b as usize] += 1;
+        }
+        NeighborGrid { cells, order, cell_of, adjacent_start, adjacent }
     }
 
     fn key(p: av_geom::Vec3, inv_cell: f64) -> (i32, i32, i32) {
         (floor_i32(p.x * inv_cell), floor_i32(p.y * inv_cell), floor_i32(p.z * inv_cell))
     }
 
-    /// Calls `f` with the index of every point in the 27-cell
-    /// neighborhood of `p` (a superset of the points within one cell
-    /// size of `p`; the caller applies the exact distance test).
-    fn for_neighbors(&self, p: av_geom::Vec3, mut f: impl FnMut(usize)) {
-        let (kx, ky, kz) = Self::key(p, self.inv_cell);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    let Some(&(start, len)) = self.ranges.get(&(kx + dx, ky + dy, kz + dz)) else {
-                        continue;
-                    };
-                    for &i in &self.order[start as usize..(start + len) as usize] {
-                        f(i as usize);
-                    }
-                }
-            }
-        }
+    /// The occupied cells among the 27 around point `i`'s cell: their
+    /// points are a superset of those within one cell size of it (the
+    /// caller applies the exact distance test).
+    fn adjacent(&self, i: usize) -> &[u32] {
+        let cell = self.cell_of[i] as usize;
+        &self.adjacent[self.adjacent_start[cell] as usize..self.adjacent_start[cell + 1] as usize]
+    }
+
+    /// The points of occupied cell `cell`, in input order.
+    fn points(&self, cell: u32) -> &[u32] {
+        let (start, len) = self.cells[cell as usize];
+        &self.order[start as usize..(start + len) as usize]
     }
 }
 
@@ -428,14 +505,29 @@ mod proptests {
         }
     }
 
+    /// Up to `max` points in a few boxes well under a cell wide, so most
+    /// points share their cell with many others.
+    fn dense_cloud(rng: &mut StreamRng, max: usize) -> PointCloud {
+        let centers: Vec<Vec3> = (0..1 + rng.uniform_usize(3))
+            .map(|_| Vec3::new(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), 1.0))
+            .collect();
+        let n = 1 + rng.uniform_usize(max - 1);
+        PointCloud::from_positions((0..n).map(|i| {
+            let jitter =
+                Vec3::new(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2));
+            centers[i % centers.len()] + jitter
+        }))
+    }
+
     /// The voxel-hash implementation is bit-identical to the retained
     /// k-d tree reference — same members, same centroids (exact float
-    /// equality), same order.
+    /// equality), same order — on scattered clouds and on dense ones.
     #[test]
     fn grid_matches_kdtree_reference_exactly() {
         let mut rng = RngStreams::new(0xc15).stream("pin");
-        for round in 0..96 {
-            let cloud = random_cloud(&mut rng, 150);
+        for round in 0..128 {
+            let cloud =
+                if round < 96 { random_cloud(&mut rng, 150) } else { dense_cloud(&mut rng, 400) };
             let params = ClusterParams {
                 tolerance: rng.uniform(0.3, 2.0),
                 min_points: 1 + rng.uniform_usize(4),

@@ -10,7 +10,7 @@
 //!   cost ("not occupied by objects or to be occupied in the near future").
 
 use av_des::{Leaf, SnapError, SnapReader, SnapWriter};
-use av_geom::Vec3;
+use av_geom::{CellScale, Vec3};
 use av_pointcloud::PointCloud;
 
 /// Cost value for a directly observed obstacle.
@@ -50,6 +50,8 @@ impl Default for CostmapParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyGrid {
     resolution: f64,
+    /// Divides by `resolution`.
+    cells: CellScale,
     half_size: f64,
     cells_per_side: usize,
     data: Vec<u8>,
@@ -60,6 +62,7 @@ impl OccupancyGrid {
         let cells_per_side = ((2.0 * half_size) / resolution).ceil() as usize;
         OccupancyGrid {
             resolution,
+            cells: CellScale::new(resolution),
             half_size,
             cells_per_side,
             data: vec![0; cells_per_side * cells_per_side],
@@ -82,7 +85,13 @@ impl OccupancyGrid {
         if cells_per_side.checked_mul(cells_per_side) != Some(data.len()) {
             return None;
         }
-        Some(OccupancyGrid { resolution, half_size, cells_per_side, data })
+        Some(OccupancyGrid {
+            resolution,
+            cells: CellScale::new(resolution),
+            half_size,
+            cells_per_side,
+            data,
+        })
     }
 
     /// Cell edge length, meters.
@@ -112,17 +121,24 @@ impl OccupancyGrid {
 
     /// Cell index for a body-frame position, or `None` outside the grid.
     pub fn index_of(&self, p: Vec3) -> Option<usize> {
-        let col = (p.x + self.half_size) / self.resolution;
-        let row = (p.y + self.half_size) / self.resolution;
-        // Rejects negatives and NaN; `as usize` then floors what is left.
-        if !(col >= 0.0 && row >= 0.0) {
+        self.index_of_xy(p.x, p.y)
+    }
+
+    fn index_of_xy(&self, x: f64, y: f64) -> Option<usize> {
+        let col = self.cells.scaled(x + self.half_size);
+        let row = self.cells.scaled(y + self.half_size);
+        // Inside iff both lie in [0, cells per side), an integer, so the
+        // test needs no conversion; NaN fails it. A plain truncation then
+        // floors what is left (a saturating float-to-`usize` cast costs a
+        // dozen instructions, and this runs for every footprint sample).
+        let side = self.cells_per_side as f64;
+        if !(col >= 0.0 && row >= 0.0 && col < side && row < side) {
             return None;
         }
-        let (col, row) = (col as usize, row as usize);
-        if col >= self.cells_per_side || row >= self.cells_per_side {
-            return None;
-        }
-        Some(row * self.cells_per_side + col)
+        // SAFETY: both lie in [0, cells per side), and the grid's cell
+        // count fits in memory, so cells per side fits a `u32`.
+        let (col, row) = unsafe { (col.to_int_unchecked::<u32>(), row.to_int_unchecked::<u32>()) };
+        Some(row as usize * self.cells_per_side + col as usize)
     }
 
     /// Cost at a body-frame position (0 outside the grid).
@@ -226,11 +242,17 @@ impl CostmapGenerator {
         grid
     }
 
-    /// Rasterizes tracked objects and their predicted paths.
+    /// Rasterizes tracked objects and their predicted paths. A footprint
+    /// whose position, yaw or extents are not finite marks nothing.
     pub fn from_objects(&self, objects: &[ObjectFootprint]) -> OccupancyGrid {
         let mut grid = OccupancyGrid::new(self.params.resolution, self.params.half_size);
+        let mut samples = FootprintSamples::default();
         for obj in objects {
-            self.stamp_footprint(&mut grid, obj.position, obj, COST_OCCUPIED);
+            if !(obj.position.is_finite() && obj.half_extents.is_finite() && obj.yaw.is_finite()) {
+                continue;
+            }
+            samples.fill(obj, self.params.resolution);
+            samples.stamp(&mut grid, obj.position, COST_OCCUPIED);
             let n = obj.path.len();
             for (k, &waypoint) in obj.path.iter().enumerate() {
                 // Linear decay toward the end of the horizon.
@@ -239,7 +261,28 @@ impl CostmapGenerator {
                 if cost == 0 {
                     continue;
                 }
-                self.stamp_footprint(&mut grid, waypoint, obj, cost);
+                samples.stamp(&mut grid, waypoint, cost);
+            }
+        }
+        grid
+    }
+
+    /// The original [`from_objects`](Self::from_objects), which samples
+    /// every footprint afresh: the oracle it is checked against bit for
+    /// bit. It never returns on an infinite extent.
+    #[cfg(test)]
+    fn objects_reference(&self, objects: &[ObjectFootprint]) -> OccupancyGrid {
+        let mut grid = OccupancyGrid::new(self.params.resolution, self.params.half_size);
+        for obj in objects {
+            self.stamp_footprint_reference(&mut grid, obj.position, obj, COST_OCCUPIED);
+            let n = obj.path.len();
+            for (k, &waypoint) in obj.path.iter().enumerate() {
+                let decay = 1.0 - (k as f64 + 1.0) / (n as f64 + 1.0);
+                let cost = (self.params.predicted_cost as f64 * decay).round() as u8;
+                if cost == 0 {
+                    continue;
+                }
+                self.stamp_footprint_reference(&mut grid, waypoint, obj, cost);
             }
         }
         grid
@@ -271,9 +314,14 @@ impl CostmapGenerator {
         }
     }
 
-    fn stamp_footprint(&self, grid: &mut OccupancyGrid, at: Vec3, obj: &ObjectFootprint, cost: u8) {
-        // Rasterize the oriented footprint rectangle by sampling its area
-        // at cell resolution.
+    #[cfg(test)]
+    fn stamp_footprint_reference(
+        &self,
+        grid: &mut OccupancyGrid,
+        at: Vec3,
+        obj: &ObjectFootprint,
+        cost: u8,
+    ) {
         let (sin_y, cos_y) = obj.yaw.sin_cos();
         let hx = obj.half_extents.x.max(self.params.resolution);
         let hy = obj.half_extents.y.max(self.params.resolution);
@@ -284,12 +332,72 @@ impl CostmapGenerator {
             while y <= hy {
                 let world =
                     Vec3::new(at.x + cos_y * x - sin_y * y, at.y + sin_y * x + cos_y * y, 0.0);
-                if let Some(idx) = grid.index_of(world) {
-                    grid.raise(idx, cost);
+                let col = (world.x + grid.half_size) / grid.resolution;
+                let row = (world.y + grid.half_size) / grid.resolution;
+                if col >= 0.0 && row >= 0.0 {
+                    let (col, row) = (col as usize, row as usize);
+                    if col < grid.cells_per_side && row < grid.cells_per_side {
+                        grid.raise(row * grid.cells_per_side + col, cost);
+                    }
                 }
                 y += step;
             }
             x += step;
+        }
+    }
+}
+
+/// An oriented footprint rectangle sampled at cell resolution, in the
+/// body frame of its object: the rotated sample offsets, computed once
+/// and stamped at the object's position and at each waypoint.
+#[derive(Default)]
+struct FootprintSamples {
+    /// `(cos·x, sin·x)` per sample `x` along the heading.
+    along: Vec<(f64, f64)>,
+    /// `(sin·y, cos·y)` per sample `y` across it.
+    across: Vec<(f64, f64)>,
+}
+
+impl FootprintSamples {
+    /// Samples `obj`'s footprint from `−h` to `h` in steps of 0.7 cells
+    /// on each axis, `h` the half-extent (at least one cell).
+    fn fill(&mut self, obj: &ObjectFootprint, resolution: f64) {
+        let (sin_y, cos_y) = obj.yaw.sin_cos();
+        let hx = obj.half_extents.x.max(resolution);
+        let hy = obj.half_extents.y.max(resolution);
+        let step = resolution * 0.7;
+        self.along.clear();
+        let mut x = -hx;
+        while x <= hx {
+            self.along.push((cos_y * x, sin_y * x));
+            x += step;
+        }
+        self.across.clear();
+        let mut y = -hy;
+        while y <= hy {
+            self.across.push((sin_y * y, cos_y * y));
+            y += step;
+        }
+    }
+
+    /// Raises every sampled cell around `at` to `cost`.
+    fn stamp(&self, grid: &mut OccupancyGrid, at: Vec3, cost: u8) {
+        self.each_point(at, |x, y| {
+            if let Some(idx) = grid.index_of_xy(x, y) {
+                grid.raise(idx, cost);
+            }
+        });
+    }
+
+    /// Calls `f` with every sample around `at`: `(at.x + cos·x − sin·y,
+    /// at.y + sin·x + cos·y)`, summed left to right as the uncached
+    /// formula does.
+    fn each_point(&self, at: Vec3, mut f: impl FnMut(f64, f64)) {
+        for &(cos_x, sin_x) in &self.along {
+            let (x0, y0) = (at.x + cos_x, at.y + sin_x);
+            for &(sin_y, cos_y) in &self.across {
+                f(x0 - sin_y, y0 + cos_y);
+            }
         }
     }
 }
@@ -434,5 +542,186 @@ mod tests {
         assert_eq!(grid.index_of(Vec3::new(-40.0, -40.0, 0.0)), Some(0));
         assert!(grid.index_of(Vec3::new((-40.0f64).next_down(), 0.0, 0.0)).is_none());
         assert!(grid.index_of(Vec3::new(f64::INFINITY, 0.0, 0.0)).is_none());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    //! Seeded property tests: footprints sampled once per object equal
+    //! the retained per-stamp oracle cell for cell.
+    use super::*;
+    use av_des::{RngStreams, StreamRng};
+    use std::f64::consts::PI;
+
+    fn random_object(rng: &mut StreamRng, half_size: f64) -> ObjectFootprint {
+        // Mostly inside the grid, some straddling or beyond its edge.
+        let reach = half_size + 6.0;
+        let position = Vec3::new(rng.uniform(-reach, reach), rng.uniform(-reach, reach), 0.8);
+        let yaw = match rng.uniform_usize(6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => PI,
+            3 => -PI,
+            _ => rng.uniform(-4.0, 4.0),
+        };
+        // Some extents below the resolution (the footprint takes one cell).
+        let extent = |rng: &mut StreamRng| match rng.uniform_usize(4) {
+            0 => rng.uniform(0.0, 0.2),
+            _ => rng.uniform(0.2, 3.0),
+        };
+        let half_extents = Vec3::new(extent(rng), extent(rng), 0.75);
+        let velocity = Vec3::new(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0), 0.0);
+        let path =
+            (1..=rng.uniform_usize(8)).map(|k| position + velocity * (0.5 * k as f64)).collect();
+        ObjectFootprint { position, half_extents, yaw, path }
+    }
+
+    #[test]
+    fn sampled_once_matches_the_reference() {
+        let mut rng = RngStreams::new(0xc05).stream("objects");
+        for resolution in [0.25, 0.3] {
+            let params = CostmapParams { resolution, ..CostmapParams::default() };
+            let generator = CostmapGenerator::new(params);
+            for round in 0..48 {
+                let objects: Vec<ObjectFootprint> =
+                    (0..rng.uniform_usize(30)).map(|_| random_object(&mut rng, 40.0)).collect();
+                assert_eq!(
+                    generator.from_objects(&objects),
+                    generator.objects_reference(&objects),
+                    "resolution {resolution}, round {round}"
+                );
+            }
+        }
+    }
+
+    /// Every sample point has the bits of the uncached formula, rounding
+    /// for rounding: a cell boundary can fall between two orders of the
+    /// same sum, too rarely for the grids above to show it.
+    #[test]
+    fn sample_points_equal_the_uncached_formula() {
+        let mut rng = RngStreams::new(0xc05).stream("samples");
+        for resolution in [0.25, 0.3] {
+            for round in 0..200 {
+                let obj = random_object(&mut rng, 40.0);
+                let mut samples = FootprintSamples::default();
+                samples.fill(&obj, resolution);
+                for at in std::iter::once(obj.position).chain(obj.path.iter().copied()) {
+                    let mut points = Vec::new();
+                    samples.each_point(at, |x, y| points.push([x.to_bits(), y.to_bits()]));
+                    let (sin_y, cos_y) = obj.yaw.sin_cos();
+                    let hx = obj.half_extents.x.max(resolution);
+                    let hy = obj.half_extents.y.max(resolution);
+                    let step = resolution * 0.7;
+                    let mut want = Vec::new();
+                    let mut x = -hx;
+                    while x <= hx {
+                        let mut y = -hy;
+                        while y <= hy {
+                            let world =
+                                (at.x + cos_y * x - sin_y * y, at.y + sin_y * x + cos_y * y);
+                            want.push([world.0.to_bits(), world.1.to_bits()]);
+                            y += step;
+                        }
+                        x += step;
+                    }
+                    assert_eq!(points, want, "resolution {resolution}, round {round}");
+                }
+            }
+        }
+    }
+
+    /// Cell indices equal the original division-and-`as usize` formula:
+    /// seeded positions in and around the grid, and cell boundaries,
+    /// signed zeros and non-finite coordinates.
+    #[test]
+    fn index_of_matches_the_division_formula() {
+        let mut rng = RngStreams::new(0xc05).stream("index");
+        for resolution in [0.25, 0.3] {
+            let grid =
+                CostmapGenerator::new(CostmapParams { resolution, ..CostmapParams::default() })
+                    .from_points(&PointCloud::new());
+            let reference = |x: f64, y: f64| {
+                let col = (x + grid.half_size) / grid.resolution;
+                let row = (y + grid.half_size) / grid.resolution;
+                if !(col >= 0.0 && row >= 0.0) {
+                    return None;
+                }
+                let (col, row) = (col as usize, row as usize);
+                (col < grid.cells_per_side && row < grid.cells_per_side)
+                    .then(|| row * grid.cells_per_side + col)
+            };
+            let mut coords: Vec<f64> =
+                [0.0, -0.0, 40.0, -40.0, 1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+                    .into_iter()
+                    .flat_map(|v: f64| [v, v.next_up(), v.next_down()])
+                    .collect();
+            for k in -170..=170 {
+                let boundary = k as f64 * resolution;
+                coords.extend([boundary, boundary.next_up(), boundary.next_down()]);
+            }
+            coords.extend((0..2000).map(|_| rng.uniform(-45.0, 45.0)));
+            for &x in &coords {
+                for &y in [0.0, 39.9, -40.0, x, -x, f64::NAN].iter() {
+                    let p = Vec3::new(x, y, 0.0);
+                    assert_eq!(grid.index_of(p), reference(x, y), "({x:e}, {y:e}) at {resolution}");
+                    let q = Vec3::new(y, x, 0.0);
+                    assert_eq!(grid.index_of(q), reference(y, x), "({y:e}, {x:e}) at {resolution}");
+                }
+            }
+        }
+    }
+
+    /// Objects centred on the grid's edges and corners, half in, half out.
+    #[test]
+    fn grid_edge_objects_match_the_reference() {
+        let generator = CostmapGenerator::new(CostmapParams::default());
+        let edge = 40.0f64;
+        for x in [-edge, -edge + 0.1, 0.0, edge - 0.1, edge, (-edge).next_down()] {
+            for y in [-edge, 0.0, edge, edge.next_up()] {
+                let objects: Vec<ObjectFootprint> = [0.0, -0.0, PI, -PI, 0.7]
+                    .into_iter()
+                    .map(|yaw| ObjectFootprint {
+                        position: Vec3::new(x, y, 0.0),
+                        half_extents: Vec3::new(2.25, 0.9, 0.75),
+                        yaw,
+                        path: vec![Vec3::new(x + 1.0, y - 1.0, 0.0)],
+                    })
+                    .collect();
+                assert_eq!(
+                    generator.from_objects(&objects),
+                    generator.objects_reference(&objects),
+                    "({x}, {y})"
+                );
+            }
+        }
+    }
+
+    /// An infinite extent used to sample forever; any non-finite
+    /// position, yaw or extent now skips that footprint alone.
+    #[test]
+    fn non_finite_footprints_are_skipped() {
+        let generator = CostmapGenerator::new(CostmapParams::default());
+        let good = ObjectFootprint {
+            position: Vec3::new(5.0, 1.0, 0.0),
+            half_extents: Vec3::new(2.25, 0.9, 0.75),
+            yaw: 0.3,
+            path: vec![Vec3::new(8.0, 1.0, 0.0)],
+        };
+        let alone = generator.from_objects(std::slice::from_ref(&good));
+        assert!(alone.occupied_cells() > 0);
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let broken = [
+            ObjectFootprint { half_extents: Vec3::new(inf, 0.9, 0.75), ..good.clone() },
+            ObjectFootprint { half_extents: Vec3::new(2.0, -inf, 0.75), ..good.clone() },
+            ObjectFootprint { half_extents: Vec3::new(nan, 0.9, 0.75), ..good.clone() },
+            ObjectFootprint { position: Vec3::new(inf, 0.0, 0.0), ..good.clone() },
+            ObjectFootprint { position: Vec3::new(0.0, nan, 0.0), ..good.clone() },
+            ObjectFootprint { yaw: inf, ..good.clone() },
+            ObjectFootprint { yaw: nan, ..good.clone() },
+        ];
+        for obj in &broken {
+            let grid = generator.from_objects(&[obj.clone(), good.clone()]);
+            assert_eq!(grid, alone, "{obj:?}");
+        }
     }
 }

@@ -33,5 +33,5 @@ pub use costmap::{CostmapGenerator, CostmapParams, OccupancyGrid};
 pub use fusion::{fuse_objects, FusionParams};
 pub use ground::{GroundSplit, RayGroundFilter, RayGroundParams};
 pub use mapping::NdtMappingBuilder;
-pub use ndt::{MatchResult, NdtMatcher, NdtParams};
+pub use ndt::{MatchResult, NdtMatcher, NdtParams, NdtWorkspace};
 pub use objects::{DetectedObject, ObjectClass};

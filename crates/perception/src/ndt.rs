@@ -8,14 +8,18 @@
 //! would be unconstrained by it; the substitution is documented in
 //! DESIGN.md.
 //!
-//! Each alignment works in a `Workspace` of its own: the DIRECT7 cells
-//! of every key the scan meets, packed into one arena, and per scan point
-//! the key and arena span it landed in. Trial poses are scored on the
-//! objective alone, recording one `f64` per point-cell term; only at
-//! poses the loop goes on from does `derivatives` walk the points again
-//! through that memo for the gradient and Hessian. Both paths use the
-//! arithmetic of the retained one-pass `evaluate_reference`, in its
-//! order, and equal it bit for bit.
+//! Alignments work in an [`NdtWorkspace`]: the DIRECT7 cells of every
+//! key the scans meet, packed into one arena, and per scan point the key
+//! and arena span it landed in. The `ndt_matching` node keeps one across
+//! scans; [`NdtMatcher::align`] starts a fresh one. Trial poses are
+//! scored on the objective alone, in two passes: the first records each
+//! point-cell term's exponent, the second replaces every exponent by its
+//! `exp` and sums them (a loop with no other work, where `exp` can run
+//! inline, see `av_des::exp_sub_each`). Only at poses the loop goes on
+//! from does `derivatives` walk the points again through the memo for
+//! the gradient and Hessian. Both paths use the arithmetic of the
+//! retained one-pass `evaluate_reference`, in its order, and equal it
+//! bit for bit.
 
 use av_geom::{Mat3, Pose, Vec3};
 use av_pointcloud::{CellMap, NdtGrid, PointCloud};
@@ -102,7 +106,7 @@ struct PackedCell {
     inv_cov: Mat3,
 }
 
-/// Where a key's DIRECT7 neighbourhood sits in [`Workspace::arena`].
+/// Where a key's DIRECT7 neighbourhood sits in [`NdtWorkspace::arena`].
 #[derive(Clone, Copy)]
 struct Span {
     start: u32,
@@ -122,22 +126,36 @@ struct Memo {
     span: Span,
 }
 
-/// The working memory of one [`NdtMatcher::align`].
+/// Packed cells an [`NdtWorkspace`] keeps between alignments: about 1.5
+/// MB of arena. Past it, the next alignment starts from an empty cache.
+const CACHED_CELLS_CAP: usize = 16 * 1024;
+
+/// Keys an [`NdtWorkspace`] keeps between alignments (keys with no cell
+/// around them take no arena).
+const CACHED_KEYS_CAP: usize = 16 * 1024;
+
+/// The working memory of [`NdtMatcher::align_with`], a cache of map
+/// cells that one matcher may keep across alignments.
 ///
 /// Newton iterations move the pose by millimeters while the grid cells
-/// are meters wide, so consecutive [`NdtMatcher::score`] calls meet the
-/// same keys again and again. Each key's DIRECT7 neighbourhood is copied
-/// once into `arena`, packed, in DIRECT7 offset order, so a scored point
-/// reads its cells from one contiguous run and accumulates them in
-/// exactly the uncached order (bit-identical). Every scan point memoizes
-/// its key and span; a point still in its cell skips the hash probe.
+/// are meters wide, and consecutive sweeps cover almost the same ground,
+/// so successive scores meet the same keys again and again. Each key's
+/// DIRECT7 neighbourhood is copied once into `arena`, packed, in DIRECT7
+/// offset order, so a scored point reads its cells from one contiguous
+/// run and accumulates them in exactly the uncached order
+/// (bit-identical). Every scan point memoizes its key and span; a point
+/// still in its cell skips the hash probe. A key's span depends on the
+/// key alone, so a memo left by another scan is as good as a probe.
 ///
 /// Each term `score` meets records only its Gaussian `e`. The memo and
 /// the terms come in two buffers: `score` fills the trial ones, and
-/// [`accept`](Workspace::accept) swaps them in, so a rejected trial
+/// [`accept`](NdtWorkspace::accept) swaps them in, so a rejected trial
 /// leaves the accepted pose's memo and terms for [`derivatives`].
+///
+/// The workspace only caches: results never depend on what it holds, so
+/// it is not part of any checkpoint.
 #[derive(Default)]
-struct Workspace {
+pub struct NdtWorkspace {
     /// The DIRECT7 cells of every key met so far.
     arena: Vec<PackedCell>,
     /// Each met key's span of `arena`.
@@ -148,11 +166,28 @@ struct Workspace {
     terms: Vec<f64>,
     /// Per scan point, at the pose scored last.
     trial_memo: Vec<Memo>,
-    /// The terms of the pose scored last.
+    /// The terms of the pose scored last: each term's exponent after
+    /// `score`'s first pass, its `e` after the second.
     trial_terms: Vec<f64>,
 }
 
-impl Workspace {
+impl NdtWorkspace {
+    /// Packed map cells held, the cache's size.
+    pub fn cached_cells(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Empties the cache once it outgrew its caps. Spans index the
+    /// arena, so the memos go with it.
+    fn trim(&mut self) {
+        if self.arena.len() > CACHED_CELLS_CAP || self.spans.len() > CACHED_KEYS_CAP {
+            self.arena.clear();
+            self.spans.clear();
+            self.memo.clear();
+            self.trial_memo.clear();
+        }
+    }
+
     /// The span of `key`'s DIRECT7 cells, packing them on first use.
     fn span(&mut self, grid: &NdtGrid, key: (i32, i32, i32)) -> Span {
         let arena = &mut self.arena;
@@ -185,7 +220,7 @@ impl Workspace {
 /// the transformed point has no z component, so only the XY parts of
 /// `B·d` and the XY block of `B` enter. The result therefore equals
 /// [`NdtMatcher::evaluate_reference`]'s bit for bit.
-fn derivatives(scan: &PointCloud, x: f64, y: f64, yaw: f64, ws: &Workspace) -> (Vec3, Mat3) {
+fn derivatives(scan: &PointCloud, x: f64, y: f64, yaw: f64, ws: &NdtWorkspace) -> (Vec3, Mat3) {
     let (sin_t, cos_t) = yaw.sin_cos();
     let mut g = Vec3::ZERO;
     let mut h = Mat3::ZERO;
@@ -241,12 +276,12 @@ impl NdtMatcher {
     }
 
     /// The objective at `(x, y, yaw)`, filling `ws`'s trial memo and
-    /// terms for a later [`Workspace::accept`] and [`derivatives`]. Most
-    /// Newton trial steps are rejected on `f` alone, so they never pay
-    /// for derivatives.
-    fn score(&self, scan: &PointCloud, x: f64, y: f64, yaw: f64, ws: &mut Workspace) -> Score {
+    /// terms for a later [`NdtWorkspace::accept`] and [`derivatives`].
+    /// Most Newton trial steps are rejected on `f` alone, so they never
+    /// pay for derivatives. The first pass records each term's exponent,
+    /// the second takes their `exp`s and sums `f -= e` in the same order.
+    fn score(&self, scan: &PointCloud, x: f64, y: f64, yaw: f64, ws: &mut NdtWorkspace) -> Score {
         let (sin_t, cos_t) = yaw.sin_cos();
-        let mut f = 0.0;
         let mut matched = 0usize;
         ws.trial_memo.clear();
         ws.trial_terms.clear();
@@ -262,14 +297,13 @@ impl NdtMatcher {
             ws.trial_memo.push(Memo { key, span });
             for cell in &ws.arena[span.range()] {
                 let d = q - cell.mean;
-                let e = (-0.5 * d.dot(cell.inv_cov * d)).exp();
-                f -= e;
-                ws.trial_terms.push(e);
+                ws.trial_terms.push(-0.5 * d.dot(cell.inv_cov * d));
             }
             if span.len > 0 {
                 matched += 1;
             }
         }
+        let f = av_des::exp_sub_each(&mut ws.trial_terms, 0.0);
         Score { f, matched }
     }
 
@@ -354,15 +388,26 @@ impl NdtMatcher {
     /// Sweeps that match no populated cell at all return the initial guess
     /// with `fitness = 0` and `converged = false`.
     pub fn align(&self, scan: &PointCloud, initial_guess: &Pose) -> MatchResult {
+        self.align_with(scan, initial_guess, &mut NdtWorkspace::default())
+    }
+
+    /// [`align`](NdtMatcher::align) through a workspace kept across
+    /// alignments (over this matcher's grid only): the result is the
+    /// same, bit for bit, but map cells packed for earlier scans are
+    /// reused.
+    pub fn align_with(
+        &self,
+        scan: &PointCloud,
+        initial_guess: &Pose,
+        ws: &mut NdtWorkspace,
+    ) -> MatchResult {
         let mut x = initial_guess.translation.x;
         let mut y = initial_guess.translation.y;
         let mut yaw = initial_guess.yaw();
         let mut damping = self.params.initial_damping;
 
-        // DIRECT7 cells packed and memoized across all Newton iterations
-        // of this alignment (the pose moves far less than a cell per step).
-        let mut ws = Workspace::default();
-        let mut current = self.score(scan, x, y, yaw, &mut ws);
+        ws.trim();
+        let mut current = self.score(scan, x, y, yaw, ws);
         ws.accept();
         let mut iterations = 0u32;
         let mut converged = false;
@@ -374,7 +419,7 @@ impl NdtMatcher {
             }
             // Derivatives only at poses the loop goes on from: the start
             // and accepted steps, never rejected trials.
-            let (g, h) = derivatives(scan, x, y, yaw, &ws);
+            let (g, h) = derivatives(scan, x, y, yaw, ws);
             // Solve (H + λI) Δ = −g, inflating λ until the step descends.
             // The gradient is exact, so a large enough λ always yields a
             // descent direction; 16 doublings-of-magnitude cover Hessians
@@ -391,7 +436,7 @@ impl NdtMatcher {
                 };
                 let step = inv * (-g);
                 let (nx, ny, nyaw) = (x + step.x, y + step.y, yaw + step.z);
-                let next = self.score(scan, nx, ny, nyaw, &mut ws);
+                let next = self.score(scan, nx, ny, nyaw, ws);
                 if next.f < current.f {
                     x = nx;
                     y = ny;
@@ -556,14 +601,14 @@ mod tests {
         let m = matcher();
         let scan = to_body(&scene_points("cachepin", 150), &Pose::planar(0.3, -0.2, 0.04));
         let pose = |step: usize| (0.05 * step as f64, -0.03 * step as f64, 0.004 * step as f64);
-        let check_derivatives = |ws: &Workspace, (x, y, yaw): (f64, f64, f64), what: &str| {
+        let check_derivatives = |ws: &NdtWorkspace, (x, y, yaw): (f64, f64, f64), what: &str| {
             let r = m.evaluate_reference(&scan, x, y, yaw, true);
             let (g, h) = derivatives(&scan, x, y, yaw, ws);
             assert_eq!(vec_bits(g), vec_bits(r.g), "reference gradient, {what}");
             assert_eq!(mat_bits(h), mat_bits(r.h), "reference Hessian, {what}");
             (g, h)
         };
-        let mut persistent = Workspace::default();
+        let mut persistent = NdtWorkspace::default();
         for step in 0..12 {
             if step % 2 == 1 {
                 let (x, y, yaw) = pose(step);
@@ -578,7 +623,7 @@ mod tests {
             let (x, y, yaw) = pose(step);
             let a = m.score(&scan, x, y, yaw, &mut persistent);
             persistent.accept();
-            let mut fresh = Workspace::default();
+            let mut fresh = NdtWorkspace::default();
             let b = m.score(&scan, x, y, yaw, &mut fresh);
             fresh.accept();
             let r = m.evaluate_reference(&scan, x, y, yaw, true);

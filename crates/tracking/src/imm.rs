@@ -62,6 +62,16 @@ pub struct ImmFilter {
 const MODELS: [MotionModel; N_MODELS] =
     [MotionModel::ConstantVelocity, MotionModel::ConstantTurnRate, MotionModel::RandomMotion];
 
+/// `acc += (cov + d·dᵀ)·w`, in place, entry by entry: the same roundings
+/// as adding the scaled sum of the covariance and the outer product.
+fn add_weighted_spread(acc: &mut MatN, cov: &MatN, d: &VecN, w: f64) {
+    for r in 0..STATE_DIM {
+        for c in 0..STATE_DIM {
+            acc[(r, c)] += (cov[(r, c)] + d[r] * d[c]) * w;
+        }
+    }
+}
+
 impl ImmFilter {
     /// Creates a filter bank initialized at a measured position.
     pub fn new(params: ImmParams, px: f64, py: f64) -> ImmFilter {
@@ -93,6 +103,7 @@ impl ImmFilter {
                 *cj += self.params.transition[i][j] * self.probs[i];
             }
         }
+        let headings = self.filters.each_ref().map(|f| (f.state()[3].sin(), f.state()[3].cos()));
         let mut mixed: Vec<(VecN, MatN)> = Vec::with_capacity(N_MODELS);
         for (j, &cj) in c.iter().enumerate() {
             let mut mix_state = VecN::zeros(STATE_DIM);
@@ -104,8 +115,8 @@ impl ImmFilter {
                 for k in [0, 1, 2, 4] {
                     mix_state[k] += mu * s[k];
                 }
-                sin_sum += mu * s[3].sin();
-                cos_sum += mu * s[3].cos();
+                sin_sum += mu * headings[i].0;
+                cos_sum += mu * headings[i].1;
             }
             mix_state[3] = sin_sum.atan2(cos_sum);
             let mut mix_cov = MatN::zeros(STATE_DIM, STATE_DIM);
@@ -113,8 +124,7 @@ impl ImmFilter {
                 let mu = self.params.transition[i][j] * self.probs[i] / cj.max(1e-12);
                 let mut d = self.filters[i].state() - &mix_state;
                 d[3] = normalize_angle(d[3]);
-                let spread = d.outer(&d);
-                mix_cov = &mix_cov + &(self.filters[i].covariance() + &spread).scaled(mu);
+                add_weighted_spread(&mut mix_cov, self.filters[i].covariance(), &d, mu);
             }
             mix_cov.symmetrize();
             mixed.push((mix_state, mix_cov));
@@ -208,8 +218,7 @@ impl ImmFilter {
         for (j, f) in self.filters.iter().enumerate() {
             let mut d = f.state() - &state;
             d[3] = normalize_angle(d[3]);
-            let spread = d.outer(&d);
-            cov = &cov + &(f.covariance() + &spread).scaled(self.probs[j]);
+            add_weighted_spread(&mut cov, f.covariance(), &d, self.probs[j]);
         }
         cov.symmetrize();
         ImmEstimate { state, cov, model_probs: self.probs }

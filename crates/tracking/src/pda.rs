@@ -43,6 +43,15 @@ pub struct GatedMeasurement {
 /// β_i = L_i / (λ(1 − P_D) + Σ L_j),   L_i = P_D · N(ν_i; 0, S)
 /// ```
 ///
+/// Measurements are 2-D positions: each Mahalanobis distance `νᵀ S⁻¹ ν`
+/// is computed on scalars, in the order `MatN::mul_vec` and `VecN::dot`
+/// sum them, and only a gated measurement gets its innovation `VecN`.
+///
+/// # Panics
+///
+/// Panics unless `z_pred` and every measurement have 2 components and
+/// `s` is 2×2.
+///
 /// ```
 /// use av_geom::{MatN, VecN};
 /// use av_tracking::{gate_measurements, PdaParams};
@@ -63,20 +72,26 @@ pub fn gate_measurements(
     measurements: &[VecN],
     params: &PdaParams,
 ) -> Vec<GatedMeasurement> {
+    assert_eq!((z_pred.len(), s.rows(), s.cols()), (2, 2, 2), "2-D measurements");
     let Some(s_inv) = s.inverse() else { return Vec::new() };
     let det = s.det().max(1e-12);
     let norm = 1.0 / (2.0 * std::f64::consts::PI * det.sqrt());
+    let (a, b, c, d) = (s_inv[(0, 0)], s_inv[(0, 1)], s_inv[(1, 0)], s_inv[(1, 1)]);
 
     let mut gated: Vec<GatedMeasurement> = measurements
         .iter()
         .enumerate()
         .filter_map(|(index, z)| {
-            let innovation = z - z_pred;
-            let d2 = innovation.dot(&s_inv.mul_vec(&innovation));
+            assert_eq!(z.len(), 2, "2-D measurements");
+            let (i0, i1) = (z[0] - z_pred[0], z[1] - z_pred[1]);
+            // `mul_vec` sums from +0, `dot` (an `f64` `Sum`) from −0.
+            let (m0, m1) = (0.0 + a * i0 + b * i1, 0.0 + c * i0 + d * i1);
+            let d2 = -0.0 + i0 * m0 + i1 * m1;
             if d2 > params.gate {
                 return None;
             }
             let likelihood = params.detection_prob * norm * (-0.5 * d2).exp();
+            let innovation = VecN::from_slice(&[i0, i1]);
             Some(GatedMeasurement { index, innovation, beta: 0.0, likelihood })
         })
         .collect();
@@ -169,6 +184,87 @@ mod tests {
         // Symmetric measurements: innovations cancel.
         assert!(combined[0].abs() < 1e-9);
         assert!(beta_total > 0.0);
+    }
+
+    /// The gating expression before scalars: `VecN` innovations through
+    /// `mul_vec` and `dot`.
+    fn gate_reference(
+        z_pred: &VecN,
+        s: &MatN,
+        measurements: &[VecN],
+        params: &PdaParams,
+    ) -> Vec<GatedMeasurement> {
+        let Some(s_inv) = s.inverse() else { return Vec::new() };
+        let det = s.det().max(1e-12);
+        let norm = 1.0 / (2.0 * std::f64::consts::PI * det.sqrt());
+        let mut gated: Vec<GatedMeasurement> = measurements
+            .iter()
+            .enumerate()
+            .filter_map(|(index, z)| {
+                let innovation = z - z_pred;
+                let d2 = innovation.dot(&s_inv.mul_vec(&innovation));
+                if d2 > params.gate {
+                    return None;
+                }
+                let likelihood = params.detection_prob * norm * (-0.5 * d2).exp();
+                Some(GatedMeasurement { index, innovation, beta: 0.0, likelihood })
+            })
+            .collect();
+        let miss_mass = params.clutter_density * (1.0 - params.detection_prob);
+        let total: f64 = miss_mass + gated.iter().map(|g| g.likelihood).sum::<f64>();
+        for g in &mut gated {
+            g.beta = g.likelihood / total.max(1e-300);
+        }
+        gated
+    }
+
+    fn bits(gated: &[GatedMeasurement]) -> Vec<(usize, Vec<u64>, u64, u64)> {
+        gated
+            .iter()
+            .map(|g| {
+                let innovation = g.innovation.as_slice().iter().map(|v| v.to_bits()).collect();
+                (g.index, innovation, g.beta.to_bits(), g.likelihood.to_bits())
+            })
+            .collect()
+    }
+
+    /// Seeded predictions and measurements, near and far, with exactly
+    /// zero and negative-zero innovations among them, and covariances
+    /// both symmetric and not.
+    #[test]
+    fn scalar_gate_matches_the_vecn_expression() {
+        let mut rng = av_des::RngStreams::new(0x9a7e).stream("gate");
+        let params = PdaParams::default();
+        for round in 0..2000 {
+            let z_pred = VecN::from_slice(&[rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)]);
+            let (sxx, syy) = (rng.uniform(0.01, 4.0), rng.uniform(0.01, 4.0));
+            let sxy = rng.uniform(-0.9, 0.9) * (sxx * syy).sqrt();
+            let syx = if round % 3 == 0 { sxy + rng.uniform(-0.01, 0.01) } else { sxy };
+            let mut s = MatN::from_diagonal(&[sxx, syy]);
+            (s[(0, 1)], s[(1, 0)]) = (sxy, syx);
+            let measurements: Vec<VecN> = (0..rng.uniform_usize(12))
+                .map(|_| match rng.uniform_usize(5) {
+                    0 => z_pred.clone(),
+                    1 => VecN::from_slice(&[z_pred[0], z_pred[1] + rng.uniform(-1.0, 1.0)]),
+                    2 => VecN::from_slice(&[rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)]),
+                    _ => VecN::from_slice(&[
+                        z_pred[0] + rng.normal(0.0, sxx.sqrt()),
+                        z_pred[1] + rng.normal(0.0, syy.sqrt()),
+                    ]),
+                })
+                .collect();
+            let want = gate_reference(&z_pred, &s, &measurements, &params);
+            let got = gate_measurements(&z_pred, &s, &measurements, &params);
+            assert_eq!(bits(&got), bits(&want), "round {round}");
+        }
+        // Negative-zero predictions against positive-zero measurements.
+        let z_pred = VecN::from_slice(&[-0.0, -0.0]);
+        let s = MatN::from_diagonal(&[0.5, 0.5]);
+        let measurements = vec![VecN::from_slice(&[0.0, -0.0]), VecN::from_slice(&[-0.0, 0.0])];
+        assert_eq!(
+            bits(&gate_measurements(&z_pred, &s, &measurements, &params)),
+            bits(&gate_reference(&z_pred, &s, &measurements, &params))
+        );
     }
 
     #[test]

@@ -226,12 +226,17 @@ impl Ukf {
         }
         mean[3] = sin_sum.atan2(cos_sum);
 
+        // Covariances accumulate `(d·dᵀ)·w` in place, entry by entry:
+        // the same roundings as adding the scaled outer product.
         let mut cov = self.process_noise(dt);
         for (w, p) in self.weights_cov.iter().zip(&propagated) {
             let mut d = p - &mean;
             d[3] = normalize_angle(d[3]);
-            let outer = d.outer(&d);
-            cov = &cov + &outer.scaled(*w);
+            for r in 0..STATE_DIM {
+                for c in 0..STATE_DIM {
+                    cov[(r, c)] += d[r] * d[c] * w;
+                }
+            }
         }
         cov.symmetrize();
 
@@ -244,8 +249,12 @@ impl Ukf {
             self.noise.std_meas * self.noise.std_meas,
         ]);
         for (w, p) in self.weights_cov.iter().zip(&propagated) {
-            let dz = VecN::from_slice(&[p[0] - z_mean[0], p[1] - z_mean[1]]);
-            s = &s + &dz.outer(&dz).scaled(*w);
+            let dz = [p[0] - z_mean[0], p[1] - z_mean[1]];
+            for r in 0..MEAS_DIM {
+                for c in 0..MEAS_DIM {
+                    s[(r, c)] += dz[r] * dz[c] * w;
+                }
+            }
         }
 
         self.state = mean;

@@ -14,6 +14,16 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== exp and NDT under glibc's non-FMA exp: the probe must reject the inline path =="
+# glibc picks an FMA or a non-FMA build of exp when it loads; this
+# tunable hides the FMA one. The inline exp (av_des::exp_sub_each) must
+# then stand down (inline_path_is_selected_where_libm_fuses checks it),
+# and every exp and NDT bit-equality test must still hold.
+tunables=glibc.cpu.hwcaps=-AVX2,-FMA
+GLIBC_TUNABLES=$tunables cargo test -q -p av-des exp::
+GLIBC_TUNABLES=$tunables cargo test -q -p av-perception ndt::
+GLIBC_TUNABLES=$tunables cargo test -q -p av-core kept_ndt_workspace
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
