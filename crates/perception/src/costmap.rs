@@ -267,27 +267,6 @@ impl CostmapGenerator {
         grid
     }
 
-    /// The original [`from_objects`](Self::from_objects), which samples
-    /// every footprint afresh: the oracle it is checked against bit for
-    /// bit. It never returns on an infinite extent.
-    #[cfg(test)]
-    fn objects_reference(&self, objects: &[ObjectFootprint]) -> OccupancyGrid {
-        let mut grid = OccupancyGrid::new(self.params.resolution, self.params.half_size);
-        for obj in objects {
-            self.stamp_footprint_reference(&mut grid, obj.position, obj, COST_OCCUPIED);
-            let n = obj.path.len();
-            for (k, &waypoint) in obj.path.iter().enumerate() {
-                let decay = 1.0 - (k as f64 + 1.0) / (n as f64 + 1.0);
-                let cost = (self.params.predicted_cost as f64 * decay).round() as u8;
-                if cost == 0 {
-                    continue;
-                }
-                self.stamp_footprint_reference(&mut grid, waypoint, obj, cost);
-            }
-        }
-        grid
-    }
-
     /// Combines both passes into one grid (cell-wise max).
     pub fn combine(a: &OccupancyGrid, b: &OccupancyGrid) -> OccupancyGrid {
         assert_eq!(a.cells_per_side, b.cells_per_side, "grids must have equal geometry");
@@ -311,38 +290,6 @@ impl CostmapGenerator {
                 }
                 grid.raise((r * side + c) as usize, cost);
             }
-        }
-    }
-
-    #[cfg(test)]
-    fn stamp_footprint_reference(
-        &self,
-        grid: &mut OccupancyGrid,
-        at: Vec3,
-        obj: &ObjectFootprint,
-        cost: u8,
-    ) {
-        let (sin_y, cos_y) = obj.yaw.sin_cos();
-        let hx = obj.half_extents.x.max(self.params.resolution);
-        let hy = obj.half_extents.y.max(self.params.resolution);
-        let step = self.params.resolution * 0.7;
-        let mut x = -hx;
-        while x <= hx {
-            let mut y = -hy;
-            while y <= hy {
-                let world =
-                    Vec3::new(at.x + cos_y * x - sin_y * y, at.y + sin_y * x + cos_y * y, 0.0);
-                let col = (world.x + grid.half_size) / grid.resolution;
-                let row = (world.y + grid.half_size) / grid.resolution;
-                if col >= 0.0 && row >= 0.0 {
-                    let (col, row) = (col as usize, row as usize);
-                    if col < grid.cells_per_side && row < grid.cells_per_side {
-                        grid.raise(row * grid.cells_per_side + col, cost);
-                    }
-                }
-                y += step;
-            }
-            x += step;
         }
     }
 }
@@ -398,6 +345,60 @@ impl FootprintSamples {
             for &(sin_y, cos_y) in &self.across {
                 f(x0 - sin_y, y0 + cos_y);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl CostmapGenerator {
+    /// The original [`from_objects`](Self::from_objects), which samples
+    /// every footprint afresh: the oracle it is checked against bit for
+    /// bit. It never returns on an infinite extent.
+    fn objects_reference(&self, objects: &[ObjectFootprint]) -> OccupancyGrid {
+        let mut grid = OccupancyGrid::new(self.params.resolution, self.params.half_size);
+        for obj in objects {
+            self.stamp_footprint_reference(&mut grid, obj.position, obj, COST_OCCUPIED);
+            let n = obj.path.len();
+            for (k, &waypoint) in obj.path.iter().enumerate() {
+                let decay = 1.0 - (k as f64 + 1.0) / (n as f64 + 1.0);
+                let cost = (self.params.predicted_cost as f64 * decay).round() as u8;
+                if cost == 0 {
+                    continue;
+                }
+                self.stamp_footprint_reference(&mut grid, waypoint, obj, cost);
+            }
+        }
+        grid
+    }
+
+    fn stamp_footprint_reference(
+        &self,
+        grid: &mut OccupancyGrid,
+        at: Vec3,
+        obj: &ObjectFootprint,
+        cost: u8,
+    ) {
+        let (sin_y, cos_y) = obj.yaw.sin_cos();
+        let hx = obj.half_extents.x.max(self.params.resolution);
+        let hy = obj.half_extents.y.max(self.params.resolution);
+        let step = self.params.resolution * 0.7;
+        let mut x = -hx;
+        while x <= hx {
+            let mut y = -hy;
+            while y <= hy {
+                let world =
+                    Vec3::new(at.x + cos_y * x - sin_y * y, at.y + sin_y * x + cos_y * y, 0.0);
+                let col = (world.x + grid.half_size) / grid.resolution;
+                let row = (world.y + grid.half_size) / grid.resolution;
+                if col >= 0.0 && row >= 0.0 {
+                    let (col, row) = (col as usize, row as usize);
+                    if col < grid.cells_per_side && row < grid.cells_per_side {
+                        grid.raise(row * grid.cells_per_side + col, cost);
+                    }
+                }
+                y += step;
+            }
+            x += step;
         }
     }
 }

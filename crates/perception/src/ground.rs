@@ -160,10 +160,12 @@ impl RayGroundFilter {
         }
         GroundSplit { ground, no_ground }
     }
+}
 
+#[cfg(test)]
+impl RayGroundFilter {
     /// The original split, with a vector per bin and `tan` per point:
     /// the oracle [`split`](Self::split) is checked against bit for bit.
-    #[cfg(test)]
     fn split_reference(&self, cloud: &PointCloud) -> GroundSplit {
         let p = &self.params;
         let mut bins: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p.rays];

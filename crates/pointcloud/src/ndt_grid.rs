@@ -227,6 +227,7 @@ impl NdtGrid {
 
     /// The integer cell coordinate containing `p` — the cache key for
     /// [`cells_around_key`](Self::cells_around_key).
+    #[inline]
     pub fn key_of(&self, p: Vec3) -> (i32, i32, i32) {
         self.cells_of.key(p)
     }

@@ -109,14 +109,14 @@ impl ImmFilter {
             let mut mix_state = VecN::zeros(STATE_DIM);
             let mut sin_sum = 0.0;
             let mut cos_sum = 0.0;
-            for i in 0..N_MODELS {
+            for (i, (sin, cos)) in headings.iter().enumerate() {
                 let mu = self.params.transition[i][j] * self.probs[i] / cj.max(1e-12);
                 let s = self.filters[i].state();
                 for k in [0, 1, 2, 4] {
                     mix_state[k] += mu * s[k];
                 }
-                sin_sum += mu * headings[i].0;
-                cos_sum += mu * headings[i].1;
+                sin_sum += mu * sin;
+                cos_sum += mu * cos;
             }
             mix_state[3] = sin_sum.atan2(cos_sum);
             let mut mix_cov = MatN::zeros(STATE_DIM, STATE_DIM);
