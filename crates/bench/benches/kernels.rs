@@ -1,5 +1,6 @@
 //! Wall-clock benchmarks of the real algorithm kernels — the substrate's
 //! own performance (wall-clock), complementing the modeled latencies.
+//! Each run also writes the rows to `results/kernels/BENCH_kernels.json`.
 
 use av_bench::microbench::Bench;
 use av_core::map::{map_builder, mapping_scenes};
@@ -355,4 +356,7 @@ fn main() {
     bench_costmap(&mut c);
     bench_tracker(&mut c);
     bench_nms(&mut c);
+    // The committed kernel ledger: one row per kernel, with quartiles.
+    let ledger = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/kernels/BENCH_kernels.json");
+    av_bench::cli::write(ledger, c.ledger_json("kernels"));
 }

@@ -22,7 +22,6 @@
 //! processes arriving at the same horizon can be `cmp`-ed directly.
 
 use av_bench::cli::{self, Args};
-use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::stack::{drive, drive_fingerprint, Checkpoint, DriveRequest, RunConfig, StackConfig};
 use av_sweep::{SweepPoint, WorldKind};
@@ -95,14 +94,6 @@ fn parse_args() -> Options {
     options
 }
 
-/// Persists a checkpoint, warning instead of dying: losing a snapshot
-/// only costs future warm starts, never this run's outputs.
-fn persist(store: &CkptStore, checkpoint: &Checkpoint) {
-    if let Err(e) = store.put(checkpoint) {
-        eprintln!("warning: could not persist checkpoint: {e}");
-    }
-}
-
 fn main() {
     let options = parse_args();
     let config: StackConfig = options.point.apply(&options.world.base_config());
@@ -148,7 +139,7 @@ fn main() {
                     ..DriveRequest::default()
                 };
                 let cp = drive(&config, &leg, request).1.expect("captured at the barrier");
-                persist(st, &cp);
+                st.put_or_warn(&cp);
                 cursor = Some(cp);
             }
             barrier_s += every;
@@ -167,7 +158,7 @@ fn main() {
     };
     let (report, captured) = drive(&config, &run, request);
     if let (Some(st), Some(cp)) = (&store, &captured) {
-        persist(st, cp);
+        st.put_or_warn(cp);
     }
     let hash = run_hash(&report);
 

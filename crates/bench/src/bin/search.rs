@@ -38,7 +38,7 @@
 use av_bench::cli::{self, json_object, Args, Jobs};
 use av_sweep::search::{run_search_with_store, trajectory_from_json};
 use av_sweep::{
-    run_search, run_search_instrumented, search_artifacts, BatchRecord, SearchArtifacts, SearchSpec,
+    run_search_instrumented, search_artifacts, BatchRecord, SearchArtifacts, SearchSpec,
 };
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -241,7 +241,10 @@ fn main() {
     options.jobs.check(
         "search",
         |level| {
-            let other = search_artifacts(&options.spec, &run_search(&options.spec, level, &[]));
+            let other = search_artifacts(
+                &options.spec,
+                &run_search_instrumented(&options.spec, level, &[], true).0,
+            );
             let mut violations = Vec::new();
             if other.search_hash != artifacts.search_hash {
                 violations.push(format!(

@@ -25,7 +25,9 @@
 
 use av_bench::cli::{self, bytes_hash, Args, Jobs};
 use av_core::stack::RunConfig;
-use av_sweep::{aggregate, run_sweep, run_sweep_streamed, PointResult, SweepArtifacts, SweepSpec};
+use av_sweep::{
+    aggregate, run_sweep_instrumented, run_sweep_streamed, PointResult, SweepArtifacts, SweepSpec,
+};
 use av_trace::export::render_chrome_trace;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -178,7 +180,7 @@ fn main() {
     options.jobs.check(
         "sweep",
         |level| {
-            let rerun = run_sweep(&options.spec, &options.run, level);
+            let rerun = run_sweep_instrumented(&options.spec, &options.run, level).0;
             let other = aggregate(&options.spec, &rerun);
             let mut violations = Vec::new();
             if other.sweep_hash != artifacts.sweep_hash {

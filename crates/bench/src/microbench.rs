@@ -5,15 +5,26 @@
 //! (`bench_function` + `b.iter(..)`), so a target reads the same either
 //! way: each sample invokes the closure once, the closure times the work
 //! it wraps with `iter`, and the harness prints median/min/max across
-//! samples.
+//! samples. Each benchmark's median and quartiles are kept for
+//! [`Bench::ledger_json`], which renders them for a committed ledger.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// A benchmark runner: collects `sample_size` timed samples per
-/// registered function and prints a summary line.
+/// registered function, prints a summary line and keeps its quartiles.
 pub struct Bench {
     sample_size: u32,
+    rows: Vec<Row>,
+}
+
+/// One benchmark's seconds per iteration across its timed samples.
+struct Row {
+    name: String,
+    median_s: f64,
+    q1_s: f64,
+    q3_s: f64,
+    samples: usize,
 }
 
 impl Default for Bench {
@@ -25,7 +36,7 @@ impl Default for Bench {
 impl Bench {
     /// Creates a runner with the default sample count (20).
     pub fn new() -> Bench {
-        Bench { sample_size: 20 }
+        Bench { sample_size: 20, rows: Vec::new() }
     }
 
     /// Sets how many timed samples each benchmark collects.
@@ -53,15 +64,47 @@ impl Bench {
             println!("{name:<40} (no samples)");
             return;
         }
-        let median = per_iter[per_iter.len() / 2];
-        let min = per_iter[0];
-        let max = per_iter[per_iter.len() - 1];
+        let n = per_iter.len();
+        let median = per_iter[n / 2];
         println!(
             "{name:<40} {:>12} [{} .. {}]",
             format_time(median),
-            format_time(min),
-            format_time(max),
+            format_time(per_iter[0]),
+            format_time(per_iter[n - 1]),
         );
+        self.rows.push(Row {
+            name: name.to_string(),
+            median_s: median,
+            q1_s: per_iter[n / 4],
+            q3_s: per_iter[3 * n / 4],
+            samples: n,
+        });
+    }
+
+    /// The rows as a JSON ledger (nanoseconds per iteration), headed by
+    /// the `bench` name and the host's core count.
+    pub fn ledger_json(&self, bench: &str) -> String {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let ns = |s: f64| format!("{:.1}", s * 1e9);
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"name\": {:?}, \"median_ns\": {}, \"q1_ns\": {}, \"q3_ns\": {}, \
+                     \"samples\": {}}}",
+                    r.name,
+                    ns(r.median_s),
+                    ns(r.q1_s),
+                    ns(r.q3_s),
+                    r.samples
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"bench\": {bench:?},\n  \"cores\": {cores},\n  \"rows\": [\n{}\n  ]\n}}\n",
+            rows.join(",\n")
+        )
     }
 }
 
@@ -121,6 +164,24 @@ mod tests {
         });
         // 1 warm-up + 5 samples.
         assert_eq!(calls, 6);
+    }
+
+    #[test]
+    fn rows_keep_median_and_quartiles() {
+        let mut bench = Bench::new().sample_size(8);
+        let mut k = 0u64;
+        bench.bench_function("spin/a", |b| {
+            k += 1;
+            b.iter(|| (0..k * 1000).fold(0u64, |acc, v| acc ^ black_box(v)));
+        });
+        assert_eq!(bench.rows.len(), 1);
+        let row = &bench.rows[0];
+        assert_eq!((row.name.as_str(), row.samples), ("spin/a", 8));
+        assert!(row.q1_s <= row.median_s && row.median_s <= row.q3_s);
+        let json = bench.ledger_json("kernels");
+        assert!(json.starts_with("{\n  \"bench\": \"kernels\",\n  \"cores\": "));
+        assert!(json.contains("{\"name\": \"spin/a\", \"median_ns\": "));
+        assert!(json.contains("\"samples\": 8}"));
     }
 
     #[test]

@@ -60,6 +60,7 @@
 use crate::determinism::fnv64;
 use crate::durable::{pending_path, publish, quarantine_file, RecoveryReport};
 use crate::stack::{Checkpoint, CheckpointHeader};
+use av_des::splitmix64;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -154,13 +155,6 @@ pub enum StoreFault {
 #[derive(Debug, Clone, Copy)]
 pub struct StoreFaultPlan {
     seed: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl StoreFaultPlan {
@@ -431,6 +425,15 @@ impl CkptStore {
         let key = (header.fingerprint, header.barrier_ns);
         self.index.lock().unwrap().insert(key, entry.clone());
         Ok(info(key, &entry))
+    }
+
+    /// [`put`](CkptStore::put), warning on stderr instead of failing: a
+    /// lost snapshot only costs future warm starts, never the caller's
+    /// outputs.
+    pub fn put_or_warn(&self, checkpoint: &Checkpoint) {
+        if let Err(e) = self.put(checkpoint) {
+            eprintln!("warning: could not persist checkpoint: {e}");
+        }
     }
 
     /// Simulates a writer dying mid-[`put`](CkptStore::put) according

@@ -22,8 +22,8 @@ use av_planning::{LocalPlannerParams, PurePursuitParams, TwistFilterParams, Wayp
 use av_platform::{CpuStats, GpuStats, Platform, PowerReport};
 use av_profiling::{LatencyRecorder, PathSpec, SharedRecorder, Summary, Table};
 use av_ros::{
-    Bus, BusObserver, DropStats, FanoutObserver, FaultKind, Lineage, Message, Node, Outbox,
-    RestoredContinuation, Source, SubscriptionSpec,
+    Bus, BusObserver, DropStats, EdgeFaultKind, FanoutObserver, FaultKind, Lineage, Message, Node,
+    Outbox, RestoredContinuation, Source, SubscriptionSpec,
 };
 use av_trace::{MetricSample, SharedTracer, TraceConfig, TraceData, TraceEvent};
 use av_tracking::{PredictParams, TrackerParams};
@@ -42,55 +42,6 @@ pub fn computation_paths() -> Vec<PathSpec> {
         PathSpec::new("costmap_points", node_names::COSTMAP_GENERATOR, Source::Lidar),
         PathSpec::new("costmap_vision_obj", node_names::COSTMAP_GENERATOR_OBJ, Source::Camera),
         PathSpec::new("costmap_cluster_obj", node_names::COSTMAP_GENERATOR_OBJ, Source::Lidar),
-    ]
-}
-
-/// Static scheduler metadata per subscription: `(node, topic, rank,
-/// downstream_ms)`. `rank` is the Priority policy's static urgency
-/// (lower = dispatched first); `downstream_ms` is the estimated
-/// remaining chain cost past this node, the slack term the chain-aware
-/// policy subtracts from the path deadline. Both are calibrated against
-/// the default cost model; they are scheduling hints, not measurements,
-/// so they stay static across detectors. Entries for nodes a
-/// configuration does not launch are skipped at wiring time.
-pub fn sched_metadata() -> Vec<(&'static str, &'static str, u64, u64)> {
-    use crate::topics::*;
-    vec![
-        // Localization chain: the paper's deadline-defining path.
-        (node_names::VOXEL_GRID_FILTER, POINTS_RAW, 10, 60),
-        (node_names::NDT_MATCHING, FILTERED_POINTS, 10, 15),
-        (node_names::NDT_MATCHING, GNSS_POSE, 40, 15),
-        (node_names::NDT_MATCHING, IMU_RAW, 40, 15),
-        (node_names::FALLBACK_LOCALIZER, GNSS_POSE, 40, 10),
-        (node_names::FALLBACK_LOCALIZER, IMU_RAW, 40, 10),
-        // LiDAR perception chain.
-        (node_names::RAY_GROUND_FILTER, POINTS_RAW, 20, 45),
-        (node_names::EUCLIDEAN_CLUSTER, POINTS_NO_GROUND, 20, 20),
-        // Vision chain (heaviest single node).
-        (node_names::VISION_DETECTION, IMAGE_RAW, 20, 25),
-        // Fusion / tracking mid-chain.
-        (node_names::RANGE_VISION_FUSION, LIDAR_DETECTOR_OBJECTS, 25, 20),
-        (node_names::RANGE_VISION_FUSION, IMAGE_DETECTOR_OBJECTS, 25, 20),
-        (node_names::RANGE_VISION_FUSION, NDT_POSE, 35, 20),
-        (node_names::IMM_UKF_PDA_TRACKER, FUSION_TOOLS_OBJECTS, 25, 15),
-        (node_names::IMM_UKF_PDA_TRACKER, RADAR_DETECTOR_OBJECTS, 25, 15),
-        (node_names::UKF_TRACK_RELAY, OBJECT_TRACKER_OBJECTS, 25, 12),
-        (node_names::NAIVE_MOTION_PREDICT, DETECTION_OBJECTS, 25, 10),
-        // Costmap sinks (path terminals).
-        (node_names::COSTMAP_GENERATOR, POINTS_NO_GROUND, 15, 2),
-        (node_names::COSTMAP_GENERATOR_OBJ, MOTION_PREDICTOR_OBJECTS, 15, 2),
-        (node_names::COSTMAP_GENERATOR_OBJ, NDT_POSE, 35, 2),
-        // Extensions.
-        (node_names::TRAFFIC_LIGHT_RECOGNITION, IMAGE_RAW, 30, 5),
-        (node_names::TRAFFIC_LIGHT_RECOGNITION, NDT_POSE, 35, 5),
-        (node_names::RADAR_DETECTION, RADAR_RAW, 20, 18),
-        (node_names::RADAR_DETECTION, NDT_POSE, 35, 18),
-        // Actuation: most control-critical, cheapest remaining work.
-        (node_names::OP_LOCAL_PLANNER, COSTMAP_OBJECTS, 5, 8),
-        (node_names::OP_LOCAL_PLANNER, NDT_POSE, 35, 8),
-        (node_names::PURE_PURSUIT, FINAL_WAYPOINTS, 5, 3),
-        (node_names::PURE_PURSUIT, NDT_POSE, 35, 3),
-        (node_names::TWIST_FILTER, TWIST_RAW, 5, 1),
     ]
 }
 
@@ -697,13 +648,28 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
     let calib = &config.calib;
     let sel = &config.selection;
     let crashed = config.faults.crashed_nodes();
-    let q1 = |topic: &str| SubscriptionSpec::new(topic, config.queue_capacity);
+    // Each subscription carries its static scheduling hints: `rank` is the
+    // Priority policy's urgency (lower = dispatched first) and
+    // `downstream_ms` the estimated remaining chain cost past this node,
+    // the slack term the chain-aware policy subtracts from the path
+    // deadline. Both are calibrated against the default cost model; they
+    // are scheduling hints, not measurements, so they stay static across
+    // detectors. FIFO never reads them.
+    let sub = |topic: &str, capacity: usize, rank: u64, downstream_ms: u64| SubscriptionSpec {
+        rank,
+        downstream: SimDuration::from_millis(downstream_ms),
+        ..SubscriptionSpec::new(topic, capacity)
+    };
+    let q1 = |topic: &str, rank: u64, downstream_ms: u64| {
+        sub(topic, config.queue_capacity, rank, downstream_ms)
+    };
 
+    // Localization chain: the paper's deadline-defining path.
     if wants(sel, node_names::VOXEL_GRID_FILTER) {
         bus.add_node(
             node_names::VOXEL_GRID_FILTER,
             VoxelGridFilterNode::new(config.voxel_leaf, calib, streams.stream("voxel")),
-            &[q1(topics::POINTS_RAW)],
+            &[q1(topics::POINTS_RAW, 10, 60)],
         );
     }
 
@@ -720,13 +686,14 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
             node_names::NDT_MATCHING,
             Shared(Rc::clone(&ndt_shared)),
             &[
-                q1(topics::FILTERED_POINTS),
-                SubscriptionSpec::new(topics::GNSS_POSE, 4),
-                SubscriptionSpec::new(topics::IMU_RAW, 16),
+                q1(topics::FILTERED_POINTS, 10, 15),
+                sub(topics::GNSS_POSE, 4, 40, 15),
+                sub(topics::IMU_RAW, 16, 40, 15),
             ],
         );
     }
 
+    // LiDAR perception chain.
     if wants(sel, node_names::RAY_GROUND_FILTER) {
         bus.add_node(
             node_names::RAY_GROUND_FILTER,
@@ -738,7 +705,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
                 calib,
                 streams.stream("ground"),
             ),
-            &[q1(topics::POINTS_RAW)],
+            &[q1(topics::POINTS_RAW, 20, 45)],
         );
     }
 
@@ -746,23 +713,26 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::EUCLIDEAN_CLUSTER,
             EuclideanClusterNode::new(ClusterParams::default(), calib, streams.stream("cluster")),
-            &[q1(topics::POINTS_NO_GROUND)],
+            &[q1(topics::POINTS_NO_GROUND, 20, 20)],
         );
     }
 
+    // Vision chain (heaviest single node). The supervisor takes the
+    // shared handle for the detector fallback (hot-swap to the cheapest
+    // network during post-restart warmup) when the plan crashes it;
+    // sharing changes nothing about the node's behavior.
     let mut vision_shared: Option<Rc<RefCell<VisionDetectionNode>>> = None;
     if wants(sel, node_names::VISION_DETECTION) {
         let node = VisionDetectionNode::new(config.detector, calib, streams.stream("vision"));
+        let shared = Rc::new(RefCell::new(node));
         if faults_active && crashed.contains(&node_names::VISION_DETECTION) {
-            // The supervisor needs a handle for the detector fallback
-            // (hot-swap to the cheapest network during post-restart
-            // warmup); sharing changes nothing about the node's behavior.
-            let shared = Rc::new(RefCell::new(node));
             vision_shared = Some(Rc::clone(&shared));
-            bus.add_node(node_names::VISION_DETECTION, Shared(shared), &[q1(topics::IMAGE_RAW)]);
-        } else {
-            bus.add_node(node_names::VISION_DETECTION, node, &[q1(topics::IMAGE_RAW)]);
         }
+        bus.add_node(
+            node_names::VISION_DETECTION,
+            Shared(shared),
+            &[q1(topics::IMAGE_RAW, 20, 25)],
+        );
     }
 
     // The dead-reckoning fallback localizer rides along only when the
@@ -780,16 +750,14 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::FALLBACK_LOCALIZER,
             Shared(Rc::clone(&node)),
-            &[
-                SubscriptionSpec::new(topics::GNSS_POSE, 4),
-                SubscriptionSpec::new(topics::IMU_RAW, 16),
-            ],
+            &[sub(topics::GNSS_POSE, 4, 40, 10), sub(topics::IMU_RAW, 16, 40, 10)],
         );
         Some(node)
     } else {
         None
     };
 
+    // Fusion / tracking mid-chain.
     if wants(sel, node_names::RANGE_VISION_FUSION) {
         bus.add_node(
             node_names::RANGE_VISION_FUSION,
@@ -803,9 +771,9 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
                 streams.stream("fusion"),
             ),
             &[
-                q1(topics::LIDAR_DETECTOR_OBJECTS),
-                q1(topics::IMAGE_DETECTOR_OBJECTS),
-                q1(topics::NDT_POSE),
+                q1(topics::LIDAR_DETECTOR_OBJECTS, 25, 20),
+                q1(topics::IMAGE_DETECTOR_OBJECTS, 25, 20),
+                q1(topics::NDT_POSE, 35, 20),
             ],
         );
     }
@@ -814,7 +782,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::IMM_UKF_PDA_TRACKER,
             ImmUkfPdaTrackerNode::new(TrackerParams::default(), calib, streams.stream("tracker")),
-            &[q1(topics::FUSION_TOOLS_OBJECTS), q1(topics::RADAR_DETECTOR_OBJECTS)],
+            &[q1(topics::FUSION_TOOLS_OBJECTS, 25, 15), q1(topics::RADAR_DETECTOR_OBJECTS, 25, 15)],
         );
     }
 
@@ -822,7 +790,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::UKF_TRACK_RELAY,
             UkfTrackRelayNode::new(calib, streams.stream("relay")),
-            &[q1(topics::OBJECT_TRACKER_OBJECTS)],
+            &[q1(topics::OBJECT_TRACKER_OBJECTS, 25, 12)],
         );
     }
 
@@ -830,15 +798,16 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::NAIVE_MOTION_PREDICT,
             NaiveMotionPredictNode::new(PredictParams::default(), calib, streams.stream("predict")),
-            &[q1(topics::DETECTION_OBJECTS)],
+            &[q1(topics::DETECTION_OBJECTS, 25, 10)],
         );
     }
 
+    // Costmap sinks (path terminals).
     if wants(sel, node_names::COSTMAP_GENERATOR) {
         bus.add_node(
             node_names::COSTMAP_GENERATOR,
             CostmapGeneratorNode::new(CostmapParams::default(), calib, streams.stream("costmap")),
-            &[q1(topics::POINTS_NO_GROUND)],
+            &[q1(topics::POINTS_NO_GROUND, 15, 2)],
         );
     }
 
@@ -850,10 +819,11 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
                 calib,
                 streams.stream("costmap_obj"),
             ),
-            &[q1(topics::MOTION_PREDICTOR_OBJECTS), q1(topics::NDT_POSE)],
+            &[q1(topics::MOTION_PREDICTOR_OBJECTS, 15, 2), q1(topics::NDT_POSE, 35, 2)],
         );
     }
 
+    // Extensions.
     if config.with_traffic_lights {
         bus.add_node(
             node_names::TRAFFIC_LIGHT_RECOGNITION,
@@ -862,7 +832,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
                 calib,
                 streams.stream("traffic_light"),
             ),
-            &[q1(topics::IMAGE_RAW), q1(topics::NDT_POSE)],
+            &[q1(topics::IMAGE_RAW, 30, 5), q1(topics::NDT_POSE, 35, 5)],
         );
     }
 
@@ -870,10 +840,11 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::RADAR_DETECTION,
             RadarDetectionNode::new(calib, streams.stream("radar_node")),
-            &[q1(topics::RADAR_RAW), q1(topics::NDT_POSE)],
+            &[q1(topics::RADAR_RAW, 20, 18), q1(topics::NDT_POSE, 35, 18)],
         );
     }
 
+    // Actuation: most control-critical, cheapest remaining work.
     if config.with_actuation {
         let mut planner = OpLocalPlannerNode::new(
             LocalPlannerParams::default(),
@@ -890,34 +861,29 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::OP_LOCAL_PLANNER,
             planner,
-            &[q1(topics::COSTMAP_OBJECTS), q1(topics::NDT_POSE)],
+            &[q1(topics::COSTMAP_OBJECTS, 5, 8), q1(topics::NDT_POSE, 35, 8)],
         );
         bus.add_node(
             node_names::PURE_PURSUIT,
             PurePursuitNode::new(PurePursuitParams::default(), calib, streams.stream("pursuit")),
-            &[q1(topics::FINAL_WAYPOINTS), q1(topics::NDT_POSE)],
+            &[q1(topics::FINAL_WAYPOINTS, 5, 3), q1(topics::NDT_POSE, 35, 3)],
         );
         bus.add_node(
             node_names::TWIST_FILTER,
             TwistFilterNode::new(TwistFilterParams::default(), calib, streams.stream("twist")),
-            &[q1(topics::TWIST_RAW)],
+            &[q1(topics::TWIST_RAW, 5, 1)],
         );
     }
 
     // --- Scheduler policy -------------------------------------------------
-    // FIFO leaves the bus in its construction state: no policy call, no
-    // per-subscription metadata, no trace header — the run is bit-identical
-    // to one built before scheduling policies existed. Any other policy is
-    // wired here, with the paper's 100 ms deadline as the per-path budget.
+    // FIFO leaves the bus in its construction state: no policy call and no
+    // trace header, and it never reads the subscriptions' scheduling
+    // hints — the run is bit-identical to one built before scheduling
+    // policies existed. Any other policy is wired here, with the paper's
+    // 100 ms deadline as the per-path budget.
     if config.sched_policy != SchedPolicyKind::Fifo {
         let budget = SimDuration::from_millis(crate::metrics::DEADLINE_MS as u64);
         bus.set_sched_policy(config.sched_policy, budget);
-        let subs = bus.queue_depths();
-        for (node, topic, rank, downstream_ms) in sched_metadata() {
-            if subs.iter().any(|(t, n, _)| t == topic && n == node) {
-                bus.set_sub_sched_meta(node, topic, rank, SimDuration::from_millis(downstream_ms));
-            }
-        }
         if let Some(tracer) = &tracer {
             tracer.set_policy(config.sched_policy.name());
         }
@@ -967,25 +933,14 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
                         bus.set_slow(node, *factor, t(*from_s), t(*to_s));
                     }
                 }
-                FaultSpec::Drop { topic, node, rate, from_s, to_s } => {
-                    bus.set_edge_drop(
-                        topic,
-                        node,
-                        *rate,
-                        t(*from_s),
-                        t(*to_s),
-                        streams.stream(&format!("fault-{label}")),
-                    );
-                }
-                FaultSpec::Duplicate { topic, node, rate, from_s, to_s } => {
-                    bus.set_edge_duplicate(
-                        topic,
-                        node,
-                        *rate,
-                        t(*from_s),
-                        t(*to_s),
-                        streams.stream(&format!("fault-{label}")),
-                    );
+                FaultSpec::Drop { topic, node, rate, from_s, to_s }
+                | FaultSpec::Duplicate { topic, node, rate, from_s, to_s } => {
+                    let kind = match spec {
+                        FaultSpec::Duplicate { .. } => EdgeFaultKind::Duplicate,
+                        _ => EdgeFaultKind::Drop,
+                    };
+                    let rng = streams.stream(&format!("fault-{label}"));
+                    bus.set_edge_fault(topic, node, kind, *rate, t(*from_s)..t(*to_s), rng);
                 }
                 FaultSpec::TimerSkew { .. } => {} // applied to the sensor clocks below
             }
@@ -1056,138 +1011,72 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
     // before the publication they would otherwise observe late.
     let sensor_key = |k: u64| if config.sched_policy == SchedPolicyKind::Fifo { 0 } else { k };
 
-    register(
-        sensor_key(1),
-        SimDuration::from_secs_f64(1.0 / config.lidar.rate_hz),
-        SimDuration::from_millis(2),
-        streams.stream("lidar_clock"),
-        timer_skew(Source::Lidar),
-        {
-            let (sim, bus, world, lidar) =
-                (sim.clone(), bus.clone(), Rc::clone(&world), Rc::clone(&lidar));
-            let rng = Rc::new(RefCell::new(streams.stream("lidar_noise")));
-            noise_rngs.push(("lidar_noise", Rc::clone(&rng)));
-            let blackouts = config.blackouts.clone();
-            Box::new(move || {
-                let now = sim.now();
-                if blacked_out(&blackouts, Source::Lidar, now.as_secs_f64()) {
-                    return;
-                }
-                let scene = world.snapshot(now.as_secs_f64());
-                let sweep = lidar.scan(&world, &scene, &mut rng.borrow_mut());
-                bus.publish(
-                    topics::POINTS_RAW,
-                    Msg::PointCloud(sweep),
-                    Lineage::origin(Source::Lidar, now),
-                );
-            })
-        },
-    );
+    // One sensor driver: a `<source>_clock` timer, skewed by the plan's
+    // timer-skew fault on that source, that hands `sample` the tick time
+    // (seconds) and whether the sensor is blacked out then, and publishes
+    // what it returns as the origin of a `source` lineage.
+    let mut sensor = |source: Source,
+                      key: u64,
+                      period: SimDuration,
+                      jitter: SimDuration,
+                      topic: &'static str,
+                      mut sample: Box<dyn FnMut(f64, bool) -> Option<Msg>>| {
+        let (sim, bus, blackouts) = (sim.clone(), bus.clone(), config.blackouts.clone());
+        let tick = Box::new(move || {
+            let now = sim.now();
+            let t = now.as_secs_f64();
+            if let Some(msg) = sample(t, blacked_out(&blackouts, source, t)) {
+                bus.publish(topic, msg, Lineage::origin(source, now));
+            }
+        });
+        let clock = streams.stream(&format!("{}_clock", source.name()));
+        register(sensor_key(key), period, jitter, clock, timer_skew(source), tick);
+    };
+    let ms = SimDuration::from_millis;
+    let mut noise = |name: &'static str| {
+        let rng = Rc::new(RefCell::new(streams.stream(name)));
+        noise_rngs.push((name, Rc::clone(&rng)));
+        rng
+    };
 
-    register(
-        sensor_key(2),
-        SimDuration::from_secs_f64(1.0 / config.camera.rate_hz),
-        SimDuration::from_millis(3),
-        streams.stream("camera_clock"),
-        timer_skew(Source::Camera),
-        {
-            let (sim, bus, world, camera) =
-                (sim.clone(), bus.clone(), Rc::clone(&world), Rc::clone(&camera));
-            let blackouts = config.blackouts.clone();
-            Box::new(move || {
-                let now = sim.now();
-                if blacked_out(&blackouts, Source::Camera, now.as_secs_f64()) {
-                    return;
-                }
-                let scene = world.snapshot(now.as_secs_f64());
-                let frame = camera.capture(&world, &scene);
-                bus.publish(
-                    topics::IMAGE_RAW,
-                    Msg::Image(frame),
-                    Lineage::origin(Source::Camera, now),
-                );
-            })
-        },
-    );
+    let (w, l, rng) = (Rc::clone(&world), Rc::clone(&lidar), noise("lidar_noise"));
+    let lidar_period = SimDuration::from_secs_f64(1.0 / config.lidar.rate_hz);
+    let scan = move |t: f64, dark: bool| {
+        (!dark).then(|| Msg::PointCloud(l.scan(&w, &w.snapshot(t), &mut rng.borrow_mut())))
+    };
+    sensor(Source::Lidar, 1, lidar_period, ms(2), topics::POINTS_RAW, Box::new(scan));
 
-    register(
-        sensor_key(4),
-        SimDuration::from_secs(1),
-        SimDuration::ZERO,
-        streams.stream("gnss_clock"),
-        timer_skew(Source::Gnss),
-        {
-            let (sim, bus, world) = (sim.clone(), bus.clone(), Rc::clone(&world));
-            let rng = Rc::new(RefCell::new(streams.stream("gnss_noise")));
-            noise_rngs.push(("gnss_noise", Rc::clone(&rng)));
-            let blackouts = config.blackouts.clone();
-            Box::new(move || {
-                let now = sim.now();
-                // A GNSS outage (urban canyon, tunnel) silences the fix
-                // stream; the blackout check comes after the noise draw so
-                // the RNG stream stays phase-aligned with an uninterrupted
-                // run — only the publication is suppressed.
-                let ego = world.ego_state(now.as_secs_f64());
-                let fix = av_world::GnssFix::sample(&ego, 1.5, &mut rng.borrow_mut());
-                if blacked_out(&blackouts, Source::Gnss, now.as_secs_f64()) {
-                    return;
-                }
-                bus.publish(topics::GNSS_POSE, Msg::Gnss(fix), Lineage::origin(Source::Gnss, now));
-            })
-        },
-    );
+    let (w, c) = (Rc::clone(&world), Rc::clone(&camera));
+    let camera_period = SimDuration::from_secs_f64(1.0 / config.camera.rate_hz);
+    let capture =
+        move |t: f64, dark: bool| (!dark).then(|| Msg::Image(c.capture(&w, &w.snapshot(t))));
+    sensor(Source::Camera, 2, camera_period, ms(3), topics::IMAGE_RAW, Box::new(capture));
 
-    register(
-        sensor_key(5),
-        SimDuration::from_millis(10),
-        SimDuration::ZERO,
-        streams.stream("imu_clock"),
-        timer_skew(Source::Imu),
-        {
-            let (sim, bus, world) = (sim.clone(), bus.clone(), Rc::clone(&world));
-            let rng = Rc::new(RefCell::new(streams.stream("imu_noise")));
-            noise_rngs.push(("imu_noise", Rc::clone(&rng)));
-            let blackouts = config.blackouts.clone();
-            Box::new(move || {
-                let now = sim.now();
-                let ego = world.ego_state(now.as_secs_f64());
-                let sample = av_world::ImuSample::sample(&ego, &mut rng.borrow_mut());
-                if blacked_out(&blackouts, Source::Imu, now.as_secs_f64()) {
-                    return;
-                }
-                bus.publish(topics::IMU_RAW, Msg::Imu(sample), Lineage::origin(Source::Imu, now));
-            })
-        },
-    );
+    // GNSS and IMU draw their noise before the blackout check, so the RNG
+    // stream stays phase-aligned with an uninterrupted run; an outage
+    // (urban canyon, tunnel) only suppresses the publication.
+    let (w, rng) = (Rc::clone(&world), noise("gnss_noise"));
+    let fix = move |t: f64, dark: bool| {
+        let fix = av_world::GnssFix::sample(&w.ego_state(t), 1.5, &mut rng.borrow_mut());
+        (!dark).then_some(Msg::Gnss(fix))
+    };
+    sensor(Source::Gnss, 4, SimDuration::from_secs(1), ms(0), topics::GNSS_POSE, Box::new(fix));
+
+    let (w, rng) = (Rc::clone(&world), noise("imu_noise"));
+    let imu = move |t: f64, dark: bool| {
+        let sample = av_world::ImuSample::sample(&w.ego_state(t), &mut rng.borrow_mut());
+        (!dark).then_some(Msg::Imu(sample))
+    };
+    sensor(Source::Imu, 5, ms(10), ms(0), topics::IMU_RAW, Box::new(imu));
 
     if config.with_radar {
-        let radar_model = Rc::new(av_world::RadarModel::new(config.radar.clone()));
-        register(
-            sensor_key(3),
-            SimDuration::from_secs_f64(1.0 / config.radar.rate_hz),
-            SimDuration::from_millis(1),
-            streams.stream("radar_clock"),
-            timer_skew(Source::Radar),
-            {
-                let (sim, bus, world) = (sim.clone(), bus.clone(), Rc::clone(&world));
-                let rng = Rc::new(RefCell::new(streams.stream("radar_noise")));
-                noise_rngs.push(("radar_noise", Rc::clone(&rng)));
-                let blackouts = config.blackouts.clone();
-                Box::new(move || {
-                    let now = sim.now();
-                    if blacked_out(&blackouts, Source::Radar, now.as_secs_f64()) {
-                        return;
-                    }
-                    let scene = world.snapshot(now.as_secs_f64());
-                    let scan = radar_model.scan(&scene, &mut rng.borrow_mut());
-                    bus.publish(
-                        topics::RADAR_RAW,
-                        Msg::Radar(scan),
-                        Lineage::origin(Source::Radar, now),
-                    );
-                })
-            },
-        );
+        let radar = av_world::RadarModel::new(config.radar.clone());
+        let (w, rng) = (Rc::clone(&world), noise("radar_noise"));
+        let period = SimDuration::from_secs_f64(1.0 / config.radar.rate_hz);
+        let scan = move |t: f64, dark: bool| {
+            (!dark).then(|| Msg::Radar(radar.scan(&w.snapshot(t), &mut rng.borrow_mut())))
+        };
+        sensor(Source::Radar, 3, period, ms(1), topics::RADAR_RAW, Box::new(scan));
     }
 
     // Localization-error sampler (1 Hz diagnostic). The first seconds of

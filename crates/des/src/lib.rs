@@ -48,7 +48,7 @@ mod snap;
 mod time;
 
 pub use exp::{exp_sub_each, inline_exp_selected};
-pub use rng::{RngStreams, StreamRng};
+pub use rng::{splitmix64, RngStreams, StreamRng};
 pub use sched::{ReadyItem, SchedPolicy, SchedPolicyKind};
 pub use sim::{EventHandle, Sim};
 pub use snap::{Leaf, Snap, SnapError, SnapReader, SnapWriter};

@@ -243,16 +243,31 @@ impl CostmapGenerator {
     }
 
     /// Rasterizes tracked objects and their predicted paths. A footprint
-    /// whose position, yaw or extents are not finite marks nothing.
+    /// whose position, yaw or extents are not finite marks nothing. One
+    /// wider than any view of the grid (a half-extent past
+    /// `half_size·√2`, the grid's widest projection onto an axis) is
+    /// sampled per stamp, only where it can land in the grid, so no
+    /// extent costs more samples than the grid can receive.
     pub fn from_objects(&self, objects: &[ObjectFootprint]) -> OccupancyGrid {
-        let mut grid = OccupancyGrid::new(self.params.resolution, self.params.half_size);
+        let (resolution, half_size) = (self.params.resolution, self.params.half_size);
+        let mut grid = OccupancyGrid::new(resolution, half_size);
         let mut samples = FootprintSamples::default();
+        let reach = half_size * std::f64::consts::SQRT_2;
         for obj in objects {
             if !(obj.position.is_finite() && obj.half_extents.is_finite() && obj.yaw.is_finite()) {
                 continue;
             }
-            samples.fill(obj, self.params.resolution);
-            samples.stamp(&mut grid, obj.position, COST_OCCUPIED);
+            let clipped = obj.half_extents.x.max(obj.half_extents.y) > reach;
+            if !clipped {
+                samples.fill(obj, resolution);
+            }
+            let mut stamp = |at: Vec3, cost: u8| {
+                if clipped {
+                    samples.fill_clipped(obj, resolution, at, half_size);
+                }
+                samples.stamp(&mut grid, at, cost);
+            };
+            stamp(obj.position, COST_OCCUPIED);
             let n = obj.path.len();
             for (k, &waypoint) in obj.path.iter().enumerate() {
                 // Linear decay toward the end of the horizon.
@@ -261,7 +276,7 @@ impl CostmapGenerator {
                 if cost == 0 {
                     continue;
                 }
-                samples.stamp(&mut grid, waypoint, cost);
+                stamp(waypoint, cost);
             }
         }
         grid
@@ -325,6 +340,32 @@ impl FootprintSamples {
             self.across.push((sin_y * y, cos_y * y));
             y += step;
         }
+    }
+
+    /// [`fill`](Self::fill) for a footprint too wide to sample whole:
+    /// only the offsets that can land in the grid of half-size `half`
+    /// when stamped at `at`. On each axis the grid projects onto a window
+    /// of half-width `half·(|cos| + |sin|)` around `at`'s projection,
+    /// widened a cell for rounding. Samples run evenly from where that
+    /// window meets the footprint, counted rather than accumulated and
+    /// at most the window's worth, so no input can stall the loop.
+    fn fill_clipped(&mut self, obj: &ObjectFootprint, resolution: f64, at: Vec3, half: f64) {
+        let (sin_y, cos_y) = obj.yaw.sin_cos();
+        let step = resolution * 0.7;
+        let w = half * (cos_y.abs() + sin_y.abs()) + resolution;
+        let most = (2.0 * w / step) as usize + 2;
+        let axis = |h: f64, centre: f64| {
+            let h = h.max(resolution);
+            let (lo, hi) = ((centre - w).max(-h), (centre + w).min(h));
+            let n = if lo <= hi { (((hi - lo) / step) as usize + 1).min(most) } else { 0 };
+            (0..n).map(move |j| lo + j as f64 * step)
+        };
+        self.along.clear();
+        let along = axis(obj.half_extents.x, -(cos_y * at.x + sin_y * at.y));
+        self.along.extend(along.map(|x| (cos_y * x, sin_y * x)));
+        self.across.clear();
+        let across = axis(obj.half_extents.y, sin_y * at.x - cos_y * at.y);
+        self.across.extend(across.map(|y| (sin_y * y, cos_y * y)));
     }
 
     /// Raises every sampled cell around `at` to `cost`.
@@ -695,6 +736,80 @@ mod proptests {
                 );
             }
         }
+    }
+
+    /// A footprint wider than the grid is sampled only where it can land:
+    /// a huge one centred on the ego returns promptly and marks every
+    /// cell at any heading, even past the extent where `x += step` stops
+    /// moving `x` (about 2.3e15 m).
+    #[test]
+    fn huge_footprints_mark_the_whole_grid_promptly() {
+        let generator = CostmapGenerator::new(CostmapParams::default());
+        for half in [1e6, 1e16] {
+            for yaw in [0.0, 0.3, -PI / 4.0] {
+                let obj = ObjectFootprint {
+                    position: Vec3::new(0.0, 0.0, 0.8),
+                    half_extents: Vec3::new(half, half, 0.75),
+                    yaw,
+                    path: vec![Vec3::new(3.0, -2.0, 0.0)],
+                };
+                let grid = generator.from_objects(&[obj]);
+                assert_eq!(grid.occupied_cells(), grid.len(), "half-extent {half:e}, yaw {yaw}");
+                assert!(grid.data().iter().all(|&c| c == COST_OCCUPIED));
+            }
+        }
+        // Long and thin: only the strip along the heading is marked.
+        let strip = ObjectFootprint {
+            position: Vec3::ZERO,
+            half_extents: Vec3::new(1e6, 1.0, 0.75),
+            yaw: 0.0,
+            path: vec![],
+        };
+        let grid = generator.from_objects(std::slice::from_ref(&strip));
+        assert_eq!(grid.cost_at(Vec3::new(-39.9, 0.5, 0.0)), COST_OCCUPIED);
+        assert_eq!(grid.cost_at(Vec3::new(39.9, -0.5, 0.0)), COST_OCCUPIED);
+        assert_eq!(grid.cost_at(Vec3::new(0.0, 3.0, 0.0)), 0);
+    }
+
+    /// Objects whose footprint cannot reach the grid mark nothing,
+    /// however wide: a far-away car, and huge footprints whose edge stays
+    /// kilometres short of the grid (or a non-finite waypoint).
+    #[test]
+    fn far_away_objects_mark_nothing() {
+        let generator = CostmapGenerator::new(CostmapParams::default());
+        let car = ObjectFootprint {
+            position: Vec3::new(1e7, -3e6, 0.8),
+            half_extents: Vec3::new(2.25, 0.9, 0.75),
+            yaw: 0.4,
+            path: vec![Vec3::new(1e7 + 2.0, -3e6, 0.8)],
+        };
+        let huge = ObjectFootprint { half_extents: Vec3::new(1e6, 1e6, 0.75), ..car.clone() };
+        let beyond = ObjectFootprint {
+            position: Vec3::new(0.0, 5e16, 0.8),
+            half_extents: Vec3::new(1e16, 1e16, 0.75),
+            yaw: 0.0,
+            path: vec![Vec3::new(0.0, f64::NAN, 0.0), Vec3::new(f64::INFINITY, 0.0, 0.0)],
+        };
+        let grid = generator.from_objects(&[car, huge, beyond]);
+        assert_eq!(grid.occupied_cells(), 0);
+    }
+
+    /// Footprints up to the clipping bound keep the sequence the oracle
+    /// samples, so wide in-grid objects still equal it cell for cell.
+    #[test]
+    fn widest_unclipped_footprints_match_the_reference() {
+        let generator = CostmapGenerator::new(CostmapParams::default());
+        let reach = 40.0 * std::f64::consts::SQRT_2;
+        let objects: Vec<ObjectFootprint> = [(reach, 0.3), (0.9, reach), (30.0, 25.0)]
+            .into_iter()
+            .map(|(hx, hy)| ObjectFootprint {
+                position: Vec3::new(12.0, -30.0, 0.8),
+                half_extents: Vec3::new(hx, hy, 0.75),
+                yaw: 0.7,
+                path: vec![Vec3::new(14.0, -29.0, 0.8)],
+            })
+            .collect();
+        assert_eq!(generator.from_objects(&objects), generator.objects_reference(&objects));
     }
 
     /// An infinite extent used to sample forever; any non-finite

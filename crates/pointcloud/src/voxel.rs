@@ -9,6 +9,7 @@
 //! voxel, so that re-filtering it with new points filters only those.
 
 use crate::{Point, PointCloud};
+use av_des::splitmix64;
 use av_geom::{CellScale, Vec3};
 use std::collections::HashMap;
 
@@ -68,47 +69,18 @@ impl VoxelGrid {
     /// into voxel (0, 0, 0) and turn its centroid to NaN.
     ///
     /// Output order follows the first appearance of each voxel in the
-    /// input, so the operation is deterministic. Accumulation runs over
-    /// an open-addressing table; per-voxel sums are accumulated in input
-    /// order either way, so the result is bit-identical to
-    /// [`filter_reference`](VoxelGrid::filter_reference).
+    /// input, so the operation is deterministic. This is
+    /// [`VoxelMap::finish`] on an empty map: accumulation runs over its
+    /// open-addressing table, per-voxel sums in input order, so the result
+    /// is bit-identical to [`filter_reference`](VoxelGrid::filter_reference).
     pub fn filter(&self, cloud: &PointCloud) -> PointCloud {
-        if cloud.is_empty() {
-            return PointCloud::new();
-        }
-        // Capacity ≥ 2× the worst-case cell count (one per point), kept
-        // a power of two so probing can mask instead of mod. Load factor
-        // stays ≤ 0.5, so linear probing stays short.
-        let capacity = (cloud.len() * 2).next_power_of_two();
-        let mask = capacity - 1;
-        let mut slots: Vec<u32> = vec![EMPTY; capacity];
-        let mut accs: Vec<VoxelAcc> = Vec::new();
-
-        for p in cloud.iter().filter(|p| p.position.is_finite()) {
-            let key = self.voxel_of(p.position);
-            let mut slot = Self::hash_key(key) as usize & mask;
-            let acc = loop {
-                match slots[slot] {
-                    EMPTY => {
-                        slots[slot] = accs.len() as u32;
-                        accs.push(VoxelAcc::new(key, p.ring));
-                        break accs.last_mut().expect("just pushed");
-                    }
-                    idx if accs[idx as usize].key == key => break &mut accs[idx as usize],
-                    _ => slot = (slot + 1) & mask,
-                }
-            };
-            acc.add(p);
-        }
-        // `accs` is already in first-appearance order — entries are
-        // appended exactly when a voxel is first seen.
-        accs.into_iter().map(VoxelAcc::centroid).collect()
+        VoxelMap::new(*self).finish(cloud)
     }
 
     /// The original `HashMap`-based formulation of
-    /// [`filter`](Self::filter), retained as the reference the
-    /// determinism harness pins the open-addressing implementation
-    /// against.
+    /// [`filter`](Self::filter), retained as the independent reference
+    /// the open-addressing table (the filter's and [`VoxelMap`]'s) is
+    /// pinned against.
     pub fn filter_reference(&self, cloud: &PointCloud) -> PointCloud {
         struct Acc {
             sum: Vec3,
@@ -148,15 +120,11 @@ impl VoxelGrid {
         out.into_iter().map(|(_, p)| p).collect()
     }
 
-    /// Mixes a quantized coordinate into a table slot (splitmix64-style
+    /// Mixes a quantized coordinate into a table slot (the splitmix64
     /// finalizer over the packed components; the full key is still
     /// compared on probe, so hash collisions only cost probes).
     fn hash_key((x, y, z): Key) -> u64 {
-        let packed = (x as u32 as u64) ^ ((y as u32 as u64) << 21) ^ ((z as u32 as u64) << 42);
-        let mut h = packed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^ (h >> 31)
+        splitmix64((x as u32 as u64) ^ ((y as u32 as u64) << 21) ^ ((z as u32 as u64) << 42))
     }
 }
 
@@ -277,6 +245,10 @@ impl VoxelMap {
     /// filter drops them.
     fn accumulate(&self, batch: &PointCloud) -> Vec<(u32, VoxelAcc)> {
         let held: &[Point] = if self.escaped { &self.points } else { &[] };
+        // The filter (an empty map) and an escaped map look nothing up.
+        let lookup = !self.escaped && !self.slots.is_empty();
+        // At least twice the worst-case voxel count (one per point), a
+        // power of two so probing masks: load stays ≤ 0.5.
         let capacity = ((held.len() + batch.len()) * 2).next_power_of_two();
         let mask = capacity - 1;
         let mut slots: Vec<u32> = vec![EMPTY; capacity];
@@ -289,7 +261,7 @@ impl VoxelMap {
                 match slots[slot] {
                     EMPTY => {
                         slots[slot] = accs.len() as u32;
-                        let held = if self.escaped { None } else { self.find(key, hash) };
+                        let held = if lookup { self.find(key, hash) } else { None };
                         accs.push(match held {
                             Some(i) => (i, VoxelAcc::of(key, &self.points[i as usize])),
                             None => (EMPTY, VoxelAcc::new(key, p.ring)),
@@ -542,6 +514,8 @@ mod proptests {
 
     /// Folding batch after batch into a [`VoxelMap`] gives what
     /// re-filtering the whole accumulated cloud gives after each batch.
+    /// The map tests compare against `filter_reference`: `filter` is the
+    /// map's own `finish`, so it would check the table against itself.
     #[test]
     fn voxel_map_matches_refiltering() {
         let mut rng = RngStreams::new(0x0e1).stream("fold");
@@ -555,11 +529,11 @@ mod proptests {
                 all.append(&cloud);
                 assert_eq!(
                     map.clone().finish(&cloud),
-                    g.filter(&all),
+                    g.filter_reference(&all),
                     "round {round} batch {batch}"
                 );
                 map.fold(&cloud);
-                reference = g.filter(&all);
+                reference = g.filter_reference(&all);
                 assert_eq!(map.len(), reference.len());
             }
         }
@@ -582,14 +556,14 @@ mod proptests {
         assert_eq!(centroid.x, -29.699999999999996);
         assert!(map.escaped, "the centroid left voxel -100");
 
-        let mut all = g.filter(&first);
+        let mut all = g.filter_reference(&first);
         all.append(&second);
-        assert_eq!(map.clone().finish(&second), g.filter(&all));
+        assert_eq!(map.clone().finish(&second), g.filter_reference(&all));
         map.fold(&second);
         assert!(!map.escaped);
         // Both points now share voxel -99.
         assert_eq!(map.len(), 1);
-        assert_eq!(map.finish(&PointCloud::new()), g.filter(&g.filter(&all)));
+        assert_eq!(map.finish(&PointCloud::new()), g.filter_reference(&g.filter_reference(&all)));
     }
 
     /// A mean intensity that underflows to −0 stays −0 while held, as
@@ -603,7 +577,7 @@ mod proptests {
             .into_iter()
             .map(|i| Point::with_attributes(Vec3::new(0.5, 0.5, 0.5), i, 0))
             .collect();
-        let filtered = g.filter(&batch);
+        let filtered = g.filter_reference(&batch);
         assert_eq!(filtered.point(0).intensity.to_bits(), (-0.0f32).to_bits());
         let mut map = VoxelMap::new(g);
         map.fold(&batch);
@@ -611,8 +585,8 @@ mod proptests {
         let mut all = filtered.clone();
         all.append(&other);
         let bits = |c: &PointCloud| c.iter().map(|p| p.intensity.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&map.clone().finish(&other)), bits(&g.filter(&all)));
-        assert_eq!(bits(&map.finish(&PointCloud::new())), bits(&g.filter(&filtered)));
+        assert_eq!(bits(&map.clone().finish(&other)), bits(&g.filter_reference(&all)));
+        assert_eq!(bits(&map.finish(&PointCloud::new())), bits(&g.filter_reference(&filtered)));
     }
 
     /// Non-finite points are dropped by the filter, its reference and
@@ -639,7 +613,7 @@ mod proptests {
         assert_eq!(map.len(), 1);
         let mut all = want.clone();
         all.append(&cloud);
-        assert_eq!(map.clone().finish(&cloud), g.filter(&all));
+        assert_eq!(map.clone().finish(&cloud), g.filter_reference(&all));
         assert_eq!(map.finish(&PointCloud::new()), want);
     }
 
@@ -650,7 +624,7 @@ mod proptests {
     fn non_finite_centroid_takes_the_refilter() {
         let g = VoxelGrid::new(0.5);
         let huge = PointCloud::from_positions([Vec3::new(f64::MAX, 0.0, 0.0); 2]);
-        let held = g.filter(&huge);
+        let held = g.filter_reference(&huge);
         assert_eq!(held.point(0).position.x, f64::INFINITY);
         let mut map = VoxelMap::new(g);
         map.fold(&huge);
@@ -658,9 +632,9 @@ mod proptests {
         let next = PointCloud::from_positions([Vec3::new(1.0, 0.0, 0.0)]);
         let mut all = held.clone();
         all.append(&next);
-        assert_eq!(map.clone().finish(&next), g.filter(&all));
+        assert_eq!(map.clone().finish(&next), g.filter_reference(&all));
         map.fold(&next);
-        assert_eq!(map.finish(&PointCloud::new()), g.filter(&g.filter(&all)));
+        assert_eq!(map.finish(&PointCloud::new()), g.filter_reference(&g.filter_reference(&all)));
     }
 
     /// Two voxels whose hashes share the home slot and the tag of a
@@ -700,11 +674,14 @@ mod proptests {
             map.fold(&first);
             assert_eq!(map.slots.len(), mask + 1);
             let second = PointCloud::from_positions([at(b), at(a)]);
-            let mut all = g.filter(&first);
+            let mut all = g.filter_reference(&first);
             all.append(&second);
             map.fold(&second);
             assert_eq!(map.len(), fillers as usize + 2, "table of {} slots", mask + 1);
-            assert_eq!(map.finish(&PointCloud::new()), g.filter(&g.filter(&all)));
+            assert_eq!(
+                map.finish(&PointCloud::new()),
+                g.filter_reference(&g.filter_reference(&all))
+            );
         }
     }
 }

@@ -8,9 +8,11 @@ use av_platform::{CpuTask, GpuJob, Platform};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
-/// Declares one subscription of a node: topic plus queue capacity.
+/// Declares one subscription of a node: topic, queue capacity, and the
+/// static scheduling hints the non-FIFO policies read.
 ///
 /// Autoware's perception subscribers overwhelmingly use queue size 1 — a
 /// stale scene is worthless — which is what makes messages drop when a node
@@ -22,17 +24,24 @@ pub struct SubscriptionSpec {
     /// Maximum queued (undelivered) messages; the oldest is dropped on
     /// overflow.
     pub capacity: usize,
+    /// Static priority rank of this input for the `priority` policy
+    /// (lower = more urgent).
+    pub rank: u64,
+    /// Estimated remaining chain cost from this node to the path sink,
+    /// for the `chain` policy's slack.
+    pub downstream: SimDuration,
 }
 
 impl SubscriptionSpec {
-    /// Creates a spec.
+    /// Creates a spec with no scheduling hints (rank 0, no downstream
+    /// cost).
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn new(topic: impl Into<String>, capacity: usize) -> SubscriptionSpec {
         assert!(capacity > 0, "subscription queue capacity must be at least 1");
-        SubscriptionSpec { topic: topic.into(), capacity }
+        SubscriptionSpec { topic: topic.into(), capacity, rank: 0, downstream: SimDuration::ZERO }
     }
 }
 
@@ -82,11 +91,8 @@ struct Subscription<M> {
     queue: VecDeque<PendingMsg<M>>,
     delivered: u64,
     dropped: u64,
-    /// Static priority rank of this input for the `priority` policy
-    /// (lower = more urgent). 0 until configured.
+    /// Scheduling hints, as in [`SubscriptionSpec`].
     rank: u64,
-    /// Estimated remaining chain cost from this node to the path sink,
-    /// for the `chain` policy's slack. Zero until configured.
     downstream: SimDuration,
 }
 
@@ -111,16 +117,24 @@ struct NodeSlot<M> {
     slow: Option<(f64, SimTime, SimTime)>,
 }
 
+/// What a message-level edge fault does to a delivery it hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeFaultKind {
+    /// The message never reaches the subscription.
+    Drop,
+    /// The message is delivered twice.
+    Duplicate,
+}
+
 /// A message-level fault on one (topic → subscriber) bus edge: within
-/// `[from, to)` each delivery draws from a dedicated RNG stream and is
-/// dropped (or duplicated) with probability `rate`.
+/// `window` each delivery draws from a dedicated RNG stream and is hit
+/// with probability `rate`.
 struct EdgeFault {
     topic: String,
     node: String,
+    kind: EdgeFaultKind,
     rate: f64,
-    from: SimTime,
-    to: SimTime,
-    duplicate: bool,
+    window: Range<SimTime>,
     rng: StreamRng,
 }
 
@@ -343,26 +357,6 @@ impl<M: 'static> Bus<M> {
         self.inner.borrow().sched
     }
 
-    /// Sets the static scheduling metadata of one `(node, topic)`
-    /// subscription: its priority `rank` (lower = more urgent) and the
-    /// estimated remaining `downstream` chain cost to the path sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node or its subscription is unknown.
-    pub fn set_sub_sched_meta(&self, node: &str, topic: &str, rank: u64, downstream: SimDuration) {
-        let mut inner = self.inner.borrow_mut();
-        let node_idx = inner.node_index(node);
-        let slot = &mut inner.nodes[node_idx];
-        let sub = slot
-            .subs
-            .iter_mut()
-            .find(|s| s.topic == topic)
-            .unwrap_or_else(|| panic!("node {node:?} has no subscription to {topic:?}"));
-        sub.rank = rank;
-        sub.downstream = downstream;
-    }
-
     /// Registers a node with its subscriptions.
     ///
     /// # Panics
@@ -389,8 +383,8 @@ impl<M: 'static> Bus<M> {
                 queue: VecDeque::new(),
                 delivered: 0,
                 dropped: 0,
-                rank: 0,
-                downstream: SimDuration::ZERO,
+                rank: s.rank,
+                downstream: s.downstream,
             })
             .collect();
         for (sub_idx, sub) in subs.iter().enumerate() {
@@ -456,15 +450,15 @@ impl<M: 'static> Bus<M> {
                         .edge_faults
                         .iter_mut()
                         .find(|f| {
-                            f.topic == topic && f.node == node_name && now >= f.from && now < f.to
+                            f.topic == topic && f.node == node_name && f.window.contains(&now)
                         })
-                        .map(|f| (f.rng.next_f64() < f.rate, f.duplicate));
+                        .map(|f| (f.rng.next_f64() < f.rate, f.kind));
                     match hit {
-                        Some((true, false)) => {
+                        Some((true, EdgeFaultKind::Drop)) => {
                             inner.lost_to_fault += 1;
                             Intercept::Lost { node: node_name, topic }
                         }
-                        Some((true, true)) => {
+                        Some((true, EdgeFaultKind::Duplicate)) => {
                             inner.duplicated_by_fault += 1;
                             Intercept::Duplicate { node: node_name, topic }
                         }
@@ -888,56 +882,23 @@ impl<M: 'static> Bus<M> {
         inner.nodes[idx].slow = Some((factor, from, to));
     }
 
-    /// Drops each message delivered on `topic` to `node` in `[from, to)`
-    /// with probability `rate`, drawing from `rng` (a dedicated stream,
-    /// so other consumers stay phase-aligned).
-    pub fn set_edge_drop(
+    /// Drops or duplicates (`kind`) each message delivered on `topic` to
+    /// `node` inside `window` with probability `rate`, drawing from `rng`
+    /// (a dedicated stream, so other consumers stay phase-aligned).
+    pub fn set_edge_fault(
         &self,
         topic: &str,
         node: &str,
+        kind: EdgeFaultKind,
         rate: f64,
-        from: SimTime,
-        to: SimTime,
+        window: Range<SimTime>,
         rng: StreamRng,
     ) {
-        self.add_edge_fault(EdgeFault {
-            topic: topic.to_string(),
-            node: node.to_string(),
-            rate,
-            from,
-            to,
-            duplicate: false,
-            rng,
-        });
-    }
-
-    /// Duplicates each message delivered on `topic` to `node` in
-    /// `[from, to)` with probability `rate`.
-    pub fn set_edge_duplicate(
-        &self,
-        topic: &str,
-        node: &str,
-        rate: f64,
-        from: SimTime,
-        to: SimTime,
-        rng: StreamRng,
-    ) {
-        self.add_edge_fault(EdgeFault {
-            topic: topic.to_string(),
-            node: node.to_string(),
-            rate,
-            from,
-            to,
-            duplicate: true,
-            rng,
-        });
-    }
-
-    fn add_edge_fault(&self, fault: EdgeFault) {
-        assert!((0.0..=1.0).contains(&fault.rate), "edge fault rate must be in [0, 1]");
+        assert!((0.0..=1.0).contains(&rate), "edge fault rate must be in [0, 1]");
         let mut inner = self.inner.borrow_mut();
         inner.faults_armed = true;
-        inner.edge_faults.push(fault);
+        let (topic, node) = (topic.to_string(), node.to_string());
+        inner.edge_faults.push(EdgeFault { topic, node, kind, rate, window, rng });
     }
 
     /// Forwards a fault/supervision event to the observer at the current
@@ -1341,14 +1302,17 @@ mod tests {
         let bus: Bus<u64> = Bus::new(&sim, &platform);
         let rec = Rc::new(RefCell::new(Recorder::default()));
         bus.set_observer(Rc::clone(&rec));
+        let sub = |topic, rank, downstream_ms| SubscriptionSpec {
+            rank,
+            downstream: SimDuration::from_millis(downstream_ms),
+            ..SubscriptionSpec::new(topic, 4)
+        };
         bus.add_node(
             "sink",
             Relay { out_topic: "out", cost: SimDuration::from_millis(10) },
-            &[SubscriptionSpec::new("a", 4), SubscriptionSpec::new("b", 4)],
+            &[sub("a", 5, 10), sub("b", 1, 70)],
         );
         bus.set_sched_policy(policy, SimDuration::from_millis(100));
-        bus.set_sub_sched_meta("sink", "a", 5, SimDuration::from_millis(10));
-        bus.set_sub_sched_meta("sink", "b", 1, SimDuration::from_millis(70));
         bus.publish("a", 0, Lineage::origin(Source::Lidar, SimTime::ZERO));
         for (at_ms, topic, stamp_ms) in [(1u64, "a", 5u64), (2, "b", 0)] {
             let bus = bus.clone();
@@ -1686,22 +1650,11 @@ mod tests {
             Relay { out_topic: "outb", cost: SimDuration::from_millis(1) },
             &[SubscriptionSpec::new("inb", 4)],
         );
-        bus.set_edge_drop(
-            "ina",
-            "a",
-            1.0,
-            SimTime::ZERO,
-            SimTime::from_millis(10),
-            streams.stream("fault-drop"),
-        );
-        bus.set_edge_duplicate(
-            "inb",
-            "b",
-            1.0,
-            SimTime::ZERO,
-            SimTime::from_millis(10),
-            streams.stream("fault-dup"),
-        );
+        let window = SimTime::ZERO..SimTime::from_millis(10);
+        let drop = streams.stream("fault-drop");
+        bus.set_edge_fault("ina", "a", EdgeFaultKind::Drop, 1.0, window.clone(), drop);
+        let dup = streams.stream("fault-dup");
+        bus.set_edge_fault("inb", "b", EdgeFaultKind::Duplicate, 1.0, window, dup);
 
         bus.publish("ina", 0, Lineage::empty());
         bus.publish("inb", 0, Lineage::empty());

@@ -31,7 +31,7 @@ mod msg;
 mod node;
 mod observer;
 
-pub use bus::{Bus, DropStats, RestoredContinuation, SubscriptionSpec, TopicStats};
+pub use bus::{Bus, DropStats, EdgeFaultKind, RestoredContinuation, SubscriptionSpec, TopicStats};
 pub use lineage::{Lineage, Source};
 pub use msg::{Header, Message};
 pub use node::{Execution, Node, Outbox, Phase};

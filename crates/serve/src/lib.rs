@@ -19,7 +19,7 @@
 //!   the bus stamps monotonic sequence numbers and fans out.
 //! * [`session`] — deterministic request execution over streamed
 //!   [`av_core::stack::drive`]s / [`av_sweep::run_sweep_streamed`] /
-//!   [`av_sweep::run_search`], plus
+//!   [`av_sweep::run_search_instrumented`], plus
 //!   the replay path that re-partitions a finished run's trace into
 //!   the *identical* event stream a live run produced.
 //! * [`store`] — the content-addressed result store (fingerprint →

@@ -16,7 +16,7 @@ use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::metrics::{blame_scalars, run_metrics};
 use av_core::stack::{drive, drive_fingerprint, DriveProgress, DriveRequest, RunConfig, RunReport};
-use av_sweep::{aggregate, run_search, run_sweep_streamed, SweepPoint, WorldKind};
+use av_sweep::{aggregate, run_search_instrumented, run_sweep_streamed, SweepPoint, WorldKind};
 use av_trace::export::{escape, render_event_jsonl};
 
 /// Virtual seconds between streamed progress pulses.
@@ -125,7 +125,7 @@ pub fn execute(
                 "{{\"phase\":\"started\",\"kind\":\"search\",\"name\":\"{}\"}}",
                 escape(&spec.name)
             ));
-            let outcome = run_search(spec, request.jobs, &[]);
+            let outcome = run_search_instrumented(spec, request.jobs, &[], true).0;
             for batch in &outcome.batches {
                 bus.emit(&format!(
                     "{{\"phase\":\"batch\",\"index\":{},\"stage\":\"{}\",\"evals\":{}}}",
@@ -207,17 +207,9 @@ fn streamed_drive(
     };
     let (report, snapshot) = drive(&config, run, request);
     if let (Some(store), Some(snapshot)) = (ckpt, &snapshot) {
-        persist(store, snapshot);
+        store.put_or_warn(snapshot);
     }
     report
-}
-
-/// Persists a checkpoint, warning instead of failing the session: a
-/// lost snapshot only costs future warm starts, never this answer.
-fn persist(store: &CkptStore, checkpoint: &av_core::stack::Checkpoint) {
-    if let Err(e) = store.put(checkpoint) {
-        eprintln!("warning: could not persist checkpoint: {e}");
-    }
 }
 
 fn metrics_json(report: &RunReport) -> String {

@@ -352,7 +352,7 @@ pub fn aggregate(spec: &SweepSpec, results: &[PointResult]) -> SweepArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_sweep;
+    use crate::runner::run_sweep_instrumented;
     use crate::spec::WorldKind;
     use av_core::stack::RunConfig;
     use av_vision::DetectorKind;
@@ -364,7 +364,7 @@ mod tests {
             camera_rate_hz: vec![10.0, 30.0],
             ..SweepSpec::new("t", WorldKind::Smoke)
         };
-        let results = run_sweep(&spec, &RunConfig::default(), 2);
+        let results = run_sweep_instrumented(&spec, &RunConfig::default(), 2).0;
         (spec, results)
     }
 

@@ -46,10 +46,10 @@ pub mod spec;
 pub use aggregate::{aggregate, SweepArtifacts};
 pub use cache::{CachedRun, EvalCache};
 pub use objective::Objective;
-pub use runner::{run_sweep, run_sweep_instrumented, run_sweep_streamed, PointResult, SweepStats};
+pub use runner::{run_sweep_instrumented, run_sweep_streamed, PointResult, SweepStats};
 pub use search::{
-    run_search, run_search_instrumented, run_search_with, run_search_with_store, search_artifacts,
-    BatchRecord, BisectSpec, EvalRecord, HalvingSpec, Knob, KnobRange, PlannedEval, SearchAnswer,
+    run_search_instrumented, run_search_with, run_search_with_store, search_artifacts, BatchRecord,
+    BisectSpec, EvalRecord, HalvingSpec, Knob, KnobRange, PlannedEval, SearchAnswer,
     SearchArtifacts, SearchOutcome, SearchSpec, SearchStats, Strategy,
 };
 pub use spec::{BlackoutSpec, FaultPlanSpec, SweepPoint, SweepSpec, WorldKind};

@@ -126,12 +126,7 @@ enum Task {
 }
 
 /// Runs every point of the sweep over `jobs` worker threads, in
-/// expansion order.
-pub fn run_sweep(spec: &SweepSpec, run: &RunConfig, jobs: usize) -> Vec<PointResult> {
-    run_sweep_instrumented(spec, run, jobs).0
-}
-
-/// [`run_sweep`], also reporting how much simulation the deduplication
+/// expansion order, also reporting how much simulation the deduplication
 /// and prefix-sharing layers avoided.
 pub fn run_sweep_instrumented(
     spec: &SweepSpec,
@@ -283,9 +278,7 @@ pub fn run_sweep_streamed(
                     };
                     let (first, captured) = drive(&reps[members[0]], run_ref, request);
                     if let (Some(st), Some(cp)) = (store, &captured) {
-                        if let Err(e) = st.put(cp) {
-                            eprintln!("warning: could not persist checkpoint: {e}");
-                        }
+                        st.put_or_warn(cp);
                     }
                     let checkpoint = captured.or(prefix).expect("a shared barrier checkpoint");
                     let mut out = vec![finish(members[0], first)];
@@ -335,8 +328,8 @@ mod tests {
             detectors: vec![DetectorKind::Ssd512, DetectorKind::YoloV3],
             ..SweepSpec::new("t", WorldKind::Smoke)
         };
-        let serial = run_sweep(&spec, &RunConfig::default(), 1);
-        let threaded = run_sweep(&spec, &RunConfig::default(), 4);
+        let serial = run_sweep_instrumented(&spec, &RunConfig::default(), 1).0;
+        let threaded = run_sweep_instrumented(&spec, &RunConfig::default(), 4).0;
         assert_eq!(serial.len(), 2);
         for (a, b) in serial.iter().zip(&threaded) {
             assert_eq!(a.point, b.point);

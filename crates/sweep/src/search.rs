@@ -23,12 +23,13 @@
 //!   keeps the worst `1/eta` and re-evaluates them `eta`× longer.
 //!
 //! Every batch decision is a pure function of prior run outputs, so the
-//! whole trajectory is replayable: [`run_search`] accepts the batches of
-//! an earlier (possibly truncated) run and reuses any prefix whose
-//! planned evaluations match, byte-identically to re-running them. The
-//! rendered artifacts sort by batch index and evaluation ordinal, so
-//! they are independent of worker count and completion order — the same
-//! guarantee the sweep aggregator makes, extended to the optimizer loop.
+//! whole trajectory is replayable: [`run_search_instrumented`] accepts
+//! the batches of an earlier (possibly truncated) run and reuses any
+//! prefix whose planned evaluations match, byte-identically to
+//! re-running them. The rendered artifacts sort by batch index and
+//! evaluation ordinal, so they are independent of worker count and
+//! completion order — the same guarantee the sweep aggregator makes,
+//! extended to the optimizer loop.
 
 use crate::cache::EvalCache;
 use crate::objective::Objective;
@@ -616,27 +617,22 @@ pub struct SearchStats {
 }
 
 /// Runs the search for real: every evaluation is a simulated drive,
-/// fanned out over `jobs` worker threads within each batch. Results are
-/// independent of `jobs` because [`parallel_map`] preserves order and
-/// every drive is a pure function of its configuration.
+/// fanned out over `jobs` worker threads within each batch, and reports
+/// the work done. Results are independent of `jobs` because
+/// [`parallel_map`] preserves order and every drive is a pure function
+/// of its configuration.
 ///
-/// Successive-halving evaluations are warm-started: each rung's drives
-/// end in a checkpoint ([`drive`] with `capture_at_s` at the horizon),
-/// and the next rung resumes its survivors from those snapshots
-/// (`from`) instead of re-simulating the shared prefix — byte-identical
-/// to cold runs, strictly fewer simulated virtual seconds. A
-/// (spec-hash → result) cache additionally memoizes whole evaluations
-/// within the search, and every drive of the search takes its HD map
-/// from the cache's [`EvalCache::maps`], so each distinct map is built
-/// once per search.
-pub fn run_search(spec: &SearchSpec, jobs: usize, prior: &[BatchRecord]) -> SearchOutcome {
-    run_search_instrumented(spec, jobs, prior, true).0
-}
-
-/// [`run_search`], also reporting the work done. `warm: false` disables
-/// both the checkpoint warm starts and the evaluation cache (every
+/// With `warm`, successive-halving evaluations are warm-started: each
+/// rung's drives end in a checkpoint ([`drive`] with `capture_at_s` at
+/// the horizon), and the next rung resumes its survivors from those
+/// snapshots (`from`) instead of re-simulating the shared prefix —
+/// byte-identical to cold runs, strictly fewer simulated virtual
+/// seconds. A (spec-hash → result) cache additionally memoizes whole
+/// evaluations within the search. `warm: false` disables both (every
 /// evaluation simulates its full horizon from virtual time zero) — the
-/// cold baseline the E-resume study measures against.
+/// cold baseline the E-resume study measures against. Either way every
+/// drive of the search takes its HD map from the cache's
+/// [`EvalCache::maps`], so each distinct map is built once per search.
 pub fn run_search_instrumented(
     spec: &SearchSpec,
     jobs: usize,
@@ -646,13 +642,13 @@ pub fn run_search_instrumented(
     search_engine(spec, jobs, prior, warm, None)
 }
 
-/// [`run_search`] backed by a durable checkpoint store: rung
-/// evaluations first look for a resumable prefix among the checkpoints
-/// an *earlier process* persisted (then fall back to this search's own
-/// in-memory chain), and every checkpoint captured here is written back
-/// through the store's crash-safe path. Byte-identical to the
-/// store-less search — the store only changes how many virtual seconds
-/// are re-simulated, never a single output byte.
+/// A warm [`run_search_instrumented`] backed by a durable checkpoint
+/// store: rung evaluations first look for a resumable prefix among the
+/// checkpoints an *earlier process* persisted (then fall back to this
+/// search's own in-memory chain), and every checkpoint captured here is
+/// written back through the store's crash-safe path. Byte-identical to
+/// the store-less search — the store only changes how many virtual
+/// seconds are re-simulated, never a single output byte.
 pub fn run_search_with_store(
     spec: &SearchSpec,
     jobs: usize,
@@ -727,9 +723,7 @@ fn search_engine(
                 let (report, checkpoint) = drive(&config, &run, request);
                 if let Some(c) = checkpoint {
                     if let Some(st) = store {
-                        if let Err(e) = st.put(&c) {
-                            eprintln!("warning: could not persist checkpoint: {e}");
-                        }
+                        st.put_or_warn(&c);
                     }
                     checkpoints.lock().unwrap().insert(ckey, c);
                 }

@@ -8,7 +8,8 @@
 use av_core::stack::RunConfig;
 use av_des::RngStreams;
 use av_sweep::{
-    aggregate, run_search, run_sweep, search_artifacts, SearchSpec, SweepSpec, WorldKind,
+    aggregate, run_search_instrumented, run_sweep_instrumented, search_artifacts, SearchSpec,
+    SweepSpec, WorldKind,
 };
 use av_vision::DetectorKind;
 
@@ -29,7 +30,7 @@ fn sweep_aggregation_is_invariant_under_any_permutation() {
         camera_rate_hz: vec![10.0, 20.0, 30.0],
         ..SweepSpec::new("metamorphic", WorldKind::Smoke)
     };
-    let mut results = run_sweep(&spec, &RunConfig::default(), 2);
+    let mut results = run_sweep_instrumented(&spec, &RunConfig::default(), 2).0;
     let reference = aggregate(&spec, &results);
     for seed in 0..10 {
         shuffle(&mut results, seed);
@@ -46,7 +47,7 @@ fn sweep_aggregation_is_invariant_under_any_permutation() {
 #[test]
 fn search_artifacts_are_invariant_under_batch_and_eval_permutation() {
     let spec = SearchSpec::builtin_smoke();
-    let mut outcome = run_search(&spec, 2, &[]);
+    let mut outcome = run_search_instrumented(&spec, 2, &[], true).0;
     let reference = search_artifacts(&spec, &outcome);
     for seed in 0..10 {
         shuffle(&mut outcome.batches, seed);

@@ -12,9 +12,9 @@ use av_core::determinism::run_hash;
 use av_core::stack::{checkpoint_drive, run_drive, RunConfig};
 use av_sweep::cache::EvalCache;
 use av_sweep::{
-    run_search_instrumented, run_search_with_store, run_sweep, run_sweep_streamed, BlackoutSpec,
-    FaultPlanSpec, HalvingSpec, Knob, KnobRange, Objective, SearchSpec, Strategy, SweepPoint,
-    SweepSpec, WorldKind,
+    run_search_instrumented, run_search_with_store, run_sweep_instrumented, run_sweep_streamed,
+    BlackoutSpec, FaultPlanSpec, HalvingSpec, Knob, KnobRange, Objective, SearchSpec, Strategy,
+    SweepPoint, SweepSpec, WorldKind,
 };
 use std::path::PathBuf;
 
@@ -88,7 +88,7 @@ fn sweep_prefix_sharing_reuses_a_prior_processes_barriers() {
         ..SweepSpec::new("ckpt-reuse", WorldKind::Smoke)
     };
     let run = RunConfig::default().with_trace();
-    let cold = run_sweep(&spec, &run, 2);
+    let cold = run_sweep_instrumented(&spec, &run, 2).0;
 
     let dir = scratch_store("sweep");
     let (store, recovery) = CkptStore::open(&dir).expect("open store");

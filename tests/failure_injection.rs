@@ -7,7 +7,7 @@
 use av_core::stack::{run_drive, Blackout, RunConfig, StackConfig};
 use av_core::topics::{self, nodes};
 use av_ros::Source;
-use av_sweep::{run_sweep, SweepSpec};
+use av_sweep::{run_sweep_instrumented, SweepSpec};
 use av_vision::DetectorKind;
 
 fn run(config: &StackConfig, seconds: f64) -> av_core::stack::RunReport {
@@ -120,7 +120,7 @@ fn gnss_and_combined_blackouts_as_sweep_points() {
         }"#,
     )
     .expect("spec parses");
-    let results = run_sweep(&spec, &RunConfig::default(), 3);
+    let results = run_sweep_instrumented(&spec, &RunConfig::default(), 3).0;
     assert_eq!(results.len(), 3);
     let (base, gnss, combined) = (&results[0].report, &results[1].report, &results[2].report);
 
@@ -271,7 +271,7 @@ fn combined_blackout_and_fault_compound_the_outage() {
         }"#,
     )
     .expect("spec parses");
-    let results = run_sweep(&spec, &RunConfig::default(), 2);
+    let results = run_sweep_instrumented(&spec, &RunConfig::default(), 2).0;
     let (crash_only, compounded) = (&results[0].report, &results[1].report);
     let fault_a = crash_only.fault.as_ref().expect("fault stats");
     let fault_b = compounded.fault.as_ref().expect("fault stats");

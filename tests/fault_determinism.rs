@@ -17,7 +17,7 @@
 use av_core::determinism::run_hash;
 use av_core::fault::FaultPlan;
 use av_core::stack::{run_drive, RunConfig, StackConfig};
-use av_sweep::{aggregate, run_sweep, SweepSpec};
+use av_sweep::{aggregate, run_sweep_instrumented, SweepSpec};
 use av_trace::export::render_chrome_trace;
 use av_vision::DetectorKind;
 
@@ -41,9 +41,9 @@ fn faulted_spec() -> SweepSpec {
 fn faulted_artifacts_identical_across_jobs_1_2_and_8() {
     let spec = faulted_spec();
     let run = RunConfig::default().with_trace();
-    let serial = run_sweep(&spec, &run, 1);
-    let two = run_sweep(&spec, &run, 2);
-    let eight = run_sweep(&spec, &run, 8);
+    let serial = run_sweep_instrumented(&spec, &run, 1).0;
+    let two = run_sweep_instrumented(&spec, &run, 2).0;
+    let eight = run_sweep_instrumented(&spec, &run, 8).0;
 
     let a = aggregate(&spec, &serial);
     for results in [&two, &eight] {

@@ -9,7 +9,7 @@
 
 use av_core::determinism::run_hash;
 use av_core::stack::{run_drive, RunConfig, SchedPolicyKind, StackConfig};
-use av_sweep::{run_sweep, run_sweep_instrumented, SweepSpec, WorldKind};
+use av_sweep::{run_sweep_instrumented, SweepSpec, WorldKind};
 use av_trace::export::render_chrome_trace;
 use av_vision::DetectorKind;
 
@@ -27,7 +27,7 @@ const PRE_POLICY_SMOKE_HASHES: [(&str, u64); 4] = [
 fn fifo_reproduces_the_pre_policy_smoke_sweep_bit_for_bit() {
     let spec = SweepSpec::builtin_smoke();
     let run = RunConfig::default();
-    let results = run_sweep(&spec, &run, 2);
+    let results = run_sweep_instrumented(&spec, &run, 2).0;
     assert_eq!(results.len(), PRE_POLICY_SMOKE_HASHES.len());
     for (result, (id, pinned)) in results.iter().zip(PRE_POLICY_SMOKE_HASHES) {
         assert_eq!(result.point.id(), id);

@@ -91,17 +91,20 @@ fn drain_order(
     let platform = Platform::new(&sim, Default::default(), Default::default());
     let bus: Bus<u64> = Bus::new(&sim, &platform);
     let seen = Rc::new(RefCell::new(Vec::new()));
+    let [(rank_a, down_a), (rank_b, down_b)] = meta;
+    let sub = |topic, rank, downstream_ms| SubscriptionSpec {
+        rank,
+        downstream: SimDuration::from_millis(downstream_ms),
+        ..SubscriptionSpec::new(topic, 8)
+    };
     bus.add_node(
         "sink",
         Sink { cost: SimDuration::from_millis(10), seen: Rc::clone(&seen) },
-        &[SubscriptionSpec::new("a", 8), SubscriptionSpec::new("b", 8)],
+        &[sub("a", rank_a, down_a), sub("b", rank_b, down_b)],
     );
     let counter = Rc::new(RefCell::new(SchedCounter::default()));
     bus.set_shared_observer(counter.clone());
     bus.set_sched_policy(policy, SimDuration::from_millis(100));
-    let [(rank_a, down_a), (rank_b, down_b)] = meta;
-    bus.set_sub_sched_meta("sink", "a", rank_a, SimDuration::from_millis(down_a));
-    bus.set_sub_sched_meta("sink", "b", rank_b, SimDuration::from_millis(down_b));
 
     for &(at_ms, topic, payload, stamp_ms) in plan {
         let bus = bus.clone();

@@ -5,7 +5,7 @@
 //! `sweep --check-jobs 1,8` gate in `scripts/tier1.sh`.
 
 use av_core::stack::RunConfig;
-use av_sweep::{aggregate, run_sweep, SweepSpec};
+use av_sweep::{aggregate, run_sweep_instrumented, SweepSpec};
 use av_trace::export::render_chrome_trace;
 use av_vision::DetectorKind;
 
@@ -22,8 +22,8 @@ fn test_spec() -> SweepSpec {
 fn sweep_artifacts_identical_at_jobs_1_and_8() {
     let spec = test_spec();
     let run = RunConfig::default().with_trace();
-    let serial = run_sweep(&spec, &run, 1);
-    let threaded = run_sweep(&spec, &run, 8);
+    let serial = run_sweep_instrumented(&spec, &run, 1).0;
+    let threaded = run_sweep_instrumented(&spec, &run, 8).0;
 
     let a = aggregate(&spec, &serial);
     let b = aggregate(&spec, &threaded);
@@ -47,7 +47,7 @@ fn sweep_artifacts_identical_at_jobs_1_and_8() {
 #[test]
 fn aggregation_ignores_result_arrival_order() {
     let spec = test_spec();
-    let mut results = run_sweep(&spec, &RunConfig::default(), 4);
+    let mut results = run_sweep_instrumented(&spec, &RunConfig::default(), 4).0;
     let forward = aggregate(&spec, &results);
     // Simulate out-of-order completion: reverse, then rotate.
     results.reverse();
