@@ -242,27 +242,17 @@ fn bench_map_phases(c: &mut Bench) {
         .iter()
         .map(|(scene, pose)| lidar.scan(&world, scene, &mut rng).transformed(pose))
         .collect();
-    let batches: Vec<PointCloud> = sweeps
-        .chunks(8)
-        .map(|chunk| {
-            let mut batch = PointCloud::new();
-            chunk.iter().for_each(|sweep| batch.append(sweep));
-            batch
-        })
-        .collect();
-    // `build_map` folds every eighth sweep; a partial last batch (or
-    // none) goes to `finish`.
-    let (folds, last) = match sweeps.len() % 8 {
-        0 => (&batches[..], PointCloud::new()),
-        _ => (&batches[..batches.len() - 1], batches[batches.len() - 1].clone()),
-    };
+    // `build_map` folds every eighth sweep, each batch as its eight
+    // sweeps; a partial last batch (or none) goes to `finish`.
+    let whole = sweeps.len() / 8 * 8;
+    let (folds, last) = sweeps.split_at(whole);
     c.bench_function("voxel_map/fold_paper", |b| {
         b.iter(|| {
             let mut map = VoxelMap::new(VoxelGrid::new(0.5));
-            for batch in folds {
+            for batch in folds.chunks(8) {
                 map.fold(black_box(batch));
             }
-            black_box(map.finish(black_box(&last)))
+            black_box(map.finish(black_box(last)))
         })
     });
 }

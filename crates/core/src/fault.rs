@@ -28,6 +28,7 @@
 //! stream — and therefore every existing golden hash — bit-identical.
 
 use av_ros::Source;
+use std::ops::Range;
 
 /// One injected fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,6 +264,17 @@ impl FaultSpec {
             FaultSpec::TimerSkew { .. } => None,
         }
     }
+
+    /// The topic, the node and the window of a drop or dup fault.
+    fn edge_window(&self) -> Option<(&str, &str, Range<f64>)> {
+        match self {
+            FaultSpec::Drop { topic, node, from_s, to_s, .. }
+            | FaultSpec::Duplicate { topic, node, from_s, to_s, .. } => {
+                Some((topic, node, *from_s..*to_s))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A complete fault schedule for one run. The default (empty) plan
@@ -278,11 +290,31 @@ impl FaultPlan {
     /// Parses a plan string: `none`, or `+`-separated
     /// [`FaultSpec`] fragments, e.g.
     /// `crash:ndt_matching@4+drop:/image_raw>vision_detector:0.5:2-6`.
+    ///
+    /// Drop and dup faults on one `topic>node` edge must have disjoint
+    /// windows (`2-4` and `4-6` touch, which is fine): a delivery meets
+    /// only the first fault armed on its edge whose window holds it, so
+    /// an overlapping second fault would never fire. Such a plan is
+    /// rejected with both fragments named.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         if s == "none" || s.is_empty() {
             return Ok(FaultPlan::default());
         }
-        let faults = s.split('+').map(FaultSpec::parse).collect::<Result<Vec<_>, String>>()?;
+        let parts: Vec<&str> = s.split('+').collect();
+        let faults = parts.iter().copied().map(FaultSpec::parse).collect::<Result<Vec<_>, _>>()?;
+        let edges: Vec<_> = faults.iter().map(FaultSpec::edge_window).collect();
+        for (j, b) in edges.iter().enumerate() {
+            for (i, a) in edges[..j].iter().enumerate() {
+                if let (Some((topic, node, a)), Some((b_topic, b_node, b))) = (a, b) {
+                    if (topic, node) == (b_topic, b_node) && a.start < b.end && b.start < a.end {
+                        return Err(format!(
+                            "faults {:?} and {:?}: windows on one edge overlap",
+                            parts[i], parts[j]
+                        ));
+                    }
+                }
+            }
+        }
         Ok(FaultPlan { faults })
     }
 
@@ -383,6 +415,23 @@ mod tests {
         // Edge faults need both endpoints.
         assert!(FaultPlan::parse("drop:/t:0.5:0-1").is_err());
         assert!(FaultPlan::parse("drop:>n:0.5:0-1").is_err());
+    }
+
+    #[test]
+    fn overlapping_windows_on_one_edge_are_rejected() {
+        let drop = "drop:/points_raw>ray_ground_filter:0:2-6";
+        let dup = "dup:/points_raw>ray_ground_filter:1:5-8";
+        let err = FaultPlan::parse(&format!("{drop}+crash:n@1+{dup}")).unwrap_err();
+        assert!(err.contains(drop) && err.contains(dup), "{err}");
+        // Two of one kind, and one window inside the other.
+        assert!(FaultPlan::parse("drop:/t>n:0.5:2-6+drop:/t>n:0.5:2-6").is_err());
+        assert!(FaultPlan::parse("dup:/t>n:0.5:1-9+drop:/t>n:0.5:3-4").is_err());
+        // Touching windows, and one window on two different edges.
+        assert!(FaultPlan::parse("drop:/t>n:0.5:2-4+dup:/t>n:0.5:4-6").is_ok());
+        assert!(FaultPlan::parse("drop:/t>n:0.5:2-6+drop:/t>m:0.5:2-6").is_ok());
+        assert!(FaultPlan::parse("drop:/t>n:0.5:2-6+drop:/u>n:0.5:2-6").is_ok());
+        // Node faults on the edge's node do not count.
+        assert!(FaultPlan::parse("drop:/t>n:0.5:2-6+stall:n:2-6").is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use av_perception::NdtMappingBuilder;
 use av_pointcloud::NdtGrid;
 use av_world::{LidarConfig, LidarModel, ScenarioConfig, Scene, World};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 /// Builds the HD map the way the authors did: run the mapping utility
 /// over the drive's own LiDAR data at known poses (§III-A).
@@ -31,13 +31,41 @@ pub fn build_map(
 /// [`build_map`]'s mapping run with every sweep added, before the final
 /// down-sample and the NDT statistics: `build` on it returns the map
 /// cloud as well as the grid.
+///
+/// Two stages on two threads. A scoped helper owns `rng`: it scans the
+/// scenes in [`mapping_scenes`] order, moves each sweep into the map
+/// frame and sends it through a channel that holds [`IN_FLIGHT`] sweeps.
+/// The calling thread folds the sweeps in as they arrive. The helper
+/// draws the mapping noise in the order one thread would, and the fold
+/// meets the same points in the same order, so the builder is the one a
+/// single thread returns, bit for bit, however the two interleave. A
+/// panic on either side ends the other and propagates from the scope.
 pub fn map_builder(world: &World, lidar: &LidarModel, rng: &mut StreamRng) -> NdtMappingBuilder {
     let mut builder = NdtMappingBuilder::new(0.5);
-    for (scene, pose) in mapping_scenes(world, lidar.config().mount_height) {
-        builder.add_sweep(&lidar.scan(world, &scene, rng), &pose);
-    }
+    std::thread::scope(|scope| {
+        let (sweeps, received) = mpsc::sync_channel(IN_FLIGHT);
+        scope.spawn(move || {
+            for (scene, pose) in mapping_scenes(world, lidar.config().mount_height) {
+                let sweep = lidar.scan(world, &scene, rng).transformed(&pose);
+                if sweeps.send(sweep).is_err() {
+                    break; // the fold panicked
+                }
+            }
+        });
+        for sweep in received {
+            builder.add_map_sweep(sweep);
+        }
+    });
     builder
 }
+
+/// How many scanned sweeps [`map_builder`]'s channel holds while the
+/// fold is busy. A paper fold takes about as long as scanning the next
+/// eight sweeps, so six keep the helper scanning through most of it.
+/// Each sweep held adds up to 160 kB to the fold's heap peak: with six,
+/// the worst case stays under the one-thread build's peak (see
+/// DESIGN.md, "The threaded map build").
+const IN_FLIGHT: usize = 6;
 
 /// The mapping run's scan instants, in order: one traffic-free scene per
 /// ~8 m of one lap, each with the pose of a sensor head mounted at
@@ -169,17 +197,7 @@ mod tests {
         let world = World::generate(&config.scenario);
         let lidar = LidarModel::new(config.lidar.clone());
         let grid = fresh_map(config, &world, &lidar);
-        let mat_bits = |m: &Mat3| m.m.concat().into_iter().map(f64::to_bits);
-        let mut cells: Vec<Vec<u64>> = grid
-            .cells()
-            .map(|c| {
-                let mut bits = vec![c.mean.x.to_bits(), c.mean.y.to_bits(), c.mean.z.to_bits()];
-                bits.extend(mat_bits(&c.cov));
-                bits.extend(mat_bits(&c.inv_cov));
-                bits.push(c.count as u64);
-                bits
-            })
-            .collect();
+        let mut cells = cell_bits(&grid);
         cells.sort_unstable();
         let mut h = Fnv64::new();
         for bits in cells.iter().flatten() {
@@ -243,6 +261,66 @@ mod tests {
             guess = Some(kept.pose);
         }
         assert_eq!(clears, 1, "the cache must outgrow its cap once");
+    }
+
+    /// The one-thread mapping run [`map_builder`] pipelines: scan, move
+    /// into the map frame and fold, one sweep after the other.
+    fn map_builder_reference(
+        world: &World,
+        lidar: &LidarModel,
+        rng: &mut StreamRng,
+    ) -> NdtMappingBuilder {
+        let mut builder = NdtMappingBuilder::new(0.5);
+        for (scene, pose) in mapping_scenes(world, lidar.config().mount_height) {
+            builder.add_sweep(&lidar.scan(world, &scene, rng), &pose);
+        }
+        builder
+    }
+
+    /// Every bit of a grid cell, in the grid's own order.
+    fn cell_bits(grid: &NdtGrid) -> Vec<Vec<u64>> {
+        let mat_bits = |m: &Mat3| m.m.concat().into_iter().map(f64::to_bits);
+        grid.cells()
+            .map(|c| {
+                let mut bits = vec![c.mean.x.to_bits(), c.mean.y.to_bits(), c.mean.z.to_bits()];
+                bits.extend(mat_bits(&c.cov));
+                bits.extend(mat_bits(&c.inv_cov));
+                bits.push(c.count as u64);
+                bits
+            })
+            .collect()
+    }
+
+    /// The threaded build equals the one-thread reference point for point
+    /// and cell for cell, and leaves the mapping stream where the
+    /// reference leaves it, on the smoke and the paper configuration.
+    #[test]
+    fn threaded_map_build_equals_one_thread_reference() {
+        for config in [
+            StackConfig::smoke_test(DetectorKind::YoloV3),
+            StackConfig::paper_default(DetectorKind::YoloV3),
+        ] {
+            let world = World::generate(&config.scenario);
+            let lidar = LidarModel::new(config.lidar.clone());
+            let mut streams = [0, 1].map(|_| RngStreams::new(config.seed).stream("mapping"));
+            let [threaded, reference] = &mut streams;
+            let threaded_builder = map_builder(&world, &lidar, threaded);
+            let reference_builder = map_builder_reference(&world, &lidar, reference);
+            assert_eq!(threaded_builder.sweeps(), reference_builder.sweeps());
+            assert_eq!(threaded_builder.map_points(), reference_builder.map_points());
+            assert_eq!(threaded.next_u64(), reference.next_u64(), "mapping stream");
+            let (map, grid) = threaded_builder.build(config.map_cell_size, 6);
+            let (want_map, want_grid) = reference_builder.build(config.map_cell_size, 6);
+            assert_eq!(map.len(), want_map.len());
+            for (i, (p, q)) in map.iter().zip(want_map.iter()).enumerate() {
+                let bits = |p: &av_pointcloud::Point| {
+                    let v = p.position;
+                    ([v.x.to_bits(), v.y.to_bits(), v.z.to_bits()], p.intensity.to_bits(), p.ring)
+                };
+                assert_eq!(bits(p), bits(q), "map point {i}");
+            }
+            assert_eq!(cell_bits(&grid), cell_bits(&want_grid), "grid cells");
+        }
     }
 
     /// `build_map`'s output for the smoke and the paper configuration,

@@ -7,7 +7,7 @@
 //! down-sample, and emit both the map cloud and its NDT grid.
 
 use av_geom::Pose;
-use av_pointcloud::{NdtGrid, Point, PointCloud, VoxelGrid, VoxelMap};
+use av_pointcloud::{NdtGrid, PointCloud, VoxelGrid, VoxelMap};
 
 /// Incremental point-cloud map builder.
 ///
@@ -29,8 +29,9 @@ use av_pointcloud::{NdtGrid, Point, PointCloud, VoxelGrid, VoxelMap};
 pub struct NdtMappingBuilder {
     /// The sweeps compacted so far.
     map: VoxelMap,
-    /// Sweeps added since the last compaction, in the map frame.
-    pending: PointCloud,
+    /// Sweeps added since the last compaction, in the map frame, each
+    /// as it came: the next fold reads them in order, as one batch.
+    pending: Vec<PointCloud>,
     sweeps: usize,
 }
 
@@ -45,7 +46,7 @@ impl NdtMappingBuilder {
     pub fn new(leaf_size: f64) -> NdtMappingBuilder {
         NdtMappingBuilder {
             map: VoxelMap::new(VoxelGrid::new(leaf_size)),
-            pending: PointCloud::new(),
+            pending: Vec::with_capacity(FOLD_EVERY),
             sweeps: 0,
         }
     }
@@ -57,12 +58,18 @@ impl NdtMappingBuilder {
     /// exactly what re-filtering the whole accumulated cloud would give,
     /// but only the newest 8 sweeps are filtered (see [`VoxelMap`]).
     pub fn add_sweep(&mut self, sweep: &PointCloud, pose: &Pose) {
-        self.pending.extend(
-            sweep.iter().map(|p| Point { position: pose.transform_point(p.position), ..*p }),
-        );
+        self.add_map_sweep(sweep.transformed(pose));
+    }
+
+    /// Adds one sweep already in the map frame, as
+    /// [`add_sweep`](Self::add_sweep) adds it after the transform. The
+    /// builder keeps the cloud as it is until the next fold.
+    pub fn add_map_sweep(&mut self, sweep: PointCloud) {
+        self.pending.push(sweep);
         self.sweeps += 1;
-        if self.sweeps.is_multiple_of(8) {
-            self.map.fold(&std::mem::take(&mut self.pending));
+        if self.sweeps.is_multiple_of(FOLD_EVERY) {
+            self.map.fold(&self.pending);
+            self.pending.clear();
         }
     }
 
@@ -73,7 +80,7 @@ impl NdtMappingBuilder {
 
     /// Current (possibly not yet re-down-sampled) map size in points.
     pub fn map_points(&self) -> usize {
-        self.map.len() + self.pending.len()
+        self.map.len() + self.pending.iter().map(PointCloud::len).sum::<usize>()
     }
 
     /// Finalizes the map: one last down-sample, then builds the NDT grid
@@ -91,11 +98,15 @@ impl NdtMappingBuilder {
     }
 }
 
+/// Sweeps per compaction.
+const FOLD_EVERY: usize = 8;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use av_des::{RngStreams, StreamRng};
     use av_geom::Vec3;
+    use av_pointcloud::Point;
 
     fn ground_sweep() -> PointCloud {
         PointCloud::from_positions(

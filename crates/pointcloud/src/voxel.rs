@@ -74,7 +74,7 @@ impl VoxelGrid {
     /// open-addressing table, per-voxel sums in input order, so the result
     /// is bit-identical to [`filter_reference`](VoxelGrid::filter_reference).
     pub fn filter(&self, cloud: &PointCloud) -> PointCloud {
-        VoxelMap::new(*self).finish(cloud)
+        VoxelMap::new(*self).finish(std::slice::from_ref(cloud))
     }
 
     /// The original `HashMap`-based formulation of
@@ -132,18 +132,19 @@ impl VoxelGrid {
 /// fold in without re-filtering the points already held — the map an
 /// `ndt_mapping` run compacts every few sweeps.
 ///
-/// After [`fold`](Self::fold)`(batch)` the map holds, bit for bit, what
-/// [`VoxelGrid::filter`] returns for the held points followed by
-/// `batch`. That is cheap to maintain while every held point lies in
-/// the voxel it stands for: the filter then meets the held points
-/// first, one per voxel, so a voxel `batch` touches starts from its held
-/// point (sum `ZERO + old`, count 1, the old ring), an untouched one
-/// keeps it, and new voxels follow in first-appearance order. A centroid
-/// can round out of its voxel (at leaf 0.3, seven points at
-/// x = −29.700000000000003 in voxel −100 average to −29.699999999999996
-/// in voxel −99), and a sum can overflow to a non-finite centroid,
-/// which the filter drops when it meets it again; either way the next
-/// fold re-filters everything held.
+/// A batch comes in parts (one compaction's sweeps, as they arrived),
+/// read as one cloud: `parts[0]`, then `parts[1]`, and so on. After
+/// [`fold`](Self::fold)`(parts)` the map holds, bit for bit, what
+/// [`VoxelGrid::filter`] returns for the held points followed by the
+/// parts. That is cheap to maintain while every held point lies in the
+/// voxel it stands for: the filter then meets the held points first, one
+/// per voxel, so a voxel the batch touches starts from its held point
+/// (sum `ZERO + old`, count 1, the old ring), an untouched one keeps it,
+/// and new voxels follow in first-appearance order. A centroid can round
+/// out of its voxel (at leaf 0.3, seven points at x = −29.700000000000003
+/// in voxel −100 average to −29.699999999999996 in voxel −99), and a sum
+/// can overflow to a non-finite centroid, which the filter drops when it
+/// meets it again; either way the next fold re-filters everything held.
 ///
 /// ```
 /// use av_geom::Vec3;
@@ -151,24 +152,22 @@ impl VoxelGrid {
 ///
 /// let grid = VoxelGrid::new(1.0);
 /// let a = PointCloud::from_positions([Vec3::new(0.2, 0.0, 0.0), Vec3::new(3.5, 0.0, 0.0)]);
-/// let b = PointCloud::from_positions([Vec3::new(0.6, 0.0, 0.0), Vec3::new(7.0, 0.0, 0.0)]);
+/// let b = PointCloud::from_positions([Vec3::new(0.6, 0.0, 0.0)]);
+/// let c = PointCloud::from_positions([Vec3::new(7.0, 0.0, 0.0)]);
 /// let mut map = VoxelMap::new(grid);
-/// map.fold(&a);
+/// map.fold(std::slice::from_ref(&a));
 /// assert_eq!(map.len(), 2);
-/// let mut both = grid.filter(&a);
-/// both.append(&b);
-/// assert_eq!(map.finish(&b), grid.filter(&both));
+/// let mut all = grid.filter(&a);
+/// all.append(&b);
+/// all.append(&c);
+/// assert_eq!(map.finish(&[b, c]), grid.filter(&all));
 /// ```
 #[derive(Debug, Clone)]
 pub struct VoxelMap {
     grid: VoxelGrid,
-    /// Open-addressing table (power-of-two size, load ≤ 0.5) of indices
-    /// into `points`, each found under `grid.voxel_of` of its point. An
-    /// index is below half the size, so the bits above it are free: they
-    /// hold a tag, the top of its voxel's hash (see [`tagged`]), and a
-    /// probe reads `points` only when the tag matches. The table is
-    /// consulted only while no point has escaped its voxel.
-    slots: Vec<u32>,
+    /// `points`, each filed under `grid.voxel_of` of its point; consulted
+    /// only while no point has escaped its voxel.
+    index: TaggedIndex,
     points: Vec<Point>,
     /// A held point lies outside the voxel it stands for: the next fold
     /// or [`finish`](Self::finish) re-filters everything.
@@ -178,7 +177,7 @@ pub struct VoxelMap {
 impl VoxelMap {
     /// An empty map down-sampling with `grid`.
     pub fn new(grid: VoxelGrid) -> VoxelMap {
-        VoxelMap { grid, slots: Vec::new(), points: Vec::new(), escaped: false }
+        VoxelMap { grid, index: TaggedIndex::new(2), points: Vec::new(), escaped: false }
     }
 
     /// Number of held points.
@@ -191,31 +190,48 @@ impl VoxelMap {
         self.points.is_empty()
     }
 
-    /// Down-samples the held points followed by `batch`, keeping the
-    /// result: the map becomes `grid.filter(held ++ batch)`.
-    pub fn fold(&mut self, batch: &PointCloud) {
-        let accs = self.accumulate(batch);
+    /// Down-samples the held points followed by `parts`, keeping the
+    /// result: the map becomes `grid.filter(held ++ parts[0] ++ parts[1] ++ …)`.
+    pub fn fold(&mut self, parts: &[PointCloud]) {
+        let accs = self.accumulate(parts);
         if self.escaped {
-            self.slots.fill(EMPTY);
+            self.index.clear();
             self.points.clear();
             self.escaped = false;
         }
-        self.points.reserve_exact(new_voxels(&accs));
-        for (held, acc) in accs {
-            let key = acc.key;
+        // Room for every new voxel at once: the points exactly (a doubling
+        // `Vec` would leave up to half the map allocated and unused), and
+        // an index too small for them is refiled once the accumulators
+        // are gone, so that the two never share the heap.
+        let new = new_voxels(&accs);
+        self.points.reserve_exact(new);
+        let refile = !self.index.has_room(self.points.len() + new);
+        for acc in accs {
+            let (key, held) = (acc.key, acc.held);
             let point = acc.centroid();
             let at = self.grid.voxel_of(point.position);
             self.escaped |= at != key || !point.position.is_finite();
             match held {
-                EMPTY => self.insert(point, at),
+                EMPTY => {
+                    if !refile {
+                        self.index.place(self.points.len(), VoxelGrid::hash_key(at));
+                    }
+                    self.points.push(point);
+                }
                 held => self.points[held as usize] = point,
             }
         }
+        if refile {
+            let (grid, points) = (self.grid, &self.points);
+            let hash_of = |i: usize| VoxelGrid::hash_key(grid.voxel_of(points[i].position));
+            self.index.refile(points.len(), points.len(), hash_of);
+        }
     }
 
-    /// `grid.filter(held ++ batch)`, built in the held points' storage.
-    pub fn finish(mut self, batch: &PointCloud) -> PointCloud {
-        let accs = self.accumulate(batch);
+    /// `grid.filter(held ++ parts[0] ++ parts[1] ++ …)`, built in the held
+    /// points' storage.
+    pub fn finish(mut self, parts: &[PointCloud]) -> PointCloud {
+        let accs = self.accumulate(parts);
         let mut points = std::mem::take(&mut self.points);
         if self.escaped {
             points.clear();
@@ -225,11 +241,11 @@ impl VoxelMap {
         // `(0 + v) / 1` turns a held −0 (an underflowed mean intensity)
         // into +0.
         for p in &mut points {
-            *p = VoxelAcc::of((0, 0, 0), p).centroid();
+            *p = VoxelAcc::of((0, 0, 0), EMPTY, p).centroid();
         }
         points.reserve_exact(new_voxels(&accs));
-        for (held, acc) in accs {
-            match held {
+        for acc in accs {
+            match acc.held {
                 EMPTY => points.push(acc.centroid()),
                 held => points[held as usize] = acc.centroid(),
             }
@@ -237,95 +253,144 @@ impl VoxelMap {
         points.into_iter().collect()
     }
 
-    /// The filter's accumulators over `held ++ batch` for every voxel
-    /// `batch` touches, in first-appearance order, each with the index of
-    /// the held point it starts from (`EMPTY` for a new voxel). After an
+    /// The filter's accumulators over `held ++ parts` for every voxel the
+    /// parts touch, in first-appearance order, each with the index of the
+    /// held point it starts from (`EMPTY` for a new voxel). After an
     /// escape there is no such shortcut: every held point is accumulated
     /// afresh, all as new voxels. Non-finite points are dropped, as the
     /// filter drops them.
-    fn accumulate(&self, batch: &PointCloud) -> Vec<(u32, VoxelAcc)> {
+    fn accumulate(&self, parts: &[PointCloud]) -> Vec<VoxelAcc> {
         let held: &[Point] = if self.escaped { &self.points } else { &[] };
         // The filter (an empty map) and an escaped map look nothing up.
-        let lookup = !self.escaped && !self.slots.is_empty();
-        // At least twice the worst-case voxel count (one per point), a
-        // power of two so probing masks: load stays ≤ 0.5.
-        let capacity = ((held.len() + batch.len()) * 2).next_power_of_two();
-        let mask = capacity - 1;
-        let mut slots: Vec<u32> = vec![EMPTY; capacity];
-        let mut accs: Vec<(u32, VoxelAcc)> = Vec::new();
-        for p in held.iter().chain(batch).filter(|p| p.position.is_finite()) {
-            let key = self.grid.voxel_of(p.position);
+        let lookup = !self.escaped && !self.points.is_empty();
+        let (grid, map) = (&self.grid, &self.points);
+        let points = held.len() + parts.iter().map(PointCloud::len).sum::<usize>();
+        // At load ≤ 0.25, as every point probes here and short probe
+        // chains pay; with room for 0.4 voxels a point, grown past that.
+        // A batch of paper sweeps at leaf 0.5 m holds 0.40–0.58 voxels a
+        // point and a sweep filtered at 1 m about 0.4, so after the
+        // power-of-two round-up the index seldom grows.
+        let mut index = TaggedIndex::new(4);
+        index.refile(points * 2 / 5, 0, |_| 0);
+        let mut accs: Vec<VoxelAcc> = Vec::new();
+        let mut add = |p: &Point| {
+            if !p.position.is_finite() {
+                return;
+            }
+            let key = grid.voxel_of(p.position);
             let hash = VoxelGrid::hash_key(key);
-            let mut slot = hash as usize & mask;
-            let (_, acc) = loop {
-                match slots[slot] {
-                    EMPTY => {
-                        slots[slot] = accs.len() as u32;
-                        let held = if lookup { self.find(key, hash) } else { None };
-                        accs.push(match held {
-                            Some(i) => (i, VoxelAcc::of(key, &self.points[i as usize])),
-                            None => (EMPTY, VoxelAcc::new(key, p.ring)),
-                        });
-                        break accs.last_mut().expect("just pushed");
-                    }
-                    idx if accs[idx as usize].1.key == key => break &mut accs[idx as usize],
-                    _ => slot = (slot + 1) & mask,
+            let i = match index.find(hash, |i| accs[i].key == key) {
+                Ok(i) => i,
+                Err(slot) => {
+                    let i = accs.len();
+                    index.insert(slot, i, hash, |j| VoxelGrid::hash_key(accs[j].key));
+                    let held = lookup
+                        .then(|| self.index.find(hash, |h| grid.voxel_of(map[h].position) == key))
+                        .and_then(Result::ok);
+                    accs.push(match held {
+                        Some(h) => VoxelAcc::of(key, h as u32, &map[h]),
+                        None => VoxelAcc::new(key, EMPTY, p.ring),
+                    });
+                    i
                 }
             };
-            acc.add(p);
+            accs[i].add(p);
+        };
+        held.iter().for_each(&mut add);
+        for part in parts {
+            part.iter().for_each(&mut add);
         }
         accs
     }
+}
 
-    /// The index of the held point standing for `key`, whose hash is
-    /// `hash`. A slot whose tag differs holds another voxel; one whose tag
-    /// matches may still, so the key is compared too.
-    fn find(&self, key: Key, hash: u64) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
+/// An open-addressing index (power-of-two size, linear probing) of
+/// positions in a table kept beside it, each filed under the hash of its
+/// entry's voxel. The load stays below one half, so a position is below
+/// half the size and the bits above it are free: they hold a tag, the
+/// top of its voxel's hash (see [`tagged`]), and a probe compares an
+/// entry's key only when the tag matches.
+#[derive(Debug, Clone)]
+struct TaggedIndex {
+    slots: Vec<u32>,
+    /// Slots per entry, at least: the load stays ≤ `1 / spread`.
+    spread: usize,
+}
+
+impl TaggedIndex {
+    /// An empty index without slots (`spread` ≥ 2); it needs a
+    /// [`refile`](Self::refile) before the first entry.
+    fn new(spread: usize) -> TaggedIndex {
+        TaggedIndex { slots: Vec::new(), spread }
+    }
+
+    /// Whether the table holds `n` entries at its load bound.
+    fn has_room(&self, n: usize) -> bool {
+        self.size_for(n) <= self.slots.len()
+    }
+
+    /// The smallest power of two, and at least 16, that holds `n` entries
+    /// at the load bound.
+    fn size_for(&self, n: usize) -> usize {
+        (n * self.spread).next_power_of_two().max(16)
+    }
+
+    /// The position filed under `hash` whose entry `is` confirms, or else
+    /// the empty slot that ends the probe, where a new entry would go.
+    /// The index must have slots.
+    fn find(&self, hash: u64, mut is: impl FnMut(usize) -> bool) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let tag = tagged(hash, 0, mask);
         let mut slot = hash as usize & mask;
         loop {
             match self.slots[slot] {
-                EMPTY => return None,
-                s if s & !(mask as u32) == tag => {
-                    let i = s & mask as u32;
-                    if self.grid.voxel_of(self.points[i as usize].position) == key {
-                        return Some(i);
-                    }
+                EMPTY => return Err(slot),
+                s if s & !(mask as u32) == tag && is((s & mask as u32) as usize) => {
+                    return Ok((s & mask as u32) as usize);
                 }
-                _ => {}
+                _ => slot = (slot + 1) & mask,
             }
-            slot = (slot + 1) & mask;
         }
     }
 
-    /// Holds `point`, which lies in voxel `key`, for a voxel the map does
-    /// not hold yet.
-    fn insert(&mut self, point: Point, key: Key) {
-        if (self.points.len() + 1) * 2 > self.slots.len() {
-            let capacity = (self.slots.len() * 2).max(16);
-            self.slots = vec![EMPTY; capacity];
-            for i in 0..self.points.len() {
-                let key = self.grid.voxel_of(self.points[i].position);
-                self.place(i as u32, VoxelGrid::hash_key(key));
-            }
+    /// Files position `len`, the next one, under `hash` in `slot` (the
+    /// empty slot [`find`](Self::find) returned for it); or, when that
+    /// would pass the load bound, doubles the table first, refiling
+    /// positions `0..len` under `hash_of`.
+    fn insert(&mut self, slot: usize, len: usize, hash: u64, hash_of: impl Fn(usize) -> u64) {
+        if self.has_room(len + 1) {
+            self.slots[slot] = tagged(hash, len as u32, self.slots.len() - 1);
+        } else {
+            self.refile(len + 1, len, hash_of);
+            self.place(len, hash);
         }
-        self.points.push(point);
-        self.place(self.points.len() as u32 - 1, VoxelGrid::hash_key(key));
     }
 
-    /// Puts index `i` in the first free slot on the probe sequence of the
-    /// voxel hash `hash`.
-    fn place(&mut self, i: u32, hash: u64) {
+    /// Replaces the table by one with room for `room` entries, filing
+    /// positions `0..len` under `hash_of`. The old table goes first, so
+    /// the two never share the heap.
+    fn refile(&mut self, room: usize, len: usize, hash_of: impl Fn(usize) -> u64) {
+        self.slots = Vec::new();
+        self.slots = vec![EMPTY; self.size_for(room)];
+        for i in 0..len {
+            self.place(i, hash_of(i));
+        }
+    }
+
+    /// Files position `i` in the first free slot on the probe sequence
+    /// of `hash`; the table must have room for it.
+    fn place(&mut self, i: usize, hash: u64) {
         let mask = self.slots.len() - 1;
         let mut slot = hash as usize & mask;
         while self.slots[slot] != EMPTY {
             slot = (slot + 1) & mask;
         }
-        self.slots[slot] = tagged(hash, i, mask);
+        self.slots[slot] = tagged(hash, i as u32, mask);
+    }
+
+    /// Forgets every entry, keeping the table's size.
+    fn clear(&mut self) {
+        self.slots.fill(EMPTY);
     }
 }
 
@@ -338,22 +403,23 @@ fn tagged(hash: u64, i: u32, mask: usize) -> u32 {
     ((hash >> 32) as u32 & !(mask as u32)) | i
 }
 
-/// How many of [`VoxelMap::accumulate`]'s voxels are new to the map. The
-/// map reserves exactly that room: a doubling `Vec` would leave up to
-/// half of the map's size allocated and unused.
-fn new_voxels(accs: &[(u32, VoxelAcc)]) -> usize {
-    accs.iter().filter(|(held, _)| *held == EMPTY).count()
+/// How many of [`VoxelMap::accumulate`]'s voxels are new to the map.
+fn new_voxels(accs: &[VoxelAcc]) -> usize {
+    accs.iter().filter(|acc| acc.held == EMPTY).count()
 }
 
 /// An integer voxel coordinate.
 type Key = (i32, i32, i32);
 
-/// An empty slot of an open-addressing table.
+/// An empty slot of an open-addressing table, and the `held` of a voxel
+/// new to the map.
 const EMPTY: u32 = u32::MAX;
 
-/// Open-addressing accumulator for one occupied voxel.
+/// Open-addressing accumulator for one occupied voxel (56 bytes).
 struct VoxelAcc {
     key: Key,
+    /// The held point the voxel starts from, or `EMPTY` for a new voxel.
+    held: u32,
     sum: Vec3,
     intensity: f64,
     count: u32,
@@ -362,13 +428,13 @@ struct VoxelAcc {
 
 impl VoxelAcc {
     /// An empty voxel; `ring` is its first point's.
-    fn new(key: Key, ring: u8) -> VoxelAcc {
-        VoxelAcc { key, sum: Vec3::ZERO, intensity: 0.0, count: 0, ring }
+    fn new(key: Key, held: u32, ring: u8) -> VoxelAcc {
+        VoxelAcc { key, held, sum: Vec3::ZERO, intensity: 0.0, count: 0, ring }
     }
 
     /// A voxel holding just `p`, as when `p` is its first point.
-    fn of(key: Key, p: &Point) -> VoxelAcc {
-        let mut acc = VoxelAcc::new(key, p.ring);
+    fn of(key: Key, held: u32, p: &Point) -> VoxelAcc {
+        let mut acc = VoxelAcc::new(key, held, p.ring);
         acc.add(p);
         acc
     }
@@ -450,6 +516,7 @@ mod proptests {
     //! failure reproduces exactly).
     use super::*;
     use av_des::{RngStreams, StreamRng};
+    use std::slice::from_ref;
 
     fn random_cloud(rng: &mut StreamRng, range: f64, max: usize) -> PointCloud {
         let n = 1 + rng.uniform_usize(max - 1);
@@ -512,31 +579,104 @@ mod proptests {
         }
     }
 
-    /// Folding batch after batch into a [`VoxelMap`] gives what
-    /// re-filtering the whole accumulated cloud gives after each batch.
-    /// The map tests compare against `filter_reference`: `filter` is the
-    /// map's own `finish`, so it would check the table against itself.
+    /// `cloud` cut into consecutive parts at random places, empty parts
+    /// included.
+    fn random_parts(rng: &mut StreamRng, cloud: &PointCloud) -> Vec<PointCloud> {
+        let points = cloud.points();
+        let mut parts = Vec::new();
+        let mut at = 0;
+        while at < points.len() || parts.is_empty() {
+            let n = rng.uniform_usize(points.len() - at + 1).min(rng.uniform_usize(64));
+            parts.push(points[at..at + n].iter().copied().collect());
+            at += n;
+        }
+        parts
+    }
+
+    /// Every point by its bits: position, intensity, ring, in order.
+    fn bits(cloud: &PointCloud) -> Vec<([u64; 3], u32, u8)> {
+        cloud
+            .iter()
+            .map(|p| {
+                let v = p.position;
+                ([v.x.to_bits(), v.y.to_bits(), v.z.to_bits()], p.intensity.to_bits(), p.ring)
+            })
+            .collect()
+    }
+
+    /// Folding batch after batch into a [`VoxelMap`], each batch in
+    /// random parts, gives what re-filtering the whole accumulated cloud
+    /// gives after each batch. The map tests compare against
+    /// `filter_reference`: `filter` is the map's own `finish`, so it
+    /// would check the table against itself.
     #[test]
     fn voxel_map_matches_refiltering() {
         let mut rng = RngStreams::new(0x0e1).stream("fold");
+        let mut cuts = RngStreams::new(0x0e1).stream("cuts");
         for round in 0..64 {
             let g = VoxelGrid::new(rng.uniform(0.2, 3.0));
             let mut map = VoxelMap::new(g);
             let mut reference = PointCloud::new();
             for batch in 0..6 {
                 let cloud = random_cloud(&mut rng, 20.0, 300);
+                let parts = random_parts(&mut cuts, &cloud);
                 let mut all = reference.clone();
                 all.append(&cloud);
                 assert_eq!(
-                    map.clone().finish(&cloud),
+                    map.clone().finish(&parts),
                     g.filter_reference(&all),
                     "round {round} batch {batch}"
                 );
-                map.fold(&cloud);
+                map.fold(&parts);
                 reference = g.filter_reference(&all);
                 assert_eq!(map.len(), reference.len());
             }
         }
+    }
+
+    /// `fold` and `finish` over parts equal the same call on their
+    /// concatenation, bit for bit, also where a centroid escapes its
+    /// voxel, a point is not finite or a sum overflows.
+    #[test]
+    fn parts_fold_as_their_concatenation() {
+        let mut rng = RngStreams::new(0x0e1).stream("parts");
+        // Seven of these average out of voxel −100 at leaf 0.3.
+        let escaping = Point::from(Vec3::new(-29.700000000000003, 0.0, 0.0));
+        let (nan, inf) = (Vec3::new(f64::NAN, 0.0, 0.0), Vec3::new(0.0, f64::INFINITY, 0.0));
+        let huge = Point::from(Vec3::new(f64::MAX, 0.5, 0.5));
+        let mut escapes = 0;
+        for round in 0..64 {
+            let leaf = if round % 2 == 0 { 0.3 } else { rng.uniform(0.2, 3.0) };
+            let g = VoxelGrid::new(leaf);
+            let (mut whole, mut cut) = (VoxelMap::new(g), VoxelMap::new(g));
+            for batch in 0..4 {
+                let mut cloud = random_cloud(&mut rng, 40.0, 200);
+                if rng.chance(0.5) {
+                    cloud.extend([escaping; 7]);
+                }
+                if rng.chance(0.3) {
+                    cloud.extend([nan, inf].map(Point::from));
+                }
+                if rng.chance(0.2) {
+                    cloud.extend([huge; 2]);
+                }
+                let parts = random_parts(&mut rng, &cloud);
+                let at = format!("round {round} batch {batch}");
+                let (got, want) =
+                    (cut.clone().finish(&parts), whole.clone().finish(from_ref(&cloud)));
+                assert_eq!(bits(&got), bits(&want), "{at}");
+                cut.fold(&parts);
+                whole.fold(from_ref(&cloud));
+                assert_eq!(cut.escaped, whole.escaped, "{at}");
+                escapes += cut.escaped as usize;
+                assert_eq!(
+                    bits(&cut.clone().finish(&[])),
+                    bits(&whole.clone().finish(&[])),
+                    "{at}"
+                );
+            }
+        }
+        assert!(escapes > 10, "only {escapes} folds escaped");
     }
 
     /// A centroid that rounds out of its voxel makes the next fold
@@ -551,19 +691,19 @@ mod proptests {
         assert_eq!(g.voxel_of(second.point(0).position).0, -99);
 
         let mut map = VoxelMap::new(g);
-        map.fold(&first);
-        let centroid = map.clone().finish(&PointCloud::new()).point(0).position;
+        map.fold(from_ref(&first));
+        let centroid = map.clone().finish(&[]).point(0).position;
         assert_eq!(centroid.x, -29.699999999999996);
         assert!(map.escaped, "the centroid left voxel -100");
 
         let mut all = g.filter_reference(&first);
         all.append(&second);
-        assert_eq!(map.clone().finish(&second), g.filter_reference(&all));
-        map.fold(&second);
+        assert_eq!(map.clone().finish(from_ref(&second)), g.filter_reference(&all));
+        map.fold(from_ref(&second));
         assert!(!map.escaped);
         // Both points now share voxel -99.
         assert_eq!(map.len(), 1);
-        assert_eq!(map.finish(&PointCloud::new()), g.filter_reference(&g.filter_reference(&all)));
+        assert_eq!(map.finish(&[]), g.filter_reference(&g.filter_reference(&all)));
     }
 
     /// A mean intensity that underflows to −0 stays −0 while held, as
@@ -580,13 +720,13 @@ mod proptests {
         let filtered = g.filter_reference(&batch);
         assert_eq!(filtered.point(0).intensity.to_bits(), (-0.0f32).to_bits());
         let mut map = VoxelMap::new(g);
-        map.fold(&batch);
+        map.fold(from_ref(&batch));
         let other = PointCloud::from_positions([Vec3::new(5.5, 0.5, 0.5)]);
         let mut all = filtered.clone();
         all.append(&other);
         let bits = |c: &PointCloud| c.iter().map(|p| p.intensity.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&map.clone().finish(&other)), bits(&g.filter_reference(&all)));
-        assert_eq!(bits(&map.finish(&PointCloud::new())), bits(&g.filter_reference(&filtered)));
+        assert_eq!(bits(&map.clone().finish(from_ref(&other))), bits(&g.filter_reference(&all)));
+        assert_eq!(bits(&map.finish(&[])), bits(&g.filter_reference(&filtered)));
     }
 
     /// Non-finite points are dropped by the filter, its reference and
@@ -609,12 +749,12 @@ mod proptests {
         assert_eq!(g.filter(&cloud), want);
         assert_eq!(g.filter_reference(&cloud), want);
         let mut map = VoxelMap::new(g);
-        map.fold(&cloud);
+        map.fold(from_ref(&cloud));
         assert_eq!(map.len(), 1);
         let mut all = want.clone();
         all.append(&cloud);
-        assert_eq!(map.clone().finish(&cloud), g.filter_reference(&all));
-        assert_eq!(map.finish(&PointCloud::new()), want);
+        assert_eq!(map.clone().finish(from_ref(&cloud)), g.filter_reference(&all));
+        assert_eq!(map.finish(&[]), want);
     }
 
     /// Finite points whose sum overflows leave a non-finite centroid,
@@ -627,14 +767,14 @@ mod proptests {
         let held = g.filter_reference(&huge);
         assert_eq!(held.point(0).position.x, f64::INFINITY);
         let mut map = VoxelMap::new(g);
-        map.fold(&huge);
+        map.fold(from_ref(&huge));
         assert!(map.escaped, "an infinite centroid must re-filter");
         let next = PointCloud::from_positions([Vec3::new(1.0, 0.0, 0.0)]);
         let mut all = held.clone();
         all.append(&next);
-        assert_eq!(map.clone().finish(&next), g.filter_reference(&all));
-        map.fold(&next);
-        assert_eq!(map.finish(&PointCloud::new()), g.filter_reference(&g.filter_reference(&all)));
+        assert_eq!(map.clone().finish(from_ref(&next)), g.filter_reference(&all));
+        map.fold(from_ref(&next));
+        assert_eq!(map.finish(&[]), g.filter_reference(&g.filter_reference(&all)));
     }
 
     /// Two voxels whose hashes share the home slot and the tag of a
@@ -671,17 +811,14 @@ mod proptests {
                 .map(Point::from)
                 .collect();
             let mut map = VoxelMap::new(g);
-            map.fold(&first);
-            assert_eq!(map.slots.len(), mask + 1);
+            map.fold(from_ref(&first));
+            assert_eq!(map.index.slots.len(), mask + 1);
             let second = PointCloud::from_positions([at(b), at(a)]);
             let mut all = g.filter_reference(&first);
             all.append(&second);
-            map.fold(&second);
+            map.fold(from_ref(&second));
             assert_eq!(map.len(), fillers as usize + 2, "table of {} slots", mask + 1);
-            assert_eq!(
-                map.finish(&PointCloud::new()),
-                g.filter_reference(&g.filter_reference(&all))
-            );
+            assert_eq!(map.finish(&[]), g.filter_reference(&g.filter_reference(&all)));
         }
     }
 }

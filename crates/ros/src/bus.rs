@@ -885,6 +885,11 @@ impl<M: 'static> Bus<M> {
     /// Drops or duplicates (`kind`) each message delivered on `topic` to
     /// `node` inside `window` with probability `rate`, drawing from `rng`
     /// (a dedicated stream, so other consumers stay phase-aligned).
+    ///
+    /// Windows of the faults on one edge must be disjoint: a delivery
+    /// consults only the first fault set on its edge whose window holds
+    /// it, so an overlapping later one never draws. `FaultPlan::parse`
+    /// rejects plans that break this.
     pub fn set_edge_fault(
         &self,
         topic: &str,
