@@ -34,7 +34,7 @@ pub fn build_map(
 ///
 /// Two stages on two threads. A scoped helper owns `rng`: it scans the
 /// scenes in [`mapping_scenes`] order, moves each sweep into the map
-/// frame and sends it through a channel that holds [`IN_FLIGHT`] sweeps.
+/// frame and sends it through a channel that holds `IN_FLIGHT` sweeps.
 /// The calling thread folds the sweeps in as they arrive. The helper
 /// draws the mapping noise in the order one thread would, and the fold
 /// meets the same points in the same order, so the builder is the one a

@@ -270,8 +270,7 @@ impl VoxelMap {
         // A batch of paper sweeps at leaf 0.5 m holds 0.40–0.58 voxels a
         // point and a sweep filtered at 1 m about 0.4, so after the
         // power-of-two round-up the index seldom grows.
-        let mut index = TaggedIndex::new(4);
-        index.refile(points * 2 / 5, 0, |_| 0);
+        let mut index = TaggedIndex::with_room(4, points * 2 / 5);
         let mut accs: Vec<VoxelAcc> = Vec::new();
         let mut add = |p: &Point| {
             if !p.position.is_finite() {
@@ -322,6 +321,13 @@ impl TaggedIndex {
     /// [`refile`](Self::refile) before the first entry.
     fn new(spread: usize) -> TaggedIndex {
         TaggedIndex { slots: Vec::new(), spread }
+    }
+
+    /// An empty index with room for `n` entries.
+    fn with_room(spread: usize, n: usize) -> TaggedIndex {
+        let mut index = TaggedIndex::new(spread);
+        index.slots = vec![EMPTY; index.size_for(n)];
+        index
     }
 
     /// Whether the table holds `n` entries at its load bound.

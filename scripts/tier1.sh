@@ -272,7 +272,7 @@ echo "== paper-world pin: one drive-paper cycle against its full-size digest =="
 # on how far the build's scan thread runs ahead of the fold: the fold's
 # own peak (9.74 MB, the 14th batch of eight sweeps) plus at most six
 # sweeps in the channel (160 kB each at most) and one being scanned
-# (0.32 MB), 11.0 MB in the worst case. Runs read 10.68 MB.
+# (0.32 MB), 11.0 MB in the worst case. Runs read 10.68-10.97 MB.
 cargo run --release --quiet --offline --manifest-path avbench/Cargo.toml -- \
     --workload drive-paper --seed 1 --seconds 1 --trace 0 >"$tmp/paper.log"
 heap=$(tail -n 1 "$tmp/paper.log" | grep -o '"heap_mb":{"value":[0-9.eE+-]*' | sed 's/.*://' || true)
