@@ -90,7 +90,7 @@ fn main() {
                     "  {}  barrier {:>8.1} s  {}  {:>8} B",
                     e.file_name(),
                     e.barrier_s(),
-                    if e.traced { "traced  " } else { "untraced" },
+                    if e.header.traced { "traced  " } else { "untraced" },
                     e.file_bytes
                 );
             }

@@ -103,14 +103,13 @@ fn main() {
         RunConfig::seconds(options.duration_s)
     };
     let fingerprint = drive_fingerprint(&config);
-    let horizon_ns = (options.duration_s * 1e9).round() as u64;
 
     let store = options.ckpt_dir.as_deref().map(cli::open_store);
 
     // Warm start: the newest stored barrier of this exact configuration
     // (and tracing mode) at or before the horizon.
     let mut cursor: Option<Checkpoint> =
-        store.as_ref().and_then(|st| st.best_resume(fingerprint, options.trace, horizon_ns));
+        store.as_ref().and_then(|st| st.best_resume(&config, &run));
     if let Some(cp) = &cursor {
         eprintln!(
             "warm start: resuming fingerprint {fingerprint:#018x} from stored barrier {:.1} s",

@@ -57,10 +57,11 @@
 //! truncation, crash inside the rename window) so tests can prove every
 //! corruption mode is detected, quarantined and recovered from.
 
+use crate::checkpoint::{drive_fingerprint, Checkpoint, CheckpointHeader};
 use crate::determinism::fnv64;
 use crate::durable::{pending_path, publish, quarantine_file, RecoveryReport};
-use crate::stack::{Checkpoint, CheckpointHeader};
-use av_des::splitmix64;
+use crate::stack::{RunConfig, SimTimeExt, StackConfig};
+use av_des::{splitmix64, SimTime};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -79,19 +80,12 @@ const ENTRY_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 const ENTRY_FOOTER_BYTES: usize = 8;
 
 /// Everything the store knows about one published entry without
-/// re-reading its payload.
+/// re-reading its payload: the checkpoint's own header (whose
+/// fingerprint and barrier key the entry) and the entry's size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntryInfo {
-    /// Full configuration fingerprint the entry is keyed by.
-    pub fingerprint: u64,
-    /// Barrier virtual time the entry is keyed by, nanoseconds.
-    pub barrier_ns: u64,
-    /// Blackout-stripped fingerprint (the prefix-sharing identity).
-    pub fingerprint_stripped: u64,
-    /// Earliest blackout start of the captured configuration, seconds.
-    pub earliest_blackout_s: Option<f64>,
-    /// Whether the captured run was tracing.
-    pub traced: bool,
+    /// The header of the stored checkpoint.
+    pub header: CheckpointHeader,
     /// Total size of the entry file, bytes.
     pub file_bytes: u64,
 }
@@ -99,12 +93,23 @@ pub struct EntryInfo {
 impl EntryInfo {
     /// Barrier virtual time, seconds.
     pub fn barrier_s(&self) -> f64 {
-        self.barrier_ns as f64 / 1e9
+        self.header.barrier_s()
     }
 
     /// The entry's file name inside the store directory.
     pub fn file_name(&self) -> String {
-        entry_file_name(self.fingerprint, self.barrier_ns)
+        entry_file_name(self.header.fingerprint, self.header.barrier_ns)
+    }
+
+    /// The entry a store holding `checkpoint` indexes.
+    fn of(checkpoint: &Checkpoint) -> EntryInfo {
+        let file_bytes = ENTRY_HEADER_BYTES + checkpoint.size_bytes() + ENTRY_FOOTER_BYTES;
+        EntryInfo { header: *checkpoint.header(), file_bytes: file_bytes as u64 }
+    }
+
+    /// The index key: `(fingerprint, barrier_ns)`.
+    fn key(&self) -> (u64, u64) {
+        (self.header.fingerprint, self.header.barrier_ns)
     }
 }
 
@@ -183,25 +188,6 @@ impl StoreFaultPlan {
     }
 }
 
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    fingerprint_stripped: u64,
-    earliest_blackout_s: Option<f64>,
-    traced: bool,
-    file_bytes: u64,
-}
-
-fn info(key: (u64, u64), e: &IndexEntry) -> EntryInfo {
-    EntryInfo {
-        fingerprint: key.0,
-        barrier_ns: key.1,
-        fingerprint_stripped: e.fingerprint_stripped,
-        earliest_blackout_s: e.earliest_blackout_s,
-        traced: e.traced,
-        file_bytes: e.file_bytes,
-    }
-}
-
 fn entry_file_name(fingerprint: u64, barrier_ns: u64) -> String {
     format!("{fingerprint:016x}-{barrier_ns:016x}.ckpt")
 }
@@ -230,10 +216,9 @@ fn encode_entry(fingerprint: u64, barrier_ns: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// Verifies one entry end to end and returns its metadata plus the
-/// checkpoint payload. Every failure mode gets a distinct, quotable
-/// reason.
-fn verify_entry_bytes(name: &str, data: &[u8]) -> Result<(EntryInfo, Vec<u8>), String> {
+/// Verifies one entry end to end and returns the checkpoint it holds.
+/// Every failure mode gets a distinct, quotable reason.
+fn verify_entry_bytes(name: &str, data: &[u8]) -> Result<Checkpoint, String> {
     let min = ENTRY_HEADER_BYTES + ENTRY_FOOTER_BYTES;
     if data.len() < min {
         return Err(format!("truncated: {} bytes, a valid entry needs at least {min}", data.len()));
@@ -266,33 +251,23 @@ fn verify_entry_bytes(name: &str, data: &[u8]) -> Result<(EntryInfo, Vec<u8>), S
         return Err(format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"));
     }
     let payload = &data[ENTRY_HEADER_BYTES..data.len() - ENTRY_FOOTER_BYTES];
-    let header = CheckpointHeader::parse(payload)
+    let checkpoint = Checkpoint::from_bytes(payload.to_vec())
         .map_err(|e| format!("checkpoint payload rejected: {e}"))?;
-    if let Err(e) = Checkpoint::from_bytes(payload.to_vec()) {
-        return Err(format!("checkpoint payload rejected: {e}"));
-    }
-    if header.fingerprint != fingerprint || header.barrier_ns != barrier_ns {
+    let key = (fingerprint, barrier_ns);
+    if (checkpoint.header().fingerprint, checkpoint.barrier_ns()) != key {
         return Err("key mismatch between store header and checkpoint payload".to_string());
     }
     match parse_entry_file_name(name) {
-        Some((name_fp, name_barrier)) => {
-            if name_fp != fingerprint || name_barrier != barrier_ns {
-                return Err("entry name does not match its header key".to_string());
-            }
-        }
-        None => return Err("malformed entry name".to_string()),
+        Some(named) if named == key => Ok(checkpoint),
+        Some(_) => Err("entry name does not match its header key".to_string()),
+        None => Err("malformed entry name".to_string()),
     }
-    Ok((
-        EntryInfo {
-            fingerprint,
-            barrier_ns,
-            fingerprint_stripped: header.fingerprint_stripped,
-            earliest_blackout_s: header.earliest_blackout_s,
-            traced: header.traced,
-            file_bytes: data.len() as u64,
-        },
-        payload.to_vec(),
-    ))
+}
+
+/// Reads and verifies the entry file at `path`.
+fn read_entry(path: &Path) -> Result<Checkpoint, String> {
+    let data = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+    verify_entry_bytes(&path.file_name().unwrap_or_default().to_string_lossy(), &data)
 }
 
 /// The durable checkpoint store. See the module docs for layout,
@@ -305,7 +280,7 @@ fn verify_entry_bytes(name: &str, data: &[u8]) -> Result<(EntryInfo, Vec<u8>), S
 pub struct CkptStore {
     root: PathBuf,
     quarantine: PathBuf,
-    index: Mutex<BTreeMap<(u64, u64), IndexEntry>>,
+    index: Mutex<BTreeMap<(u64, u64), EntryInfo>>,
 }
 
 impl std::fmt::Debug for CkptStore {
@@ -339,22 +314,10 @@ impl CkptStore {
             .collect();
         entries.sort();
         for path in entries {
-            let name = path.file_name().unwrap_or_default().to_string_lossy().into_owned();
-            let outcome = match fs::read(&path) {
-                Ok(data) => verify_entry_bytes(&name, &data),
-                Err(e) => Err(format!("unreadable: {e}")),
-            };
-            match outcome {
-                Ok((entry, _)) => {
-                    index.insert(
-                        (entry.fingerprint, entry.barrier_ns),
-                        IndexEntry {
-                            fingerprint_stripped: entry.fingerprint_stripped,
-                            earliest_blackout_s: entry.earliest_blackout_s,
-                            traced: entry.traced,
-                            file_bytes: entry.file_bytes,
-                        },
-                    );
+            match read_entry(&path) {
+                Ok(checkpoint) => {
+                    let entry = EntryInfo::of(&checkpoint);
+                    index.insert(entry.key(), entry);
                     report.loaded += 1;
                 }
                 Err(reason) => report.quarantine(&root, &path, reason)?,
@@ -392,7 +355,7 @@ impl CkptStore {
 
     /// Every indexed entry, sorted by `(fingerprint, barrier)`.
     pub fn entries(&self) -> Vec<EntryInfo> {
-        self.index.lock().unwrap().iter().map(|(&k, e)| info(k, e)).collect()
+        self.index.lock().unwrap().values().cloned().collect()
     }
 
     /// File names currently in quarantine (reason sidecars excluded),
@@ -413,18 +376,12 @@ impl CkptStore {
     /// atomically replaces the entry with identical bytes (checkpoints
     /// are content-addressed: same key ⇒ same bytes).
     pub fn put(&self, checkpoint: &Checkpoint) -> io::Result<EntryInfo> {
-        let header = checkpoint.header();
-        let buf = encode_entry(header.fingerprint, header.barrier_ns, checkpoint.as_bytes());
-        publish(&self.root, &entry_file_name(header.fingerprint, header.barrier_ns), &buf)?;
-        let entry = IndexEntry {
-            fingerprint_stripped: header.fingerprint_stripped,
-            earliest_blackout_s: header.earliest_blackout_s,
-            traced: header.traced,
-            file_bytes: buf.len() as u64,
-        };
-        let key = (header.fingerprint, header.barrier_ns);
-        self.index.lock().unwrap().insert(key, entry.clone());
-        Ok(info(key, &entry))
+        let entry = EntryInfo::of(checkpoint);
+        let (fingerprint, barrier_ns) = entry.key();
+        let buf = encode_entry(fingerprint, barrier_ns, checkpoint.as_bytes());
+        publish(&self.root, &entry.file_name(), &buf)?;
+        self.index.lock().unwrap().insert(entry.key(), entry.clone());
+        Ok(entry)
     }
 
     /// [`put`](CkptStore::put), warning on stderr instead of failing: a
@@ -482,16 +439,9 @@ impl CkptStore {
         if !self.index.lock().unwrap().contains_key(&key) {
             return None;
         }
-        let name = entry_file_name(fingerprint, barrier_ns);
-        let path = self.root.join(&name);
-        let outcome = match fs::read(&path) {
-            Ok(data) => verify_entry_bytes(&name, &data),
-            Err(e) => Err(format!("unreadable: {e}")),
-        };
-        match outcome {
-            Ok((_, payload)) => {
-                Some(Checkpoint::from_bytes(payload).expect("verified payload parses"))
-            }
+        let path = self.root.join(entry_file_name(fingerprint, barrier_ns));
+        match read_entry(&path) {
+            Ok(checkpoint) => Some(checkpoint),
             Err(reason) => {
                 self.index.lock().unwrap().remove(&key);
                 if path.exists() {
@@ -502,22 +452,21 @@ impl CkptStore {
         }
     }
 
-    /// The newest verifiable checkpoint for `fingerprint` with barrier
-    /// at most `max_barrier_ns` and matching tracing mode. Falls back
-    /// to the next-newest barrier when a candidate turns out corrupt
+    /// The newest verifiable checkpoint a run of `config` under `run`
+    /// can resume from: the same configuration fingerprint and tracing
+    /// mode, with barrier at or before the run's horizon. Falls back to
+    /// the next-newest barrier when a candidate turns out corrupt
     /// (which quarantines it), so resume always lands on the best entry
     /// the checksums vouch for.
-    pub fn best_resume(
-        &self,
-        fingerprint: u64,
-        traced: bool,
-        max_barrier_ns: u64,
-    ) -> Option<Checkpoint> {
+    pub fn best_resume(&self, config: &StackConfig, run: &RunConfig) -> Option<Checkpoint> {
+        let fingerprint = drive_fingerprint(config);
+        let traced = run.trace.is_some();
+        let horizon_ns = run.horizon(config).as_nanos();
         let candidates: Vec<u64> = {
             let index = self.index.lock().unwrap();
             index
-                .range((fingerprint, 0)..=(fingerprint, max_barrier_ns))
-                .filter(|(_, e)| e.traced == traced)
+                .range((fingerprint, 0)..=(fingerprint, horizon_ns))
+                .filter(|(_, e)| e.header.traced == traced)
                 .map(|(&(_, barrier), _)| barrier)
                 .rev()
                 .collect()
@@ -525,40 +474,35 @@ impl CkptStore {
         candidates.into_iter().find_map(|barrier| self.load(fingerprint, barrier))
     }
 
-    /// The checkpoint sharing a blackout-stripped identity with
-    /// `fingerprint_stripped` at exactly `barrier_ns` (matching tracing
-    /// mode, captured under a configuration whose blackouts all start
-    /// strictly after the barrier) — the prefix-sharing lookup sweeps
-    /// use to reuse a prior session's shared barriers. Prefers an exact
-    /// full-fingerprint match, then the smallest qualifying fingerprint
-    /// (deterministic).
+    /// A checkpoint at exactly `barrier_s` that a run of `leader` under
+    /// `run` may resume from ([`CheckpointHeader::admits`]) — the
+    /// prefix-sharing lookup sweeps use to reuse a prior session's
+    /// shared barriers. Prefers an exact full-fingerprint match, then
+    /// the smallest qualifying fingerprint (deterministic).
     pub fn best_prefix(
         &self,
-        fingerprint: u64,
-        fingerprint_stripped: u64,
-        traced: bool,
-        barrier_ns: u64,
+        leader: &StackConfig,
+        run: &RunConfig,
+        barrier_s: f64,
     ) -> Option<Checkpoint> {
-        let barrier_s = barrier_ns as f64 / 1e9;
+        let barrier = SimTime::from_secs_f64_round(barrier_s);
+        let want = CheckpointHeader::of(leader, barrier, run.trace.is_some());
         let candidates: Vec<u64> = {
             let index = self.index.lock().unwrap();
+            // Index order: ascending fingerprint at one barrier.
             let mut fps: Vec<u64> = index
-                .iter()
-                .filter(|(&(_, b), e)| {
-                    b == barrier_ns
-                        && e.traced == traced
-                        && e.fingerprint_stripped == fingerprint_stripped
-                        && e.earliest_blackout_s.is_none_or(|s| s > barrier_s)
+                .values()
+                .filter(|e| {
+                    e.header.barrier_ns == want.barrier_ns && e.header.admits(&want).is_ok()
                 })
-                .map(|(&(fp, _), _)| fp)
+                .map(|e| e.header.fingerprint)
                 .collect();
-            fps.sort();
-            if let Some(pos) = fps.iter().position(|&fp| fp == fingerprint) {
+            if let Some(pos) = fps.iter().position(|&fp| fp == want.fingerprint) {
                 fps.swap(0, pos);
             }
             fps
         };
-        candidates.into_iter().find_map(|fp| self.load(fp, barrier_ns))
+        candidates.into_iter().find_map(|fp| self.load(fp, want.barrier_ns))
     }
 
     /// Deterministic eviction down to `max_bytes`: the newest barrier
@@ -591,11 +535,10 @@ impl CkptStore {
             if bytes_after <= max_bytes {
                 break;
             }
-            let key = (fp, barrier);
-            let entry = index.remove(&key).expect("victim is indexed");
-            fs::remove_file(self.root.join(entry_file_name(fp, barrier)))?;
+            let entry = index.remove(&(fp, barrier)).expect("victim is indexed");
+            fs::remove_file(self.root.join(entry.file_name()))?;
             bytes_after -= entry.file_bytes;
-            evicted.push(info(key, &entry));
+            evicted.push(entry);
         }
         Ok(GcReport { bytes_before, bytes_after, evicted, kept: index.len() })
     }
@@ -614,8 +557,8 @@ impl CkptStore {
         let mut removed = Vec::new();
         for key in keys {
             let entry = index.remove(&key).expect("key is indexed");
-            fs::remove_file(self.root.join(entry_file_name(key.0, key.1)))?;
-            removed.push(info(key, &entry));
+            fs::remove_file(self.root.join(entry.file_name()))?;
+            removed.push(entry);
         }
         Ok(removed)
     }

@@ -22,6 +22,9 @@
 //! * [`findings`] — quantitative checks of the paper's Findings 1–5.
 //! * [`metrics`] — scalar per-run facts (tail latency, deadline factor,
 //!   drop rate) shared by the sweep aggregator and the search objective.
+//! * [`checkpoint`] — the checkpoint format and identity: the
+//!   serialized drive state, its self-describing header, the
+//!   configuration fingerprints and the one resume rule.
 //! * [`ckptstore`] — the crash-safe on-disk checkpoint store: persist,
 //!   verify, quarantine and resume drives across processes.
 //! * [`durable`] — the outbox write and quarantine steps the durable
@@ -48,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod calib;
+pub mod checkpoint;
 pub mod ckptstore;
 pub mod determinism;
 pub mod durable;

@@ -7,16 +7,13 @@
 //! are derived from.
 
 use crate::calib::Calibration;
-use crate::determinism::fnv64;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::map::{session_map, MapCache};
 use crate::msg::Msg;
 use crate::nodes::*;
 use crate::supervision::{FallbackLocalizer, FaultReport, SupervisionPolicy, Supervisor};
 use crate::topics::{self, nodes as node_names};
-use av_des::{
-    Leaf, RngStreams, Sim, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter, StreamRng,
-};
+use av_des::{RngStreams, Sim, SimDuration, SimTime, Snap, StreamRng};
 use av_perception::{ClusterParams, CostmapParams, FusionParams, RayGroundParams};
 use av_planning::{LocalPlannerParams, PurePursuitParams, TwistFilterParams, Waypoint};
 use av_platform::{CpuStats, GpuStats, Platform, PowerReport};
@@ -32,6 +29,9 @@ use av_world::{CameraConfig, CameraModel, LidarConfig, LidarModel, ScenarioConfi
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+pub use crate::checkpoint::{
+    drive_fingerprint, drive_fingerprint_stripped, Checkpoint, CheckpointHeader, CHECKPOINT_VERSION,
+};
 pub use crate::map::build_map;
 pub use av_des::SchedPolicyKind;
 
@@ -195,6 +195,12 @@ impl StackConfig {
             ..StackConfig::paper_default(detector)
         }
     }
+
+    /// Start of the earliest blackout window, seconds; `None` without
+    /// blackouts.
+    pub fn earliest_blackout_s(&self) -> Option<f64> {
+        self.blackouts.iter().map(|b| b.from_s).min_by(f64::total_cmp)
+    }
 }
 
 /// Runtime options independent of the stack configuration.
@@ -218,6 +224,12 @@ impl RunConfig {
     pub fn with_trace(mut self) -> RunConfig {
         self.trace = Some(TraceConfig::default());
         self
+    }
+
+    /// Where a run of `config` ends in virtual time: `duration_s`, else
+    /// the scenario's duration, rounded to the nanosecond.
+    pub fn horizon(&self, config: &StackConfig) -> SimTime {
+        SimTime::from_secs_f64_round(self.duration_s.unwrap_or(config.scenario.duration_s))
     }
 }
 
@@ -464,9 +476,10 @@ pub struct DriveRequest<'a> {
 ///
 /// * `from`: only the virtual seconds after the checkpoint's barrier
 ///   are simulated; the ones before it were simulated once, when the
-///   checkpoint was captured. The configuration must match the one the
-///   checkpoint was captured under, except for blackout windows, which
-///   may differ when every window of both configurations starts
+///   checkpoint was captured. The checkpoint must admit the run
+///   ([`CheckpointHeader::admits`]): the configuration must match the
+///   one the checkpoint was captured under, except for blackout windows,
+///   which may differ when every window of both configurations starts
 ///   strictly after the barrier (the prefix-sharing contract: such runs
 ///   are indistinguishable up to the barrier).
 /// * `capture_at_s`: the capture is a pure read at a pause. At the
@@ -980,8 +993,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
     // Timers are registered (closure built, RNG derived) but not armed;
     // arming is the start phase's job. Sensor-noise RNG cells go into the
     // session's registry so checkpoints can carry their positions.
-    let duration_s = run.duration_s.unwrap_or(config.scenario.duration_s);
-    let until = SimTime::from_secs_f64_round(duration_s);
+    let until = run.horizon(config);
 
     let mut timers: Vec<Rc<RefCell<TimerState>>> = Vec::new();
     let mut noise_rngs: Vec<(&'static str, Rc<RefCell<StreamRng>>)> = Vec::new();
@@ -1355,191 +1367,6 @@ impl TracePrev {
     }
 }
 
-/// Checkpoint encoding version this build writes (and the only one it
-/// resumes). [`Checkpoint::from_bytes`] rejects other versions with an
-/// error; the on-disk store quarantines them.
-pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// A serialized mid-drive snapshot of the complete simulation state:
-/// event-queue identities, every RNG stream position, bus queues and
-/// in-flight executions, per-node internal state, supervision
-/// bookkeeping, recorder/tracer contents and sampler phases.
-///
-/// Captured by [`drive`]'s `capture_at_s` and consumed by its `from`.
-/// The encoding is byte-deterministic: identical runs checkpointed at
-/// the same barrier produce identical bytes. `Checkpoint` is plain owned data (`Send + Sync`), so sweep
-/// workers can share one prefix checkpoint across threads.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    barrier: SimTime,
-    bytes: Vec<u8>,
-}
-
-impl Checkpoint {
-    /// The virtual time the checkpoint was captured at, seconds.
-    pub fn barrier_s(&self) -> f64 {
-        self.barrier.as_secs_f64()
-    }
-
-    /// The virtual time the checkpoint was captured at, nanoseconds.
-    pub fn barrier_ns(&self) -> u64 {
-        self.barrier.as_nanos()
-    }
-
-    /// Size of the serialized state, bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// The serialized state, ready to persist. The encoding is
-    /// self-describing: it starts with the [`CheckpointHeader`] fields,
-    /// so [`Checkpoint::from_bytes`] can rebuild the checkpoint from
-    /// these bytes alone.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// The checkpoint's self-describing header: version, barrier,
-    /// configuration fingerprints, tracing mode.
-    pub fn header(&self) -> CheckpointHeader {
-        CheckpointHeader::parse(&self.bytes)
-            .expect("a captured checkpoint always carries a valid header")
-    }
-
-    /// Rebuilds a checkpoint from bytes previously produced by
-    /// [`Checkpoint::as_bytes`].
-    ///
-    /// Only the header is validated here (shape, magic tag, version) —
-    /// enough to reject foreign or version-skewed payloads with an
-    /// error instead of a panic. Integrity of the state sections beyond
-    /// the header is the storage layer's job (the on-disk store
-    /// checksums whole entries); feeding bytes that pass this check but
-    /// are corrupted deeper in will panic at resume time.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Checkpoint, String> {
-        let header = CheckpointHeader::parse(&bytes)?;
-        if header.version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "unsupported checkpoint version {} (this build writes {})",
-                header.version, CHECKPOINT_VERSION
-            ));
-        }
-        Ok(Checkpoint { barrier: SimTime::from_nanos(header.barrier_ns), bytes })
-    }
-}
-
-/// The self-describing prefix every serialized [`Checkpoint`] starts
-/// with: enough metadata to key, index and validate a checkpoint
-/// without deserializing (or trusting) the state sections behind it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckpointHeader {
-    /// Checkpoint encoding version the payload was written under.
-    pub version: u32,
-    /// Virtual time of the capture barrier, nanoseconds.
-    pub barrier_ns: u64,
-    /// Fingerprint of the full configuration ([`drive_fingerprint`]).
-    pub fingerprint: u64,
-    /// Blackout-stripped fingerprint ([`drive_fingerprint_stripped`]) —
-    /// the prefix-sharing identity.
-    pub fingerprint_stripped: u64,
-    /// Start of the earliest blackout window in the captured
-    /// configuration, seconds; `None` when it has no blackouts.
-    pub earliest_blackout_s: Option<f64>,
-    /// Whether the captured run was tracing. Resume requires the same
-    /// tracing mode, so stores index on this alongside the fingerprint.
-    pub traced: bool,
-}
-
-/// The tag every checkpoint payload opens with.
-const CHECKPOINT_TAG: &str = "av-checkpoint";
-
-impl CheckpointHeader {
-    /// Virtual time of the capture barrier, seconds.
-    pub fn barrier_s(&self) -> f64 {
-        self.barrier_ns as f64 / 1e9
-    }
-
-    /// Parses the header off the front of serialized checkpoint bytes.
-    ///
-    /// Unlike a checkpoint load this never panics: it is meant for
-    /// *untrusted* bytes (a store entry of unknown provenance), so every
-    /// malformation — truncation, wrong magic tag, mangled option byte —
-    /// comes back as an error string. Version skew is reported in the
-    /// parsed header, not rejected here, so callers can distinguish "not
-    /// a checkpoint" from "a checkpoint we no longer read".
-    pub fn parse(bytes: &[u8]) -> Result<CheckpointHeader, String> {
-        CheckpointHeader::read(&mut SnapReader::new(bytes))
-    }
-
-    /// [`CheckpointHeader::parse`] off the front of `r`, leaving it at
-    /// the first state section.
-    fn read(r: &mut SnapReader<'_>) -> Result<CheckpointHeader, String> {
-        CheckpointHeader::get(r).map_err(|e| match e {
-            SnapError::SectionMismatch { .. } => "not a checkpoint: magic tag mismatch".to_string(),
-            e => e.to_string(),
-        })
-    }
-}
-
-/// Checkpoint encoding: the magic tag, then the fields in declaration
-/// order.
-impl Leaf for CheckpointHeader {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_tag(CHECKPOINT_TAG);
-        w.put_u32(self.version);
-        w.put_u64(self.barrier_ns);
-        w.put_u64(self.fingerprint);
-        w.put_u64(self.fingerprint_stripped);
-        self.earliest_blackout_s.put(w);
-        w.put_bool(self.traced);
-    }
-    fn get(r: &mut SnapReader<'_>) -> Result<CheckpointHeader, SnapError> {
-        r.expect_tag(CHECKPOINT_TAG)?;
-        Ok(CheckpointHeader {
-            version: r.get_u32()?,
-            barrier_ns: r.get_u64()?,
-            fingerprint: r.get_u64()?,
-            fingerprint_stripped: r.get_u64()?,
-            earliest_blackout_s: Leaf::get(r)?,
-            traced: r.get_bool()?,
-        })
-    }
-}
-
-/// Fingerprint of the run configuration, over the canonical debug
-/// rendering (stable: every field is plain data). With
-/// `strip_blackouts`, outage windows are excluded — the prefix-sharing
-/// identity, under which runs differing only in post-barrier blackouts
-/// compare equal.
-fn config_fingerprint(config: &StackConfig, strip_blackouts: bool) -> u64 {
-    if strip_blackouts {
-        let mut stripped = config.clone();
-        stripped.blackouts.clear();
-        fnv64(format!("{stripped:?}").as_bytes())
-    } else {
-        fnv64(format!("{config:?}").as_bytes())
-    }
-}
-
-/// Public fingerprint of a drive configuration — the identity the
-/// on-disk checkpoint store keys entries by. Equal configurations (by
-/// the canonical debug rendering; every field is plain data) always
-/// fingerprint equal, and a checkpoint captured under `config` carries
-/// exactly this value in its [`CheckpointHeader::fingerprint`].
-pub fn drive_fingerprint(config: &StackConfig) -> u64 {
-    config_fingerprint(config, false)
-}
-
-/// [`drive_fingerprint`] with blackout windows excluded — the
-/// prefix-sharing identity under which runs differing only in
-/// post-barrier outages may resume from one another's checkpoints.
-pub fn drive_fingerprint_stripped(config: &StackConfig) -> u64 {
-    config_fingerprint(config, true)
-}
-
-fn earliest_blackout_start(config: &StackConfig) -> Option<f64> {
-    config.blackouts.iter().map(|b| b.from_s).min_by(f64::total_cmp)
-}
-
 /// A pending event a resumed session re-inserts.
 enum Restored {
     Timer(usize),
@@ -1589,17 +1416,11 @@ impl DriveSession {
     /// beyond it): the [`CheckpointHeader`], then [`DriveSession::snap`].
     fn capture(&self, config: &StackConfig, barrier: SimTime) -> Checkpoint {
         debug_assert_eq!(self.sim.now(), barrier);
+        let mut header = CheckpointHeader::of(config, barrier, self.tracer.is_some());
         let mut s = Snap::save();
-        s.leaf(&mut CheckpointHeader {
-            version: CHECKPOINT_VERSION,
-            barrier_ns: barrier.as_nanos(),
-            fingerprint: config_fingerprint(config, false),
-            fingerprint_stripped: config_fingerprint(config, true),
-            earliest_blackout_s: earliest_blackout_start(config),
-            traced: self.tracer.is_some(),
-        });
+        s.leaf(&mut header);
         self.snap(&mut s, barrier);
-        Checkpoint { barrier, bytes: s.into_bytes() }
+        Checkpoint::captured(header, s.into_bytes())
     }
 
     /// Restores `checkpoint` onto this freshly built session: overlays
@@ -1613,34 +1434,23 @@ impl DriveSession {
     /// Panics when the checkpoint does not match this session's
     /// configuration (see [`drive`]) or the bytes are corrupt.
     fn resume_from(&self, checkpoint: &Checkpoint, config: &StackConfig) {
-        let mut r = SnapReader::new(&checkpoint.bytes);
-        let header = CheckpointHeader::read(&mut r).unwrap_or_else(|e| panic!("{e}"));
-        let version = header.version;
-        assert_eq!(version, CHECKPOINT_VERSION, "unsupported checkpoint version {version}");
-        let barrier = SimTime::from_nanos(header.barrier_ns);
+        let barrier = SimTime::from_nanos(checkpoint.barrier_ns());
         assert!(
             barrier <= self.until,
             "run duration {} s lies before the checkpoint barrier {} s",
             self.until.as_secs_f64(),
             barrier.as_secs_f64()
         );
-        if config_fingerprint(config, false) != header.fingerprint {
-            assert_eq!(
-                config_fingerprint(config, true),
-                header.fingerprint_stripped,
-                "checkpoint was taken under a different configuration"
-            );
-            let b = barrier.as_secs_f64();
-            let clean = |first: Option<f64>| first.is_none_or(|s| s > b);
-            assert!(
-                clean(header.earliest_blackout_s) && clean(earliest_blackout_start(config)),
-                "blackout-divergent resume requires every outage window \
-                 (of both configurations) to start strictly after the barrier"
-            );
+        let mut header = *checkpoint.header();
+        let run = CheckpointHeader::of(config, barrier, self.tracer.is_some());
+        if let Err(e) = header.admits(&run) {
+            panic!("{e}");
         }
-        assert_eq!(header.traced, self.tracer.is_some(), "checkpoint tracing mode mismatch");
 
-        let mut s = Snap::Load(r);
+        // Read past the header (parsed when the checkpoint was built) to
+        // the state sections.
+        let mut s = Snap::load(checkpoint.as_bytes());
+        s.leaf(&mut header);
         let mut events = self.snap(&mut s, barrier);
         assert!(s.is_exhausted(), "checkpoint has trailing bytes");
 
@@ -1792,7 +1602,7 @@ impl DriveSession {
 
 /// Extension trait avoiding an `as u64` sprinkle for fractional-second
 /// durations.
-trait SimTimeExt {
+pub(crate) trait SimTimeExt {
     fn from_secs_f64_round(secs: f64) -> SimTime;
 }
 
@@ -1816,38 +1626,6 @@ mod tests {
 
     /// One streamed pause: `(time_s, done, events_total, new_events)`.
     type Pulse = (f64, bool, usize, Vec<TraceEvent>);
-
-    /// Random bytes, every truncation of a header and a magic-tag length
-    /// beyond the bytes left all parse to an error, never a panic.
-    #[test]
-    fn header_parse_rejects_garbage_and_truncation() {
-        let mut rng = RngStreams::new(0x5eed).stream("header-garbage");
-        for _ in 0..512 {
-            let soup: Vec<u8> = (0..rng.uniform_usize(80)).map(|_| rng.next_u64() as u8).collect();
-            let _ = CheckpointHeader::parse(&soup);
-        }
-        let header = CheckpointHeader {
-            version: CHECKPOINT_VERSION,
-            barrier_ns: 2_000_000_000,
-            fingerprint: 7,
-            fingerprint_stripped: 9,
-            earliest_blackout_s: Some(3.5),
-            traced: true,
-        };
-        let mut w = SnapWriter::new();
-        header.put(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(CheckpointHeader::parse(&bytes), Ok(header));
-        for cut in 0..bytes.len() {
-            assert!(CheckpointHeader::parse(&bytes[..cut]).is_err(), "cut at {cut} must error");
-        }
-        let mut mangled = bytes.clone();
-        mangled[4] = b'A';
-        let err = CheckpointHeader::parse(&mangled).unwrap_err();
-        assert_eq!(err, "not a checkpoint: magic tag mismatch");
-        let err = CheckpointHeader::parse(&[0xff, 0xff, 0xff, 0xff, b'a']).unwrap_err();
-        assert_eq!(err, "checkpoint truncated: need 4294967295 bytes at offset 4, have 1");
-    }
 
     #[test]
     fn streamed_drive_is_byte_identical_and_slices_partition_by_emission_time() {

@@ -69,17 +69,8 @@ impl OccupancyGrid {
         }
     }
 
-    /// Rebuilds a grid from its parts, as produced by [`OccupancyGrid::resolution`],
-    /// [`OccupancyGrid::half_size`] and [`OccupancyGrid::data`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` does not hold a whole square grid matching the
-    /// geometry implied by `resolution` and `half_size`.
-    pub fn from_parts(resolution: f64, half_size: f64, data: Vec<u8>) -> OccupancyGrid {
-        OccupancyGrid::checked(resolution, half_size, data).expect("grid data length mismatch")
-    }
-
+    /// Rebuilds a grid from its parts; `None` unless `data` holds a whole
+    /// square grid of the geometry `resolution` and `half_size` imply.
     fn checked(resolution: f64, half_size: f64, data: Vec<u8>) -> Option<OccupancyGrid> {
         let cells_per_side = ((2.0 * half_size) / resolution).ceil() as usize;
         if cells_per_side.checked_mul(cells_per_side) != Some(data.len()) {

@@ -208,13 +208,6 @@ impl Cpu {
         SimDuration::from_nanos(inner.stats.total_busy.as_nanos().saturating_sub(future))
     }
 
-    /// Number of tasks whose modeled execution overlaps the current instant.
-    pub fn busy_cores_now(&self) -> usize {
-        let inner = self.inner.borrow();
-        let now = inner.sim.now();
-        inner.running.iter().filter(|r| r.end > now).count()
-    }
-
     /// Saves or restores the model's dynamic state (core occupancy,
     /// in-flight contention set, accumulated statistics) for a
     /// checkpoint. The configuration is not saved — resume rebuilds it

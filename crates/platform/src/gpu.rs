@@ -169,12 +169,6 @@ impl Gpu {
         SimDuration::from_nanos(inner.stats.total_busy.as_nanos().saturating_sub(future))
     }
 
-    /// `true` while a job occupies the device at the current instant.
-    pub fn is_busy_now(&self) -> bool {
-        let inner = self.inner.borrow();
-        inner.busy_until > inner.sim.now()
-    }
-
     /// Saves or restores the model's dynamic state (queue head,
     /// accumulated statistics) for a checkpoint.
     pub fn snap(&self, s: &mut av_des::Snap<'_>) {

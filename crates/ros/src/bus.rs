@@ -45,15 +45,6 @@ impl SubscriptionSpec {
     }
 }
 
-/// Per-topic publication statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopicStats {
-    /// Topic name.
-    pub topic: String,
-    /// Messages published.
-    pub published: u64,
-}
-
 /// Per-(topic, subscriber) delivery/drop statistics — the raw data of
 /// Table III.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -738,18 +729,6 @@ impl<M: 'static> Bus<M> {
     /// Number of messages published on `topic`.
     pub fn published_count(&self, topic: &str) -> u64 {
         self.inner.borrow().topics.get(topic).map(|t| t.published).unwrap_or(0)
-    }
-
-    /// Publication statistics for every topic seen, sorted by name.
-    pub fn topic_stats(&self) -> Vec<TopicStats> {
-        let inner = self.inner.borrow();
-        let mut stats: Vec<TopicStats> = inner
-            .topics
-            .iter()
-            .map(|(topic, s)| TopicStats { topic: topic.clone(), published: s.published })
-            .collect();
-        stats.sort_by(|a, b| a.topic.cmp(&b.topic));
-        stats
     }
 
     /// Delivery/drop statistics for every subscription, sorted by

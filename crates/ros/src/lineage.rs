@@ -127,20 +127,11 @@ impl Lineage {
         self.entries.iter().copied()
     }
 
-    /// Rebuilds a lineage from `(source, stamp)` pairs in the given order.
-    ///
-    /// Checkpoint restore uses this to reconstruct lineages exactly as
-    /// saved: entry order is preserved verbatim, which matters because the
-    /// exported trace serializes entries in insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a source appears twice — a lineage keeps one stamp per
-    /// source, so duplicates indicate corrupt checkpoint bytes.
-    pub fn from_entries(entries: Vec<(Source, SimTime)>) -> Lineage {
-        Lineage::checked(entries).unwrap_or_else(|e| panic!("{e}"))
-    }
-
+    /// Rebuilds a lineage from `(source, stamp)` pairs in the given order,
+    /// as checkpoint restore saved them: entry order is preserved
+    /// verbatim, which matters because the exported trace serializes
+    /// entries in insertion order. A source appearing twice is corrupt
+    /// bytes, since a lineage keeps one stamp per source.
     fn checked(entries: Vec<(Source, SimTime)>) -> Result<Lineage, SnapError> {
         for (i, (s, _)) in entries.iter().enumerate() {
             if entries[..i].iter().any(|(p, _)| p == s) {

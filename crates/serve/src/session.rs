@@ -15,7 +15,7 @@ use crate::store::ResultEntry;
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::metrics::{blame_scalars, run_metrics};
-use av_core::stack::{drive, drive_fingerprint, DriveProgress, DriveRequest, RunConfig, RunReport};
+use av_core::stack::{drive, DriveProgress, DriveRequest, RunConfig, RunReport};
 use av_sweep::{aggregate, run_search_instrumented, run_sweep_streamed, SweepPoint, WorldKind};
 use av_trace::export::{escape, render_event_jsonl};
 
@@ -195,10 +195,7 @@ fn streamed_drive(
     // persist a fresh snapshot at the horizon so the next, longer
     // `extend` picks up here.
     let horizon_s = run.duration_s.expect("served drives have a bounded horizon");
-    let horizon_ns = (horizon_s * 1e9).round() as u64;
-    let from = ckpt.and_then(|store| {
-        store.best_resume(drive_fingerprint(&config), run.trace.is_some(), horizon_ns)
-    });
+    let from = ckpt.and_then(|store| store.best_resume(&config, run));
     let request = DriveRequest {
         from: from.as_ref(),
         capture_at_s: ckpt.is_some().then_some(horizon_s),

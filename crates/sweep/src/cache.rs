@@ -13,7 +13,7 @@
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::{fnv64, run_hash};
 use av_core::map::MapCache;
-use av_core::stack::{drive, drive_fingerprint, DriveRequest, RunConfig, RunReport, StackConfig};
+use av_core::stack::{drive, DriveRequest, RunConfig, RunReport, StackConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -96,15 +96,12 @@ impl EvalCache {
             return Some(hit);
         }
         let store = store?;
-        let duration_s = run.duration_s?;
-        let horizon_ns = (duration_s * 1e9).round() as u64;
-        let checkpoint =
-            store.best_resume(drive_fingerprint(config), run.trace.is_some(), horizon_ns)?;
+        let checkpoint = store.best_resume(config, run)?;
         // Only a checkpoint captured exactly at the horizon is a
         // finished run; an earlier barrier would have to simulate the
         // remainder, which is the warm-start seam's job, not the
         // cache's.
-        if checkpoint.barrier_ns() != horizon_ns {
+        if checkpoint.barrier_ns() != run.horizon(config).as_nanos() {
             return None;
         }
         let request = DriveRequest {

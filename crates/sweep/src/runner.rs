@@ -37,10 +37,7 @@ use av_core::ckptstore::CkptStore;
 use av_core::determinism::run_hash;
 use av_core::map::MapCache;
 use av_core::parallel::parallel_map_streamed;
-use av_core::stack::{
-    drive, drive_fingerprint, drive_fingerprint_stripped, Checkpoint, DriveRequest, RunConfig,
-    RunReport, StackConfig,
-};
+use av_core::stack::{drive, Checkpoint, DriveRequest, RunConfig, RunReport, StackConfig};
 use std::collections::HashMap;
 
 /// One completed sweep point.
@@ -101,7 +98,7 @@ pub fn effective_run(spec: &SweepSpec, run: &RunConfig) -> RunConfig {
 fn shared_barrier_s(duration_s: f64, members: &[&StackConfig]) -> Option<f64> {
     let mut limit = duration_s;
     for config in members {
-        if let Some(first) = config.blackouts.iter().map(|b| b.from_s).min_by(f64::total_cmp) {
+        if let Some(first) = config.earliest_blackout_s() {
             limit = limit.min(first);
         }
     }
@@ -210,15 +207,8 @@ pub fn run_sweep_streamed(
                 // task-build loop, so the stats stay a pure function of
                 // the store's state at launch — independent of worker
                 // count and completion order.
-                let prefix = store.and_then(|st| {
-                    let leader = &reps[members[0]];
-                    st.best_prefix(
-                        drive_fingerprint(leader),
-                        drive_fingerprint_stripped(leader),
-                        run.trace.is_some(),
-                        (barrier_s * 1e9).round() as u64,
-                    )
-                });
+                let prefix =
+                    store.and_then(|st| st.best_prefix(&reps[members[0]], &run, barrier_s));
                 stats.prefix_groups += 1;
                 if prefix.is_some() {
                     stats.store_prefix_hits += 1;

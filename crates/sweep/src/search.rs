@@ -37,7 +37,7 @@ use crate::spec::{SweepPoint, WorldKind};
 use av_core::ckptstore::CkptStore;
 use av_core::determinism::{run_hash, Fnv64};
 use av_core::parallel::parallel_map;
-use av_core::stack::{drive, drive_fingerprint, Checkpoint, DriveRequest, RunConfig};
+use av_core::stack::{drive, Checkpoint, DriveRequest, RunConfig};
 use av_des::RngStreams;
 use av_trace::json::{self, JsonValue};
 use std::collections::HashMap;
@@ -683,75 +683,59 @@ fn search_engine(
             } else {
                 RunConfig::seconds(pe.duration_s)
             };
-            if warm {
-                let key = EvalCache::spec_hash(&config, &run);
-                if let Some(hit) = cache.lookup_or_resume(key, &config, &run, store) {
-                    return (objective.evaluate(&hit.report), hit.run_hash);
-                }
-                // Checkpoints are keyed by configuration alone: rungs
-                // differ only in duration, and a snapshot from a
-                // shorter run seeds any longer one. Memory first, then
-                // whatever prefix an earlier process left in the store.
-                let ckey = EvalCache::spec_hash(&config, &RunConfig::default());
-                let mut from: Option<Checkpoint> = if capture {
-                    let mem = checkpoints.lock().unwrap();
-                    mem.get(&ckey).filter(|cp| cp.barrier_s() < pe.duration_s).cloned()
-                } else {
-                    None
-                };
-                let mut from_store = false;
-                if from.is_none() && capture {
-                    if let Some(st) = store {
-                        let horizon_ns = (pe.duration_s * 1e9).round() as u64;
-                        from = st
-                            .best_resume(
-                                drive_fingerprint(&config),
-                                run.trace.is_some(),
-                                horizon_ns,
-                            )
-                            .filter(|cp| cp.barrier_s() < pe.duration_s);
-                        from_store = from.is_some();
-                    }
-                }
-                let resumed_from = from.as_ref().map(Checkpoint::barrier_s);
-                let request = DriveRequest {
-                    from: from.as_ref(),
-                    capture_at_s: capture.then_some(pe.duration_s),
-                    maps: Some(cache.maps()),
-                    ..DriveRequest::default()
-                };
-                let (report, checkpoint) = drive(&config, &run, request);
-                if let Some(c) = checkpoint {
-                    if let Some(st) = store {
-                        st.put_or_warn(&c);
-                    }
-                    checkpoints.lock().unwrap().insert(ckey, c);
-                }
-                let hash = run_hash(&report);
-                cache.insert(key, &report, hash);
-                let mut s = stats.lock().unwrap();
-                s.evaluations += 1;
-                let prefix = resumed_from.unwrap_or(0.0);
-                s.simulated_s += pe.duration_s - prefix;
-                if resumed_from.is_some() {
-                    s.warm_resumes += 1;
-                    s.resumed_prefix_s += prefix;
-                }
-                if from_store {
-                    s.store_resumes += 1;
-                    s.store_prefix_s += prefix;
-                }
-                drop(s);
-                (objective.evaluate(&report), hash)
-            } else {
-                let request = DriveRequest { maps: Some(cache.maps()), ..DriveRequest::default() };
-                let (report, _) = drive(&config, &run, request);
-                let mut s = stats.lock().unwrap();
-                s.evaluations += 1;
-                s.simulated_s += pe.duration_s;
-                drop(s);
-                (objective.evaluate(&report), run_hash(&report))
+            // The cold path (`warm: false`) neither looks up, captures
+            // nor memoizes: every evaluation simulates from zero.
+            let key = warm.then(|| EvalCache::spec_hash(&config, &run));
+            if let Some(hit) = key.and_then(|key| cache.lookup_or_resume(key, &config, &run, store))
+            {
+                return (objective.evaluate(&hit.report), hit.run_hash);
             }
+            // Checkpoints are keyed by configuration alone: rungs differ
+            // only in duration, and a snapshot from a shorter run seeds
+            // any longer one. Memory first, then whatever prefix an
+            // earlier process left in the store.
+            let ckey = capture.then(|| EvalCache::spec_hash(&config, &RunConfig::default()));
+            let mut from: Option<Checkpoint> = ckey.and_then(|ckey| {
+                let mem = checkpoints.lock().unwrap();
+                mem.get(&ckey).filter(|cp| cp.barrier_s() < pe.duration_s).cloned()
+            });
+            let mut from_store = false;
+            if let (None, true, Some(st)) = (&from, capture, store) {
+                from = st.best_resume(&config, &run).filter(|cp| cp.barrier_s() < pe.duration_s);
+                from_store = from.is_some();
+            }
+            let resumed_from = from.as_ref().map(Checkpoint::barrier_s);
+            let request = DriveRequest {
+                from: from.as_ref(),
+                capture_at_s: capture.then_some(pe.duration_s),
+                maps: Some(cache.maps()),
+                ..DriveRequest::default()
+            };
+            let (report, checkpoint) = drive(&config, &run, request);
+            if let (Some(ckey), Some(c)) = (ckey, checkpoint) {
+                if let Some(st) = store {
+                    st.put_or_warn(&c);
+                }
+                checkpoints.lock().unwrap().insert(ckey, c);
+            }
+            let hash = run_hash(&report);
+            if let Some(key) = key {
+                cache.insert(key, &report, hash);
+            }
+            let mut s = stats.lock().unwrap();
+            s.evaluations += 1;
+            let prefix = resumed_from.unwrap_or(0.0);
+            s.simulated_s += pe.duration_s - prefix;
+            if resumed_from.is_some() {
+                s.warm_resumes += 1;
+                s.resumed_prefix_s += prefix;
+            }
+            if from_store {
+                s.store_resumes += 1;
+                s.store_prefix_s += prefix;
+            }
+            drop(s);
+            (objective.evaluate(&report), hash)
         })
     });
     let mut final_stats = stats.into_inner().unwrap();

@@ -365,12 +365,6 @@ impl SharedTracer {
         self.inner.borrow().data.clone()
     }
 
-    /// Number of events recorded so far — the cursor for incremental
-    /// streaming between run slices.
-    pub fn event_count(&self) -> usize {
-        self.inner.borrow().data.events.len()
-    }
-
     /// Clones the events recorded at positions `from..`, so a paused
     /// run can ship just the delta since the previous pause instead of
     /// re-exporting the whole trace at the end.

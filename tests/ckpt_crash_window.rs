@@ -40,7 +40,7 @@ fn tiny_checkpoint(fingerprint: u64, barrier_ns: u64) -> Checkpoint {
 /// previous entry is intact and loadable, the new entry either
 /// published in full or was quarantined with a reason — and nothing
 /// was deleted.
-fn assert_recovers(dir: &Path, fingerprint: u64, prev_barrier_ns: u64, context: &str) {
+fn assert_recovers(dir: &Path, config: &StackConfig, prev_barrier_ns: u64, context: &str) {
     let (store, report) = CkptStore::open(dir).unwrap();
     assert!(
         report.loaded >= 1,
@@ -55,7 +55,7 @@ fn assert_recovers(dir: &Path, fingerprint: u64, prev_barrier_ns: u64, context: 
         assert!(store.quarantine_dir().join(&q.file).exists(), "{context}: quarantined bytes kept");
     }
     let restored = store
-        .best_resume(fingerprint, false, u64::MAX)
+        .best_resume(config, &RunConfig::default())
         .unwrap_or_else(|| panic!("{context}: previous entry must be resumable"));
     assert!(
         restored.barrier_ns() >= prev_barrier_ns,
@@ -65,7 +65,8 @@ fn assert_recovers(dir: &Path, fingerprint: u64, prev_barrier_ns: u64, context: 
 
 #[test]
 fn torn_write_at_every_byte_offset_recovers_small_entry() {
-    let fp = 0x0123_4567_89ab_cdefu64;
+    let config = StackConfig::smoke_test(DetectorKind::YoloV3);
+    let fp = drive_fingerprint(&config);
     let prev = tiny_checkpoint(fp, 1_000_000_000);
     let next = tiny_checkpoint(fp, 2_000_000_000);
     let entry_len = next.size_bytes() + 44; // frame header + footer
@@ -76,14 +77,15 @@ fn torn_write_at_every_byte_offset_recovers_small_entry() {
             store.put(&prev).unwrap();
             store.put_with_fault(&next, StoreFault::TornWrite { keep_bytes: keep }).unwrap();
         }
-        assert_recovers(&dir, fp, 1_000_000_000, &format!("torn write keeping {keep} bytes"));
+        assert_recovers(&dir, &config, 1_000_000_000, &format!("torn write keeping {keep} bytes"));
         let _ = fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
 fn bit_flip_at_every_byte_offset_recovers_small_entry() {
-    let fp = 0xfedc_ba98_7654_3210u64;
+    let config = StackConfig::smoke_test(DetectorKind::Ssd300);
+    let fp = drive_fingerprint(&config);
     let prev = tiny_checkpoint(fp, 1_000_000_000);
     let next = tiny_checkpoint(fp, 2_000_000_000);
     let entry_len = next.size_bytes() + 44;
@@ -94,7 +96,7 @@ fn bit_flip_at_every_byte_offset_recovers_small_entry() {
             store.put(&prev).unwrap();
             store.put_with_fault(&next, StoreFault::BitFlip { at_byte: at }).unwrap();
         }
-        assert_recovers(&dir, fp, 1_000_000_000, &format!("bit flip at byte {at}"));
+        assert_recovers(&dir, &config, 1_000_000_000, &format!("bit flip at byte {at}"));
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -103,7 +105,6 @@ fn bit_flip_at_every_byte_offset_recovers_small_entry() {
 fn seeded_crash_sample_over_a_real_checkpoint_recovers_and_resumes_identical() {
     let config = StackConfig::smoke_test(DetectorKind::Ssd300);
     let run = RunConfig::seconds(4.0);
-    let fp = drive_fingerprint(&config);
     let straight = run_drive(&config, &run);
     let (_, prev) = checkpoint_drive(&config, &run, 2.0);
     let (_, next) = checkpoint_drive(&config, &run, 3.0);
@@ -124,7 +125,7 @@ fn seeded_crash_sample_over_a_real_checkpoint_recovers_and_resumes_identical() {
         let (store, report) = CkptStore::open(&dir).unwrap();
         assert!(report.loaded >= 1, "fault {i} ({fault:?}): previous entry lost");
         let restored = store
-            .best_resume(fp, false, u64::MAX)
+            .best_resume(&config, &run)
             .unwrap_or_else(|| panic!("fault {i} ({fault:?}): nothing resumable"));
         // Whatever barrier survived, resuming from it reproduces the
         // straight-through run exactly.

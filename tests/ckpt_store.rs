@@ -6,7 +6,7 @@
 //! older barrier when the newest is corrupt, and GC is a deterministic
 //! pure function of the entry set and budget.
 
-use av_core::ckptstore::{CkptStore, StoreFault};
+use av_core::ckptstore::{CkptStore, EntryInfo, StoreFault};
 use av_core::determinism::run_hash;
 use av_core::fault::FaultPlan;
 use av_core::stack::{
@@ -50,19 +50,19 @@ fn disk_round_trip_resumes_byte_identical_in_a_fresh_handle() {
     assert!(report.is_clean());
     let (_, checkpoint) = checkpoint_drive(&config, &run, 2.0);
     let entry = store.put(&checkpoint).unwrap();
-    assert_eq!(entry.fingerprint, drive_fingerprint(&config));
-    assert_eq!(entry.barrier_ns, 2_000_000_000);
-    assert!(entry.traced);
+    assert_eq!(entry.header.fingerprint, drive_fingerprint(&config));
+    assert_eq!(entry.header.barrier_ns, 2_000_000_000);
+    assert!(entry.header.traced);
     drop(store);
 
     // A fresh handle over the same directory: the recovery scan loads
-    // the entry clean, and the resumed run is byte-identical.
+    // the entry clean, indexes exactly what `put` returned, and the
+    // resumed run is byte-identical.
     let (store, report) = CkptStore::open(&dir).unwrap();
     assert_eq!(report.loaded, 1);
     assert!(report.is_clean());
-    let restored = store
-        .best_resume(drive_fingerprint(&config), true, u64::MAX)
-        .expect("stored barrier found");
+    assert_eq!(store.entries(), vec![entry]);
+    let restored = store.best_resume(&config, &run).expect("stored barrier found");
     assert_eq!(restored.barrier_ns(), checkpoint.barrier_ns());
     assert_eq!(restored.as_bytes(), checkpoint.as_bytes(), "payload survives the disk verbatim");
     let resumed = resume(&config, &run, &restored);
@@ -123,7 +123,6 @@ fn resume_falls_back_to_an_older_barrier_when_the_newest_is_corrupt() {
     config.faults = FaultPlan::parse("crash:ndt_matching@3").unwrap();
     let run = RunConfig::seconds(6.0).with_trace();
     let straight = run_drive(&config, &run);
-    let fp = drive_fingerprint(&config);
 
     let (store, _) = CkptStore::open(&dir).unwrap();
     let (_, cp2) = checkpoint_drive(&config, &run, 2.0);
@@ -140,7 +139,7 @@ fn resume_falls_back_to_an_older_barrier_when_the_newest_is_corrupt() {
     bytes[mid] ^= 0x10;
     fs::write(&path, bytes).unwrap();
 
-    let restored = store.best_resume(fp, true, u64::MAX).expect("falls back to barrier 2");
+    let restored = store.best_resume(&config, &run).expect("falls back to barrier 2");
     assert_eq!(restored.barrier_ns(), 2_000_000_000);
     assert_eq!(store.len(), 1, "corrupt entry dropped from the index");
     assert_eq!(store.quarantined().unwrap().len(), 1, "and quarantined, not deleted");
@@ -185,22 +184,21 @@ fn gc_keeps_newest_barrier_per_fingerprint_and_is_deterministic() {
     assert!(store_a.total_bytes() <= budget);
     assert_eq!(report.bytes_after, store_a.total_bytes());
     assert_eq!(report.kept, store_a.len());
-    let survivors: Vec<(u64, u64)> =
-        store_a.entries().iter().map(|e| (e.fingerprint, e.barrier_ns)).collect();
+    let key = |e: &EntryInfo| (e.header.fingerprint, e.header.barrier_ns);
+    let survivors: Vec<(u64, u64)> = store_a.entries().iter().map(key).collect();
     for (fp, barrier) in &survivors {
         assert_eq!(*barrier, 3_000_000_000, "newest barrier survives for {fp:#x}");
     }
     assert_eq!(survivors.len(), 2);
     // Victims fall oldest-first.
-    let evicted: Vec<u64> = report.evicted.iter().map(|e| e.barrier_ns).collect();
+    let evicted: Vec<u64> = report.evicted.iter().map(|e| e.header.barrier_ns).collect();
     let mut sorted = evicted.clone();
     sorted.sort();
     assert_eq!(evicted, sorted, "eviction proceeds in barrier order");
 
     // Same inputs → same survivor set, on an independent store copy.
     store_b.gc(budget).unwrap();
-    let survivors_b: Vec<(u64, u64)> =
-        store_b.entries().iter().map(|e| (e.fingerprint, e.barrier_ns)).collect();
+    let survivors_b: Vec<(u64, u64)> = store_b.entries().iter().map(key).collect();
     assert_eq!(survivors, survivors_b, "gc must be deterministic");
 
     // gc(0) is a hard bound: it empties the store, newest barriers
@@ -323,7 +321,8 @@ fn misnamed_and_mismatched_entries_are_quarantined() {
 #[test]
 fn best_resume_respects_tracing_mode_and_barrier_cap_and_remove_deletes() {
     let dir = tmpdir("lookup");
-    let fp = 0x5555_6666_7777_8888u64;
+    let config = StackConfig::smoke_test(DetectorKind::YoloV3);
+    let fp = drive_fingerprint(&config);
     let tiny = |barrier_ns: u64, traced: bool| {
         let mut p = tiny_payload(CHECKPOINT_VERSION, fp, barrier_ns);
         let last = p.len() - 1;
@@ -335,12 +334,15 @@ fn best_resume_respects_tracing_mode_and_barrier_cap_and_remove_deletes() {
     {
         store.put(&tiny(barrier, traced)).unwrap();
     }
-    // Newest traced barrier under the cap.
-    let got = store.best_resume(fp, true, 2_500_000_000).unwrap();
-    assert_eq!(got.barrier_ns(), 1_000_000_000, "2 s entry is untraced, 3 s exceeds the cap");
-    let got = store.best_resume(fp, false, u64::MAX).unwrap();
+    // Newest traced barrier at or before the horizon.
+    let got = store.best_resume(&config, &RunConfig::seconds(2.5).with_trace()).unwrap();
+    assert_eq!(got.barrier_ns(), 1_000_000_000, "2 s entry is untraced, 3 s lies past the horizon");
+    let got = store.best_resume(&config, &RunConfig::seconds(10.0)).unwrap();
     assert_eq!(got.barrier_ns(), 2_000_000_000);
-    assert!(store.best_resume(fp + 1, true, u64::MAX).is_none(), "foreign fingerprint");
+    let mut foreign = config.clone();
+    foreign.seed += 1;
+    let traced = RunConfig::seconds(10.0).with_trace();
+    assert!(store.best_resume(&foreign, &traced).is_none(), "foreign fingerprint");
 
     let removed = store.remove(fp, Some(2_000_000_000)).unwrap();
     assert_eq!(removed.len(), 1);
