@@ -474,6 +474,18 @@ impl CkptStore {
         candidates.into_iter().find_map(|barrier| self.load(fingerprint, barrier))
     }
 
+    /// The checkpoint of a finished run of `config` under `run`: the
+    /// entry captured at exactly the run's horizon, in its tracing mode.
+    /// Only that entry is read; a missing one is a clean `None` that
+    /// touches no other entry.
+    pub fn finished(&self, config: &StackConfig, run: &RunConfig) -> Option<Checkpoint> {
+        let (fingerprint, horizon_ns) = (drive_fingerprint(config), run.horizon(config).as_nanos());
+        let traced = run.trace.is_some();
+        let indexed = self.index.lock().unwrap().get(&(fingerprint, horizon_ns)).map(|e| e.header);
+        indexed.filter(|h| h.traced == traced)?;
+        self.load(fingerprint, horizon_ns)
+    }
+
     /// A checkpoint at exactly `barrier_s` that a run of `leader` under
     /// `run` may resume from ([`CheckpointHeader::admits`]) — the
     /// prefix-sharing lookup sweeps use to reuse a prior session's
@@ -498,7 +510,7 @@ impl CkptStore {
                 .map(|e| e.header.fingerprint)
                 .collect();
             if let Some(pos) = fps.iter().position(|&fp| fp == want.fingerprint) {
-                fps.swap(0, pos);
+                fps[..=pos].rotate_right(1);
             }
             fps
         };

@@ -58,6 +58,7 @@ pub mod durable;
 pub mod experiments;
 pub mod fault;
 pub mod findings;
+mod frontend;
 pub mod map;
 pub mod metrics;
 pub mod msg;

@@ -1,6 +1,7 @@
 //! The costmap nodes: points-driven and objects-driven rasterization.
 
 use crate::calib::{Calibration, NodeCost};
+use crate::frontend::Frames;
 use crate::msg::{unexpected, Msg};
 use crate::topics;
 use av_des::{Snap, StreamRng};
@@ -8,6 +9,7 @@ use av_geom::Pose;
 use av_perception::costmap::ObjectFootprint;
 use av_perception::{CostmapGenerator, CostmapParams};
 use av_ros::{Execution, Message, Node, Outbox};
+use std::rc::Rc;
 
 /// `costmap_generator`: rasterizes `/points_no_ground` into the drivable
 /// grid.
@@ -15,6 +17,7 @@ pub struct CostmapGeneratorNode {
     generator: CostmapGenerator,
     cost: NodeCost,
     rng: StreamRng,
+    frames: Option<Rc<Frames>>,
 }
 
 impl CostmapGeneratorNode {
@@ -24,7 +27,14 @@ impl CostmapGeneratorNode {
             generator: CostmapGenerator::new(params),
             cost: calib.costmap_points.clone(),
             rng,
+            frames: None,
         }
+    }
+
+    /// Takes grids the LiDAR front end computed ahead from `frames`; a
+    /// cloud without one is rasterized here.
+    pub(crate) fn with_frames(self, frames: Rc<Frames>) -> CostmapGeneratorNode {
+        CostmapGeneratorNode { frames: Some(frames), ..self }
     }
 }
 
@@ -37,7 +47,9 @@ impl Node<Msg> for CostmapGeneratorNode {
         let Msg::PointCloud(no_ground) = &*msg.payload else {
             unexpected(topics::nodes::COSTMAP_GENERATOR, topic, &msg.payload)
         };
-        let grid = self.generator.from_points(no_ground);
+        let ahead =
+            self.frames.as_ref().and_then(|f| f.product(&msg.header.lineage, |p| p.costmap.take()));
+        let grid = ahead.unwrap_or_else(|| self.generator.from_points(no_ground));
         let units = no_ground.len() as f64 / 1000.0;
         out.publish(topics::COSTMAP_POINTS, Msg::Costmap(grid));
         Execution::cpu(self.cost.demand(units, &mut self.rng), self.cost.mem_intensity)

@@ -2,6 +2,7 @@
 //! filter, clustering.
 
 use crate::calib::{Calibration, NodeCost};
+use crate::frontend::Frames;
 use crate::msg::{unexpected, Msg, PoseEstimate};
 use crate::topics;
 use av_des::{SimTime, Snap, StreamRng};
@@ -12,6 +13,7 @@ use av_perception::{
 };
 use av_pointcloud::{NdtGrid, VoxelGrid};
 use av_ros::{Execution, Lineage, Message, Node, Outbox};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// `voxel_grid_filter`: down-samples `/points_raw` for localization.
@@ -19,6 +21,7 @@ pub struct VoxelGridFilterNode {
     filter: VoxelGrid,
     cost: NodeCost,
     rng: StreamRng,
+    frames: Option<Rc<Frames>>,
 }
 
 impl VoxelGridFilterNode {
@@ -28,7 +31,14 @@ impl VoxelGridFilterNode {
             filter: VoxelGrid::new(leaf_size),
             cost: calib.voxel_grid_filter.clone(),
             rng,
+            frames: None,
         }
+    }
+
+    /// Takes filtered clouds the LiDAR front end computed ahead from
+    /// `frames`; a sweep without one is filtered here.
+    pub(crate) fn with_frames(self, frames: Rc<Frames>) -> VoxelGridFilterNode {
+        VoxelGridFilterNode { frames: Some(frames), ..self }
     }
 }
 
@@ -41,7 +51,11 @@ impl Node<Msg> for VoxelGridFilterNode {
         let Msg::PointCloud(cloud) = &*msg.payload else {
             unexpected(topics::nodes::VOXEL_GRID_FILTER, topic, &msg.payload)
         };
-        let filtered = self.filter.filter(cloud);
+        let ahead = self
+            .frames
+            .as_ref()
+            .and_then(|f| f.product(&msg.header.lineage, |p| p.filtered.take()));
+        let filtered = ahead.unwrap_or_else(|| self.filter.filter(cloud));
         let units = cloud.len() as f64 / 1000.0;
         out.publish(topics::FILTERED_POINTS, Msg::PointCloud(filtered));
         Execution::cpu(self.cost.demand(units, &mut self.rng), self.cost.mem_intensity)
@@ -275,6 +289,7 @@ pub struct RayGroundFilterNode {
     filter: RayGroundFilter,
     cost: NodeCost,
     rng: StreamRng,
+    frames: Option<Rc<Frames>>,
 }
 
 impl RayGroundFilterNode {
@@ -288,7 +303,14 @@ impl RayGroundFilterNode {
             filter: RayGroundFilter::new(params),
             cost: calib.ray_ground_filter.clone(),
             rng,
+            frames: None,
         }
+    }
+
+    /// Takes ground splits the LiDAR front end computed ahead from
+    /// `frames`; a sweep without one is split here.
+    pub(crate) fn with_frames(self, frames: Rc<Frames>) -> RayGroundFilterNode {
+        RayGroundFilterNode { frames: Some(frames), ..self }
     }
 }
 
@@ -301,7 +323,9 @@ impl Node<Msg> for RayGroundFilterNode {
         let Msg::PointCloud(cloud) = &*msg.payload else {
             unexpected(topics::nodes::RAY_GROUND_FILTER, topic, &msg.payload)
         };
-        let split = self.filter.split(cloud);
+        let ahead =
+            self.frames.as_ref().and_then(|f| f.product(&msg.header.lineage, |p| p.split.take()));
+        let split = ahead.unwrap_or_else(|| self.filter.split(cloud));
         let units = cloud.len() as f64 / 1000.0;
         out.publish(topics::POINTS_GROUND, Msg::PointCloud(split.ground));
         out.publish(topics::POINTS_NO_GROUND, Msg::PointCloud(split.no_ground));
@@ -319,6 +343,7 @@ pub struct EuclideanClusterNode {
     gpu_kernel: av_des::SimDuration,
     gpu_energy_j: f64,
     rng: StreamRng,
+    frames: Option<Rc<Frames>>,
 }
 
 impl EuclideanClusterNode {
@@ -330,7 +355,14 @@ impl EuclideanClusterNode {
             gpu_kernel: calib.cluster_gpu_kernel,
             gpu_energy_j: calib.cluster_gpu_energy_j,
             rng,
+            frames: None,
         }
+    }
+
+    /// Takes detections the LiDAR front end computed ahead from
+    /// `frames`; a cloud without them is clustered here.
+    pub(crate) fn with_frames(self, frames: Rc<Frames>) -> EuclideanClusterNode {
+        EuclideanClusterNode { frames: Some(frames), ..self }
     }
 }
 
@@ -343,7 +375,11 @@ impl Node<Msg> for EuclideanClusterNode {
         let Msg::PointCloud(no_ground) = &*msg.payload else {
             unexpected(topics::nodes::EUCLIDEAN_CLUSTER, topic, &msg.payload)
         };
-        let detections = self.clusterer.detect(no_ground);
+        let ahead = self
+            .frames
+            .as_ref()
+            .and_then(|f| f.product(&msg.header.lineage, |p| p.detections.take()));
+        let detections = ahead.unwrap_or_else(|| self.clusterer.detect(no_ground));
         let units = no_ground.len() as f64 / 1000.0;
         let copy_bytes = no_ground.byte_size();
         out.publish(topics::LIDAR_DETECTOR_OBJECTS, Msg::DetectedObjects(detections));

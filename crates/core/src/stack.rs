@@ -8,13 +8,14 @@
 
 use crate::calib::Calibration;
 use crate::fault::{FaultPlan, FaultSpec};
+use crate::frontend::{self, Exchange, Frames, Hangup};
 use crate::map::{session_map, MapCache};
 use crate::msg::Msg;
 use crate::nodes::*;
 use crate::supervision::{FallbackLocalizer, FaultReport, SupervisionPolicy, Supervisor};
 use crate::topics::{self, nodes as node_names};
 use av_des::{RngStreams, Sim, SimDuration, SimTime, Snap, StreamRng};
-use av_perception::{ClusterParams, CostmapParams, FusionParams, RayGroundParams};
+use av_perception::{ClusterParams, CostmapParams, FusionParams};
 use av_planning::{LocalPlannerParams, PurePursuitParams, TwistFilterParams, Waypoint};
 use av_platform::{CpuStats, GpuStats, Platform, PowerReport};
 use av_profiling::{LatencyRecorder, PathSpec, SharedRecorder, Summary, Table};
@@ -28,6 +29,7 @@ use av_vision::DetectorKind;
 use av_world::{CameraConfig, CameraModel, LidarConfig, LidarModel, ScenarioConfig, World};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
 
 pub use crate::checkpoint::{
     drive_fingerprint, drive_fingerprint_stripped, Checkpoint, CheckpointHeader, CHECKPOINT_VERSION,
@@ -403,7 +405,7 @@ fn global_waypoints(world: &World) -> Vec<Waypoint> {
         .collect()
 }
 
-fn wants(selection: &NodeSelection, node: &str) -> bool {
+pub(crate) fn wants(selection: &NodeSelection, node: &str) -> bool {
     match selection {
         NodeSelection::FullStack => true,
         NodeSelection::Isolated(only) => only == node,
@@ -511,11 +513,31 @@ pub fn drive(
     run: &RunConfig,
     request: DriveRequest<'_>,
 ) -> (RunReport, Option<Checkpoint>) {
-    let DriveRequest { from, capture_at_s, mut stream, maps } = request;
+    let DriveRequest { from, capture_at_s, stream, maps } = request;
     if let Some((slice_s, _)) = &stream {
         assert!(slice_s.is_finite() && *slice_s > 0.0, "slice_s must be positive and finite");
     }
-    let session = build_session(config, run, maps);
+    // The LiDAR front end runs a tick ahead on a helper thread (see
+    // `frontend`). Whichever side stops first, normally or by a panic,
+    // closes the exchange, so the other never waits for it; a panic
+    // then propagates from the scope.
+    let exchange = Arc::new(Exchange::default());
+    std::thread::scope(|scope| {
+        scope.spawn(|| frontend::serve(config, &exchange));
+        let _hangup = Hangup(&exchange);
+        let session = build_session(config, run, maps, &exchange);
+        run_session(&session, config, from, capture_at_s, stream)
+    })
+}
+
+/// Runs a built session as [`drive`] describes.
+fn run_session(
+    session: &DriveSession,
+    config: &StackConfig,
+    from: Option<&Checkpoint>,
+    capture_at_s: Option<f64>,
+    mut stream: Option<(f64, OnProgress<'_>)>,
+) -> (RunReport, Option<Checkpoint>) {
     match from {
         None => session.start_fresh(),
         Some(checkpoint) => session.resume_from(checkpoint, config),
@@ -601,8 +623,14 @@ pub fn drive(
 /// fresh start and a checkpoint resume share this phase; the only
 /// randomness consumed is the (stateless) per-name stream derivation
 /// plus the map build, identical in both cases and whether or not the
-/// map comes out of `maps`.
-fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>) -> DriveSession {
+/// map comes out of `maps`. The LiDAR front end's frames come through
+/// `exchange`.
+fn build_session(
+    config: &StackConfig,
+    run: &RunConfig,
+    maps: Option<&MapCache>,
+    exchange: &Arc<Exchange>,
+) -> DriveSession {
     let sim = Sim::new();
     let streams = RngStreams::new(config.seed);
     let world = Rc::new(World::generate(&config.scenario));
@@ -661,6 +689,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
     let calib = &config.calib;
     let sel = &config.selection;
     let crashed = config.faults.crashed_nodes();
+    let frames = Rc::new(Frames::new(Arc::clone(exchange)));
     // Each subscription carries its static scheduling hints: `rank` is the
     // Priority policy's urgency (lower = dispatched first) and
     // `downstream_ms` the estimated remaining chain cost past this node,
@@ -681,7 +710,8 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
     if wants(sel, node_names::VOXEL_GRID_FILTER) {
         bus.add_node(
             node_names::VOXEL_GRID_FILTER,
-            VoxelGridFilterNode::new(config.voxel_leaf, calib, streams.stream("voxel")),
+            VoxelGridFilterNode::new(config.voxel_leaf, calib, streams.stream("voxel"))
+                .with_frames(Rc::clone(&frames)),
             &[q1(topics::POINTS_RAW, 10, 60)],
         );
     }
@@ -711,13 +741,11 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         bus.add_node(
             node_names::RAY_GROUND_FILTER,
             RayGroundFilterNode::new(
-                RayGroundParams {
-                    sensor_height: config.lidar.mount_height,
-                    ..RayGroundParams::default()
-                },
+                frontend::ground_params(config),
                 calib,
                 streams.stream("ground"),
-            ),
+            )
+            .with_frames(Rc::clone(&frames)),
             &[q1(topics::POINTS_RAW, 20, 45)],
         );
     }
@@ -725,7 +753,8 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
     if wants(sel, node_names::EUCLIDEAN_CLUSTER) {
         bus.add_node(
             node_names::EUCLIDEAN_CLUSTER,
-            EuclideanClusterNode::new(ClusterParams::default(), calib, streams.stream("cluster")),
+            EuclideanClusterNode::new(ClusterParams::default(), calib, streams.stream("cluster"))
+                .with_frames(Rc::clone(&frames)),
             &[q1(topics::POINTS_NO_GROUND, 20, 20)],
         );
     }
@@ -819,7 +848,8 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
     if wants(sel, node_names::COSTMAP_GENERATOR) {
         bus.add_node(
             node_names::COSTMAP_GENERATOR,
-            CostmapGeneratorNode::new(CostmapParams::default(), calib, streams.stream("costmap")),
+            CostmapGeneratorNode::new(CostmapParams::default(), calib, streams.stream("costmap"))
+                .with_frames(Rc::clone(&frames)),
             &[q1(topics::POINTS_NO_GROUND, 15, 2)],
         );
     }
@@ -1003,7 +1033,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
                         rng: StreamRng,
                         skew: Option<(f64, SimTime, SimTime)>,
                         tick: Box<dyn FnMut()>| {
-        timers.push(Rc::new(RefCell::new(TimerState {
+        let timer = Rc::new(RefCell::new(TimerState {
             sim: sim.clone(),
             key,
             period,
@@ -1012,8 +1042,11 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
             until,
             skew,
             tick,
+            armed: None,
             pending: None,
-        })));
+        }));
+        timers.push(Rc::clone(&timer));
+        timer
     };
     // Sensor clocks get a static urgency key under a non-FIFO policy so
     // exact-nanosecond tick collisions resolve by sensor criticality
@@ -1042,7 +1075,7 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
             }
         });
         let clock = streams.stream(&format!("{}_clock", source.name()));
-        register(sensor_key(key), period, jitter, clock, timer_skew(source), tick);
+        register(sensor_key(key), period, jitter, clock, timer_skew(source), tick)
     };
     let ms = SimDuration::from_millis;
     let mut noise = |name: &'static str| {
@@ -1051,12 +1084,29 @@ fn build_session(config: &StackConfig, run: &RunConfig, maps: Option<&MapCache>)
         rng
     };
 
+    // The LiDAR sweep comes from the front end's frame when the helper
+    // computed it ahead, else inline; either way it draws the same noise.
     let (w, l, rng) = (Rc::clone(&world), Rc::clone(&lidar), noise("lidar_noise"));
+    let (clock, taken, drawn) = (sim.clone(), Rc::clone(&frames), Rc::clone(&rng));
     let lidar_period = SimDuration::from_secs_f64(1.0 / config.lidar.rate_hz);
     let scan = move |t: f64, dark: bool| {
-        (!dark).then(|| Msg::PointCloud(l.scan(&w, &w.snapshot(t), &mut rng.borrow_mut())))
+        (!dark).then(|| {
+            let rng = &mut *rng.borrow_mut();
+            let sweep = taken.take(clock.now(), rng);
+            Msg::PointCloud(sweep.unwrap_or_else(|| l.scan(&w, &w.snapshot(t), rng)))
+        })
     };
-    sensor(Source::Lidar, 1, lidar_period, ms(2), topics::POINTS_RAW, Box::new(scan));
+    let lidar_timer =
+        sensor(Source::Lidar, 1, lidar_period, ms(2), topics::POINTS_RAW, Box::new(scan));
+    // Once the next tick's time is drawn, and with it the noise stream's
+    // state before it, its frame can be computed: ask for it, unless the
+    // tick lies past the horizon or in an outage and draws nothing.
+    let blackouts = config.blackouts.clone();
+    lidar_timer.borrow_mut().armed = Some(Box::new(move |at: SimTime| {
+        if at <= until && !blacked_out(&blackouts, Source::Lidar, at.as_secs_f64()) {
+            frames.request(at, &drawn.borrow());
+        }
+    }));
 
     let (w, c) = (Rc::clone(&world), Rc::clone(&camera));
     let camera_period = SimDuration::from_secs_f64(1.0 / config.camera.rate_hz);
@@ -1270,6 +1320,8 @@ struct TimerState {
     until: SimTime,
     skew: Option<(f64, SimTime, SimTime)>,
     tick: Box<dyn FnMut()>,
+    /// Told the time of each tick as it is scheduled.
+    armed: Option<Box<dyn FnMut(SimTime)>>,
     pending: Option<(SimTime, u64)>,
 }
 
@@ -1301,7 +1353,13 @@ fn schedule_tick(state: &Rc<RefCell<TimerState>>, at: SimTime) {
         let s = state.borrow();
         (s.sim.clone(), s.key)
     };
-    state.borrow_mut().pending = Some((at, sim.next_seq()));
+    {
+        let mut s = state.borrow_mut();
+        s.pending = Some((at, sim.next_seq()));
+        if let Some(armed) = &mut s.armed {
+            armed(at);
+        }
+    }
     let state = Rc::clone(state);
     sim.schedule_at_keyed(at, key, move || {
         {

@@ -31,7 +31,7 @@ pub struct RngStreams {
 }
 
 /// A deterministic random stream (in-house PCG32).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamRng {
     state: u64,
     inc: u64,

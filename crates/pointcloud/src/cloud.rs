@@ -79,6 +79,11 @@ impl PointCloud {
         self.points.push(point);
     }
 
+    /// Gives back the capacity beyond the points the cloud holds.
+    pub fn shrink_to_fit(&mut self) {
+        self.points.shrink_to_fit();
+    }
+
     /// The points as a slice.
     pub fn points(&self) -> &[Point] {
         &self.points

@@ -95,15 +95,11 @@ impl EvalCache {
         if let Some(hit) = self.lookup(key) {
             return Some(hit);
         }
-        let store = store?;
-        let checkpoint = store.best_resume(config, run)?;
         // Only a checkpoint captured exactly at the horizon is a
         // finished run; an earlier barrier would have to simulate the
         // remainder, which is the warm-start seam's job, not the
-        // cache's.
-        if checkpoint.barrier_ns() != run.horizon(config).as_nanos() {
-            return None;
-        }
+        // cache's, so the cache never reads one.
+        let checkpoint = store?.finished(config, run)?;
         let request = DriveRequest {
             from: Some(&checkpoint),
             maps: Some(&self.maps),

@@ -201,6 +201,9 @@ impl LidarModel {
                 }
             }
         }
+        // A sweep outlives its scan in subscriber queues: keep only what
+        // it holds, not the ray-count guess it was allocated with.
+        cloud.shrink_to_fit();
         cloud
     }
 }

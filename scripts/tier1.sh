@@ -35,6 +35,17 @@ else
     echo "taskset not found: skipped"
 fi
 
+echo "== LiDAR front end on one core: the chain pins and determinism hold =="
+# drive() computes each LiDAR frame a tick ahead on a helper thread. On
+# one CPU the helper often has not started a frame when its tick comes,
+# so the engine steals the job back and computes it inline; the pins
+# must hold on that path too.
+if command -v taskset >/dev/null; then
+    taskset -c 0 cargo test -q -p av-core --test lidar_chain_pins --test determinism
+else
+    echo "taskset not found: skipped"
+fi
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -70,6 +70,31 @@ fn eval_cache_falls_back_to_the_disk_store_and_repopulates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The eval cache reads only a finished run's entry: an earlier
+/// barrier of the same configuration is not read, so not even a
+/// corrupt one is noticed, let alone quarantined.
+#[test]
+fn eval_cache_reads_only_the_horizon_entry() {
+    let dir = scratch_store("horizon-only");
+    let (store, _) = CkptStore::open(&dir).expect("open store");
+    let config = WorldKind::Smoke.base_config();
+    let run = RunConfig::seconds(3.0);
+    let entry = store.put(&checkpoint_drive(&config, &run, 1.0).1).expect("persist barrier");
+    let path = store.dir().join(entry.file_name());
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, bytes).unwrap();
+
+    let cache = EvalCache::new();
+    let key = EvalCache::spec_hash(&config, &run);
+    assert!(cache.lookup_or_resume(key, &config, &run, Some(&store)).is_none());
+    assert!(path.exists(), "the earlier barrier stays where it is");
+    assert!(store.quarantined().unwrap().is_empty(), "nothing read, nothing quarantined");
+    assert_eq!(store.len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sweep_prefix_sharing_reuses_a_prior_processes_barriers() {
     // The prefix-sharing spec from the checkpoint determinism suite:

@@ -10,9 +10,10 @@ use av_core::ckptstore::{CkptStore, EntryInfo, StoreFault};
 use av_core::determinism::run_hash;
 use av_core::fault::FaultPlan;
 use av_core::stack::{
-    checkpoint_drive, drive, drive_fingerprint, run_drive, Checkpoint, DriveRequest, RunConfig,
-    RunReport, StackConfig, CHECKPOINT_VERSION,
+    checkpoint_drive, drive, drive_fingerprint, run_drive, Blackout, Checkpoint, DriveRequest,
+    RunConfig, RunReport, StackConfig, CHECKPOINT_VERSION,
 };
+use av_ros::Source;
 use av_trace::export::{render_chrome_trace, render_metrics_csv};
 use av_vision::DetectorKind;
 use std::fs;
@@ -351,5 +352,39 @@ fn best_resume_respects_tracing_mode_and_barrier_cap_and_remove_deletes() {
     assert_eq!(removed.len(), 2);
     assert!(store.is_empty());
     assert_eq!(store.quarantined().unwrap().len(), 0, "remove deletes, it does not quarantine");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `best_prefix` tries the exact fingerprint first, then the others in
+/// ascending order: with the exact entry corrupt, the smallest
+/// admitted fingerprint serves, whatever the exact one's rank.
+#[test]
+fn best_prefix_falls_back_in_ascending_fingerprint_order() {
+    let dir = tmpdir("prefix_order");
+    let run = RunConfig::seconds(4.0);
+    // Three configurations that differ only in a LiDAR outage opening
+    // after the 1 s barrier: each admits the others' checkpoints there.
+    let mut configs: Vec<StackConfig> = [2.0, 2.5, 3.0]
+        .map(|from_s| StackConfig {
+            blackouts: vec![Blackout { source: Source::Lidar, from_s, to_s: 3.5 }],
+            ..StackConfig::smoke_test(DetectorKind::YoloV3)
+        })
+        .to_vec();
+    configs.sort_by_key(drive_fingerprint);
+    let [a, b, exact] = [0, 1, 2].map(|i| drive_fingerprint(&configs[i]));
+    let (store, _) = CkptStore::open(&dir).unwrap();
+    let entries: Vec<EntryInfo> =
+        configs.iter().map(|c| store.put(&checkpoint_drive(c, &run, 1.0).1).unwrap()).collect();
+    assert_eq!(entries[2].header.fingerprint, exact);
+
+    let path = store.dir().join(entries[2].file_name());
+    let mut bytes = fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    fs::write(&path, bytes).unwrap();
+
+    let served = store.best_prefix(&configs[2], &run, 1.0).expect("an admitted entry serves");
+    assert_eq!(served.header().fingerprint, a, "a (0x{a:016x}) before b (0x{b:016x})");
+    assert_eq!(store.quarantined().unwrap().len(), 1, "the exact entry was tried first");
     let _ = fs::remove_dir_all(&dir);
 }
